@@ -17,13 +17,11 @@ from .model import (
     Frame,
     PipelineConfig,
     RoleDistribution,
-    SessionMeta,
     validate_record,
-    validate_stream,
 )
-from .flow import FlowField, MotionRecord, farneback_flow, roi_motion, to_grayscale_downsampled
+from .flow import FlowField, MotionRecord, farneback_flow, roi_motion
 from .geometry import CrossingEvent, Polygon, RoiMask, anchor_point, detect_crossings, expand_polygon, rasterize
-from .logic import LogicalState, SmoothingWindow, attribute_roles, derive_state, update_window
+from .logic import LogicalState, SmoothingWindow, attribute_roles, derive_state
 from .trends import HourlyTrend, ObservationLog, aggregate_hourly, assisted_trends, cohort_average, log_to_states
 from .evaluation import (
     EvalReport,

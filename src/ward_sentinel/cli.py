@@ -19,7 +19,7 @@ import numpy as np
 from . import camera_meta as cm
 from . import trends as tr
 from .errors import ValidationError, WardSentinelError
-from .evaluation import evaluate_frames, trend_accuracy
+from .evaluation import TrendAccuracyReport, evaluate_frames, trend_accuracy
 from .flow import farneback_flow
 from .model import FLOW_DIMS, PipelineConfig
 from .pipeline import (
@@ -183,44 +183,19 @@ def _cmd_evaluate_trends(args, cfg) -> int:
     shared = sorted(set(by_session) & set(logs))
     if not shared:
         raise ValidationError("states and observation log share no sessions")
-    rows = []
-    for sid in shared:
-        rows.extend(trend_accuracy(by_session[sid], logs[sid], cfg).rows)
-    summary = {}
-    for period in ("day", "night", "full"):
-        accs = [r.accuracy for r in rows if r.period == period]
-        if accs:
-            summary[period] = {
-                "mean": float(np.mean(accs)),
-                "std": float(np.std(accs)),
-                "n": len(accs),
-            }
-    out = _out_dir(args.out)
-    _write_json(
-        {
-            "rows": [
-                {
-                    "session_id": r.session_id,
-                    "date": r.date.isoformat(),
-                    "period": r.period,
-                    "method": r.method,
-                    "accuracy": r.accuracy,
-                    "seconds": r.seconds,
-                }
-                for r in rows
-            ],
-            "summary": summary,
-        },
-        out / "trend_report.json",
+    report = TrendAccuracyReport.from_rows(
+        [r for sid in shared for r in trend_accuracy(by_session[sid], logs[sid], cfg).rows]
     )
+    out = _out_dir(args.out)
+    _write_json(report.to_dict(), out / "trend_report.json")
     with open(out / "per_patient_day.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["session_id", "date", "period", "method", "accuracy", "seconds"])
-        for r in rows:
+        for r in report.rows:
             writer.writerow(
                 [r.session_id, r.date.isoformat(), r.period, r.method, f"{r.accuracy:.6f}", r.seconds]
             )
-    for period, s in summary.items():
+    for period, s in report.summary.items():
         print(f"{period}: {s['mean']:.3f} +/- {s['std']:.3f} over {s['n']} patient-day(s)")
     return 0
 

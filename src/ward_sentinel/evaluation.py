@@ -126,6 +126,20 @@ class TrendAccuracyReport:
     rows: tuple[TrendAccuracyRow, ...]
     summary: dict[str, dict]  # period -> {mean, std, n}
 
+    @classmethod
+    def from_rows(cls, rows: Sequence[TrendAccuracyRow]) -> "TrendAccuracyReport":
+        """Summarize rows per period: mean, population std and n across patient-days."""
+        summary = {}
+        for period in PERIODS:
+            accs = [r.accuracy for r in rows if r.period == period]
+            if accs:
+                summary[period] = {
+                    "mean": float(np.mean(accs)),
+                    "std": float(np.std(accs)),
+                    "n": len(accs),
+                }
+        return cls(rows=tuple(rows), summary=summary)
+
     def to_dict(self) -> dict:
         return {
             "rows": [
@@ -407,14 +421,4 @@ def trend_accuracy(
             )
     if not rows:
         raise NoOverlap("states and observation log share no scored seconds")
-
-    summary = {}
-    for period in PERIODS:
-        accs = [r.accuracy for r in rows if r.period == period]
-        if accs:
-            summary[period] = {
-                "mean": float(np.mean(accs)),
-                "std": float(np.std(accs)),
-                "n": len(accs),
-            }
-    return TrendAccuracyReport(rows=tuple(rows), summary=summary)
+    return TrendAccuracyReport.from_rows(rows)

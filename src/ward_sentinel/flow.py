@@ -16,14 +16,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from math import inf
 from typing import Mapping, Optional
 
 import numpy as np
 from scipy import ndimage
 
 from .errors import DimensionMismatch, EmptyMask
-from .imageops import resize_bilinear, to_grayscale
-from .model import FLOW_DIMS, FlowParams, Frame
+from .imageops import resize_bilinear
+from .model import FlowParams
 
 from .geometry import RoiMask
 
@@ -62,8 +63,8 @@ class MotionRecord:
     def __post_init__(self):
         mags = {k: float(v) for k, v in dict(self.magnitudes).items()}
         for k, v in mags.items():
-            if v < 0:
-                raise ValueError(f"motion magnitude for {k} must be >= 0")
+            if not 0.0 <= v < inf:
+                raise ValueError(f"motion magnitude for {k} must be finite and >= 0: {v}")
         object.__setattr__(self, "magnitudes", mags)
 
 
@@ -77,13 +78,6 @@ class PolyExpansion:
     axx: np.ndarray
     ayy: np.ndarray
     axy: np.ndarray
-
-
-def to_grayscale_downsampled(frame: Frame) -> np.ndarray:
-    """BT.601 luma downsampled bilinearly to the flow analysis resolution."""
-    gray = to_grayscale(frame.pixels)
-    w, h = FLOW_DIMS
-    return resize_bilinear(gray, w, h)
 
 
 def polynomial_expansion(gray: np.ndarray, poly_n: int, poly_sigma: float) -> PolyExpansion:

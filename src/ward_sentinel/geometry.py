@@ -63,14 +63,6 @@ class Polygon:
         cy = float(np.sum((y + yn) * cross) / (6.0 * a))
         return cx, cy
 
-    def is_convex(self) -> bool:
-        v = np.asarray(self.vertices)
-        d = np.roll(v, -1, axis=0) - v
-        dn = np.roll(d, -1, axis=0)
-        cross = d[:, 0] * dn[:, 1] - d[:, 1] * dn[:, 0]
-        signs = cross[np.abs(cross) > AREA_EPS]
-        return signs.size == 0 or bool(np.all(signs > 0) or np.all(signs < 0))
-
     def _self_intersects(self) -> bool:
         verts = self.vertices
         n = len(verts)

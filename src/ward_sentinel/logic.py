@@ -13,6 +13,7 @@ from __future__ import annotations
 import logging
 from collections import deque
 from dataclasses import dataclass
+from math import inf
 from typing import Mapping, Optional, Sequence
 
 from .errors import EmptyWindow, OutOfOrderRecord
@@ -33,8 +34,8 @@ class LogicalState:
     smoothed_person_count: float
 
     def __post_init__(self):
-        if self.smoothed_person_count < 0:
-            raise ValueError("smoothed_person_count must be >= 0")
+        if not 0.0 <= self.smoothed_person_count < inf:
+            raise ValueError("smoothed_person_count must be finite and >= 0")
         if self.patient_alone and not self.person_alone:
             raise ValueError("patient_alone implies person_alone")
         if self.supervised_by_staff and self.person_alone:
@@ -107,13 +108,6 @@ class SmoothingWindow:
 
     def motions(self) -> list[Optional[MotionRecord]]:
         return [m for _, m in self._entries]
-
-
-def update_window(
-    w: SmoothingWindow, rec: DetectionRecord, motion: Optional[MotionRecord] = None
-) -> SmoothingWindow:
-    w.push(rec, motion)
-    return w
 
 
 def derive_state(w: SmoothingWindow, cfg: PipelineConfig) -> LogicalState:

@@ -1,4 +1,4 @@
-"""Shared domain vocabulary: frames, detections, roles, sessions, configuration.
+"""Shared domain vocabulary: frames, detections, roles, configuration.
 
 All types here are immutable after construction and safe to share across
 threads. Timestamps are whole seconds UTC (the capture cadence is 1 fps, so
@@ -8,11 +8,12 @@ sub-second precision carries no information).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Mapping, Optional
+from math import isfinite
+from typing import Mapping, Optional
 
 import numpy as np
 
-from .errors import MalformedRecord, NonMonotonicTimestamp
+from .errors import MalformedRecord
 
 CLASSES = ("person", "bed", "chair")
 ROLES = ("patient", "staff", "other")
@@ -64,7 +65,8 @@ class BoundingBox:
     """Axis-aligned detection box, top-left origin, pixel units.
 
     x/y may be negative before validation; validate_record clamps boxes to
-    frame bounds. Width, height and confidence are checked on construction.
+    frame bounds. Geometry must be finite; width, height and confidence are
+    range-checked on construction.
     """
 
     cls: str
@@ -77,6 +79,8 @@ class BoundingBox:
     def __post_init__(self):
         if self.cls not in CLASSES:
             raise ValueError(f"unknown box class {self.cls!r}")
+        if not (isfinite(self.x) and isfinite(self.y) and isfinite(self.w) and isfinite(self.h)):
+            raise ValueError(f"box geometry must be finite: {self.x}, {self.y}, {self.w}, {self.h}")
         if self.w <= 0 or self.h <= 0:
             raise ValueError("box width/height must be positive")
         if not 0.0 <= self.confidence <= 1.0:
@@ -163,27 +167,6 @@ class DetectionRecord:
             for b, r in zip(self.boxes, self.roles)
             if b.cls == "person"
         )
-
-
-MIN_SESSION_DURATION_S = 2 * 24 * 3600  # public-dataset ingest filter
-
-
-@dataclass(frozen=True)
-class SessionMeta:
-    session_id: str
-    hospital_id: str
-    hospital_size_bucket: str
-    age_bucket: str
-    gender: str
-    start_ts: int
-    end_ts: int
-
-    def __post_init__(self):
-        if self.end_ts <= self.start_ts:
-            raise ValueError("end_ts must be greater than start_ts")
-
-    def meets_minimum_duration(self) -> bool:
-        return self.end_ts - self.start_ts >= MIN_SESSION_DURATION_S
 
 
 @dataclass(frozen=True)
@@ -287,17 +270,3 @@ def validate_record(rec: DetectionRecord, frame_dims: tuple[float, float]) -> De
         roles.append(role if box.cls == "person" else None)
     return replace(rec, boxes=tuple(boxes), roles=tuple(roles))
 
-
-def validate_stream(
-    records: Iterable[DetectionRecord], frame_dims: tuple[float, float]
-) -> Iterator[DetectionRecord]:
-    """Validate records one by one, enforcing strictly increasing ts per session."""
-    last_ts: dict[str, int] = {}
-    for rec in records:
-        prev = last_ts.get(rec.session_id)
-        if prev is not None and rec.ts <= prev:
-            raise NonMonotonicTimestamp(
-                f"session {rec.session_id}: ts {rec.ts} after {prev}"
-            )
-        last_ts[rec.session_id] = rec.ts
-        yield validate_record(rec, frame_dims)

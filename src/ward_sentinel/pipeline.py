@@ -1,10 +1,12 @@
 """Streaming runtime: preprocessing, the detector port, per-second inference,
 persistence, and external ingest.
 
-Per-session state is one previous flow frame plus the smoothing window, so
-memory stays bounded regardless of session length. Sessions are independent;
-within a session the stages are strictly sequential (flow needs the previous
-frame, the window needs order).
+Per-session inference state is one previous flow frame plus the smoothing
+window, but the store writer stages every row until the run ends, so memory
+grows with run length, and resuming a session on the same UTC date rewrites
+that date's segment (ROADMAP.md, item 3). Sessions are independent; within a
+session the stages are strictly sequential (flow needs the previous frame,
+the window needs order).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .model import (
     RoleDistribution,
     validate_record,
 )
-from .schema import CanonicalRow
+from .schema import CanonicalRow, jsonl_lines, loads_row
 from .simulator import SimulationResult
 from .store import Store
 
@@ -362,21 +364,13 @@ def ingest_external(path, adapter: str, store: Store) -> IngestReport:
     numbered: list[tuple[int, CanonicalRow]] = []
     errors: list[tuple[int, str]] = []
     if adapter == "canonical":
-        from .schema import loads_row
-
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    numbered.append((lineno, loads_row(line)))
-                except (SchemaMismatch, ValidationError) as e:
-                    errors.append((lineno, str(e)))
+        for lineno, line in jsonl_lines(path):
+            try:
+                numbered.append((lineno, loads_row(line)))
+            except (SchemaMismatch, ValidationError) as e:
+                errors.append((lineno, str(e)))
     else:
-        numbered = []
-        for lineno, row in _read_flat_csv(path):
-            numbered.append((lineno, row))
+        numbered = list(_read_flat_csv(path))
 
     by_session: dict[str, list[tuple[int, CanonicalRow]]] = {}
     for lineno, row in numbered:

@@ -10,14 +10,15 @@ One object per monitored second:
 
 motion/logical are absent on ingest and filled by the pipeline. Rows are
 serialized with sorted keys and no whitespace so identical content is
-byte-identical. Floats survive the round trip exactly (repr-based JSON).
+byte-identical. Floats survive the round trip exactly (repr-based JSON);
+NaN and Infinity are rejected on read.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import SchemaMismatch
 from .evaluation import FrameLabel
@@ -100,35 +101,22 @@ def obj_to_row(obj: dict) -> CanonicalRow:
         raise SchemaMismatch(f"bad canonical row: {e}") from None
 
 
+def _reject_constant(name: str):
+    raise SchemaMismatch(f"non-finite number {name} is not allowed")
+
+
+# NaN/Infinity are not JSON; Python's decoder accepts them unless told not to.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def loads_row(line: str) -> CanonicalRow:
     try:
-        obj = json.loads(line)
+        obj = _DECODER.decode(line)
     except json.JSONDecodeError as e:
         raise SchemaMismatch(f"invalid JSON: {e}") from None
     if not isinstance(obj, dict):
         raise SchemaMismatch("canonical row must be a JSON object")
     return obj_to_row(obj)
-
-
-def label_to_obj(label: FrameLabel) -> dict:
-    return {
-        "session_id": label.session_id,
-        "ts": label.ts,
-        "boxes": [
-            {
-                "cls": b.cls,
-                "x": b.x,
-                "y": b.y,
-                "w": b.w,
-                "h": b.h,
-                "conf": b.confidence,
-                "role": r,
-            }
-            for b, r in zip(label.boxes, label.roles)
-        ],
-        "in_bed": label.in_bed,
-        "exceptions": list(label.exceptions),
-    }
 
 
 def obj_to_label(obj: dict) -> FrameLabel:
@@ -154,31 +142,32 @@ def obj_to_label(obj: dict) -> FrameLabel:
         raise SchemaMismatch(f"bad frame label: {e}") from None
 
 
-def read_labels_jsonl(path) -> list[FrameLabel]:
-    labels = []
+def jsonl_lines(path) -> Iterator[tuple[int, str]]:
+    """(1-based line number, stripped line) for each non-blank line of a file."""
     with open(path) as fh:
         for i, line in enumerate(fh, start=1):
             line = line.strip()
-            if not line:
-                continue
-            try:
-                labels.append(obj_to_label(json.loads(line)))
-            except (json.JSONDecodeError, SchemaMismatch) as e:
-                raise SchemaMismatch(f"{path}:{i}: {e}") from None
+            if line:
+                yield i, line
+
+
+def read_labels_jsonl(path) -> list[FrameLabel]:
+    labels = []
+    for i, line in jsonl_lines(path):
+        try:
+            labels.append(obj_to_label(json.loads(line)))
+        except (json.JSONDecodeError, SchemaMismatch) as e:
+            raise SchemaMismatch(f"{path}:{i}: {e}") from None
     return labels
 
 
 def read_rows_jsonl(path) -> list[CanonicalRow]:
     rows = []
-    with open(path) as fh:
-        for i, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append(loads_row(line))
-            except SchemaMismatch as e:
-                raise SchemaMismatch(f"{path}:{i}: {e}") from None
+    for i, line in jsonl_lines(path):
+        try:
+            rows.append(loads_row(line))
+        except SchemaMismatch as e:
+            raise SchemaMismatch(f"{path}:{i}: {e}") from None
     return rows
 
 

@@ -6,10 +6,11 @@ Layout:
     <root>/sessions/<session_id>/<YYYY-MM-DD>.jsonl
     <root>/sessions/<session_id>/crossings.jsonl      # only when produced
 
-Segments are staged in memory and written whole at seal time, after which
-they are treated as immutable; the manifest records a sha256 and row count
-per segment so integrity is checkable offline. Writing the same content
-twice yields byte-identical files, which makes re-ingest idempotent.
+Segments are staged in memory and written whole at seal time; sealing a
+session again on the same date overwrites that date's segment. The manifest
+records a sha256 and row count per segment so integrity is checkable
+offline. Writing the same content twice yields byte-identical files, which
+makes re-ingest idempotent.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Iterator, Optional
 
 from .errors import NonMonotonicTimestamp, ValidationError
 from .geometry import CrossingEvent
-from .schema import SCHEMA_VERSION, CanonicalRow, dumps_row, loads_row
+from .schema import SCHEMA_VERSION, CanonicalRow, dumps_row, jsonl_lines, loads_row
 
 MANIFEST_NAME = "manifest.json"
 
@@ -76,11 +77,8 @@ class Store:
             for seg in sorted((self.root / "sessions" / sid).glob("*.jsonl")):
                 if seg.name == "crossings.jsonl":
                     continue
-                with open(seg) as fh:
-                    for line in fh:
-                        line = line.strip()
-                        if line:
-                            yield loads_row(line)
+                for _, line in jsonl_lines(seg):
+                    yield loads_row(line)
 
     def verify(self) -> int:
         """Recompute segment hashes against the manifest; return segment count."""
@@ -104,7 +102,6 @@ class SessionWriter:
         self._rows: dict[str, list[str]] = {}
         self._crossings: list[str] = []
         self._last_ts: Optional[int] = None
-        self._count = 0
 
     def append(self, row: CanonicalRow) -> None:
         rec = row.record
@@ -118,7 +115,6 @@ class SessionWriter:
             )
         self._last_ts = rec.ts
         self._rows.setdefault(_date_str(rec.ts), []).append(dumps_row(row))
-        self._count += 1
 
     def append_crossing(self, event: CrossingEvent) -> None:
         self._crossings.append(
@@ -133,10 +129,6 @@ class SessionWriter:
                 separators=(",", ":"),
             )
         )
-
-    @property
-    def rows_written(self) -> int:
-        return self._count
 
     def seal(self) -> list[str]:
         """Write segments and register them in the manifest; returns rel paths."""

@@ -76,10 +76,11 @@ class ObservationLog:
                 raise ValueError(f"empty or inverted interval [{a}, {b})")
 
 
-def _flags(state: LogicalState) -> dict[str, bool]:
+def _flags(state: LogicalState, alone: bool) -> dict[str, bool]:
+    """Trend flags for one second, with the alone status supplied by the caller."""
     return {
-        "alone": state.patient_alone,
-        "alone_and_moving": state.patient_alone and state.moving,
+        "alone": alone,
+        "alone_and_moving": alone and state.moving,
         "supervised_by_staff": state.supervised_by_staff,
         "moving": state.moving,
     }
@@ -122,7 +123,7 @@ def aggregate_hourly(states: Sequence[LogicalState]) -> list[HourlyTrend]:
             raise UnsortedInput(f"states not strictly increasing at ts {b.ts}")
         if b.session_id != session_id:
             raise UnsortedInput("aggregate_hourly expects a single session")
-    return _aggregate(session_id, ((s.ts, _flags(s)) for s in states))
+    return _aggregate(session_id, ((s.ts, _flags(s, s.patient_alone)) for s in states))
 
 
 def cohort_average(trends: Sequence[HourlyTrend]) -> list[CohortHourlyTrend]:
@@ -198,17 +199,9 @@ def assisted_trends(
         if b <= a:
             raise UnsortedInput(f"states not strictly increasing at ts {b}")
     alone = log_to_states(log, grid)
-
-    def rows():
-        for s, flag in zip(states, alone):
-            yield s.ts, {
-                "alone": flag,
-                "alone_and_moving": flag and s.moving,
-                "supervised_by_staff": s.supervised_by_staff,
-                "moving": s.moving,
-            }
-
-    return _aggregate(session_id, rows())
+    return _aggregate(
+        session_id, ((s.ts, _flags(s, flag)) for s, flag in zip(states, alone))
+    )
 
 
 def write_trend_csv(trends: Sequence[HourlyTrend], path) -> None:

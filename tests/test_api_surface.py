@@ -1,0 +1,73 @@
+"""Names that code outside the package looks up in it.
+
+The benchmark tracer (perfbench/spans.py) patches functions and methods at
+the module globals and class attributes where the package looks them up, and
+the demos import from the package. A rename in the package must fail here,
+not only when the benchmark or a demo is run.
+"""
+
+import ast
+import importlib
+import importlib.util
+import logging
+import pkgutil
+from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
+
+import ward_sentinel
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _package():
+    return SimpleNamespace(
+        **{
+            m.name: importlib.import_module(f"ward_sentinel.{m.name}")
+            for m in pkgutil.iter_modules(ward_sentinel.__path__)
+        }
+    )
+
+
+def test_tracer_patches_and_restores_every_lookup_site():
+    spans = _load_spans()
+    ws = _package()
+    sites = [(owner, attr) for owner, attr, _ in spans._patch_table(ws, spans.Tracer())]
+    original = [owner.__dict__[attr] for owner, attr in sites]
+    logic_log = logging.getLogger(ws.logic.__name__)
+    handlers = list(logic_log.handlers)
+
+    with spans.installed(ws, spans.Tracer()):
+        for (owner, attr), fn in zip(sites, original):
+            assert owner.__dict__[attr] is not fn, f"{owner.__name__}.{attr} not patched"
+
+    for (owner, attr), fn in zip(sites, original):
+        assert owner.__dict__[attr] is fn, f"{owner.__name__}.{attr} not restored"
+    assert logic_log.handlers == handlers
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[p.name for p in DEMOS])
+def test_demo_imports_resolve(demo):
+    tree = ast.parse(demo.read_text(), filename=str(demo))
+    resolved = 0
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ward_sentinel":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
+                resolved += 1
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "ward_sentinel":
+                    importlib.import_module(alias.name)
+                    resolved += 1
+    assert resolved > 0, f"{demo.name} imports nothing from ward_sentinel"

@@ -1,8 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
 from ward_sentinel.cli import main
+from ward_sentinel.evaluation import trend_accuracy
+from ward_sentinel.model import PipelineConfig
+from ward_sentinel.store import Store
+from ward_sentinel.trends import read_observation_csv
 from ward_sentinel.schema import dumps_row, write_rows_jsonl, CanonicalRow
 
 from conftest import make_record
@@ -86,6 +91,52 @@ def test_simulate_then_run_then_trends_then_evaluate(tmp_path, spec_path, capsys
     assert report["schema_version"] == 1
     assert report["summary"]["full"]["mean"] > 0.98  # noiseless scenario
     assert (eval_dir / "per_patient_day.csv").exists()
+
+
+def test_evaluate_trends_pools_sessions(tmp_path):
+    # roomB is listed first and straddles 06:00, so it has day and night rows.
+    specs = [
+        dict(SPEC, seed=5, session_id="roomB", start_ts=1709272500,
+             noise={"p_miss": 0.1, "p_spur": 0.1, "p_role": 0.05}),
+        dict(SPEC, seed=6, session_id="roomA",
+             noise={"p_miss": 0.2, "p_spur": 0.1, "p_role": 0.1}),
+    ]
+    detections, obs = [], ["session_id,start_ts,end_ts"]
+    for spec in specs:
+        spec_file = tmp_path / f"{spec['session_id']}.json"
+        spec_file.write_text(json.dumps(spec))
+        sim_dir = tmp_path / spec["session_id"]
+        assert main(["simulate", "--spec", str(spec_file), "--out", str(sim_dir)]) == 0
+        detections.append((sim_dir / "detections.jsonl").read_text())
+        obs.extend((sim_dir / "observations.csv").read_text().splitlines()[1:])
+    (tmp_path / "det.jsonl").write_text("".join(detections))
+    (tmp_path / "obs.csv").write_text("\n".join(obs) + "\n")
+    store_dir, eval_dir = tmp_path / "store", tmp_path / "eval"
+    assert main(["run", "--detections", str(tmp_path / "det.jsonl"), "--out", str(store_dir)]) == 0
+    assert main(["evaluate", "trends", "--log", str(tmp_path / "obs.csv"),
+                 "--states", str(store_dir), "--out", str(eval_dir)]) == 0
+
+    logs = read_observation_csv(tmp_path / "obs.csv")
+    expected = []
+    for sid in ("roomA", "roomB"):
+        states = [r.logical for r in Store(store_dir).iter_rows(sid)]
+        expected.extend(trend_accuracy(states, logs[sid], PipelineConfig()).rows)
+    report = json.loads((eval_dir / "trend_report.json").read_text())
+    assert report["rows"] == [
+        {"session_id": r.session_id, "date": r.date.isoformat(), "period": r.period,
+         "method": r.method, "accuracy": r.accuracy, "seconds": r.seconds}
+        for r in expected
+    ]
+    summary = {}
+    for period in ("day", "night", "full"):
+        accs = [r.accuracy for r in expected if r.period == period]
+        if accs:
+            summary[period] = {"mean": float(np.mean(accs)), "std": float(np.std(accs)), "n": len(accs)}
+    assert report["summary"] == summary
+    assert (summary["day"]["n"], summary["night"]["n"], summary["full"]["n"]) == (1, 2, 2)
+    assert summary["full"]["std"] > 0
+    csv_lines = (eval_dir / "per_patient_day.csv").read_text().splitlines()
+    assert len(csv_lines) == 1 + len(expected)
 
 
 def test_run_scenario_with_frames(tmp_path, spec_path):

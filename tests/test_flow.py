@@ -9,10 +9,10 @@ from ward_sentinel.flow import (
     farneback_flow,
     polynomial_expansion,
     roi_motion,
-    to_grayscale_downsampled,
 )
 from ward_sentinel.geometry import RoiMask
-from ward_sentinel.model import FlowParams, Frame
+from ward_sentinel.imageops import resize_bilinear, to_grayscale
+from ward_sentinel.model import FlowParams
 
 from conftest import shifted_pair, texture
 
@@ -175,31 +175,29 @@ class TestRoiMotion:
 
 
 class TestGrayscaleDownsample:
-    def _frame(self, pixels, mode):
-        h, w = pixels.shape[:2]
-        return Frame("s", 0, w, h, mode, pixels)
+    """BT.601 luma resized bilinearly to the 480x270 flow resolution."""
+
+    def _gray(self, pixels):
+        return resize_bilinear(to_grayscale(pixels), 480, 270)
 
     def test_white_rgb_frame(self):
-        f = self._frame(np.full((540, 960, 3), 255, dtype=np.uint8), "RGB")
-        gray = to_grayscale_downsampled(f)
+        gray = self._gray(np.full((540, 960, 3), 255, dtype=np.uint8))
         assert gray.shape == (270, 480)
         assert np.allclose(gray, 255.0)
 
     def test_nir_passthrough_resize(self, rng):
         pixels = rng.integers(0, 256, size=(270, 480, 1), dtype=np.uint8)
-        f = self._frame(pixels, "NIR")
-        gray = to_grayscale_downsampled(f)
+        gray = self._gray(pixels)
         assert np.array_equal(gray, pixels[:, :, 0].astype(float))
 
     def test_checkerboard_mean_preserved(self):
         board = np.indices((540, 960)).sum(axis=0) % 2 * 255
-        f = self._frame(board[:, :, None].astype(np.uint8), "NIR")
-        gray = to_grayscale_downsampled(f)
+        gray = self._gray(board[:, :, None].astype(np.uint8))
         assert gray.shape == (270, 480)
         assert abs(gray.mean() - board.mean()) <= 1.0
 
     def test_bt601_weights(self):
         pixels = np.zeros((270, 480, 3), dtype=np.uint8)
         pixels[:, :, 0] = 100  # red only
-        gray = to_grayscale_downsampled(self._frame(pixels, "RGB"))
+        gray = self._gray(pixels)
         assert np.allclose(gray, 29.9)

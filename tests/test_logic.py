@@ -8,7 +8,6 @@ from ward_sentinel.logic import (
     SmoothingWindow,
     attribute_roles,
     derive_state,
-    update_window,
 )
 from ward_sentinel.model import PipelineConfig
 
@@ -99,7 +98,7 @@ class TestSmoothingWindow:
         with pytest.raises(OutOfOrderRecord):
             w.push(make_record("s", 100))
         with pytest.raises(OutOfOrderRecord):
-            update_window(w, make_record("s", 99))
+            w.push(make_record("s", 99))
 
 
 class TestDeriveState:

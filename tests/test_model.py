@@ -1,17 +1,20 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
-from ward_sentinel.errors import MalformedRecord, NonMonotonicTimestamp
+from ward_sentinel.errors import MalformedRecord, SchemaMismatch
 from ward_sentinel.model import (
     BoundingBox,
     DetectionRecord,
     Frame,
     PipelineConfig,
     RoleDistribution,
-    SessionMeta,
     validate_record,
-    validate_stream,
 )
+from ward_sentinel.flow import MotionRecord
+from ward_sentinel.logic import LogicalState
 from ward_sentinel.schema import CanonicalRow, dumps_row, loads_row
 
 from conftest import make_record, person_box, role_dist
@@ -61,20 +64,6 @@ def test_non_person_role_realigned_to_none():
     assert out.roles == (None,)
 
 
-def test_stream_rejects_non_monotonic_ts():
-    records = [make_record("s", 10), make_record("s", 11), make_record("s", 11)]
-    stream = validate_stream(records, (1088, 612))
-    next(stream)
-    next(stream)
-    with pytest.raises(NonMonotonicTimestamp):
-        next(stream)
-
-
-def test_stream_sessions_independent():
-    records = [make_record("a", 10), make_record("b", 10), make_record("a", 11)]
-    assert len(list(validate_stream(records, (1088, 612)))) == 3
-
-
 def test_role_distribution_sum_enforced():
     with pytest.raises(ValueError):
         RoleDistribution({"patient": 0.5, "staff": 0.5, "other": 0.1})
@@ -96,15 +85,6 @@ def test_frame_buffer_validation():
     assert f.channels == 1
     with pytest.raises(ValueError):
         f.pixels[0, 0, 0] = 1  # read-only after construction
-
-
-def test_session_meta_duration_filter():
-    meta = SessionMeta("s", "h1", "small", "60-70", "F", 0, 3 * 24 * 3600)
-    assert meta.meets_minimum_duration()
-    short = SessionMeta("s", "h1", "small", "60-70", "F", 0, 3600)
-    assert not short.meets_minimum_duration()
-    with pytest.raises(ValueError):
-        SessionMeta("s", "h1", "small", "60-70", "F", 10, 10)
 
 
 def test_config_defaults_match_published_values():
@@ -142,3 +122,56 @@ def test_roundtrip_preserves_awkward_floats():
     rec = DetectionRecord("s", 1, (box,), (role_dist("other", conf=1 / 7),))
     parsed = loads_row(dumps_row(CanonicalRow(rec)))
     assert parsed.record == rec
+
+
+NON_FINITE = {"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf")}
+
+
+@pytest.mark.parametrize("field", ("x", "y", "w", "h"))
+@pytest.mark.parametrize("value", NON_FINITE.values(), ids=NON_FINITE.keys())
+def test_box_rejects_non_finite_geometry(field, value):
+    geometry = {"x": 10.0, "y": 10.0, "w": 20.0, "h": 30.0, field: value}
+    with pytest.raises(ValueError, match="finite"):
+        BoundingBox("person", confidence=0.5, **geometry)
+
+
+@pytest.mark.parametrize("value", NON_FINITE.values(), ids=NON_FINITE.keys())
+def test_motion_and_state_reject_non_finite(value):
+    # The store must never seal a row that loads_row refuses.
+    with pytest.raises(ValueError, match="finite"):
+        MotionRecord("s", 7, {"scene": value})
+    with pytest.raises(ValueError, match="finite"):
+        LogicalState("s", 7, True, True, False, False, value)
+
+
+def _full_row_obj() -> dict:
+    rec = make_record("s", 7, ["patient"])
+    motion = MotionRecord("s", 7, {"scene": 0.3, "bed": 0.1})
+    state = LogicalState("s", 7, True, True, False, False, 1.0)
+    return json.loads(dumps_row(CanonicalRow(rec, motion, state)))
+
+
+# Path to each numeric field of a row; box 1 is the person box.
+NUMERIC_FIELDS = {
+    "box.x": ("boxes", 1, "x"),
+    "box.y": ("boxes", 1, "y"),
+    "box.w": ("boxes", 1, "w"),
+    "box.h": ("boxes", 1, "h"),
+    "box.conf": ("boxes", 1, "conf"),
+    "motion.scene": ("motion", "scene"),
+    "logical.smoothed_person_count": ("logical", "smoothed_person_count"),
+}
+
+
+@pytest.mark.parametrize("path", NUMERIC_FIELDS.values(), ids=NUMERIC_FIELDS.keys())
+@pytest.mark.parametrize("token", ("NaN", "Infinity", "-Infinity"))
+def test_loads_row_rejects_non_finite_numbers(path, token):
+    obj = _full_row_obj()
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = 12345.25  # placeholder swapped for the bare token below
+    line = json.dumps(obj, sort_keys=True, separators=(",", ":")).replace("12345.25", token)
+    assert loads_row(line.replace(token, "1.0"))  # the row is otherwise valid
+    with pytest.raises(SchemaMismatch, match=re.escape(token)):
+        loads_row(line)

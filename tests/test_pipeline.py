@@ -11,6 +11,7 @@ from ward_sentinel.errors import (
 from ward_sentinel.imageops import resize_bicubic, resize_bilinear
 from ward_sentinel.model import Frame, PipelineConfig
 from ward_sentinel.pipeline import (
+    DetectorPort,
     ReplayDetector,
     SourceItem,
     SyntheticDetector,
@@ -175,6 +176,25 @@ class TestRunPipeline:
         with pytest.raises(AdapterError):
             run_pipeline(iter([item]), CFG, Store(tmp_path / "store"))
 
+    def test_detector_adapter_error_propagates_once(self, tmp_path):
+        item = SourceItem(session_id="s", ts=1)
+        with pytest.raises(AdapterError) as info:
+            run_pipeline(iter([item]), CFG, Store(tmp_path / "store"), detector=ReplayDetector([]))
+        assert str(info.value) == "no recorded detections [session=s ts=1]"
+        assert info.value.__cause__ is None
+
+    def test_other_detector_failure_wrapped_once(self, tmp_path):
+        class BrokenDetector(DetectorPort):
+            def detect(self, session_id, ts, frame=None):
+                raise RuntimeError("model crashed")
+
+        item = SourceItem(session_id="s", ts=1)
+        with pytest.raises(AdapterError) as info:
+            run_pipeline(iter([item]), CFG, Store(tmp_path / "store"), detector=BrokenDetector())
+        assert str(info.value) == "model crashed [session=s ts=1]"
+        assert (info.value.session_id, info.value.ts) == ("s", 1)
+        assert isinstance(info.value.__cause__, RuntimeError)
+
     def test_end_to_end_determinism(self, tmp_path):
         spec = _scenario(duration=150, noise=NoiseModel(p_miss=0.1))
         digests = []
@@ -250,6 +270,20 @@ class TestIngest:
         assert report.rows_ok == 4
         assert report.rows_rejected == 1
         assert report.errors[0][0] == 3  # 1-based line number
+
+    def test_non_finite_box_rejected_with_line_number(self, tmp_path):
+        path = tmp_path / "in.jsonl"
+        lines = [dumps_row(r) for r in self._rows(4)]
+        lines[1] = lines[1].replace('"x":50.0', '"x":NaN')
+        assert "NaN" in lines[1]
+        path.write_text("\n".join(lines) + "\n")
+        store = Store(tmp_path / "store")
+        report = ingest_external(path, "canonical", store)
+        assert (report.rows_ok, report.rows_rejected) == (3, 1)
+        assert report.errors[0][0] == 2
+        assert "NaN" in report.errors[0][1]
+        assert [r.record.ts for r in store.iter_rows()] == [1000, 1002, 1003]
+        assert "NaN" not in (tmp_path / "store" / "sessions" / "ing" / "1970-01-01.jsonl").read_text()
 
     def test_double_ingest_idempotent(self, tmp_path):
         path = tmp_path / "in.jsonl"
