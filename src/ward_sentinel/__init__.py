@@ -36,7 +36,7 @@ from .evaluation import (
 )
 from .camera_meta import BedPlacementStat, bed_stats, placement_distribution
 from .simulator import NoiseModel, OccupantTrack, ScenarioSpec, ScheduleInterval, generate
-from .pipeline import DetectorPort, ReplayDetector, SyntheticDetector, ingest_external, preprocess, run_pipeline
+from .pipeline import DetectorPort, SyntheticDetector, ingest_external, preprocess, run_pipeline
 from .store import Store
 
 __version__ = "0.1.0"

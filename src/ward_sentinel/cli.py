@@ -36,11 +36,21 @@ from .store import Store
 REPORT_VERSION = {"schema_version": SCHEMA_VERSION}
 
 
+def _load_json(path, build):
+    """build(parsed JSON file); bad content is a ValidationError naming the file."""
+    with open(path) as fh:
+        try:
+            return build(json.load(fh))
+        except KeyError as e:
+            raise ValidationError(f"{path}: missing key {e}") from None
+        except (TypeError, ValueError) as e:
+            raise ValidationError(f"{path}: {e}") from None
+
+
 def _load_config(path) -> PipelineConfig:
     if path is None:
         return PipelineConfig()
-    with open(path) as fh:
-        return PipelineConfig.from_dict(json.load(fh))
+    return _load_json(path, PipelineConfig.from_dict)
 
 
 def _out_dir(path) -> Path:
@@ -69,8 +79,7 @@ def _read_states(source: str):
 
 
 def _cmd_simulate(args, cfg) -> int:
-    with open(args.spec) as fh:
-        spec = spec_from_dict(json.load(fh))
+    spec = _load_json(args.spec, spec_from_dict)
     sim = generate(spec, cfg)
     out = _out_dir(args.out)
     write_rows_jsonl(
@@ -96,8 +105,7 @@ def _cmd_run(args, cfg) -> int:
     store = Store(args.out)
     detector = None
     if args.scenario:
-        with open(args.scenario) as fh:
-            spec = spec_from_dict(json.load(fh))
+        spec = _load_json(args.scenario, spec_from_dict)
         if spec.zone and spec.session_id not in cfg.zones:
             from dataclasses import replace
 

@@ -241,13 +241,11 @@ def farneback_flow(
     return FlowField(width=width, height=height, dx=dx, dy=dy)
 
 
-def roi_motion(
-    flow: FlowField, mask: RoiMask, aggregation: str = "mean_magnitude"
-) -> float:
-    """Average motion inside a mask.
+def roi_motion(flow: FlowField, mask: RoiMask) -> float:
+    """Mean per-pixel flow magnitude |d| inside a mask.
 
-    mean_magnitude averages per-pixel |d| and is robust to opposing motions
-    canceling; magnitude_of_mean is |mean d| for callers that want net drift.
+    Averaging magnitudes rather than vectors keeps opposing motions from
+    canceling.
     """
     if (mask.width, mask.height) != (flow.width, flow.height):
         raise DimensionMismatch(
@@ -256,8 +254,4 @@ def roi_motion(
     bits = mask.bits
     if not bits.any():
         raise EmptyMask(f"ROI mask {mask.kind!r} selects no pixels")
-    if aggregation == "mean_magnitude":
-        return float(np.hypot(flow.dx[bits], flow.dy[bits]).mean())
-    if aggregation == "magnitude_of_mean":
-        return float(np.hypot(flow.dx[bits].mean(), flow.dy[bits].mean()))
-    raise ValueError(f"unknown aggregation {aggregation!r}")
+    return float(np.hypot(flow.dx[bits], flow.dy[bits]).mean())

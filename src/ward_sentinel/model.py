@@ -208,7 +208,6 @@ class PipelineConfig:
     day_start_hour: int = 6
     night_start_hour: int = 21
     safety_zone_expansion: float = 0.10
-    motion_aggregation: str = "mean_magnitude"  # or "magnitude_of_mean"
     flow: FlowParams = field(default_factory=FlowParams)
     # Safety-zone polygons per session (analysis-resolution vertex pairs);
     # the "default" key applies to sessions without their own entry.
@@ -221,8 +220,6 @@ class PipelineConfig:
             raise ValueError("iou_threshold must be in (0, 1)")
         if self.safety_zone_expansion < 0.0:
             raise ValueError("safety_zone_expansion must be >= 0")
-        if self.motion_aggregation not in ("mean_magnitude", "magnitude_of_mean"):
-            raise ValueError(f"unknown motion_aggregation {self.motion_aggregation!r}")
         object.__setattr__(
             self,
             "zones",

@@ -1,5 +1,6 @@
 """Streaming runtime: preprocessing, the detector port, per-second inference,
-persistence, and external ingest.
+persistence, and external ingest. Recorded detection records pass straight to
+validation; frames go through the detector port and role attribution.
 
 Per-session inference state is one previous flow frame plus the smoothing
 window, but the store writer stages every row until the run ends, so memory
@@ -18,7 +19,7 @@ from typing import Iterable, Iterator, Mapping, Optional
 
 import numpy as np
 
-from .errors import AdapterError, SchemaMismatch, TooSmallInput, UnknownAdapter, ValidationError
+from .errors import AdapterError, MalformedRecord, SchemaMismatch, TooSmallInput, UnknownAdapter, ValidationError
 from .flow import MotionRecord, farneback_flow, roi_motion
 from .geometry import Polygon, RoiMask, bed_roi_from_detection, detect_crossings, expand_polygon, rasterize
 from .imageops import resize_bilinear, resize_bicubic, to_grayscale, to_uint8
@@ -74,13 +75,13 @@ def preprocess(frame: Frame) -> PreprocessedFrame:
 class DetectorOutput:
     """Raw detector port result for one frame.
 
-    Either role_confidences (per-role detector scores, run through
-    attribute_roles) or ready-made roles may be supplied per person box.
+    role_confidences runs parallel to boxes: per-role detector scores that
+    attribute_roles turns into distributions. Non-person entries are ignored;
+    a person whose entry is None or empty gets the flagged uniform fallback.
     """
 
     boxes: tuple[BoundingBox, ...]
-    role_confidences: Optional[tuple[Optional[Mapping[str, float]], ...]] = None
-    roles: Optional[tuple[Optional[RoleDistribution], ...]] = None
+    role_confidences: tuple[Optional[Mapping[str, float]], ...]
 
 
 class DetectorPort:
@@ -90,19 +91,6 @@ class DetectorPort:
         self, session_id: str, ts: int, frame: Optional[PreprocessedFrame]
     ) -> DetectorOutput:
         raise NotImplementedError
-
-
-class ReplayDetector(DetectorPort):
-    """Replays recorded detections keyed by (session_id, ts)."""
-
-    def __init__(self, records: Iterable[DetectionRecord]):
-        self._by_key = {(r.session_id, r.ts): r for r in records}
-
-    def detect(self, session_id, ts, frame=None) -> DetectorOutput:
-        rec = self._by_key.get((session_id, ts))
-        if rec is None:
-            raise AdapterError("no recorded detections", session_id, ts)
-        return DetectorOutput(boxes=rec.boxes, roles=rec.roles)
 
 
 class SyntheticDetector(DetectorPort):
@@ -125,12 +113,15 @@ class SyntheticDetector(DetectorPort):
 
 @dataclass(frozen=True)
 class SourceItem:
-    """One second of input: a frame, prerecorded detections/motion, or both."""
+    """One second of input: a frame, a recorded DetectionRecord with the item's
+    session_id and ts, or both, plus any recorded motion. Without a record,
+    the detector port supplies the detections.
+    """
 
     session_id: str
     ts: int
     frame: Optional[Frame] = None
-    detections: Optional[DetectorOutput] = None
+    record: Optional[DetectionRecord] = None
     motion: Optional[MotionRecord] = None
 
 
@@ -143,12 +134,7 @@ def rows_source(rows: Iterable[CanonicalRow]) -> Iterator[SourceItem]:
     """Replay canonical rows (detections plus any recorded motion)."""
     for row in rows:
         rec = row.record
-        yield SourceItem(
-            session_id=rec.session_id,
-            ts=rec.ts,
-            detections=DetectorOutput(boxes=rec.boxes, roles=rec.roles),
-            motion=row.motion,
-        )
+        yield SourceItem(session_id=rec.session_id, ts=rec.ts, record=rec, motion=row.motion)
 
 
 def _scale_record(rec: DetectionRecord, sx: float, sy: float) -> DetectionRecord:
@@ -199,11 +185,11 @@ def run_pipeline(
 ) -> PipelineStats:
     """Drive the per-second chain and persist canonical rows.
 
-    For each item: preprocess -> detector port -> validate -> optical flow
-    against the previous frame -> per-ROI motion -> window update -> logical
-    state -> append. A source gap longer than one second drops the previous
-    flow frame (motion restarts), and the smoothing window applies its own
-    gap rule.
+    For each item: preprocess -> the item's recorded record, or the detector
+    port's output with attributed roles -> validate -> optical flow against
+    the previous frame -> per-ROI motion -> window update -> logical state ->
+    append. A source gap longer than one second drops the previous flow frame
+    (motion restarts), and the smoothing window applies its own gap rule.
     """
     t0 = time.perf_counter()
     stats = PipelineStats()
@@ -225,8 +211,8 @@ def run_pipeline(
         if item.frame is not None:
             pre = preprocess(item.frame)
 
-        det = item.detections
-        if det is None:
+        rec = item.record
+        if rec is None:
             if detector is None:
                 raise AdapterError(
                     "source item has no detections and no detector port is configured",
@@ -239,32 +225,34 @@ def run_pipeline(
                 raise
             except Exception as e:
                 raise AdapterError(str(e), item.session_id, item.ts) from e
-
-        if det.roles is not None:
-            roles = det.roles
-        else:
-            confs = det.role_confidences or tuple(
-                {} if b.cls == "person" else None for b in det.boxes
-            )
-            person_confs = [c or {} for b, c in zip(det.boxes, confs) if b.cls == "person"]
+            if len(det.role_confidences) != len(det.boxes):
+                raise AdapterError(
+                    f"{len(det.role_confidences)} role confidences for {len(det.boxes)} boxes",
+                    item.session_id,
+                    item.ts,
+                )
+            confs = zip(det.boxes, det.role_confidences)
+            person_confs = [c or {} for b, c in confs if b.cls == "person"]
             attributed = iter(attribute_roles(person_confs))
             roles = tuple(
                 next(attributed) if b.cls == "person" else None for b in det.boxes
             )
-        rec = validate_record(
-            DetectionRecord(item.session_id, item.ts, tuple(det.boxes), roles),
-            ANALYSIS_DIMS,
-        )
+            rec = DetectionRecord(item.session_id, item.ts, det.boxes, roles)
+        elif (rec.session_id, rec.ts) != (item.session_id, item.ts):
+            raise MalformedRecord(
+                f"record {rec.session_id}@{rec.ts} on source item {item.session_id}@{item.ts}"
+            )
+        rec = validate_record(rec, ANALYSIS_DIMS)
 
         motion = item.motion
         if motion is None and pre is not None and st.prev_gray is not None:
             flow = farneback_flow(st.prev_gray, pre.flow_gray, cfg.flow)
-            mags = {"scene": roi_motion(flow, scene_mask, cfg.motion_aggregation)}
+            mags = {"scene": roi_motion(flow, scene_mask)}
             bed_mask = bed_roi_from_detection(_scale_record(rec, fx, fy), *FLOW_DIMS)
             if bed_mask is not None and bed_mask.count():
-                mags["bed"] = roi_motion(flow, bed_mask, cfg.motion_aggregation)
+                mags["bed"] = roi_motion(flow, bed_mask)
             if st.zone_flow is not None and st.zone_flow.count():
-                mags["safety_zone"] = roi_motion(flow, st.zone_flow, cfg.motion_aggregation)
+                mags["safety_zone"] = roi_motion(flow, st.zone_flow)
             motion = MotionRecord(item.session_id, item.ts, mags)
         if pre is not None:
             st.prev_gray = pre.flow_gray

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from typing import Iterable, Optional, Sequence
 
-from .errors import IntervalOutOfBounds, OverlappingIntervals, UnsortedInput
+from .errors import IntervalOutOfBounds, OverlappingIntervals, UnsortedInput, ValidationError
 from .logic import LogicalState
 
 TREND_KEYS = ("alone", "alone_and_moving", "supervised_by_staff", "moving")
@@ -245,13 +245,22 @@ def write_cohort_csv(rows: Sequence[CohortHourlyTrend], path) -> None:
 
 
 def read_observation_csv(path) -> dict[str, ObservationLog]:
-    """Load observation logs (session_id,start_ts,end_ts rows) grouped by session."""
+    """Load observation logs (session_id,start_ts,end_ts rows) grouped by session.
+
+    A missing column, a non-integer ts or an empty or inverted interval raises
+    ValidationError prefixed with path:line.
+    """
     intervals: dict[str, list[tuple[int, int]]] = {}
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            intervals.setdefault(row["session_id"], []).append(
-                (int(row["start_ts"]), int(row["end_ts"]))
-            )
+        reader = csv.DictReader(fh)
+        for row in reader:
+            try:
+                log = ObservationLog(row["session_id"], ((row["start_ts"], row["end_ts"]),))
+            except KeyError as e:
+                raise ValidationError(f"{path}:{reader.line_num}: missing column {e}") from None
+            except (TypeError, ValueError) as e:
+                raise ValidationError(f"{path}:{reader.line_num}: {e}") from None
+            intervals.setdefault(log.session_id, []).extend(log.intervals)
     return {
         sid: ObservationLog(sid, tuple(sorted(iv))) for sid, iv in intervals.items()
     }

@@ -1,22 +1,28 @@
 """Names that code outside the package looks up in it.
 
 The benchmark tracer (perfbench/spans.py) patches functions and methods at
-the module globals and class attributes where the package looks them up, and
-the demos import from the package. A rename in the package must fail here,
-not only when the benchmark or a demo is run.
+the module globals and class attributes where the package looks them up, the
+demos import from the package, and the README shows command lines and a
+config file. A rename in the package must fail here, not only when the
+benchmark or a demo is run or a reader copies from the README.
 """
 
 import ast
 import importlib
 import importlib.util
+import json
 import logging
 import pkgutil
+import re
+import shlex
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 import ward_sentinel
+from ward_sentinel.cli import build_parser
+from ward_sentinel.model import PipelineConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -71,3 +77,25 @@ def test_demo_imports_resolve(demo):
                     importlib.import_module(alias.name)
                     resolved += 1
     assert resolved > 0, f"{demo.name} imports nothing from ward_sentinel"
+
+
+def _readme_block(after: str, lang: str) -> str:
+    """The first fenced `lang` block after the line containing `after`."""
+    text = (ROOT / "README.md").read_text()
+    match = re.compile(rf"```{lang}\n(.*?)```", re.S).search(text, text.index(after))
+    return match.group(1)
+
+
+def test_readme_command_lines_parse():
+    block = _readme_block("## Command line", "bash")
+    lines = [line for line in block.splitlines() if line.startswith("ward-sentinel ")]
+    assert len(lines) >= 9
+    parser = build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line)[1:])
+        assert callable(args.func), line
+
+
+def test_readme_config_example_loads():
+    raw = json.loads(_readme_block("Global flag `--config", "json"))
+    assert PipelineConfig.from_dict(raw).zones

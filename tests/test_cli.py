@@ -5,6 +5,7 @@ import pytest
 
 from ward_sentinel.cli import main
 from ward_sentinel.evaluation import trend_accuracy
+from ward_sentinel.logic import LogicalState
 from ward_sentinel.model import PipelineConfig
 from ward_sentinel.store import Store
 from ward_sentinel.trends import read_observation_csv
@@ -324,3 +325,34 @@ def test_config_flag_applies(tmp_path, spec_path):
         for line in seg.read_text().splitlines()
     ]
     assert not any(r["logical"]["moving"] for r in rows)  # threshold too high
+
+
+BAD_INPUTS = {
+    "config-unknown-key": ("config", {"bogus": 1}),
+    "config-bad-window": ("config", {"smoothing_window_s": 0}),
+    "config-even-winsize": ("config", {"flow": {"winsize": 4}}),
+    "spec-no-schedule": ("spec", {k: v for k, v in SPEC.items() if k != "schedule"}),
+    "spec-bad-noise": ("spec", dict(SPEC, noise={"p_miss": 2})),
+    "log-inverted-interval": ("log", "session_id,start_ts,end_ts\nroomA,1709251300,1709251200\n"),
+    "log-non-integer-ts": ("log", "session_id,start_ts,end_ts\nroomA,1709251200.5,1709251300\n"),
+    "log-wrong-header": ("log", "session,start,end\nroomA,1709251200,1709251300\n"),
+}
+
+
+@pytest.mark.parametrize("kind,content", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_file_exits_two(tmp_path, spec_path, capsys, kind, content):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(content if isinstance(content, str) else json.dumps(content))
+    states = tmp_path / "states.jsonl"
+    ts = 1709251200
+    alone = LogicalState("roomA", ts, True, True, False, False, 1.0)
+    write_rows_jsonl([CanonicalRow(make_record("roomA", ts, ["patient"]), logical=alone)], states)
+    out = str(tmp_path / "out")
+    argv = {
+        "config": ["--config", str(bad), "simulate", "--spec", str(spec_path), "--out", out],
+        "spec": ["simulate", "--spec", str(bad), "--out", out],
+        "log": ["evaluate", "trends", "--log", str(bad), "--states", str(states), "--out", out],
+    }[kind]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and str(bad) in err

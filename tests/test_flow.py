@@ -154,13 +154,10 @@ class TestRoiMotion:
             scaled = roi_motion(self._field(k * dx, k * dy), mask)
             assert scaled == pytest.approx(k * base, rel=1e-12, abs=1e-12)
 
-    def test_magnitude_of_mean_aggregation(self):
+    def test_opposing_motions_do_not_cancel(self):
         dx = np.array([[1.0, -1.0]])
         dy = np.zeros((1, 2))
-        f = self._field(dx, dy)
-        mask = RoiMask.scene(2, 1)
-        assert roi_motion(f, mask, "mean_magnitude") == pytest.approx(1.0)
-        assert roi_motion(f, mask, "magnitude_of_mean") == pytest.approx(0.0)
+        assert roi_motion(self._field(dx, dy), RoiMask.scene(2, 1)) == pytest.approx(1.0)
 
     def test_empty_mask_raises(self):
         f = self._field(np.zeros((4, 4)), np.zeros((4, 4)))

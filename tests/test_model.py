@@ -101,8 +101,8 @@ def test_config_rejects_bad_values():
         PipelineConfig(smoothing_window_s=0)
     with pytest.raises(ValueError):
         PipelineConfig(iou_threshold=1.0)
-    with pytest.raises(ValueError):
-        PipelineConfig(motion_aggregation="median")
+    with pytest.raises(TypeError):
+        PipelineConfig.from_dict({"motion_aggregation": "median"})  # unknown key
 
 
 def test_validated_record_roundtrips_bit_exact(rng):

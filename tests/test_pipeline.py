@@ -3,6 +3,7 @@ import pytest
 
 from ward_sentinel.errors import (
     AdapterError,
+    MalformedRecord,
     NonMonotonicTimestamp,
     TooSmallInput,
     UnknownAdapter,
@@ -11,8 +12,8 @@ from ward_sentinel.errors import (
 from ward_sentinel.imageops import resize_bicubic, resize_bilinear
 from ward_sentinel.model import Frame, PipelineConfig
 from ward_sentinel.pipeline import (
+    DetectorOutput,
     DetectorPort,
-    ReplayDetector,
     SourceItem,
     SyntheticDetector,
     frame_source,
@@ -115,13 +116,12 @@ class TestRunPipeline:
                 SourceItem(
                     session_id=r.session_id,
                     ts=r.ts,
-                    detections=None,
+                    record=r,
                     motion=sim.motions.get(r.ts),
                 )
             )
-        detector = ReplayDetector(sim.records)
         store = Store(tmp_path / "store")
-        stats = run_pipeline(iter(items), CFG, store, detector=detector)
+        stats = run_pipeline(iter(items), CFG, store)
         assert stats.rows == 70
         rows = list(store.iter_rows())
         stored_ts = {r.record.ts for r in rows}
@@ -172,16 +172,66 @@ class TestRunPipeline:
         assert '"direction":"entry"' in crossing_file.read_text()
 
     def test_missing_detector_for_bare_item(self, tmp_path):
-        item = SourceItem(session_id="s", ts=1, detections=None, motion=None)
+        item = SourceItem(session_id="s", ts=1, record=None, motion=None)
         with pytest.raises(AdapterError):
             run_pipeline(iter([item]), CFG, Store(tmp_path / "store"))
 
     def test_detector_adapter_error_propagates_once(self, tmp_path):
+        class MissingDetector(DetectorPort):
+            def detect(self, session_id, ts, frame=None):
+                raise AdapterError("no recorded detections", session_id, ts)
+
         item = SourceItem(session_id="s", ts=1)
         with pytest.raises(AdapterError) as info:
-            run_pipeline(iter([item]), CFG, Store(tmp_path / "store"), detector=ReplayDetector([]))
+            run_pipeline(iter([item]), CFG, Store(tmp_path / "store"), detector=MissingDetector())
         assert str(info.value) == "no recorded detections [session=s ts=1]"
         assert info.value.__cause__ is None
+
+    @pytest.mark.parametrize("n_confidences", [1, 3], ids=["short", "long"])
+    def test_role_confidences_must_parallel_boxes(self, tmp_path, n_confidences):
+        rec = make_record("s", 7, ["patient"])  # a bed and one person
+
+        class FixedDetector(DetectorPort):
+            def detect(self, session_id, ts, frame=None):
+                confs = (None, {"patient": 0.9}, {"staff": 0.8})[:n_confidences]
+                return DetectorOutput(boxes=rec.boxes, role_confidences=confs)
+
+        item = SourceItem(session_id="s", ts=7)
+        with pytest.raises(AdapterError) as info:
+            run_pipeline(iter([item]), CFG, Store(tmp_path / "store"), detector=FixedDetector())
+        assert str(info.value) == f"{n_confidences} role confidences for 2 boxes [session=s ts=7]"
+        assert (info.value.session_id, info.value.ts) == ("s", 7)
+
+    @pytest.mark.parametrize("key", [("other", 7), ("s", 8)], ids=["session", "ts"])
+    def test_record_must_match_item_key(self, tmp_path, key):
+        item = SourceItem(session_id="s", ts=7, record=make_record(*key, ["patient"]))
+        with pytest.raises(MalformedRecord):
+            run_pipeline(iter([item]), CFG, Store(tmp_path / "store"))
+
+    def test_frame_and_replay_modes_store_identical_bytes(self, tmp_path):
+        from ward_sentinel.simulator import OccupantTrack
+
+        zone = ((400.0, 300.0), (700.0, 300.0), (700.0, 560.0), (400.0, 560.0))
+        track = OccupantTrack("staff", ((1, 100.0, 430.0), (9, 550.0, 430.0)))
+        spec = _scenario(
+            duration=10,
+            schedule=(ScheduleInterval(0, 10, patients=1, motion=1.0),),
+            tracks=(track,),
+            zone=zone,
+            noise=NoiseModel(p_miss=0.1, p_spur=0.1, p_role=0.1),
+        )
+        sim = generate(spec, CFG)
+        cfg = PipelineConfig(zones={"sim": zone})
+        frames_store = Store(tmp_path / "frames")
+        run_pipeline(frame_source(sim.frames()), cfg, frames_store, detector=SyntheticDetector(sim))
+        run_pipeline(rows_source(frames_store.iter_rows()), cfg, Store(tmp_path / "replay"))
+
+        def tree(root):
+            return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+        frames_tree = tree(tmp_path / "frames")
+        assert any(p.name == "crossings.jsonl" for p in frames_tree)
+        assert tree(tmp_path / "replay") == frames_tree
 
     def test_other_detector_failure_wrapped_once(self, tmp_path):
         class BrokenDetector(DetectorPort):
