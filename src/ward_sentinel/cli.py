@@ -23,6 +23,7 @@ from .evaluation import TrendAccuracyReport, evaluate_frames, trend_accuracy
 from .flow import farneback_flow
 from .model import FLOW_DIMS, PipelineConfig
 from .pipeline import (
+    ADAPTERS,
     SyntheticDetector,
     frame_source,
     ingest_external,
@@ -331,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_camera_meta)
 
     p = sub.add_parser("ingest", help="map an external export into the store")
-    p.add_argument("--adapter", required=True, help="canonical | flat-csv")
+    p.add_argument("--adapter", required=True, help=" | ".join(ADAPTERS))
     p.add_argument("--input", required=True)
     p.add_argument("--store", required=True)
     p.set_defaults(func=_cmd_ingest)

@@ -71,9 +71,9 @@ def attribute_roles(
 class SmoothingWindow:
     """Trailing ring of the last smoothing_window_s seconds of one session.
 
-    Entries are evicted once older than the window; a gap longer than the
-    window resets it outright, so the content always equals the raw records
-    with ts in (now - window, now].
+    Entries are evicted once older than the window (a gap longer than the
+    window therefore empties it), so the content always equals the raw
+    records with ts in (now - window, now].
     """
 
     def __init__(self, window_s: int):
@@ -89,15 +89,16 @@ class SmoothingWindow:
     def last_ts(self) -> Optional[int]:
         return self._entries[-1][0].ts if self._entries else None
 
+    @property
+    def newest(self) -> Optional[DetectionRecord]:
+        return self._entries[-1][0] if self._entries else None
+
     def push(self, rec: DetectionRecord, motion: Optional[MotionRecord] = None) -> None:
         last = self.last_ts
-        if last is not None:
-            if rec.ts <= last:
-                raise OutOfOrderRecord(
-                    f"session {rec.session_id}: ts {rec.ts} not after {last}"
-                )
-            if rec.ts - last > self.window_s:
-                self._entries.clear()
+        if last is not None and rec.ts <= last:
+            raise OutOfOrderRecord(
+                f"session {rec.session_id}: ts {rec.ts} not after {last}"
+            )
         self._entries.append((rec, motion))
         cutoff = rec.ts - self.window_s
         while self._entries and self._entries[0][0].ts <= cutoff:

@@ -1,6 +1,7 @@
 """Streaming runtime: preprocessing, the detector port, per-second inference,
 persistence, and external ingest. Recorded detection records pass straight to
-validation; frames go through the detector port and role attribution.
+validation; frames go through the detector port and role attribution. Both
+ingest adapters feed one parse-validate loop that rejects a bad row by its line.
 
 Per-session inference state is one previous flow frame plus the smoothing
 window, but the store writer stages every row until the run ends, so memory
@@ -15,7 +16,9 @@ from __future__ import annotations
 import csv
 import time
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Mapping, Optional
+from functools import partial
+from itertools import groupby
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -28,6 +31,7 @@ from .model import (
     ANALYSIS_DIMS,
     DETECTOR_DIMS,
     FLOW_DIMS,
+    ROLES,
     BoundingBox,
     DetectionRecord,
     Frame,
@@ -152,8 +156,6 @@ class _SessionState:
     def __init__(self, cfg: PipelineConfig, session_id: str, store: Store):
         self.window = SmoothingWindow(cfg.smoothing_window_s)
         self.prev_gray: Optional[np.ndarray] = None
-        self.prev_record: Optional[DetectionRecord] = None
-        self.prev_ts: Optional[int] = None
         self.writer = store.writer(session_id)
         self.zone_analysis: Optional[RoiMask] = None
         self.zone_flow: Optional[RoiMask] = None
@@ -203,9 +205,9 @@ def run_pipeline(
         if st is None:
             st = states[item.session_id] = _SessionState(cfg, item.session_id, store)
             stats.sessions += 1
-        if st.prev_ts is not None and item.ts != st.prev_ts + 1:
+        contiguous = st.window.last_ts == item.ts - 1
+        if not contiguous:
             st.prev_gray = None
-            st.prev_record = None
 
         pre: Optional[PreprocessedFrame] = None
         if item.frame is not None:
@@ -257,12 +259,10 @@ def run_pipeline(
         if pre is not None:
             st.prev_gray = pre.flow_gray
 
-        if st.zone_analysis is not None and st.prev_record is not None:
-            for event in detect_crossings(st.prev_record, rec, st.zone_analysis):
+        if st.zone_analysis is not None and contiguous:
+            for event in detect_crossings(st.window.newest, rec, st.zone_analysis):
                 st.writer.append_crossing(event)
                 stats.crossings += 1
-        st.prev_record = rec
-        st.prev_ts = item.ts
 
         st.window.push(rec, motion)
         logical = derive_state(st.window, cfg)
@@ -288,14 +288,39 @@ class IngestReport:
         return "\n".join(lines)
 
 
-ADAPTERS = ("canonical", "flat-csv")
+def _canonical_rows(path) -> Iterator[tuple[int, Callable[[], CanonicalRow]]]:
+    """Adapter for canonical JSONL: one row per non-blank line."""
+    for lineno, line in jsonl_lines(path):
+        yield lineno, partial(loads_row, line)
 
 
-def _read_flat_csv(path) -> Iterator[tuple[int, CanonicalRow]]:
+def _flat_csv_row(lines: list[dict]) -> CanonicalRow:
+    """One record from the flat-csv lines of one session-second."""
+    try:
+        boxes = tuple(
+            BoundingBox(raw["cls"], *(float(raw[k]) for k in ("x", "y", "w", "h", "conf")))
+            for raw in lines
+        )
+        roles = tuple(
+            RoleDistribution({r: float(raw[r]) for r in ROLES})
+            if raw["cls"] == "person"
+            else None
+            for raw in lines
+        )
+        first = lines[0]
+        record = DetectionRecord(first["session_id"], int(first["ts"]), boxes, roles)
+    except (KeyError, TypeError, ValueError) as e:
+        raise SchemaMismatch(f"bad flat-csv line: {e}") from None
+    return CanonicalRow(record)
+
+
+def _flat_csv_rows(path) -> Iterator[tuple[int, Callable[[], CanonicalRow]]]:
     """Adapter for a flat per-box CSV export.
 
     Columns: session_id,ts,cls,x,y,w,h,conf,patient,staff,other (role columns
-    empty for non-person rows). Boxes sharing session_id+ts form one record.
+    empty for non-person rows). Lines sharing session_id and integer ts form
+    one record, numbered by its first line; a line whose ts is not an integer
+    is a record of its own, which fails to parse.
     """
     groups: dict[tuple[str, int], list[tuple[int, dict]]] = {}
     with open(path, newline="") as fh:
@@ -306,87 +331,53 @@ def _read_flat_csv(path) -> Iterator[tuple[int, CanonicalRow]]:
                 f"flat-csv needs columns {sorted(required)}, got {reader.fieldnames}"
             )
         for lineno, raw in enumerate(reader, start=2):
-            groups.setdefault((raw["session_id"], int(raw["ts"])), []).append(
-                (lineno, raw)
-            )
-    for (sid, ts), members in sorted(groups.items()):
-        lineno = members[0][0]
-        boxes = []
-        roles = []
-        for _, raw in members:
-            boxes.append(
-                BoundingBox(
-                    raw["cls"],
-                    float(raw["x"]),
-                    float(raw["y"]),
-                    float(raw["w"]),
-                    float(raw["h"]),
-                    float(raw["conf"]),
-                )
-            )
-            if raw["cls"] == "person":
-                roles.append(
-                    RoleDistribution(
-                        {
-                            "patient": float(raw["patient"]),
-                            "staff": float(raw["staff"]),
-                            "other": float(raw["other"]),
-                        }
-                    )
-                )
-            else:
-                roles.append(None)
-        yield lineno, CanonicalRow(DetectionRecord(sid, ts, tuple(boxes), tuple(roles)))
+            try:
+                key = (raw["session_id"], int(raw["ts"]))
+            except (TypeError, ValueError):
+                yield lineno, partial(_flat_csv_row, [raw])
+                continue
+            groups.setdefault(key, []).append((lineno, raw))
+    for members in groups.values():
+        yield members[0][0], partial(_flat_csv_row, [raw for _, raw in members])
+
+
+ADAPTERS = {"canonical": _canonical_rows, "flat-csv": _flat_csv_rows}
 
 
 def ingest_external(path, adapter: str, store: Store) -> IngestReport:
     """Map an external export into the canonical store.
 
-    Rows that fail validation are rejected with a line-numbered diagnostic;
-    the rest are ingested. Re-ingesting the same file leaves the store
-    byte-identical.
+    The adapter yields (line number, parse) pairs. Each row is parsed and
+    validated; one that fails either step, or repeats an earlier row's
+    session and ts, is rejected with its line number and the rest are
+    ingested. Re-ingesting the same file leaves the store byte-identical.
     """
     if adapter not in ADAPTERS:
-        raise UnknownAdapter(f"unknown adapter {adapter!r}; available: {ADAPTERS}")
+        raise UnknownAdapter(f"unknown adapter {adapter!r}; available: {tuple(ADAPTERS)}")
 
-    numbered: list[tuple[int, CanonicalRow]] = []
     errors: list[tuple[int, str]] = []
-    if adapter == "canonical":
-        for lineno, line in jsonl_lines(path):
-            try:
-                numbered.append((lineno, loads_row(line)))
-            except (SchemaMismatch, ValidationError) as e:
-                errors.append((lineno, str(e)))
-    else:
-        numbered = list(_read_flat_csv(path))
-
-    by_session: dict[str, list[tuple[int, CanonicalRow]]] = {}
-    for lineno, row in numbered:
+    rows: dict[tuple[str, int], CanonicalRow] = {}
+    for lineno, parse in ADAPTERS[adapter](path):
         try:
-            validated = validate_record(row.record, ANALYSIS_DIMS)
+            row = parse()
+            rec = validate_record(row.record, ANALYSIS_DIMS)
         except ValidationError as e:
             errors.append((lineno, str(e)))
             continue
-        by_session.setdefault(row.record.session_id, []).append(
-            (lineno, CanonicalRow(validated, row.motion, row.logical))
-        )
+        key = (rec.session_id, rec.ts)
+        if key in rows:
+            errors.append((lineno, f"duplicate ts {rec.ts} for session {rec.session_id}"))
+            continue
+        rows[key] = CanonicalRow(rec, row.motion, row.logical)
 
     sealed: list[str] = []
-    ok = 0
-    for sid in sorted(by_session):
-        rows = sorted(by_session[sid], key=lambda pair: pair[1].record.ts)
+    for sid, group in groupby(sorted(rows.items()), key=lambda pair: pair[0][0]):
         writer = store.writer(sid)
-        last_ts = None
-        for lineno, row in rows:
-            if last_ts is not None and row.record.ts == last_ts:
-                errors.append((lineno, f"duplicate ts {row.record.ts} for session {sid}"))
-                continue
+        for _, row in group:
             writer.append(row)
-            last_ts = row.record.ts
-            ok += 1
         sealed.extend(writer.seal())
     return IngestReport(
-        rows_ok=ok,
+        rows_ok=len(rows),
         rows_rejected=len(errors),
         errors=tuple(sorted(errors)),
         sealed_segments=tuple(sealed),

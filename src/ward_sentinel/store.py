@@ -21,7 +21,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterator, Optional
 
-from .errors import NonMonotonicTimestamp, ValidationError
+from .errors import NonMonotonicTimestamp, SchemaMismatch, ValidationError
 from .geometry import CrossingEvent
 from .schema import SCHEMA_VERSION, CanonicalRow, dumps_row, jsonl_lines, loads_row
 
@@ -77,8 +77,12 @@ class Store:
             for seg in sorted((self.root / "sessions" / sid).glob("*.jsonl")):
                 if seg.name == "crossings.jsonl":
                     continue
-                for _, line in jsonl_lines(seg):
-                    yield loads_row(line)
+                for i, line in jsonl_lines(seg):
+                    try:
+                        row = loads_row(line)
+                    except SchemaMismatch as e:
+                        raise SchemaMismatch(f"{seg}:{i}: {e}") from None
+                    yield row
 
     def verify(self) -> int:
         """Recompute segment hashes against the manifest; return segment count."""

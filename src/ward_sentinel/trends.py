@@ -154,13 +154,16 @@ def cohort_average(trends: Sequence[HourlyTrend]) -> list[CohortHourlyTrend]:
 
 
 def log_to_states(log: ObservationLog, grid: Sequence[int]) -> list[bool]:
-    """Per-second alone flags aligned with grid (a sorted second grid).
+    """Per-second alone flags aligned with grid (a strictly increasing second grid).
 
     Intervals are half-open [start, end), must be sorted and non-overlapping,
     and must stay within the grid's span.
     """
     if not grid:
         return []
+    for a, b in zip(grid, grid[1:]):
+        if b <= a:
+            raise UnsortedInput(f"states not strictly increasing at ts {b}")
     lo, hi = grid[0], grid[-1] + 1
     prev_end = None
     for a, b in log.intervals:
@@ -195,9 +198,6 @@ def assisted_trends(
         return []
     session_id = states[0].session_id
     grid = [s.ts for s in states]
-    for a, b in zip(grid, grid[1:]):
-        if b <= a:
-            raise UnsortedInput(f"states not strictly increasing at ts {b}")
     alone = log_to_states(log, grid)
     return _aggregate(
         session_id, ((s.ts, _flags(s, flag)) for s, flag in zip(states, alone))

@@ -23,6 +23,7 @@ import pytest
 import ward_sentinel
 from ward_sentinel.cli import build_parser
 from ward_sentinel.model import PipelineConfig
+from ward_sentinel.pipeline import ADAPTERS
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -94,6 +95,12 @@ def test_readme_command_lines_parse():
     for line in lines:
         args = parser.parse_args(shlex.split(line)[1:])
         assert callable(args.func), line
+
+
+def test_readme_shows_every_ingest_adapter():
+    block = _readme_block("## Command line", "bash")
+    shown = set(re.findall(r"^ward-sentinel ingest --adapter (\S+)", block, re.M))
+    assert set(ADAPTERS) <= shown
 
 
 def test_readme_config_example_loads():

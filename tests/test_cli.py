@@ -231,6 +231,25 @@ def test_ingest_cli_reports_validation_exit_code(tmp_path):
     assert code == 2  # some rows rejected
 
 
+def test_ingest_flat_csv_bad_line_exits_two_with_summary(tmp_path, capsys):
+    path = tmp_path / "in.csv"
+    path.write_text(
+        "session_id,ts,cls,x,y,w,h,conf,patient,staff,other\n"
+        "r1,100,person,10,10,40,90,0.8,0.9,0.05,0.05\n"
+        "r1,abc,person,10,10,40,90,0.8,0.9,0.05,0.05\n"
+    )
+    code = main(
+        ["ingest", "--adapter", "flat-csv", "--input", str(path), "--store", str(tmp_path / "st")]
+    )
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out.splitlines() == [
+        "ingested 1 rows, rejected 1",
+        "  line 3: bad flat-csv line: invalid literal for int() with base 10: 'abc'",
+    ]
+    assert "Traceback" not in err
+
+
 def test_bench_flow_cli(tmp_path, capsys):
     out = tmp_path / "bench"
     code = main(

@@ -6,6 +6,7 @@ from ward_sentinel.errors import (
     MisalignedFrames,
     NoOverlap,
     SingleClassTarget,
+    UnsortedInput,
 )
 from ward_sentinel.evaluation import (
     FrameLabel,
@@ -269,6 +270,14 @@ class TestTrendAccuracy:
     def test_no_states_raises(self):
         with pytest.raises(NoOverlap):
             trend_accuracy([], ObservationLog("s", ()), self.cfg)
+
+    def test_out_of_order_states_raise(self):
+        states = _alone_states([10 <= i < 20 for i in range(30)])
+        log = ObservationLog("s", ((MIDNIGHT + 10, MIDNIGHT + 20),))
+        assert trend_accuracy(states, log, self.cfg).summary["full"]["mean"] == pytest.approx(1.0)
+        states[5], states[15] = states[15], states[5]
+        with pytest.raises(UnsortedInput, match="states not strictly increasing"):
+            trend_accuracy(states, log, self.cfg)
 
     def test_summary_statistics_across_days(self):
         flags = [True] * (2 * 86400)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from ward_sentinel.errors import (
     AdapterError,
     MalformedRecord,
     NonMonotonicTimestamp,
+    SchemaMismatch,
     TooSmallInput,
     UnknownAdapter,
     ValidationError,
@@ -29,6 +32,7 @@ from ward_sentinel.store import Store
 from conftest import make_record
 
 CFG = PipelineConfig()
+FLAT_CSV_HEADER = "session_id,ts,cls,x,y,w,h,conf,patient,staff,other\n"
 
 
 def nir_frame(ts=0, width=960, height=540, value=128, session="s"):
@@ -300,6 +304,19 @@ class TestStore:
         )
         assert files == ["1970-01-01.jsonl", "1970-01-02.jsonl"]
 
+    def test_iter_rows_names_segment_and_line_of_bad_row(self, tmp_path):
+        store = Store(tmp_path / "store")
+        w = store.writer("s")
+        for ts in (100, 101, 102):
+            w.append(CanonicalRow(make_record("s", ts)))
+        w.seal()
+        segment = tmp_path / "store" / "sessions" / "s" / "1970-01-01.jsonl"
+        lines = segment.read_text().splitlines()
+        lines[1] = lines[1].replace('"ts":101', '"ts":"x"')
+        segment.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaMismatch, match=re.escape(f"{segment}:2: bad canonical row")):
+            list(store.iter_rows())
+
 
 class TestIngest:
     def _rows(self, n=10, session="ing"):
@@ -368,3 +385,63 @@ class TestIngest:
         assert rows[0].record.person_count() == 1
         assert rows[0].record.boxes[1].cls == "bed" or rows[0].record.boxes[0].cls == "bed"
         assert rows[1].record.roles[0].primary() == "staff"
+
+    @pytest.mark.parametrize(
+        "bad_line",
+        [
+            "r1,abc,person,10,10,40,90,0.8,0.9,0.05,0.05",
+            "r1,101,person,ten,10,40,90,0.8,0.9,0.05,0.05",
+            "r1,101,person,nan,10,40,90,0.8,0.9,0.05,0.05",
+            "r1,101,sofa,10,10,40,90,0.8,,,",
+            "r1,101,person,10,10,40,90,1.5,0.9,0.05,0.05",
+            "r1,101,person,10,10,40,90,0.8,0.9,0.2,0.05",
+            "r1,101,person,10,10,40,90,0.8,,,",
+        ],
+        ids=[
+            "ts-not-integer",
+            "x-not-numeric",
+            "nan-geometry",
+            "unknown-class",
+            "confidence-above-one",
+            "roles-sum-1.15",
+            "person-empty-roles",
+        ],
+    )
+    def test_flat_csv_bad_line_rejected_with_line_number(self, tmp_path, bad_line):
+        path = tmp_path / "in.csv"
+        path.write_text(
+            FLAT_CSV_HEADER
+            + "r1,100,person,10,10,40,90,0.8,0.9,0.05,0.05\n"
+            + bad_line
+            + "\n"
+            + "r1,102,person,12,10,40,90,0.8,0.1,0.8,0.1\n"
+        )
+        store = Store(tmp_path / "store")
+        report = ingest_external(path, "flat-csv", store)
+        assert (report.rows_ok, report.rows_rejected) == (2, 1)
+        assert report.errors[0][0] == 3
+        assert [r.record.ts for r in store.iter_rows()] == [100, 102]
+
+    def test_flat_csv_record_with_one_bad_line_rejected_whole(self, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_text(
+            FLAT_CSV_HEADER
+            + "r1,100,person,10,10,40,90,0.8,0.9,0.05,0.05\n"
+            + "r1,100,bed,nan,250,380,240,0.92,,,\n"
+            + "r1,101,person,12,10,40,90,0.8,0.1,0.8,0.1\n"
+        )
+        store = Store(tmp_path / "store")
+        report = ingest_external(path, "flat-csv", store)
+        assert (report.rows_ok, report.rows_rejected) == (1, 1)
+        assert [n for n, _ in report.errors] == [2]
+        assert [r.record.ts for r in store.iter_rows()] == [101]
+
+    def test_duplicate_ts_keeps_first_line(self, tmp_path):
+        path = tmp_path / "in.jsonl"
+        rows = self._rows(3)
+        write_rows_jsonl(rows + [CanonicalRow(make_record("ing", 1001, ["staff"]))], path)
+        store = Store(tmp_path / "store")
+        report = ingest_external(path, "canonical", store)
+        assert (report.rows_ok, report.rows_rejected) == (3, 1)
+        assert report.errors == ((4, "duplicate ts 1001 for session ing"),)
+        assert [dumps_row(r) for r in store.iter_rows()] == [dumps_row(r) for r in rows]
