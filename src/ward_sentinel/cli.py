@@ -21,7 +21,7 @@ from . import trends as tr
 from .errors import ValidationError, WardSentinelError
 from .evaluation import TrendAccuracyReport, evaluate_frames, trend_accuracy
 from .flow import farneback_flow
-from .model import FLOW_DIMS, PipelineConfig
+from .model import ANALYSIS_DIMS, FLOW_DIMS, PipelineConfig
 from .pipeline import (
     ADAPTERS,
     SyntheticDetector,
@@ -326,9 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("camera-meta", help="bed-placement meta-analysis from labels")
     p.add_argument("--labels", required=True, help="frame-label JSONL")
     p.add_argument("--out", required=True)
-    p.add_argument("--bins", type=int, default=20)
-    p.add_argument("--frame-width", type=float, default=1088.0)
-    p.add_argument("--frame-height", type=float, default=612.0)
+    p.add_argument("--bins", type=int, default=cm.DEFAULT_BINS)
+    p.add_argument("--frame-width", type=float, default=ANALYSIS_DIMS[0])
+    p.add_argument("--frame-height", type=float, default=ANALYSIS_DIMS[1])
     p.set_defaults(func=_cmd_camera_meta)
 
     p = sub.add_parser("ingest", help="map an external export into the store")

@@ -99,8 +99,8 @@ class TooSmallInput(ValidationError):
     pass
 
 
-class UnknownAdapter(WardSentinelError):
-    pass
+class UnknownAdapter(ValidationError):
+    """The requested ingest adapter name (user input) is not registered."""
 
 
 class SchemaMismatch(ValidationError):

@@ -5,7 +5,9 @@ average number of detected people over the smoothing window is below two,
 "patient alone" additionally requires a patient classification somewhere in
 the window, and "supervised by staff" requires an average of two or more
 plus a staff classification. Smoothing runs over a trailing window so states
-can be emitted causally in real time.
+can be emitted causally in real time; the window keeps each second's facts
+(person count, patient and staff presence, scene motion), judged once when
+the second arrives, and every state re-sums them afresh.
 """
 
 from __future__ import annotations
@@ -69,29 +71,29 @@ def attribute_roles(
 
 
 class SmoothingWindow:
-    """Trailing ring of the last smoothing_window_s seconds of one session.
+    """Trailing facts of the last smoothing_window_s seconds of one session.
 
-    Entries are evicted once older than the window (a gap longer than the
-    window therefore empties it), so the content always equals the raw
-    records with ts in (now - window, now].
+    push judges each record once, keeping (ts, person count, patient present,
+    staff present, scene motion or None) for its second, plus the newest
+    record for the crossing check. Entries are evicted once older than the
+    window (a gap longer than the window therefore empties it), so the
+    content always equals the facts of the seconds with ts in (now - window,
+    now].
     """
 
     def __init__(self, window_s: int):
         if window_s < 1:
             raise ValueError("window must be >= 1 second")
         self.window_s = window_s
-        self._entries: deque[tuple[DetectionRecord, Optional[MotionRecord]]] = deque()
+        self.newest: Optional[DetectionRecord] = None
+        self._seconds: deque[tuple[int, int, bool, bool, Optional[float]]] = deque()
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._seconds)
 
     @property
     def last_ts(self) -> Optional[int]:
-        return self._entries[-1][0].ts if self._entries else None
-
-    @property
-    def newest(self) -> Optional[DetectionRecord]:
-        return self._entries[-1][0] if self._entries else None
+        return self.newest.ts if self.newest is not None else None
 
     def push(self, rec: DetectionRecord, motion: Optional[MotionRecord] = None) -> None:
         last = self.last_ts
@@ -99,34 +101,30 @@ class SmoothingWindow:
             raise OutOfOrderRecord(
                 f"session {rec.session_id}: ts {rec.ts} not after {last}"
             )
-        self._entries.append((rec, motion))
+        scene = motion.magnitudes.get("scene") if motion is not None else None
+        patient, staff = rec.has_primary_role("patient"), rec.has_primary_role("staff")
+        self._seconds.append((rec.ts, rec.person_count(), patient, staff, scene))
+        self.newest = rec
         cutoff = rec.ts - self.window_s
-        while self._entries and self._entries[0][0].ts <= cutoff:
-            self._entries.popleft()
-
-    def records(self) -> list[DetectionRecord]:
-        return [r for r, _ in self._entries]
-
-    def motions(self) -> list[Optional[MotionRecord]]:
-        return [m for _, m in self._entries]
+        while self._seconds[0][0] <= cutoff:
+            self._seconds.popleft()
 
 
 def derive_state(w: SmoothingWindow, cfg: PipelineConfig) -> LogicalState:
-    """Logical state for the window's newest second."""
+    """Logical state for the window's newest second, from its per-second facts.
+
+    Fresh sums in ts order, not running sums (which drift as values are
+    subtracted), so a state is bit-identical to one re-read from the records.
+    """
     if len(w) == 0:
         raise EmptyWindow("cannot derive a state from an empty window")
-    records = w.records()
-    counts = [r.person_count() for r in records]
+    _, counts, patients, staffs, scenes = zip(*w._seconds)
     avg = sum(counts) / len(counts)
-    any_patient = any(r.has_primary_role("patient") for r in records)
-    any_staff = any(r.has_primary_role("staff") for r in records)
-    scene = [
-        m.magnitudes["scene"]
-        for m in w.motions()
-        if m is not None and "scene" in m.magnitudes
-    ]
+    any_patient = any(patients)
+    any_staff = any(staffs)
+    scene = [m for m in scenes if m is not None]
     moving = bool(scene) and sum(scene) / len(scene) > cfg.moving_threshold
-    newest = records[-1]
+    newest = w.newest
     return LogicalState(
         session_id=newest.session_id,
         ts=newest.ts,

@@ -17,7 +17,7 @@ import csv
 import time
 from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import groupby
+from itertools import groupby, zip_longest
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 import numpy as np
@@ -118,8 +118,8 @@ class SyntheticDetector(DetectorPort):
 @dataclass(frozen=True)
 class SourceItem:
     """One second of input: a frame, a recorded DetectionRecord with the item's
-    session_id and ts, or both, plus any recorded motion. Without a record,
-    the detector port supplies the detections.
+    session_id and ts, or both, plus any recorded motion for that same second.
+    Without a record, the detector port supplies the detections.
     """
 
     session_id: str
@@ -247,6 +247,10 @@ def run_pipeline(
         rec = validate_record(rec, ANALYSIS_DIMS)
 
         motion = item.motion
+        if motion is not None and (motion.session_id, motion.ts) != (item.session_id, item.ts):
+            raise MalformedRecord(
+                f"motion {motion.session_id}@{motion.ts} on source item {item.session_id}@{item.ts}"
+            )
         if motion is None and pre is not None and st.prev_gray is not None:
             flow = farneback_flow(st.prev_gray, pre.flow_gray, cfg.flow)
             mags = {"scene": roi_motion(flow, scene_mask)}
@@ -320,23 +324,27 @@ def _flat_csv_rows(path) -> Iterator[tuple[int, Callable[[], CanonicalRow]]]:
     Columns: session_id,ts,cls,x,y,w,h,conf,patient,staff,other (role columns
     empty for non-person rows). Lines sharing session_id and integer ts form
     one record, numbered by its first line; a line whose ts is not an integer
-    is a record of its own, which fails to parse.
+    is a record of its own, which fails to parse. A line is numbered by the
+    file line it starts on, past quoted line breaks and blank lines.
     """
     groups: dict[tuple[str, int], list[tuple[int, dict]]] = {}
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
+        header = next(reader, None)
         required = {"session_id", "ts", "cls", "x", "y", "w", "h", "conf"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
-            raise SchemaMismatch(
-                f"flat-csv needs columns {sorted(required)}, got {reader.fieldnames}"
-            )
-        for lineno, raw in enumerate(reader, start=2):
-            try:
-                key = (raw["session_id"], int(raw["ts"]))
-            except (TypeError, ValueError):
-                yield lineno, partial(_flat_csv_row, [raw])
-                continue
-            groups.setdefault(key, []).append((lineno, raw))
+        if header is None or not required <= set(header):
+            raise SchemaMismatch(f"flat-csv needs columns {sorted(required)}, got {header}")
+        lineno = reader.line_num + 1
+        for fields in reader:
+            if fields:  # a blank line holds no record
+                raw = dict(zip_longest(header, fields))
+                try:
+                    key = (raw["session_id"], int(raw["ts"]))
+                except (TypeError, ValueError):
+                    yield lineno, partial(_flat_csv_row, [raw])
+                else:
+                    groups.setdefault(key, []).append((lineno, raw))
+            lineno = reader.line_num + 1
     for members in groups.values():
         yield members[0][0], partial(_flat_csv_row, [raw for _, raw in members])
 

@@ -250,6 +250,17 @@ def test_ingest_flat_csv_bad_line_exits_two_with_summary(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_ingest_unknown_adapter_exits_two(tmp_path, capsys):
+    path = tmp_path / "in.csv"
+    path.write_text("session_id,ts\n")
+    code = main(
+        ["ingest", "--adapter", "nope", "--input", str(path), "--store", str(tmp_path / "st")]
+    )
+    _, err = capsys.readouterr()
+    assert code == 2
+    assert err.startswith("validation error: unknown adapter 'nope'")
+
+
 def test_bench_flow_cli(tmp_path, capsys):
     out = tmp_path / "bench"
     code = main(

@@ -72,12 +72,15 @@ class TestAttributeRoles:
 
 
 class TestSmoothingWindow:
+    cfg = PipelineConfig()
+
     def test_eviction_keeps_last_five(self):
         w = SmoothingWindow(5)
         for ts in range(100, 106):
-            w.push(make_record("s", ts))
+            w.push(make_record("s", ts, ["patient"] * (ts - 100)))
         assert len(w) == 5
-        assert [r.ts for r in w.records()] == [101, 102, 103, 104, 105]
+        # seconds 101..105 hold 1..5 people; keeping 100 (0 people) would give 2.5
+        assert derive_state(w, self.cfg).smoothed_person_count == 3.0
 
     def test_long_gap_resets(self):
         w = SmoothingWindow(5)
@@ -88,9 +91,10 @@ class TestSmoothingWindow:
 
     def test_short_gap_keeps_recent(self):
         w = SmoothingWindow(5)
-        w.push(make_record("s", 100))
-        w.push(make_record("s", 103))
-        assert [r.ts for r in w.records()] == [100, 103]
+        w.push(make_record("s", 100, ["patient"]))
+        w.push(make_record("s", 103, ["patient"] * 4))
+        assert len(w) == 2
+        assert derive_state(w, self.cfg).smoothed_person_count == 2.5
 
     def test_duplicate_ts_rejected(self):
         w = SmoothingWindow(5)
@@ -140,6 +144,13 @@ class TestDeriveState:
         state = self._run([["patient"]] * 5, motions=[0.0, 0.0, 0.0, 0.0, 2.0])
         assert not state.moving  # mean 0.4 < 0.5
 
+    def test_bed_only_motion_left_out_of_moving_mean(self):
+        w = SmoothingWindow(self.cfg.smoothing_window_s)
+        w.push(make_record("s", 1000, ["patient"]), MotionRecord("s", 1000, {"scene": 0.6}))
+        w.push(make_record("s", 1001, ["patient"]), MotionRecord("s", 1001, {"bed": 0.0}))
+        # the bed-only second is not a scene reading of 0: the mean stays 0.6
+        assert derive_state(w, self.cfg).moving
+
     def test_no_motion_data_means_not_moving(self):
         state = self._run([["patient"]] * 3, motions=[None, None, None])
         assert not state.moving
@@ -150,8 +161,9 @@ class TestDeriveState:
 
 
 class TestOracleEquivalence:
-    def test_streaming_equals_brute_force(self):
-        cfg = PipelineConfig()
+    @pytest.mark.parametrize("window_s", [1, 2, 5, 7])
+    def test_streaming_equals_brute_force(self, window_s):
+        cfg = PipelineConfig(smoothing_window_s=window_s)
         for seed in range(3):
             rng = np.random.default_rng(seed)
             records, motions = random_stream(rng, f"s{seed}", 2000)

@@ -12,6 +12,7 @@ from ward_sentinel.errors import (
     UnknownAdapter,
     ValidationError,
 )
+from ward_sentinel.flow import MotionRecord
 from ward_sentinel.imageops import resize_bicubic, resize_bilinear
 from ward_sentinel.model import Frame, PipelineConfig
 from ward_sentinel.pipeline import (
@@ -211,6 +212,18 @@ class TestRunPipeline:
         item = SourceItem(session_id="s", ts=7, record=make_record(*key, ["patient"]))
         with pytest.raises(MalformedRecord):
             run_pipeline(iter([item]), CFG, Store(tmp_path / "store"))
+
+    @pytest.mark.parametrize("key", [("other", 7), ("s", 6)], ids=["session", "ts"])
+    def test_motion_must_match_item_key(self, tmp_path, key):
+        item = SourceItem(
+            session_id="s",
+            ts=7,
+            record=make_record("s", 7, ["patient"]),
+            motion=MotionRecord(*key, {"scene": 2.0}),
+        )
+        with pytest.raises(MalformedRecord) as info:
+            run_pipeline(iter([item]), CFG, Store(tmp_path / "store"))
+        assert str(info.value) == f"motion {key[0]}@{key[1]} on source item s@7"
 
     def test_frame_and_replay_modes_store_identical_bytes(self, tmp_path):
         from ward_sentinel.simulator import OccupantTrack
@@ -421,6 +434,23 @@ class TestIngest:
         assert (report.rows_ok, report.rows_rejected) == (2, 1)
         assert report.errors[0][0] == 3
         assert [r.record.ts for r in store.iter_rows()] == [100, 102]
+
+    @pytest.mark.parametrize(
+        "before_bad",
+        ['"r\n1",100,person,10,10,40,90,0.8,0.9,0.05,0.05\n', "r1,100,bed,300,250,380,240,0.92,,,\n\n"],
+        ids=["quoted-line-break", "blank-line"],
+    )
+    def test_flat_csv_line_numbers_count_file_lines(self, tmp_path, before_bad):
+        path = tmp_path / "in.csv"
+        path.write_text(
+            FLAT_CSV_HEADER
+            + before_bad
+            + "r1,abc,person,10,10,40,90,0.8,0.9,0.05,0.05\n"  # file line 4
+            + "r1,101,person,12,10,40,90,0.8,0.1,0.8,0.1\n"
+        )
+        report = ingest_external(path, "flat-csv", Store(tmp_path / "store"))
+        assert (report.rows_ok, report.rows_rejected) == (2, 1)
+        assert [n for n, _ in report.errors] == [4]
 
     def test_flat_csv_record_with_one_bad_line_rejected_whole(self, tmp_path):
         path = tmp_path / "in.csv"
