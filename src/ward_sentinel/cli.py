@@ -11,17 +11,13 @@ import argparse
 import csv
 import json
 import sys
-import time
 from pathlib import Path
-
-import numpy as np
 
 from . import camera_meta as cm
 from . import trends as tr
 from .errors import ValidationError, WardSentinelError
 from .evaluation import TrendAccuracyReport, evaluate_frames, trend_accuracy
-from .flow import farneback_flow
-from .model import ANALYSIS_DIMS, FLOW_DIMS, PipelineConfig
+from .model import ANALYSIS_DIMS, PipelineConfig
 from .pipeline import (
     ADAPTERS,
     SyntheticDetector,
@@ -172,7 +168,7 @@ def _cmd_evaluate_frames(args, cfg) -> int:
     report = evaluate_frames(
         labels,
         preds,
-        iou_threshold=cfg.iou_threshold if args.iou is None else args.iou,
+        iou_threshold=cfg.iou_threshold,
         pred_alone=pred_alone,
         exclude_exceptions=not args.keep_exceptions,
     )
@@ -230,48 +226,6 @@ def _cmd_ingest(args, cfg) -> int:
     return 0 if report.rows_rejected == 0 else 2
 
 
-def _cmd_bench_flow(args, cfg) -> int:
-    rng = np.random.default_rng(args.seed)
-    from scipy import ndimage
-
-    w, h = args.width, args.height
-    rows = []
-    for i in range(args.pairs):
-        base = ndimage.gaussian_filter(rng.uniform(0, 255, size=(h + 16, w + 16)), 2.0)
-        sx, sy = rng.integers(-5, 6, size=2)
-        prev = base[8 : 8 + h, 8 : 8 + w]
-        cur = base[8 - sy : 8 - sy + h, 8 - sx : 8 - sx + w]
-        timings: dict = {}
-        t0 = time.perf_counter()
-        farneback_flow(prev, cur, cfg.flow, timings=timings)
-        total = time.perf_counter() - t0
-        rows.append(
-            {
-                "pair": i,
-                "total_ms": total * 1e3,
-                "pyramid_ms": timings.get("pyramid", 0.0) * 1e3,
-                "poly_exp_ms": timings.get("poly_exp", 0.0) * 1e3,
-                "update_ms": timings.get("update", 0.0) * 1e3,
-            }
-        )
-    mean_total = sum(r["total_ms"] for r in rows) / len(rows)
-    fps = 1e3 / mean_total
-    lines = ["pair,total_ms,pyramid_ms,poly_exp_ms,update_ms"]
-    for r in rows:
-        lines.append(
-            f"{r['pair']},{r['total_ms']:.2f},{r['pyramid_ms']:.2f},"
-            f"{r['poly_exp_ms']:.2f},{r['update_ms']:.2f}"
-        )
-    lines.append(f"mean,{mean_total:.2f},,,")
-    lines.append(f"frames_per_second,{fps:.2f},,,")
-    output = "\n".join(lines)
-    print(output)
-    if args.out:
-        out = _out_dir(args.out)
-        (out / "bench_flow.csv").write_text(output + "\n")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ward-sentinel",
@@ -310,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--labels", required=True, help="frame-label JSONL")
     pf.add_argument("--preds", required=True, help="canonical JSONL predictions")
     pf.add_argument("--out", required=True)
-    pf.add_argument("--iou", type=float, default=None, help="override IoU threshold")
     pf.add_argument(
         "--keep-exceptions",
         action="store_true",
@@ -336,16 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--store", required=True)
     p.set_defaults(func=_cmd_ingest)
-
-    p = sub.add_parser("bench", help="benchmarks")
-    bsub = p.add_subparsers(dest="what", required=True)
-    pb = bsub.add_parser("flow", help="optical-flow throughput and stage timings")
-    pb.add_argument("--pairs", type=int, default=5)
-    pb.add_argument("--width", type=int, default=FLOW_DIMS[0])
-    pb.add_argument("--height", type=int, default=FLOW_DIMS[1])
-    pb.add_argument("--seed", type=int, default=7)
-    pb.add_argument("--out", help="also write bench_flow.csv here")
-    pb.set_defaults(func=_cmd_bench_flow)
 
     return parser
 

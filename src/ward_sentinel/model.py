@@ -240,13 +240,21 @@ class PipelineConfig:
         return PipelineConfig(flow=flow, **raw)
 
 
+def check_session_id(session_id: str) -> None:
+    """A session id names a store directory, so it must be one path component."""
+    if session_id in ("", ".", "..") or any(c in session_id for c in "/\\\0"):
+        raise MalformedRecord(f"session id {session_id!r} is not a single path component")
+
+
 def validate_record(rec: DetectionRecord, frame_dims: tuple[float, float]) -> DetectionRecord:
     """Clamp boxes to the frame and enforce the record invariants.
 
-    Non-person roles are realigned (dropped to None); a person box without a
-    role distribution rejects the whole record, as does any box that falls
-    entirely outside the frame.
+    The session id must be a single path component. Non-person roles are
+    realigned (dropped to None); a person box without a role distribution
+    rejects the whole record, as does any box that falls entirely outside the
+    frame.
     """
+    check_session_id(rec.session_id)
     frame_w, frame_h = frame_dims
     if len(rec.roles) != len(rec.boxes):
         raise MalformedRecord(

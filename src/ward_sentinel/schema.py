@@ -69,8 +69,11 @@ def dumps_row(row: CanonicalRow) -> str:
 
 def obj_to_row(obj: dict) -> CanonicalRow:
     try:
-        session_id = obj["session_id"]
-        ts = int(obj["ts"])
+        session_id, ts = obj["session_id"], obj["ts"]
+        if type(session_id) is not str:
+            raise TypeError(f"session_id must be a string, got {session_id!r}")
+        if type(ts) is not int:
+            raise TypeError(f"ts must be an integer, got {ts!r}")
         boxes = tuple(
             BoundingBox(b["cls"], b["x"], b["y"], b["w"], b["h"], b["conf"])
             for b in obj["boxes"]

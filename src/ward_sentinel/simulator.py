@@ -11,7 +11,7 @@ motion level exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterator, Optional
 
 import numpy as np
@@ -102,6 +102,10 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
+    """A seeded scenario. Boxes, track waypoints and the zone are in analysis
+    coordinates (ANALYSIS_DIMS), where the pipeline clamps boxes and rasterizes
+    zones; raw_frame_dims only sizes the synthesized camera frames."""
+
     seed: int
     duration_s: int
     schedule: tuple[ScheduleInterval, ...]
@@ -109,7 +113,6 @@ class ScenarioSpec:
     noise: NoiseModel = field(default_factory=NoiseModel)
     session_id: str = "sim"
     start_ts: int = DEFAULT_START_TS
-    frame_dims: tuple[int, int] = ANALYSIS_DIMS
     raw_frame_dims: tuple[int, int] = (960, 540)
     zone: Optional[tuple[tuple[float, float], ...]] = None
 
@@ -160,9 +163,9 @@ class SimulationResult:
         return {r.ts: r for r in self.records}
 
 
-def _person_box(spec: ScenarioSpec, anchor_x: float, anchor_y: float) -> BoundingBox:
+def _person_box(anchor_x: float, anchor_y: float) -> BoundingBox:
     """Person box whose bottom-center sits at the given anchor, clamped inside."""
-    fw, fh = spec.frame_dims
+    fw, fh = ANALYSIS_DIMS
     w = 0.07 * fw
     h = 0.22 * fh
     x = min(max(anchor_x - w / 2.0, 0.0), fw - w)
@@ -170,15 +173,15 @@ def _person_box(spec: ScenarioSpec, anchor_x: float, anchor_y: float) -> Boundin
     return BoundingBox("person", x, y, w, h, PERSON_CONFIDENCE)
 
 
-def _bed_box(spec: ScenarioSpec) -> BoundingBox:
-    fw, fh = spec.frame_dims
+def _bed_box() -> BoundingBox:
+    fw, fh = ANALYSIS_DIMS
     return BoundingBox("bed", 0.30 * fw, 0.45 * fh, 0.35 * fw, 0.40 * fh, BED_CONFIDENCE)
 
 
-def _static_anchor(spec: ScenarioSpec, role: str, index: int) -> tuple[float, float]:
+def _static_anchor(role: str, index: int) -> tuple[float, float]:
     """Deterministic resting spot per occupant: patients on the bed, staff and
     visitors along the near wall."""
-    fw, fh = spec.frame_dims
+    fw, fh = ANALYSIS_DIMS
     if role == "patient":
         return (0.475 * fw + index * 0.04 * fw, 0.70 * fh)
     if role == "staff":
@@ -192,7 +195,7 @@ def _true_occupants(spec: ScenarioSpec, t: int) -> list[tuple[str, str, float, f
     out = []
     for role, count in iv.counts().items():
         for k in range(count):
-            x, y = _static_anchor(spec, role, k)
+            x, y = _static_anchor(role, k)
             out.append((f"{role}-{k}", role, x, y))
     for i, tr in enumerate(spec.tracks):
         if tr.active(t):
@@ -215,7 +218,7 @@ def generate(spec: ScenarioSpec, cfg: PipelineConfig = PipelineConfig()) -> Simu
     fixed per-second draw order. Noise touches only the emitted detections.
     """
     rng = np.random.default_rng(spec.seed)
-    fw, fh = spec.frame_dims
+    fw, fh = ANALYSIS_DIMS
 
     zone_mask: Optional[RoiMask] = None
     zone = spec.zone_polygon()
@@ -275,7 +278,7 @@ def generate(spec: ScenarioSpec, cfg: PipelineConfig = PipelineConfig()) -> Simu
         prev_occupants = cur_map
 
         # noisy detection record
-        boxes: list[BoundingBox] = [_bed_box(spec)]
+        boxes: list[BoundingBox] = [_bed_box()]
         roles: list[Optional[RoleDistribution]] = [None]
         for ident, role, x, y in occupants:
             if rng.uniform() < spec.noise.p_miss:
@@ -283,12 +286,12 @@ def generate(spec: ScenarioSpec, cfg: PipelineConfig = PipelineConfig()) -> Simu
             reported = role
             if spec.noise.p_role > 0 and rng.uniform() < spec.noise.p_role:
                 reported = str(rng.choice([r for r in ROLES if r != role]))
-            boxes.append(_person_box(spec, x, y))
+            boxes.append(_person_box(x, y))
             roles.append(_role_distribution(reported))
         if spec.noise.p_spur > 0 and rng.uniform() < spec.noise.p_spur:
             sx = float(rng.uniform(0.05 * fw, 0.95 * fw))
             sy = float(rng.uniform(0.25 * fh, 0.95 * fh))
-            box = _person_box(spec, sx, sy)
+            box = _person_box(sx, sy)
             boxes.append(
                 BoundingBox("person", box.x, box.y, box.w, box.h, SPURIOUS_CONFIDENCE)
             )
@@ -349,8 +352,24 @@ def _frame_stream(spec: ScenarioSpec) -> Iterator[Frame]:
         )
 
 
+def _reject_unknown_keys(raw: dict, cls, what: str) -> None:
+    """Every key of raw must name a field of the dataclass cls."""
+    unknown = set(raw) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {what} keys {sorted(unknown)}")
+
+
 def spec_from_dict(raw: dict) -> ScenarioSpec:
-    """Build a ScenarioSpec from a plain-JSON mapping (the --spec file)."""
+    """Build a ScenarioSpec from a plain-JSON mapping (the --spec file).
+
+    An unknown key at the top level, in a schedule interval, in a track or in
+    the noise model is rejected rather than ignored.
+    """
+    _reject_unknown_keys(raw, ScenarioSpec, "scenario spec")
+    for iv in raw["schedule"]:
+        _reject_unknown_keys(iv, ScheduleInterval, "schedule interval")
+    for tr in raw.get("tracks", []):
+        _reject_unknown_keys(tr, OccupantTrack, "track")
     schedule = tuple(
         ScheduleInterval(
             start_s=int(iv["start_s"]),
@@ -378,7 +397,6 @@ def spec_from_dict(raw: dict) -> ScenarioSpec:
         noise=noise,
         session_id=raw.get("session_id", "sim"),
         start_ts=int(raw.get("start_ts", DEFAULT_START_TS)),
-        frame_dims=tuple(raw.get("frame_dims", ANALYSIS_DIMS)),
         raw_frame_dims=tuple(raw.get("raw_frame_dims", (960, 540))),
         zone=tuple(tuple(v) for v in raw["zone"]) if raw.get("zone") else None,
     )

@@ -23,6 +23,7 @@ from typing import Iterator, Optional
 
 from .errors import NonMonotonicTimestamp, SchemaMismatch, ValidationError
 from .geometry import CrossingEvent
+from .model import check_session_id
 from .schema import SCHEMA_VERSION, CanonicalRow, dumps_row, jsonl_lines, loads_row
 
 MANIFEST_NAME = "manifest.json"
@@ -62,6 +63,7 @@ class Store:
         )
 
     def writer(self, session_id: str) -> "SessionWriter":
+        check_session_id(session_id)
         return SessionWriter(self, session_id)
 
     def session_ids(self) -> list[str]:

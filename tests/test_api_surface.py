@@ -2,11 +2,12 @@
 
 The benchmark tracer (perfbench/spans.py) patches functions and methods at
 the module globals and class attributes where the package looks them up, the
-demos import from the package, and the README shows command lines and a
-config file. A rename in the package must fail here, not only when the
-benchmark or a demo is run or a reader copies from the README.
+demos import from the package, and the README shows command lines, a config
+file and a scenario spec. A rename in the package must fail here, not only
+when the benchmark or a demo is run or a reader copies from the README.
 """
 
+import argparse
 import ast
 import importlib
 import importlib.util
@@ -24,6 +25,7 @@ import ward_sentinel
 from ward_sentinel.cli import build_parser
 from ward_sentinel.model import PipelineConfig
 from ward_sentinel.pipeline import ADAPTERS
+from ward_sentinel.simulator import spec_from_dict
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -97,6 +99,25 @@ def test_readme_command_lines_parse():
         assert callable(args.func), line
 
 
+def _subcommands(parser, prefix=()):
+    """Each leaf command path the parser defines, such as ("evaluate", "frames")."""
+    actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not actions:
+        yield prefix
+    for action in actions:
+        for name, sub in action.choices.items():
+            yield from _subcommands(sub, prefix + (name,))
+
+
+def test_readme_shows_every_subcommand():
+    block = _readme_block("## Command line", "bash")
+    shown = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("ward-sentinel ")]
+    commands = list(_subcommands(build_parser()))
+    assert len(commands) >= 7
+    for command in commands:
+        assert any(words[: len(command)] == list(command) for words in shown), command
+
+
 def test_readme_shows_every_ingest_adapter():
     block = _readme_block("## Command line", "bash")
     shown = set(re.findall(r"^ward-sentinel ingest --adapter (\S+)", block, re.M))
@@ -106,3 +127,8 @@ def test_readme_shows_every_ingest_adapter():
 def test_readme_config_example_loads():
     raw = json.loads(_readme_block("Global flag `--config", "json"))
     assert PipelineConfig.from_dict(raw).zones
+
+
+def test_readme_scenario_spec_example_loads():
+    spec = spec_from_dict(json.loads(_readme_block("A scenario spec for", "json")))
+    assert spec.tracks and spec.zone

@@ -261,18 +261,6 @@ def test_ingest_unknown_adapter_exits_two(tmp_path, capsys):
     assert err.startswith("validation error: unknown adapter 'nope'")
 
 
-def test_bench_flow_cli(tmp_path, capsys):
-    out = tmp_path / "bench"
-    code = main(
-        ["bench", "flow", "--pairs", "1", "--width", "160", "--height", "120",
-         "--out", str(out)]
-    )
-    assert code == 0
-    text = (out / "bench_flow.csv").read_text()
-    assert text.startswith("pair,total_ms,pyramid_ms,poly_exp_ms,update_ms")
-    assert "frames_per_second" in text
-
-
 def test_missing_input_maps_to_exit_one(tmp_path):
     code = main(
         ["run", "--detections", str(tmp_path / "absent.jsonl"), "--out", str(tmp_path / "s")]
@@ -363,6 +351,14 @@ BAD_INPUTS = {
     "config-even-winsize": ("config", {"flow": {"winsize": 4}}),
     "spec-no-schedule": ("spec", {k: v for k, v in SPEC.items() if k != "schedule"}),
     "spec-bad-noise": ("spec", dict(SPEC, noise={"p_miss": 2})),
+    "spec-unknown-key": ("scenario", dict(SPEC, trakcs=[])),
+    "spec-interval-unknown-key": (
+        "spec", dict(SPEC, schedule=[dict(SPEC["schedule"][0], staf=2), SPEC["schedule"][1]]),
+    ),
+    "spec-track-unknown-key": (
+        "spec", dict(SPEC, tracks=[{"role": "staff", "waypoints": [[0, 10, 10], [50, 60, 60]], "speed": 2}]),
+    ),
+    "spec-frame-dims": ("spec", dict(SPEC, frame_dims=[1088, 612])),
     "log-inverted-interval": ("log", "session_id,start_ts,end_ts\nroomA,1709251300,1709251200\n"),
     "log-non-integer-ts": ("log", "session_id,start_ts,end_ts\nroomA,1709251200.5,1709251300\n"),
     "log-wrong-header": ("log", "session,start,end\nroomA,1709251200,1709251300\n"),
@@ -381,8 +377,68 @@ def test_bad_input_file_exits_two(tmp_path, spec_path, capsys, kind, content):
     argv = {
         "config": ["--config", str(bad), "simulate", "--spec", str(spec_path), "--out", out],
         "spec": ["simulate", "--spec", str(bad), "--out", out],
+        "scenario": ["run", "--scenario", str(bad), "--out", out],
         "log": ["evaluate", "trends", "--log", str(bad), "--states", str(states), "--out", out],
     }[kind]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("validation error: ") and str(bad) in err
+
+
+T0 = 1709251200
+BAD_ROW_KEYS = {
+    "session-int": ({"session_id": 5}, "bad canonical row: session_id must be a string, got 5"),
+    "session-escapes-root": (
+        {"session_id": "../../escaped"},
+        "session id '../../escaped' is not a single path component",
+    ),
+    "session-empty": ({"session_id": ""}, "session id '' is not a single path component"),
+    "session-dot-dot": ({"session_id": ".."}, "session id '..' is not a single path component"),
+    "session-backslash": ({"session_id": "a\\b"}, "session id 'a\\\\b' is not a single path component"),
+    "session-nul": ({"session_id": "a\0b"}, "session id 'a\\x00b' is not a single path component"),
+    "ts-float": ({"ts": T0 + 1.4}, f"bad canonical row: ts must be an integer, got {T0 + 1.4!r}"),
+    "ts-string": ({"ts": str(T0 + 1)}, f"bad canonical row: ts must be an integer, got '{T0 + 1}'"),
+    "ts-bool": ({"ts": True}, "bad canonical row: ts must be an integer, got True"),
+}
+
+
+def _good_then_bad(tmp_path, override) -> str:
+    """A canonical file whose line 1 is valid and line 2 carries override."""
+    bad = json.loads(dumps_row(CanonicalRow(make_record("roomA", T0 + 1, ["patient"]))))
+    bad.update(override)
+    path = tmp_path / "rows.jsonl"
+    path.write_text(
+        dumps_row(CanonicalRow(make_record("roomA", T0, ["patient"]))) + "\n" + json.dumps(bad) + "\n"
+    )
+    return str(path)
+
+
+def _files(root):
+    return {p for p in root.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize("override,message", BAD_ROW_KEYS.values(), ids=BAD_ROW_KEYS.keys())
+def test_ingest_rejects_bad_row_key_by_line(tmp_path, capsys, override, message):
+    path = _good_then_bad(tmp_path, override)
+    store_dir = tmp_path / "a" / "b" / "store"
+    before = _files(tmp_path)
+    code = main(["ingest", "--adapter", "canonical", "--input", path, "--store", str(store_dir)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out.splitlines() == ["ingested 1 rows, rejected 1", f"  line 2: {message}"]
+    assert "Traceback" not in err
+    written = _files(tmp_path) - before
+    assert written and all(store_dir in p.parents for p in written)
+
+
+@pytest.mark.parametrize("override,message", BAD_ROW_KEYS.values(), ids=BAD_ROW_KEYS.keys())
+def test_run_detections_rejects_bad_row_key(tmp_path, capsys, override, message):
+    path = _good_then_bad(tmp_path, override)
+    store_dir = tmp_path / "a" / "b" / "store"
+    before = _files(tmp_path)
+    code = main(["run", "--detections", path, "--out", str(store_dir)])
+    _, err = capsys.readouterr()
+    assert code == 2
+    assert err.startswith("validation error: ") and message in err
+    assert "Traceback" not in err
+    assert all(store_dir in p.parents for p in _files(tmp_path) - before)

@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -176,6 +177,24 @@ class TestRunPipeline:
         assert crossing_file.exists()
         assert '"direction":"entry"' in crossing_file.read_text()
 
+    def test_default_zone_applies_only_to_sessions_without_their_own(self, tmp_path):
+        from ward_sentinel.simulator import OccupantTrack
+
+        zone = ((400.0, 300.0), (700.0, 300.0), (700.0, 560.0), (400.0, 560.0))
+        corner = ((900.0, 20.0), (1060.0, 20.0), (1060.0, 120.0), (900.0, 120.0))
+        track = OccupantTrack("staff", ((50, 100.0, 430.0), (150, 550.0, 430.0)))
+        rows = []
+        for sid in ("own", "fallback"):
+            sim = generate(_scenario(duration=200, tracks=(track,), session_id=sid), CFG)
+            rows += [CanonicalRow(r, sim.motions.get(r.ts)) for r in sim.records]
+        cfg = PipelineConfig(zones={"default": zone, "own": corner})
+        stats = run_pipeline(rows_source(rows), cfg, Store(tmp_path / "store"))
+        sessions = tmp_path / "store" / "sessions"
+        assert stats.crossings == 1
+        assert not (sessions / "own" / "crossings.jsonl").exists()
+        crossings = (sessions / "fallback" / "crossings.jsonl").read_text().splitlines()
+        assert [json.loads(c)["direction"] for c in crossings] == ["entry"]
+
     def test_missing_detector_for_bare_item(self, tmp_path):
         item = SourceItem(session_id="s", ts=1, record=None, motion=None)
         with pytest.raises(AdapterError):
@@ -316,6 +335,12 @@ class TestStore:
             p.name for p in (tmp_path / "store" / "sessions" / "s").glob("*.jsonl")
         )
         assert files == ["1970-01-01.jsonl", "1970-01-02.jsonl"]
+
+    @pytest.mark.parametrize("session_id", ["", ".", "..", "../out", "a/b", "a\\b", "a\0b"])
+    def test_writer_refuses_session_id_that_is_not_one_path_component(self, tmp_path, session_id):
+        with pytest.raises(MalformedRecord, match="not a single path component"):
+            Store(tmp_path / "store").writer(session_id)
+        assert not any(p.is_file() for p in tmp_path.rglob("*"))
 
     def test_iter_rows_names_segment_and_line_of_bad_row(self, tmp_path):
         store = Store(tmp_path / "store")

@@ -6,7 +6,7 @@ import pytest
 from ward_sentinel.errors import InvalidSchedule
 from ward_sentinel.geometry import detect_crossings, expand_polygon, rasterize
 from ward_sentinel.logic import SmoothingWindow, derive_state
-from ward_sentinel.model import PipelineConfig
+from ward_sentinel.model import ANALYSIS_DIMS, PipelineConfig
 from ward_sentinel.schema import CanonicalRow, dumps_row
 from ward_sentinel.simulator import (
     NoiseModel,
@@ -198,7 +198,7 @@ class TestZoneCrossings:
         sim = generate(spec, CFG)
         zone_mask = rasterize(
             expand_polygon(spec.zone_polygon(), CFG.safety_zone_expansion),
-            *spec.frame_dims,
+            *ANALYSIS_DIMS,
         )
         events = []
         for prev, cur in zip(sim.records, sim.records[1:]):
