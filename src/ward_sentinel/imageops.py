@@ -35,11 +35,15 @@ def _linear_taps(in_size: int, out_size: int):
 
 
 def resize_bilinear(img: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
-    """Bilinear resample to (out_h, out_w); channels-last input allowed."""
-    img = np.asarray(img, dtype=np.float64)
+    """Bilinear resample to (out_h, out_w); channels-last input allowed.
+
+    The taps are gathered in the input's own dtype and promoted to float64 by
+    the weight multiply, so an 8-bit frame is never copied whole to float64.
+    """
+    img = np.asarray(img)
     in_h, in_w = img.shape[:2]
     if (in_w, in_h) == (out_w, out_h):
-        return img.copy()
+        return img.astype(np.float64)
     xlo, xhi, xf = _linear_taps(in_w, out_w)
     ylo, yhi, yf = _linear_taps(in_h, out_h)
     # horizontal pass
@@ -90,4 +94,5 @@ def resize_bicubic(img: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
 
 
 def to_uint8(img: np.ndarray) -> np.ndarray:
-    return np.clip(np.rint(img), 0, 255).astype(np.uint8)
+    out = np.rint(img)
+    return np.clip(out, 0, 255, out=out).astype(np.uint8)

@@ -3,12 +3,17 @@ persistence, and external ingest. Recorded detection records pass straight to
 validation; frames go through the detector port and role attribution. Both
 ingest adapters feed one parse-validate loop that rejects a bad row by its line.
 
-Per-session inference state is one previous flow frame plus the smoothing
-window, but the store writer stages every row until the run ends, so memory
-grows with run length, and resuming a session on the same UTC date rewrites
-that date's segment (ROADMAP.md, item 3). Sessions are independent; within a
-session the stages are strictly sequential (flow needs the previous frame,
-the window needs order).
+Per-session inference state is the smoothing window and the previous flow
+frame, a FlowFrame that keeps the polynomial expansions of its pyramid levels
+from the pair it was the current frame of, so each frame is expanded once; a
+gap of more than one second drops it. The detector-resolution image is
+resized only when a detector port reads `PreprocessedFrame.detector`, and
+after detection only the flow image of a frame is kept. The store writer
+stages every row until the run ends, so memory grows with run length, and
+resuming a session on the same UTC date rewrites that date's segment
+(ROADMAP.md, item 3). Sessions are independent; within a session the stages
+are strictly sequential (flow needs the previous frame, the window needs
+order).
 """
 
 from __future__ import annotations
@@ -16,14 +21,14 @@ from __future__ import annotations
 import csv
 import time
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cached_property, partial
 from itertools import groupby, zip_longest
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 import numpy as np
 
 from .errors import AdapterError, MalformedRecord, SchemaMismatch, TooSmallInput, UnknownAdapter, ValidationError
-from .flow import MotionRecord, farneback_flow, roi_motion
+from .flow import FlowFrame, MotionRecord, farneback_flow, roi_motion
 from .geometry import Polygon, RoiMask, bed_roi_from_detection, detect_crossings, expand_polygon, rasterize
 from .imageops import resize_bilinear, resize_bicubic, to_grayscale, to_uint8
 from .logic import SmoothingWindow, attribute_roles, derive_state
@@ -48,11 +53,21 @@ MIN_INPUT_DIM = 64
 
 @dataclass(frozen=True)
 class PreprocessedFrame:
-    """The three working resolutions derived from one captured frame."""
+    """The three working resolutions derived from one captured frame.
+
+    `detector` is resized from the float analysis image on first read and
+    kept from then on, so a detector port that never reads it costs no
+    resize.
+    """
 
     analysis: np.ndarray  # 1088x612, uint8, original channel count
-    detector: np.ndarray  # 608x608, uint8 (bicubic, Catmull-Rom)
     flow_gray: np.ndarray  # 480x270, float64 luma
+    analysis_float: np.ndarray  # 1088x612, float64, the source of `detector`
+
+    @cached_property
+    def detector(self) -> np.ndarray:
+        """608x608, uint8 (bicubic, Catmull-Rom)."""
+        return to_uint8(resize_bicubic(self.analysis_float, *DETECTOR_DIMS))
 
 
 def preprocess(frame: Frame) -> PreprocessedFrame:
@@ -66,12 +81,9 @@ def preprocess(frame: Frame) -> PreprocessedFrame:
             f"frame {frame.width}x{frame.height} below minimum {MIN_INPUT_DIM}px"
         )
     analysis = resize_bilinear(frame.pixels, *ANALYSIS_DIMS)
-    detector = resize_bicubic(analysis, *DETECTOR_DIMS)
     flow_gray = resize_bilinear(to_grayscale(analysis), *FLOW_DIMS)
     return PreprocessedFrame(
-        analysis=to_uint8(analysis),
-        detector=to_uint8(detector),
-        flow_gray=flow_gray,
+        analysis=to_uint8(analysis), flow_gray=flow_gray, analysis_float=analysis
     )
 
 
@@ -155,7 +167,7 @@ def _scale_polygon(p: Polygon, sx: float, sy: float) -> Polygon:
 class _SessionState:
     def __init__(self, cfg: PipelineConfig, session_id: str, store: Store):
         self.window = SmoothingWindow(cfg.smoothing_window_s)
-        self.prev_gray: Optional[np.ndarray] = None
+        self.prev_frame: Optional[FlowFrame] = None
         self.writer = store.writer(session_id)
         self.zone_analysis: Optional[RoiMask] = None
         self.zone_flow: Optional[RoiMask] = None
@@ -207,7 +219,7 @@ def run_pipeline(
             stats.sessions += 1
         contiguous = st.window.last_ts == item.ts - 1
         if not contiguous:
-            st.prev_gray = None
+            st.prev_frame = None
 
         pre: Optional[PreprocessedFrame] = None
         if item.frame is not None:
@@ -245,14 +257,17 @@ def run_pipeline(
                 f"record {rec.session_id}@{rec.ts} on source item {item.session_id}@{item.ts}"
             )
         rec = validate_record(rec, ANALYSIS_DIMS)
+        # Only the flow image outlives detection; the analysis images go now.
+        cur_frame = None if pre is None else FlowFrame(pre.flow_gray)
+        pre = None
 
         motion = item.motion
         if motion is not None and (motion.session_id, motion.ts) != (item.session_id, item.ts):
             raise MalformedRecord(
                 f"motion {motion.session_id}@{motion.ts} on source item {item.session_id}@{item.ts}"
             )
-        if motion is None and pre is not None and st.prev_gray is not None:
-            flow = farneback_flow(st.prev_gray, pre.flow_gray, cfg.flow)
+        if motion is None and cur_frame is not None and st.prev_frame is not None:
+            flow = farneback_flow(st.prev_frame, cur_frame, cfg.flow)
             mags = {"scene": roi_motion(flow, scene_mask)}
             bed_mask = bed_roi_from_detection(_scale_record(rec, fx, fy), *FLOW_DIMS)
             if bed_mask is not None and bed_mask.count():
@@ -260,8 +275,8 @@ def run_pipeline(
             if st.zone_flow is not None and st.zone_flow.count():
                 mags["safety_zone"] = roi_motion(flow, st.zone_flow)
             motion = MotionRecord(item.session_id, item.ts, mags)
-        if pre is not None:
-            st.prev_gray = pre.flow_gray
+        if cur_frame is not None:
+            st.prev_frame = cur_frame
 
         if st.zone_analysis is not None and contiguous:
             for event in detect_crossings(st.window.newest, rec, st.zone_analysis):

@@ -67,13 +67,19 @@ def dumps_row(row: CanonicalRow) -> str:
     return json.dumps(row_to_obj(row), sort_keys=True, separators=(",", ":"))
 
 
+def _session_and_ts(obj: dict) -> tuple[str, int]:
+    """A parsed object's session_id (a str) and ts (exactly an int, not a bool)."""
+    session_id, ts = obj["session_id"], obj["ts"]
+    if type(session_id) is not str:
+        raise TypeError(f"session_id must be a string, got {session_id!r}")
+    if type(ts) is not int:
+        raise TypeError(f"ts must be an integer, got {ts!r}")
+    return session_id, ts
+
+
 def obj_to_row(obj: dict) -> CanonicalRow:
     try:
-        session_id, ts = obj["session_id"], obj["ts"]
-        if type(session_id) is not str:
-            raise TypeError(f"session_id must be a string, got {session_id!r}")
-        if type(ts) is not int:
-            raise TypeError(f"ts must be an integer, got {ts!r}")
+        session_id, ts = _session_and_ts(obj)
         boxes = tuple(
             BoundingBox(b["cls"], b["x"], b["y"], b["w"], b["h"], b["conf"])
             for b in obj["boxes"]
@@ -124,6 +130,7 @@ def loads_row(line: str) -> CanonicalRow:
 
 def obj_to_label(obj: dict) -> FrameLabel:
     try:
+        session_id, ts = _session_and_ts(obj)
         boxes = []
         roles = []
         for b in obj["boxes"]:
@@ -134,8 +141,8 @@ def obj_to_label(obj: dict) -> FrameLabel:
             )
             roles.append(b.get("role"))
         return FrameLabel(
-            session_id=obj["session_id"],
-            ts=int(obj["ts"]),
+            session_id=session_id,
+            ts=ts,
             boxes=tuple(boxes),
             roles=tuple(roles),
             in_bed=obj.get("in_bed"),

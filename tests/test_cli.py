@@ -362,6 +362,8 @@ BAD_INPUTS = {
     "log-inverted-interval": ("log", "session_id,start_ts,end_ts\nroomA,1709251300,1709251200\n"),
     "log-non-integer-ts": ("log", "session_id,start_ts,end_ts\nroomA,1709251200.5,1709251300\n"),
     "log-wrong-header": ("log", "session,start,end\nroomA,1709251200,1709251300\n"),
+    "labels-float-ts": ("labels", {"session_id": "roomA", "ts": 1709251200.9, "boxes": []}),
+    "labels-int-session": ("labels", {"session_id": 7, "ts": True, "boxes": []}),
 }
 
 
@@ -379,6 +381,7 @@ def test_bad_input_file_exits_two(tmp_path, spec_path, capsys, kind, content):
         "spec": ["simulate", "--spec", str(bad), "--out", out],
         "scenario": ["run", "--scenario", str(bad), "--out", out],
         "log": ["evaluate", "trends", "--log", str(bad), "--states", str(states), "--out", out],
+        "labels": ["evaluate", "frames", "--labels", str(bad), "--preds", str(states), "--out", out],
     }[kind]
     assert main(argv) == 2
     err = capsys.readouterr().err

@@ -2,10 +2,15 @@ import time
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from ward_sentinel.errors import DimensionMismatch, EmptyMask
 from ward_sentinel.flow import (
+    SOLVE_REGULARIZATION,
     FlowField,
+    FlowFrame,
+    _bilinear_warp,
+    _displacement_update,
     farneback_flow,
     polynomial_expansion,
     roi_motion,
@@ -113,6 +118,141 @@ class TestFarnebackFlow:
         start = time.perf_counter()
         farneback_flow(prev, cur)
         assert time.perf_counter() - start < 1.0
+
+
+def map_coordinates_update(poly1, poly2, dx0, dy0, winsize):
+    """The displacement update with scipy's map_coordinates as the warp.
+
+    The reference for _displacement_update, which must match it bit for bit.
+    """
+    h, w = dx0.shape
+    ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
+    wx = xs + dx0
+    wy = ys + dy0
+    inside = (wx >= 0) & (wx <= w - 1) & (wy >= 0) & (wy <= h - 1)
+    coords = [np.clip(wy, 0, h - 1), np.clip(wx, 0, w - 1)]
+
+    def warp(plane):
+        return ndimage.map_coordinates(plane, coords, order=1, mode="nearest")
+
+    p = 0.5 * (poly1.axx + warp(poly2.axx))
+    r = 0.5 * (poly1.ayy + warp(poly2.ayy))
+    q = 0.25 * (poly1.axy + warp(poly2.axy))
+    hx = -0.5 * (warp(poly2.bx) - poly1.bx)
+    hy = -0.5 * (warp(poly2.by) - poly1.by)
+    p = np.where(inside, p, poly1.axx)
+    r = np.where(inside, r, poly1.ayy)
+    q = np.where(inside, q, 0.5 * poly1.axy)
+    hx = np.where(inside, hx, 0.0) + p * dx0 + q * dy0
+    hy = np.where(inside, hy, 0.0) + q * dx0 + r * dy0
+
+    m11 = p * p + q * q
+    m12 = q * (p + r)
+    m22 = q * q + r * r
+    mx = p * hx + q * hy
+    my = q * hx + r * hy
+    blur = lambda a: ndimage.uniform_filter(a, size=winsize, mode="nearest")
+    m11, m12, m22, mx, my = blur(m11), blur(m12), blur(m22), blur(mx), blur(my)
+
+    det = m11 * m22 - m12 * m12 + SOLVE_REGULARIZATION
+    return (m22 * mx - m12 * my) / det, (m11 * my - m12 * mx) / det
+
+
+class TestBilinearWarp:
+    """The gather warp is map_coordinates(order=1, mode="nearest") bit for bit."""
+
+    H, W = 37, 53
+
+    def _assert_matches_map_coordinates(self, rng, cy, cx):
+        h, w = self.H, self.W
+        cy, cx = np.clip(cy, 0, h - 1), np.clip(cx, 0, w - 1)
+        warp = _bilinear_warp(cy, cx)
+        for plane in (texture(rng, h, w), rng.normal(0.0, 1e3, (h, w))):
+            ref = ndimage.map_coordinates(plane, [cy, cx], order=1, mode="nearest")
+            assert np.array_equal(warp(plane), ref)
+
+    def test_fractions_along_top_and_left_edges(self, rng):
+        # Products of uniforms carry mantissa bits below 2**-53, where 1 - c
+        # rounds: there w1 = 1 - w0 and w1 = c - floor(c) differ.
+        h, w = self.H, self.W
+        cy = rng.uniform(0.0, 1.0, (h, w)) * rng.uniform(0.0, 1.0, (h, w))
+        cx = rng.uniform(0.0, w - 1, (h, w))
+        left = rng.uniform(size=(h, w)) < 0.5
+        cy[left] = rng.uniform(0.0, h - 1, left.sum())
+        cx[left] = rng.uniform(0.0, 1.0, left.sum()) * rng.uniform(0.0, 1.0, left.sum())
+        cy[0, :6] = [0.0, 0.1, 1 / 3, np.nextafter(1.0, 0.0), 1e-300, 0.25]
+        cx[1, :6] = [0.0, 0.1, 1 / 3, np.nextafter(1.0, 0.0), 1e-300, 0.75]
+        self._assert_matches_map_coordinates(rng, cy, cx)
+
+    def test_exact_integers_including_last_row_and_column(self, rng):
+        h, w = self.H, self.W
+        cy = rng.integers(0, h, (h, w)).astype(np.float64)
+        cx = rng.integers(0, w, (h, w)).astype(np.float64)
+        cy[:, 0], cx[0, :] = h - 1, w - 1
+        cy[-1, -1], cx[-1, -1] = h - 1, w - 1
+        self._assert_matches_map_coordinates(rng, cy, cx)
+
+    def test_points_clipped_from_far_outside(self, rng):
+        h, w = self.H, self.W
+        cy = rng.choice([-1e6, -3.5, -0.2, h - 0.8, h + 4.0, 1e9], (h, w))
+        cx = rng.choice([-1e6, -7.0, -0.3, w - 0.6, w + 2.5, 1e9], (h, w))
+        mixed = rng.uniform(size=(h, w)) < 0.3
+        cy[mixed] = rng.uniform(-2.0, h + 1.0, mixed.sum())
+        cx[mixed] = rng.uniform(-2.0, w + 1.0, mixed.sum())
+        self._assert_matches_map_coordinates(rng, cy, cx)
+
+
+class TestDisplacementUpdateOracle:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bit_equal_to_map_coordinates_update(self, seed):
+        rng = np.random.default_rng(seed)
+        h, w = 67, 120
+        img1 = texture(rng, h, w)
+        img2 = np.roll(img1, (int(rng.integers(-4, 5)), int(rng.integers(-4, 5))), (0, 1))
+        img2 = img2 + rng.normal(0.0, 2.0, (h, w))
+        poly1 = polynomial_expansion(img1, 5, 1.2)
+        poly2 = polynomial_expansion(img2, 5, 1.2)
+        # shifts up to +-6 px, enough to push many warps off every border
+        dx = rng.uniform(-6.0, 6.0, (h, w))
+        dy = rng.uniform(-6.0, 6.0, (h, w))
+        for _ in range(3):
+            new = _displacement_update(poly1, poly2, dx, dy, 15)
+            ref = map_coordinates_update(poly1, poly2, dx, dy, 15)
+            assert np.array_equal(new[0], ref[0]) and np.array_equal(new[1], ref[1])
+            dx, dy = new
+
+
+class TestFlowFrame:
+    def test_cached_expansions_give_the_same_bits(self, rng):
+        frames = [texture(rng, 135, 240)]
+        for shift in (2, 3, 0):
+            frames.append(np.roll(frames[-1], shift, axis=1) + rng.normal(0, 1, (135, 240)))
+        cached = [FlowFrame(f) for f in frames]
+        for a, b, fa, fb in zip(frames, frames[1:], cached, cached[1:]):
+            plain = farneback_flow(a, b)
+            via_cache = farneback_flow(fa, fb)
+            assert np.array_equal(plain.dx, via_cache.dx)
+            assert np.array_equal(plain.dy, via_cache.dy)
+        # every frame was expanded once, however many pairs it took part in
+        assert all(len(f.expansions) == 1 for f in cached)
+
+    def test_expansions_are_keyed_by_the_parameters_they_depend_on(self, rng):
+        prev, cur = shifted_pair(rng, 2, 1, width=160, height=90)
+        a, b = FlowFrame(prev), FlowFrame(cur)
+        farneback_flow(a, b)
+        other = FlowParams(poly_n=7, poly_sigma=1.5)
+        field = farneback_flow(a, b, other)
+        plain = farneback_flow(prev, cur, other)
+        assert np.array_equal(field.dx, plain.dx) and np.array_equal(field.dy, plain.dy)
+        assert len(a.expansions) == len(b.expansions) == 2
+
+    def test_a_cached_frame_skips_its_pyramid_and_expansion(self, rng):
+        prev, cur = shifted_pair(rng, 1, 0, width=160, height=90)
+        a, b = FlowFrame(prev), FlowFrame(cur)
+        farneback_flow(a, b)
+        timings = {}
+        farneback_flow(a, b, FlowParams(), timings)
+        assert set(timings) == {"update"}
 
 
 class TestRoiMotion:

@@ -15,7 +15,7 @@ from ward_sentinel.model import (
 )
 from ward_sentinel.flow import MotionRecord
 from ward_sentinel.logic import LogicalState
-from ward_sentinel.schema import CanonicalRow, dumps_row, loads_row
+from ward_sentinel.schema import CanonicalRow, dumps_row, loads_row, obj_to_label
 
 from conftest import make_record, person_box, role_dist
 
@@ -175,3 +175,23 @@ def test_loads_row_rejects_non_finite_numbers(path, token):
     assert loads_row(line.replace(token, "1.0"))  # the row is otherwise valid
     with pytest.raises(SchemaMismatch, match=re.escape(token)):
         loads_row(line)
+
+
+LABEL = {"session_id": "s", "ts": 1709251200, "boxes": [{"cls": "bed", "x": 1, "y": 2, "w": 30, "h": 40}]}
+BAD_LABEL_KEYS = {
+    "ts-float": ({"ts": 1709251200.9}, "ts must be an integer, got 1709251200.9"),
+    "ts-string": ({"ts": "1709251200"}, "ts must be an integer, got '1709251200'"),
+    "session-int-ts-bool": ({"session_id": 7, "ts": True}, "session_id must be a string, got 7"),
+    "ts-bool": ({"ts": True}, "ts must be an integer, got True"),
+}
+
+
+@pytest.mark.parametrize("override,message", BAD_LABEL_KEYS.values(), ids=BAD_LABEL_KEYS.keys())
+def test_obj_to_label_rejects_what_obj_to_row_rejects(override, message):
+    label = obj_to_label(LABEL)
+    assert (label.session_id, label.ts) == ("s", 1709251200)
+    with pytest.raises(SchemaMismatch, match=re.escape(f"bad frame label: {message}")):
+        obj_to_label(dict(LABEL, **override))
+    row = json.loads(dumps_row(CanonicalRow(make_record("s", 1709251200))))
+    with pytest.raises(SchemaMismatch, match=re.escape(f"bad canonical row: {message}")):
+        loads_row(json.dumps(dict(row, **override)))

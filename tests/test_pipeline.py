@@ -13,9 +13,10 @@ from ward_sentinel.errors import (
     UnknownAdapter,
     ValidationError,
 )
+from ward_sentinel import pipeline
 from ward_sentinel.flow import MotionRecord
-from ward_sentinel.imageops import resize_bicubic, resize_bilinear
-from ward_sentinel.model import Frame, PipelineConfig
+from ward_sentinel.imageops import resize_bicubic, resize_bilinear, to_uint8
+from ward_sentinel.model import ANALYSIS_DIMS, DETECTOR_DIMS, Frame, PipelineConfig
 from ward_sentinel.pipeline import (
     DetectorOutput,
     DetectorPort,
@@ -46,6 +47,19 @@ class TestResize:
     def test_bilinear_identity_bit_exact(self, rng):
         img = rng.integers(0, 256, size=(50, 70, 3)).astype(np.float64)
         assert np.array_equal(resize_bilinear(img, 70, 50), img)
+
+    @pytest.mark.parametrize("shape", [(540, 960, 1), (50, 70, 3), (33, 47), (612, 1088, 1)])
+    def test_bilinear_of_uint8_is_bilinear_of_its_float64_copy(self, rng, shape):
+        img = rng.integers(0, 256, size=shape, dtype=np.uint8)
+        for out_w, out_h in ((1088, 612), (480, 270), (shape[1], shape[0])):
+            out = resize_bilinear(img, out_w, out_h)
+            assert out.dtype == np.float64
+            assert np.array_equal(out, resize_bilinear(img.astype(np.float64), out_w, out_h))
+
+    def test_to_uint8_rounds_then_clips(self, rng):
+        img = rng.uniform(-300.0, 600.0, size=(61, 83, 3))
+        img[0, :4, 0] = [-0.5, 0.5, 254.5, 255.49]
+        assert np.array_equal(to_uint8(img), np.clip(np.rint(img), 0, 255).astype(np.uint8))
 
     def test_bilinear_exact_two_to_one_average(self):
         img = np.array([[0.0, 100.0], [50.0, 150.0]])
@@ -87,6 +101,15 @@ class TestPreprocess:
     def test_too_small_input(self):
         with pytest.raises(TooSmallInput):
             preprocess(nir_frame(width=60, height=200))
+
+    def test_lazy_detector_equals_the_eager_resize(self, rng):
+        pixels = rng.integers(0, 256, size=(540, 960, 3), dtype=np.uint8)
+        pre = preprocess(Frame("s", 0, 960, 540, "RGB", pixels))
+        analysis = resize_bilinear(pixels.astype(np.float64), *ANALYSIS_DIMS)
+        eager = to_uint8(resize_bicubic(analysis, *DETECTOR_DIMS))
+        assert pre.detector.dtype == np.uint8 and pre.detector.shape == (608, 608, 3)
+        assert np.array_equal(pre.detector, eager)
+        assert pre.detector is pre.detector  # resized on the first read only
 
 
 def _scenario(duration=120, **kwargs):
@@ -157,6 +180,43 @@ class TestRunPipeline:
         assert all(r.logical.moving for r in rows[6:])
         # bed ROI motion present because the simulator always reports a bed
         assert "bed" in rows[1].motion.magnitudes
+
+    def test_frame_mode_never_resizes_for_the_detector(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the detector-resolution resize ran")
+
+        monkeypatch.setattr(pipeline, "resize_bicubic", refuse)
+        sim = generate(_scenario(duration=4), CFG)
+        stats = run_pipeline(
+            frame_source(sim.frames()), CFG, Store(tmp_path / "store"), detector=SyntheticDetector(sim)
+        )
+        assert stats.rows == 4
+
+    def test_flow_cache_matches_plain_arrays_and_a_gap_drops_it(self, tmp_path, monkeypatch):
+        spec = _scenario(duration=9, schedule=(ScheduleInterval(0, 9, patients=1, motion=1.5),))
+        sim = generate(spec, CFG)
+        frames = [f for f in sim.frames() if f.ts - spec.start_ts not in (4, 5)]  # a 3 s gap
+        real = pipeline.farneback_flow
+        calls = []
+
+        def spy(prev, cur, params):
+            already_expanded = bool(prev.expansions)
+            field = real(prev, cur, params)
+            calls.append((prev, cur, already_expanded, field))
+            return field
+
+        monkeypatch.setattr(pipeline, "farneback_flow", spy)
+        run_pipeline(frame_source(frames), CFG, Store(tmp_path / "store"), detector=SyntheticDetector(sim))
+        # pairs (0,1) (1,2) (2,3), the gap, then (6,7) (7,8)
+        assert len(calls) == 5
+        for prev, cur, _, field in calls:
+            plain = real(prev.gray, cur.gray, CFG.flow)
+            assert np.array_equal(field.dx, plain.dx) and np.array_equal(field.dy, plain.dy)
+        assert [c[2] for c in calls] == [False, True, True, False, True]
+        for before, after in ((0, 1), (1, 2), (3, 4)):
+            assert calls[after][0] is calls[before][1]
+        # the frame before the gap is never a previous frame again
+        assert calls[3][0] is not calls[2][1]
 
     def test_zone_crossings_written(self, tmp_path):
         from ward_sentinel.simulator import OccupantTrack
