@@ -9,7 +9,9 @@ the even-odd rule at pixel centers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -114,8 +116,8 @@ class RoiMask:
 
     def contains(self, x: float, y: float) -> bool:
         """Membership of the pixel under a continuous point, clamped to frame."""
-        px = min(max(int(np.floor(x)), 0), self.width - 1)
-        py = min(max(int(np.floor(y)), 0), self.height - 1)
+        px = min(max(math.floor(x), 0), self.width - 1)
+        py = min(max(math.floor(y), 0), self.height - 1)
         return bool(self.bits[py, px])
 
 
@@ -194,6 +196,11 @@ def anchor_point(b: BoundingBox) -> tuple[float, float]:
     return (b.x + b.w / 2.0, b.y + b.h)
 
 
+@cache
+def _match_gate(width: int, height: int) -> float:
+    return MATCH_GATE_DIAG_FRACTION * float(np.hypot(width, height))
+
+
 def _match_anchors(
     prev_anchors: Sequence[tuple[float, float]],
     cur_anchors: Sequence[tuple[float, float]],
@@ -201,10 +208,11 @@ def _match_anchors(
 ) -> list[tuple[int, int]]:
     """Greedy globally-nearest pairing under a distance gate."""
     pairs = []
-    for i, pa in enumerate(prev_anchors):
-        for j, ca in enumerate(cur_anchors):
-            d = float(np.hypot(pa[0] - ca[0], pa[1] - ca[1]))
-            if d <= gate:
+    for i, (px, py) in enumerate(prev_anchors):
+        for j, (cx, cy) in enumerate(cur_anchors):
+            dx, dy = px - cx, py - cy
+            # hypot is at least max(|dx|, |dy|): no call for a pair that fails on either.
+            if abs(dx) <= gate and abs(dy) <= gate and (d := float(np.hypot(dx, dy))) <= gate:
                 pairs.append((d, i, j))
     pairs.sort()
     used_prev: set[int] = set()
@@ -232,7 +240,7 @@ def detect_crossings(
         raise ValueError("detect_crossings expects consecutive seconds of one session")
     for rec in (prev, cur):
         for b in rec.boxes:
-            if b.x2 > zone.width or b.y2 > zone.height:
+            if b.x + b.w > zone.width or b.y + b.h > zone.height:
                 raise ZoneDimensionMismatch(
                     f"box ({b.x},{b.y},{b.w},{b.h}) exceeds zone dims "
                     f"{zone.width}x{zone.height}; detections and zone mask must "
@@ -242,9 +250,8 @@ def detect_crossings(
     cur_idx = cur.person_indices()
     prev_anchors = [anchor_point(prev.boxes[i]) for i in prev_idx]
     cur_anchors = [anchor_point(cur.boxes[i]) for i in cur_idx]
-    gate = MATCH_GATE_DIAG_FRACTION * float(np.hypot(zone.width, zone.height))
     events = []
-    for pi, ci in _match_anchors(prev_anchors, cur_anchors, gate):
+    for pi, ci in _match_anchors(prev_anchors, cur_anchors, _match_gate(zone.width, zone.height)):
         was_inside = zone.contains(*prev_anchors[pi])
         is_inside = zone.contains(*cur_anchors[ci])
         if was_inside and not is_inside:

@@ -7,8 +7,9 @@ sub-second precision carries no information).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from math import isfinite
+from operator import is_
 from typing import Mapping, Optional
 
 import numpy as np
@@ -25,6 +26,7 @@ DETECTOR_DIMS = (608, 608)
 FLOW_DIMS = (480, 270)
 
 ROLE_SUM_TOL = 1e-9
+_ROLE_SET = frozenset(ROLES)
 
 
 @dataclass(frozen=True)
@@ -60,13 +62,13 @@ class Frame:
         return 3 if self.mode == "RGB" else 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundingBox:
     """Axis-aligned detection box, top-left origin, pixel units.
 
     x/y may be negative before validation; validate_record clamps boxes to
-    frame bounds. Geometry must be finite; width, height and confidence are
-    range-checked on construction.
+    frame bounds. Checked once on construction or decode: geometry must be
+    finite, width and height positive, confidence in [0, 1].
     """
 
     cls: str
@@ -95,50 +97,59 @@ class BoundingBox:
         return self.y + self.h
 
     def clamped(self, frame_w: float, frame_h: float) -> "BoundingBox":
-        """Intersect with the frame rectangle, preserving the far edges."""
-        left = min(max(self.x, 0.0), frame_w)
-        top = min(max(self.y, 0.0), frame_h)
-        right = min(max(self.x2, 0.0), frame_w)
-        bottom = min(max(self.y2, 0.0), frame_h)
-        if right - left <= 0 or bottom - top <= 0:
+        """Intersect with the frame rectangle, preserving the far edges; self if unchanged."""
+        x, y, w, h = self.x, self.y, self.w, self.h
+        # min(max(v, 0.0), frame_w), without the calls: v itself when in range.
+        left = 0.0 if x < 0.0 else frame_w if x > frame_w else x
+        top = 0.0 if y < 0.0 else frame_h if y > frame_h else y
+        new_w = (0.0 if x + w < 0.0 else frame_w if x + w > frame_w else x + w) - left
+        new_h = (0.0 if y + h < 0.0 else frame_h if y + h > frame_h else y + h) - top
+        if new_w <= 0 or new_h <= 0:
             raise MalformedRecord(
-                f"box {self.cls} ({self.x},{self.y},{self.w},{self.h}) "
-                f"lies outside a {frame_w}x{frame_h} frame"
+                f"box {self.cls} ({x},{y},{w},{h}) lies outside a {frame_w}x{frame_h} frame"
             )
-        return replace(self, x=left, y=top, w=right - left, h=bottom - top)
+        # Equal values and types store equal bytes, so the box itself can stay.
+        if (left, top, new_w, new_h, type(new_w), type(new_h)) == (x, y, w, h, type(w), type(h)):
+            return self
+        return BoundingBox(self.cls, left, top, new_w, new_h, self.confidence)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoleDistribution:
     """Per-person scores over {patient, staff, other}, summing to one.
 
+    Checked once on construction or decode, which fixes the primary role.
     Ties in argmax break in the fixed order patient > staff > other: the
     downstream safety logic prefers assuming a patient is present.
     """
 
     scores: Mapping[str, float]
     fallback_uniform: bool = field(default=False, compare=False)
+    _primary: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if set(self.scores) != set(ROLES):
+        if set(self.scores) != _ROLE_SET:
             raise ValueError(f"role scores must cover exactly {ROLES}")
-        for role, s in self.scores.items():
-            if not 0.0 <= s <= 1.0:
-                raise ValueError(f"score for {role} out of [0, 1]: {s}")
-        total = sum(self.scores[r] for r in ROLES)
+        p, s, o = self.scores["patient"], self.scores["staff"], self.scores["other"]
+        if not (0.0 <= p <= 1.0 and 0.0 <= s <= 1.0 and 0.0 <= o <= 1.0):
+            role = next(r for r in ROLES if not 0.0 <= self.scores[r] <= 1.0)
+            raise ValueError(f"score for {role} out of [0, 1]: {self.scores[role]}")
+        total = p + s + o
         if abs(total - 1.0) > ROLE_SUM_TOL:
             raise ValueError(f"role scores sum to {total}, expected 1")
         object.__setattr__(self, "scores", dict(self.scores))
+        primary = "patient" if p >= s and p >= o else "staff" if s >= o else "other"
+        object.__setattr__(self, "_primary", primary)
 
     def primary(self) -> str:
-        return max(ROLES, key=lambda r: (self.scores[r], -ROLES.index(r)))
+        return self._primary
 
     @staticmethod
     def uniform(fallback: bool = False) -> "RoleDistribution":
         return RoleDistribution({r: 1.0 / 3.0 for r in ROLES}, fallback_uniform=fallback)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DetectionRecord:
     """All detections for one session-second.
 
@@ -252,7 +263,7 @@ def validate_record(rec: DetectionRecord, frame_dims: tuple[float, float]) -> De
     The session id must be a single path component. Non-person roles are
     realigned (dropped to None); a person box without a role distribution
     rejects the whole record, as does any box that falls entirely outside the
-    frame.
+    frame. Returns rec itself when no box and no role changed.
     """
     check_session_id(rec.session_id)
     frame_w, frame_h = frame_dims
@@ -273,5 +284,6 @@ def validate_record(rec: DetectionRecord, frame_dims: tuple[float, float]) -> De
         except MalformedRecord as e:
             raise MalformedRecord(f"record {rec.session_id}@{rec.ts}: {e}") from None
         roles.append(role if box.cls == "person" else None)
-    return replace(rec, boxes=tuple(boxes), roles=tuple(roles))
-
+    if all(map(is_, boxes, rec.boxes)) and all(map(is_, roles, rec.roles)):
+        return rec
+    return DetectionRecord(rec.session_id, rec.ts, tuple(boxes), tuple(roles))

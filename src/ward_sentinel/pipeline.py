@@ -55,14 +55,18 @@ MIN_INPUT_DIM = 64
 class PreprocessedFrame:
     """The three working resolutions derived from one captured frame.
 
-    `detector` is resized from the float analysis image on first read and
-    kept from then on, so a detector port that never reads it costs no
-    resize.
+    `analysis` and `detector` are made from the float analysis image on
+    first read and kept from then on, so a detector port that never reads
+    them costs no conversion or resize.
     """
 
-    analysis: np.ndarray  # 1088x612, uint8, original channel count
     flow_gray: np.ndarray  # 480x270, float64 luma
-    analysis_float: np.ndarray  # 1088x612, float64, the source of `detector`
+    analysis_float: np.ndarray  # 1088x612, float64, the source of the others
+
+    @cached_property
+    def analysis(self) -> np.ndarray:
+        """1088x612, uint8, original channel count."""
+        return to_uint8(self.analysis_float)
 
     @cached_property
     def detector(self) -> np.ndarray:
@@ -82,9 +86,7 @@ def preprocess(frame: Frame) -> PreprocessedFrame:
         )
     analysis = resize_bilinear(frame.pixels, *ANALYSIS_DIMS)
     flow_gray = resize_bilinear(to_grayscale(analysis), *FLOW_DIMS)
-    return PreprocessedFrame(
-        analysis=to_uint8(analysis), flow_gray=flow_gray, analysis_float=analysis
-    )
+    return PreprocessedFrame(flow_gray=flow_gray, analysis_float=analysis)
 
 
 @dataclass(frozen=True)

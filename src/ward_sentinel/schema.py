@@ -11,7 +11,8 @@ One object per monitored second:
 motion/logical are absent on ingest and filled by the pipeline. Rows are
 serialized with sorted keys and no whitespace so identical content is
 byte-identical. Floats survive the round trip exactly (repr-based JSON);
-NaN and Infinity are rejected on read.
+NaN and Infinity are rejected on read, and each value is checked once on
+construction or decode.
 """
 
 from __future__ import annotations
@@ -63,8 +64,11 @@ def row_to_obj(row: CanonicalRow) -> dict:
     return obj
 
 
+ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def dumps_row(row: CanonicalRow) -> str:
-    return json.dumps(row_to_obj(row), sort_keys=True, separators=(",", ":"))
+    return ENCODER.encode(row_to_obj(row))
 
 
 def _session_and_ts(obj: dict) -> tuple[str, int]:
@@ -78,15 +82,13 @@ def _session_and_ts(obj: dict) -> tuple[str, int]:
 
 
 def obj_to_row(obj: dict) -> CanonicalRow:
+    """The row of a parsed canonical object; each value is checked once."""
     try:
         session_id, ts = _session_and_ts(obj)
         boxes = tuple(
-            BoundingBox(b["cls"], b["x"], b["y"], b["w"], b["h"], b["conf"])
-            for b in obj["boxes"]
+            [BoundingBox(b["cls"], b["x"], b["y"], b["w"], b["h"], b["conf"]) for b in obj["boxes"]]
         )
-        roles = tuple(
-            None if r is None else RoleDistribution(r) for r in obj["roles"]
-        )
+        roles = tuple([None if r is None else RoleDistribution(r) for r in obj["roles"]])
         record = DetectionRecord(session_id, ts, boxes, roles)
         motion = None
         if obj.get("motion") is not None:
@@ -131,20 +133,14 @@ def loads_row(line: str) -> CanonicalRow:
 def obj_to_label(obj: dict) -> FrameLabel:
     try:
         session_id, ts = _session_and_ts(obj)
-        boxes = []
-        roles = []
-        for b in obj["boxes"]:
-            boxes.append(
-                BoundingBox(
-                    b["cls"], b["x"], b["y"], b["w"], b["h"], b.get("conf", 1.0)
-                )
-            )
-            roles.append(b.get("role"))
         return FrameLabel(
             session_id=session_id,
             ts=ts,
-            boxes=tuple(boxes),
-            roles=tuple(roles),
+            boxes=tuple(
+                BoundingBox(b["cls"], b["x"], b["y"], b["w"], b["h"], b.get("conf", 1.0))
+                for b in obj["boxes"]
+            ),
+            roles=tuple(b.get("role") for b in obj["boxes"]),
             in_bed=obj.get("in_bed"),
             exceptions=tuple(obj.get("exceptions", ())),
         )

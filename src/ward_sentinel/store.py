@@ -18,19 +18,22 @@ from __future__ import annotations
 import hashlib
 import json
 from datetime import datetime, timezone
+from functools import cache
 from pathlib import Path
 from typing import Iterator, Optional
 
 from .errors import NonMonotonicTimestamp, SchemaMismatch, ValidationError
 from .geometry import CrossingEvent
 from .model import check_session_id
-from .schema import SCHEMA_VERSION, CanonicalRow, dumps_row, jsonl_lines, loads_row
+from .schema import ENCODER, SCHEMA_VERSION, CanonicalRow, dumps_row, jsonl_lines, loads_row
 
 MANIFEST_NAME = "manifest.json"
 
 
-def _date_str(ts: int) -> str:
-    return datetime.fromtimestamp(ts, tz=timezone.utc).date().isoformat()
+@cache
+def _date_str(day: int) -> str:
+    """The UTC date of a day number, ts // 86400."""
+    return datetime.fromtimestamp(day * 86400, tz=timezone.utc).date().isoformat()
 
 
 def _sha256(data: bytes) -> str:
@@ -120,19 +123,17 @@ class SessionWriter:
                 f"session {self.session_id}: ts {rec.ts} after {self._last_ts}"
             )
         self._last_ts = rec.ts
-        self._rows.setdefault(_date_str(rec.ts), []).append(dumps_row(row))
+        self._rows.setdefault(_date_str(rec.ts // 86400), []).append(dumps_row(row))
 
     def append_crossing(self, event: CrossingEvent) -> None:
         self._crossings.append(
-            json.dumps(
+            ENCODER.encode(
                 {
                     "session_id": event.session_id,
                     "ts": event.ts,
                     "direction": event.direction,
                     "person_index": event.person_index,
-                },
-                sort_keys=True,
-                separators=(",", ":"),
+                }
             )
         )
 

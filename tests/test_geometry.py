@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
@@ -13,6 +15,7 @@ from ward_sentinel.geometry import (
     expand_polygon,
     rasterize,
 )
+from ward_sentinel import geometry
 from ward_sentinel.model import BoundingBox, DetectionRecord
 
 from conftest import person_box, role_dist
@@ -126,6 +129,16 @@ class TestRasterize:
     def test_scene_mask_is_all_ones(self):
         assert RoiMask.scene(8, 4).count() == 32
 
+    def test_contains_reads_the_pixel_under_the_point_clamped_to_the_frame(self):
+        bits = np.arange(12).reshape(3, 4) % 3 == 0
+        mask = RoiMask("safety_zone", 4, 3, bits)
+        coords = (-1e9, -1.0, -0.5, -1e-300, -0.0, 0.0, 0.999, 1.0, 2.5, 2.9999999999999996, 3.0, 4.0, 1e9, np.float64(1.5))
+        for x in coords:
+            for y in coords:
+                px = min(max(int(np.floor(x)), 0), 3)
+                py = min(max(int(np.floor(y)), 0), 2)
+                assert mask.contains(x, y) is bool(bits[py, px])
+
 
 class TestBedRoi:
     def test_highest_confidence_bed_wins(self):
@@ -181,6 +194,22 @@ def _person_record(session, ts, anchors):
     return DetectionRecord(session, ts, tuple(boxes), tuple(roles))
 
 
+def _match_by_hypot_of_every_pair(prev_anchors, cur_anchors, gate):
+    """Oracle: greedy nearest matching with np.hypot computed for every pair."""
+    pairs = sorted(
+        (float(np.hypot(pa[0] - ca[0], pa[1] - ca[1])), i, j)
+        for i, pa in enumerate(prev_anchors)
+        for j, ca in enumerate(cur_anchors)
+    )
+    used_prev, used_cur, matches = set(), set(), []
+    for d, i, j in pairs:
+        if d <= gate and i not in used_prev and j not in used_cur:
+            used_prev.add(i)
+            used_cur.add(j)
+            matches.append((i, j))
+    return matches
+
+
 class TestDetectCrossings:
     zone = rasterize(Polygon(((40, 40), (160, 40), (160, 160), (40, 160))), 200, 200)
 
@@ -233,6 +262,34 @@ class TestDetectCrossings:
         cur = _person_record("s", 11, [(100, 100)])
         with pytest.raises(ZoneDimensionMismatch):
             detect_crossings(prev, cur, small)
+
+    def test_zone_dimension_mismatch_in_prev_only(self):
+        small = rasterize(Polygon(((1, 1), (50, 1), (50, 50))), 120, 120)
+        prev = _person_record("s", 10, [(100, 130)])  # box bottom at y=130
+        cur = _person_record("s", 11, [(100, 100)])
+        assert detect_crossings(cur, _person_record("s", 12, [(100, 100)]), small) == []
+        with pytest.raises(ZoneDimensionMismatch):
+            detect_crossings(prev, cur, small)
+
+    def test_matching_equals_hypot_of_every_pair(self, rng):
+        gate = 0.15 * float(np.hypot(1088, 612))
+        origin = [(0.0, 0.0)]
+        cases = [(origin, [(gate, 0.0)], gate), (origin, [(0.0, -gate)], gate), (origin, [(gate, 1e-12)], gate)]
+        for _ in range(2000):
+            n, m = rng.integers(0, 5, size=2)
+            centre = rng.uniform(0, 1088), rng.uniform(0, 612)
+            spread = rng.choice((0.2, 1.0, 2.0)) * gate
+            anchors = ([tuple(map(float, centre + rng.uniform(-spread, spread, 2))) for _ in range(k)] for k in (n, m))
+            cases.append((*anchors, gate))
+        # Where math.hypot and np.hypot differ in the last bit, a gate at the
+        # smaller of the two matches only if the distance is np.hypot's.
+        while len(cases) < 2030:
+            dx, dy = (float(v) for v in rng.uniform(-100, 100, 2))
+            if math.hypot(dx, dy) != float(np.hypot(dx, dy)):
+                cases.append((origin, [(dx, dy)], min(math.hypot(dx, dy), float(np.hypot(dx, dy)))))
+        for prev_anchors, cur_anchors, g in cases:
+            want = _match_by_hypot_of_every_pair(prev_anchors, cur_anchors, g)
+            assert geometry._match_anchors(prev_anchors, cur_anchors, g) == want
 
     def test_directions_alternate_along_a_walk(self):
         # one anchor strolling in and out repeatedly, steps under the gate

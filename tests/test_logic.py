@@ -9,9 +9,9 @@ from ward_sentinel.logic import (
     attribute_roles,
     derive_state,
 )
-from ward_sentinel.model import PipelineConfig
+from ward_sentinel.model import ROLES, BoundingBox, DetectionRecord, PipelineConfig
 
-from conftest import make_record, random_stream
+from conftest import make_record, random_stream, role_dist
 
 
 def brute_force_state(records_by_ts, motions_by_ts, ts, cfg):
@@ -174,6 +174,31 @@ class TestOracleEquivalence:
                 got = derive_state(w, cfg)
                 expected = brute_force_state(by_ts, motions, rec.ts, cfg)
                 assert got == expected  # exact, including the float average
+
+    def test_unvalidated_records_equal_brute_force(self):
+        # Persons without a role, non-person boxes with one, and roles tuples
+        # shorter or longer than the boxes: the window judges them as
+        # person_count and has_primary_role do.
+        cfg = PipelineConfig()
+        rng = np.random.default_rng(5)
+        by_ts, w = {}, SmoothingWindow(cfg.smoothing_window_s)
+        for ts in range(400):
+            n = int(rng.integers(0, 5))
+            classes = [str(rng.choice(("person", "bed", "chair"))) for _ in range(n)]
+            boxes = tuple(BoundingBox(c, 10.0, 10.0, 5.0, 5.0, 0.5) for c in classes)
+            m = n + int(rng.integers(-2, 2)) if rng.uniform() < 0.3 else n
+            roles = tuple(
+                None if rng.uniform() < 0.3 else role_dist(str(rng.choice(ROLES)))
+                for _ in range(max(m, 0))
+            )
+            rec = by_ts[ts] = DetectionRecord("s", ts, boxes, roles)
+            w.push(rec)
+            assert derive_state(w, cfg) == brute_force_state(by_ts, {}, ts, cfg)
+
+    def test_every_person_box_counts_without_a_role(self):
+        w = SmoothingWindow(5)
+        w.push(DetectionRecord("s", 0, (BoundingBox("person", 10.0, 10.0, 5.0, 5.0, 0.5),), ()))
+        assert derive_state(w, PipelineConfig()).smoothed_person_count == 1.0
 
     def test_patient_alone_implies_person_alone(self):
         cfg = PipelineConfig()

@@ -1,11 +1,14 @@
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ward_sentinel.errors import MalformedRecord, SchemaMismatch
 from ward_sentinel.model import (
+    ANALYSIS_DIMS,
+    ROLES,
     BoundingBox,
     DetectionRecord,
     Frame,
@@ -69,6 +72,13 @@ def test_role_distribution_sum_enforced():
         RoleDistribution({"patient": 0.5, "staff": 0.5, "other": 0.1})
     with pytest.raises(ValueError):
         RoleDistribution({"patient": 1.0, "staff": 0.0})
+
+
+def test_role_distribution_range_enforced_when_the_sum_is_one():
+    with pytest.raises(ValueError, match=r"score for patient out of \[0, 1\]: 1.25"):
+        RoleDistribution({"patient": 1.25, "staff": -0.125, "other": -0.125})
+    with pytest.raises(ValueError, match=r"score for other out of \[0, 1\]: -0.5"):
+        RoleDistribution({"other": -0.5, "patient": 0.75, "staff": 0.75})
 
 
 def test_role_distribution_tie_breaks_patient_first():
@@ -195,3 +205,202 @@ def test_obj_to_label_rejects_what_obj_to_row_rejects(override, message):
     row = json.loads(dumps_row(CanonicalRow(make_record("s", 1709251200))))
     with pytest.raises(SchemaMismatch, match=re.escape(f"bad canonical row: {message}")):
         loads_row(json.dumps(dict(row, **override)))
+
+
+# ---- each value checked once ----------------------------------------------
+
+
+def _clamped_by_replace(box, frame_w, frame_h):
+    """Oracle: the clamp as it was, rebuilding every box through replace()."""
+    left = min(max(box.x, 0.0), frame_w)
+    top = min(max(box.y, 0.0), frame_h)
+    right = min(max(box.x2, 0.0), frame_w)
+    bottom = min(max(box.y2, 0.0), frame_h)
+    return replace(box, x=left, y=top, w=right - left, h=bottom - top)
+
+
+def _fields(box):
+    values = (box.cls, box.x, box.y, box.w, box.h, box.confidence)
+    return values, tuple(map(type, values))
+
+
+def test_clamped_equals_the_replace_oracle_and_reuses_unchanged_boxes(rng):
+    frame = (1088, 612)
+    boxes = [
+        BoundingBox("bed", 5, 5, 10, 10, 0.9),  # ints: rebuilt fields equal, box kept
+        BoundingBox("bed", 5.0, 5.0, 10, 10, 0.9),  # (x + w) - x is 10.0, not 10: rebuilt
+        BoundingBox("person", 0.0, -0.0, 1088.0, 612.0, 0.5),
+        BoundingBox("chair", -0.0, 3.5, 4.0, 2.0, 0.5),
+        # Far edges exactly on the frame: the edge keeps the box's own type.
+        BoundingBox("bed", 88, 12, 1000.0, 600.0, 0.9),
+        BoundingBox("bed", 88.0, 12.0, 1000, 600, 0.9),
+        BoundingBox("chair", 1000, 600, 88, 12, 0.5),
+        BoundingBox("chair", 1000, 600, 100, 50, 0.5),  # past the far edges: ints
+    ]
+    for _ in range(3000):
+        x, y = rng.uniform(-300, 1200), rng.uniform(-300, 700)
+        w, h = rng.uniform(1e-6, 800) ** rng.choice((1.0, 0.5)), rng.uniform(1e-6, 500)
+        boxes.append(BoundingBox("person", float(x), float(y), float(w), float(h), 0.5))
+    kept = rebuilt = 0
+    for box in boxes:
+        try:
+            want = _clamped_by_replace(box, *frame)
+        except ValueError:  # the oracle's constructor refuses a box outside the frame
+            with pytest.raises(MalformedRecord):
+                box.clamped(*frame)
+            continue
+        got = box.clamped(*frame)
+        assert _fields(got) == _fields(want)
+        assert dumps_row(CanonicalRow(DetectionRecord("s", 1, (got,), (None,)))) == dumps_row(
+            CanonicalRow(DetectionRecord("s", 1, (want,), (None,)))
+        )
+        if _fields(want) == _fields(box):
+            assert got is box
+            kept += 1
+        else:
+            assert got is not box and got == want
+            rebuilt += 1
+        assert got.clamped(*frame) is got  # a clamped box clamps to itself
+    assert boxes[0].clamped(*frame) is boxes[0]
+    assert type(boxes[1].clamped(*frame).w) is float
+    assert kept and rebuilt
+
+
+def _argmax_role(scores):
+    """Oracle: the argmax over ROLES with ties broken patient > staff > other."""
+    return max(ROLES, key=lambda r: (scores[r], -ROLES.index(r)))
+
+
+def test_primary_role_is_the_tie_broken_argmax(rng):
+    grid = (0.0, 0.25, 0.5, 1 / 3, 0.125, 0.375, 0.75, 1.0)
+    dists = [{"patient": a, "staff": b, "other": 1.0 - a - b} for a in grid for b in grid if a + b <= 1.0]
+    dists.append({r: 1.0 / 3.0 for r in ROLES})
+    for _ in range(500):
+        p = rng.dirichlet((0.5, 0.5, 0.5))
+        dists.append(dict(zip(ROLES, map(float, p))))
+    for scores in dists:
+        try:
+            dist = RoleDistribution(scores)
+        except ValueError:
+            continue
+        assert dist.primary() == _argmax_role(scores)
+    assert RoleDistribution.uniform().primary() == "patient"
+
+
+def test_validate_record_returns_the_record_when_nothing_changes():
+    rec = DetectionRecord("s", 3, (BoundingBox("bed", 5, 5, 10, 10, 0.9),), (None,))
+    assert validate_record(rec, (100, 100)) is rec
+    out = validate_record(make_record("s", 3, ["patient", "staff"]), ANALYSIS_DIMS)
+    assert validate_record(out, ANALYSIS_DIMS) is out
+    moved = DetectionRecord("s", 3, (BoundingBox("bed", -5, 5, 10, 10, 0.9),), (None,))
+    assert validate_record(moved, (100, 100)) is not moved
+    retyped = DetectionRecord("s", 3, (BoundingBox("bed", 5.0, 5.0, 10, 10, 0.9),), (None,))
+    out = validate_record(retyped, (100, 100))
+    assert out is not retyped and dumps_row(CanonicalRow(out)).count('"w":10.0') == 1
+    realigned = DetectionRecord("s", 3, (BoundingBox("bed", 5, 5, 10, 10, 0.9),), (role_dist("staff"),))
+    assert validate_record(realigned, (100, 100)).roles == (None,)
+
+
+def _constructed_row(obj: dict) -> CanonicalRow:
+    """Oracle: a parsed object built through the public constructors only,
+    with the decoder's session_id/ts and motion-key rules."""
+    session_id, ts = obj["session_id"], obj["ts"]
+    if type(session_id) is not str or type(ts) is not int:
+        raise TypeError("session_id/ts type")
+    boxes = tuple(BoundingBox(b["cls"], b["x"], b["y"], b["w"], b["h"], b["conf"]) for b in obj["boxes"])
+    roles = tuple(None if r is None else RoleDistribution(r) for r in obj["roles"])
+    motion = logical = None
+    if obj.get("motion") is not None:
+        if set(obj["motion"]) - {"scene", "bed", "safety_zone"}:
+            raise ValueError("unknown motion key")
+        motion = MotionRecord(session_id, ts, obj["motion"])
+    if obj.get("logical") is not None:
+        lg = obj["logical"]
+        flags = ("person_alone", "patient_alone", "supervised_by_staff", "moving")
+        logical = LogicalState(
+            session_id, ts, *(bool(lg[k]) for k in flags), float(lg["smoothed_person_count"])
+        )
+    return CanonicalRow(DetectionRecord(session_id, ts, boxes, roles), motion, logical)
+
+
+def _valid_lines(rng, n=40):
+    lines = []
+    for k in range(n):
+        primaries = [str(rng.choice(ROLES)) for _ in range(int(rng.integers(0, 4)))]
+        rec = validate_record(make_record("s", 1_700_000_000 + k, primaries, bed=bool(k % 2)), ANALYSIS_DIMS)
+        motion = MotionRecord("s", rec.ts, {"scene": float(rng.uniform(0, 2)), "bed": 0.25})
+        alone = len(primaries) < 2
+        state = LogicalState("s", rec.ts, alone, alone and "patient" in primaries, False, True, float(len(primaries)))
+        lines.append(dumps_row(CanonicalRow(rec, motion if k % 3 else None, state if k % 4 else None)))
+    lines.append('{"boxes":[{"cls":"bed","conf":1,"h":20,"w":10,"x":5,"y":0}],"roles":[null],"session_id":"s","ts":7}')
+    return lines
+
+
+def _mutations(obj, rng):
+    """(name, mutated copy) pairs, each changing one field of a valid row."""
+    persons = [i for i, r in enumerate(obj["roles"]) if r is not None]
+    i = int(rng.integers(len(obj["boxes"]))) if obj["boxes"] else None
+    p = int(rng.choice(persons)) if persons else None
+    role = str(rng.choice(ROLES))
+    out = []
+
+    def mutate(name, edit):
+        copy = json.loads(json.dumps(obj))
+        edit(copy)
+        out.append((name, copy))
+
+    if i is not None:
+        for key in ("x", "y", "w", "h", "conf"):
+            mutate(f"box.{key}=inf", lambda o, key=key: o["boxes"][i].__setitem__(key, float("inf")))
+        mutate("conf<0", lambda o: o["boxes"][i].__setitem__("conf", -0.01))
+        mutate("conf>1", lambda o: o["boxes"][i].__setitem__("conf", 1.5))
+        mutate("w=0", lambda o: o["boxes"][i].__setitem__("w", 0))
+        mutate("h<0", lambda o: o["boxes"][i].__setitem__("h", -2.5))
+        mutate("cls", lambda o: o["boxes"][i].__setitem__("cls", "dog"))
+        mutate("no-conf", lambda o: o["boxes"][i].pop("conf"))
+        mutate("x-str", lambda o: o["boxes"][i].__setitem__("x", "1.0"))
+    if p is not None:
+        mutate("role=inf", lambda o: o["roles"][p].__setitem__(role, float("inf")))
+        mutate("roles-sum-1.15", lambda o: o["roles"][p].__setitem__(role, o["roles"][p][role] + 0.15))
+        mutate("role-missing", lambda o: o["roles"][p].pop(role))
+        mutate("role-extra", lambda o: o["roles"][p].__setitem__("visitor", 0.0))
+        mutate("role<0", lambda o: o["roles"][p].__setitem__(role, -0.05))
+        mutate("roles-list", lambda o: o["roles"].__setitem__(p, list(ROLES)))
+        out_of_range = {"patient": 1.25, "staff": -0.125, "other": -0.125}  # sums to exactly 1
+        mutate("roles-out-of-range", lambda o: o["roles"].__setitem__(p, out_of_range))
+    mutate("ts-bool", lambda o: o.__setitem__("ts", True))
+    mutate("ts-float", lambda o: o.__setitem__("ts", float(o["ts"])))
+    mutate("session-int", lambda o: o.__setitem__("session_id", 7))
+    mutate("motion-key", lambda o: o.__setitem__("motion", {"scene": 0.5, "hall": 0.1}))
+    mutate("motion=inf", lambda o: o.__setitem__("motion", {"scene": float("inf")}))
+    if "logical" in obj:
+        mutate("count=inf", lambda o: o["logical"].__setitem__("smoothed_person_count", float("inf")))
+    return out
+
+
+def test_loads_row_rejects_exactly_what_the_constructors_reject(rng):
+    kinds = set()
+    for line in _valid_lines(rng):
+        for name, obj in [("valid", json.loads(line))] + _mutations(json.loads(line), rng):
+            # Non-finite values are written as 1e999, which json parses as inf.
+            text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+            text = text.replace("-Infinity", "-1e999").replace("Infinity", "1e999")
+            try:
+                want = _constructed_row(json.loads(text))
+            except (KeyError, TypeError, ValueError):
+                with pytest.raises(SchemaMismatch):
+                    loads_row(text)
+                kinds.add(name)
+                continue
+            got = loads_row(text)
+            assert got == want and dumps_row(got) == dumps_row(want), name
+    assert {"box.w=inf", "conf>1", "h<0", "roles-sum-1.15", "role-missing", "role-extra"} <= kinds
+    assert {"cls", "ts-bool", "ts-float", "motion-key", "count=inf", "roles-list"} <= kinds
+
+
+def test_valid_rows_round_trip_byte_for_byte_and_validate_once(rng):
+    for line in _valid_lines(rng):
+        row = loads_row(line)
+        assert dumps_row(row) == line
+        once = validate_record(row.record, ANALYSIS_DIMS)
+        assert validate_record(once, ANALYSIS_DIMS) is once

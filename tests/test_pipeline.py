@@ -111,6 +111,14 @@ class TestPreprocess:
         assert np.array_equal(pre.detector, eager)
         assert pre.detector is pre.detector  # resized on the first read only
 
+    def test_lazy_analysis_equals_the_eager_conversion(self, rng):
+        pixels = rng.integers(0, 256, size=(540, 960, 3), dtype=np.uint8)
+        pre = preprocess(Frame("s", 0, 960, 540, "RGB", pixels))
+        eager = to_uint8(resize_bilinear(pixels.astype(np.float64), *ANALYSIS_DIMS))
+        assert pre.analysis.dtype == np.uint8 and pre.analysis.shape == (612, 1088, 3)
+        assert np.array_equal(pre.analysis, eager)
+        assert pre.analysis is pre.analysis  # converted on the first read only
+
 
 def _scenario(duration=120, **kwargs):
     schedule = kwargs.pop(
@@ -186,6 +194,17 @@ class TestRunPipeline:
             raise AssertionError("the detector-resolution resize ran")
 
         monkeypatch.setattr(pipeline, "resize_bicubic", refuse)
+        sim = generate(_scenario(duration=4), CFG)
+        stats = run_pipeline(
+            frame_source(sim.frames()), CFG, Store(tmp_path / "store"), detector=SyntheticDetector(sim)
+        )
+        assert stats.rows == 4
+
+    def test_frame_mode_never_converts_the_analysis_image(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the analysis image was converted to uint8")
+
+        monkeypatch.setattr(pipeline, "to_uint8", refuse)
         sim = generate(_scenario(duration=4), CFG)
         stats = run_pipeline(
             frame_source(sim.frames()), CFG, Store(tmp_path / "store"), detector=SyntheticDetector(sim)
