@@ -26,7 +26,7 @@ from .errors import (
 )
 from .logic import LogicalState
 from .model import BoundingBox, CLASSES, DetectionRecord, PipelineConfig
-from .trends import ObservationLog, log_to_states, _utc
+from .trends import ObservationLog, log_to_states, _utc_hour
 
 RIDGE = 1e-6
 GRAD_TOL = 1e-8
@@ -368,7 +368,7 @@ def manual_accuracy(x: Sequence[float], y: Sequence[float]) -> float:
 
 
 def _period_of(ts: int, cfg: PipelineConfig) -> str:
-    hour = _utc(ts).hour
+    hour = _utc_hour(ts // 3600)[1]
     return "day" if cfg.day_start_hour <= hour < cfg.night_start_hour else "night"
 
 
@@ -390,7 +390,7 @@ def trend_accuracy(
     truth = log_to_states(log, grid)
     by_day: dict[date, list[tuple[int, bool, bool]]] = {}
     for s, y in zip(states, truth):
-        by_day.setdefault(_utc(s.ts).date(), []).append((s.ts, s.patient_alone, y))
+        by_day.setdefault(_utc_hour(s.ts // 3600)[0], []).append((s.ts, s.patient_alone, y))
 
     rows = []
     for day, entries in sorted(by_day.items()):

@@ -81,6 +81,12 @@ def _session_and_ts(obj: dict) -> tuple[str, int]:
     return session_id, ts
 
 
+def _check_number(value, name: str) -> None:
+    """A stored magnitude or count is a JSON number: bool and str are not."""
+    if type(value) is not float and type(value) is not int:
+        raise TypeError(f"{name} must be a number, got {value!r}")
+
+
 def obj_to_row(obj: dict) -> CanonicalRow:
     """The row of a parsed canonical object; each value is checked once."""
     try:
@@ -92,18 +98,26 @@ def obj_to_row(obj: dict) -> CanonicalRow:
         record = DetectionRecord(session_id, ts, boxes, roles)
         motion = None
         if obj.get("motion") is not None:
-            unknown = set(obj["motion"]) - set(_MOTION_KEYS)
+            mags = obj["motion"]
+            if type(mags) is not dict:
+                raise TypeError(f"motion must be an object, got {mags!r}")
+            unknown = set(mags) - set(_MOTION_KEYS)
             if unknown:
                 raise SchemaMismatch(f"unknown motion keys {sorted(unknown)}")
-            motion = MotionRecord(session_id, ts, obj["motion"])
+            for k, v in mags.items():
+                _check_number(v, f"motion {k}")
+            motion = MotionRecord(session_id, ts, mags)
         logical = None
         if obj.get("logical") is not None:
             lg = obj["logical"]
+            flags = {k: lg[k] for k in _LOGICAL_FLAGS}
+            for k, v in flags.items():
+                if type(v) is not bool:
+                    raise TypeError(f"logical {k} must be true or false, got {v!r}")
+            count = lg["smoothed_person_count"]
+            _check_number(count, "smoothed_person_count")
             logical = LogicalState(
-                session_id=session_id,
-                ts=ts,
-                smoothed_person_count=float(lg["smoothed_person_count"]),
-                **{k: bool(lg[k]) for k in _LOGICAL_FLAGS},
+                session_id=session_id, ts=ts, smoothed_person_count=float(count), **flags
             )
         return CanonicalRow(record, motion, logical)
     except SchemaMismatch:

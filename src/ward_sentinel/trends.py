@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
+from functools import cache
 from typing import Iterable, Optional, Sequence
 
 from .errors import IntervalOutOfBounds, OverlappingIntervals, UnsortedInput, ValidationError
@@ -25,8 +26,11 @@ COHORT_CSV_HEADER = (
 OBSLOG_CSV_HEADER = "session_id,start_ts,end_ts"
 
 
-def _utc(ts: int) -> datetime:
-    return datetime.fromtimestamp(ts, tz=timezone.utc)
+@cache
+def _utc_hour(hour: int) -> tuple[date, int]:
+    """The UTC (date, hour of day) of an hour number, ts // 3600."""
+    dt = datetime.fromtimestamp(hour * 3600, tz=timezone.utc)
+    return dt.date(), dt.hour
 
 
 @dataclass(frozen=True)
@@ -89,8 +93,7 @@ def _flags(state: LogicalState, alone: bool) -> dict[str, bool]:
 def _aggregate(session_id: str, rows: Iterable[tuple[int, dict[str, bool]]]) -> list[HourlyTrend]:
     buckets: dict[tuple[date, int], dict] = {}
     for ts, flags in rows:
-        dt = _utc(ts)
-        key = (dt.date(), dt.hour)
+        key = _utc_hour(ts // 3600)
         bucket = buckets.setdefault(key, {"seconds": 0, **{k: 0 for k in TREND_KEYS}})
         bucket["seconds"] += 1
         for k in TREND_KEYS:

@@ -5,6 +5,7 @@ line with its measured numbers. Tolerances are pinned here, not configurable.
 import hashlib
 import json
 import time
+from datetime import datetime, timezone
 
 import numpy as np
 
@@ -199,9 +200,8 @@ def test_criterion_4_trend_conservation(tmp_path):
         alone_sec: dict = {}
         not_alone_sec: dict = {}
         for s in states:
-            from ward_sentinel.trends import _utc
-
-            key = (_utc(s.ts).date(), _utc(s.ts).hour)
+            dt = datetime.fromtimestamp(s.ts, tz=timezone.utc)
+            key = (dt.date(), dt.hour)
             alone_sec[key] = alone_sec.get(key, 0) + s.patient_alone
             not_alone_sec[key] = not_alone_sec.get(key, 0) + (not s.patient_alone)
         for key, t in by_key.items():

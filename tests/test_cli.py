@@ -389,6 +389,13 @@ def test_bad_input_file_exits_two(tmp_path, spec_path, capsys, kind, content):
 
 
 T0 = 1709251200
+LOGICAL = {
+    "person_alone": True,
+    "patient_alone": True,
+    "supervised_by_staff": False,
+    "moving": False,
+    "smoothed_person_count": 1.0,
+}
 BAD_ROW_KEYS = {
     "session-int": ({"session_id": 5}, "bad canonical row: session_id must be a string, got 5"),
     "session-escapes-root": (
@@ -402,6 +409,15 @@ BAD_ROW_KEYS = {
     "ts-float": ({"ts": T0 + 1.4}, f"bad canonical row: ts must be an integer, got {T0 + 1.4!r}"),
     "ts-string": ({"ts": str(T0 + 1)}, f"bad canonical row: ts must be an integer, got '{T0 + 1}'"),
     "ts-bool": ({"ts": True}, "bad canonical row: ts must be an integer, got True"),
+    "flag-string": (
+        {"logical": {**LOGICAL, "person_alone": "false"}},
+        "bad canonical row: logical person_alone must be true or false, got 'false'",
+    ),
+    "count-string": (
+        {"logical": {**LOGICAL, "smoothed_person_count": "1.5"}},
+        "bad canonical row: smoothed_person_count must be a number, got '1.5'",
+    ),
+    "motion-bool": ({"motion": {"scene": True}}, "bad canonical row: motion scene must be a number, got True"),
 }
 
 

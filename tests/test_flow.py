@@ -1,4 +1,5 @@
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from ward_sentinel.flow import (
     FlowFrame,
     _bilinear_warp,
     _displacement_update,
+    _level_image,
+    _pyramid_dims,
     farneback_flow,
     polynomial_expansion,
     roi_motion,
@@ -45,7 +48,6 @@ class TestPolynomialExpansion:
     def test_constant_image(self):
         pe = polynomial_expansion(np.full((40, 60), 55.0), 5, 1.2)
         inner = np.s_[5:-5, 5:-5]
-        assert np.allclose(pe.c[inner], 55.0)
         for plane in (pe.bx, pe.by, pe.axx, pe.ayy, pe.axy):
             assert np.allclose(plane[inner], 0.0, atol=1e-10)
 
@@ -68,7 +70,6 @@ class TestPolynomialExpansion:
         pe = polynomial_expansion(gray, 5, 1.2)
         for cx, cy in [(10, 10), (30, 20), (50, 30)]:
             ref = lsq_fit_oracle(gray, cx, cy, 5, 1.2)
-            assert pe.c[cy, cx] == pytest.approx(ref["c"], abs=1e-8)
             assert pe.bx[cy, cx] == pytest.approx(ref["bx"], abs=1e-8)
             assert pe.by[cy, cx] == pytest.approx(ref["by"], abs=1e-8)
             assert pe.axx[cy, cx] == pytest.approx(ref["axx"], abs=1e-8)
@@ -166,7 +167,7 @@ class TestBilinearWarp:
     def _assert_matches_map_coordinates(self, rng, cy, cx):
         h, w = self.H, self.W
         cy, cx = np.clip(cy, 0, h - 1), np.clip(cx, 0, w - 1)
-        warp = _bilinear_warp(cy, cx)
+        warp = _bilinear_warp(cy, cx, (h, w))
         for plane in (texture(rng, h, w), rng.normal(0.0, 1e3, (h, w))):
             ref = ndimage.map_coordinates(plane, [cy, cx], order=1, mode="nearest")
             assert np.array_equal(warp(plane), ref)
@@ -220,6 +221,203 @@ class TestDisplacementUpdateOracle:
             ref = map_coordinates_update(poly1, poly2, dx, dy, 15)
             assert np.array_equal(new[0], ref[0]) and np.array_equal(new[1], ref[1])
             dx, dy = new
+
+
+# The row-at-a-time polynomial expansion, warp and update as they were before
+# the banded update and the shared horizontal passes, copied verbatim (the
+# expansion returns its planes in a namespace). The current code must match
+# them bit for bit.
+
+
+def oracle_polynomial_expansion(gray, poly_n, poly_sigma):
+    gray = np.asarray(gray, dtype=np.float64)
+    n = poly_n // 2
+    t = np.arange(-n, n + 1, dtype=np.float64)
+    g = np.exp(-(t * t) / (2.0 * poly_sigma * poly_sigma))
+    g /= g.sum()
+    tg = t * g
+    ttg = t * t * g
+
+    def corr(img, wx, wy):
+        tmp = ndimage.correlate1d(img, wx, axis=1, mode="nearest")
+        return ndimage.correlate1d(tmp, wy, axis=0, mode="nearest")
+
+    p1 = corr(gray, g, g)
+    px = corr(gray, tg, g)
+    py = corr(gray, g, tg)
+    pxx = corr(gray, ttg, g)
+    pyy = corr(gray, g, ttg)
+    pxy = corr(gray, tg, tg)
+
+    m2 = float(np.sum(ttg))
+    m4 = float(np.sum(t * t * ttg))
+    m22 = m2 * m2
+    # (c, axx, ayy) couple through the shared even moments.
+    coupling = np.linalg.inv(
+        np.array([[1.0, m2, m2], [m2, m4, m22], [m2, m22, m4]])
+    )
+    c = coupling[0, 0] * p1 + coupling[0, 1] * pxx + coupling[0, 2] * pyy
+    axx = coupling[1, 0] * p1 + coupling[1, 1] * pxx + coupling[1, 2] * pyy
+    ayy = coupling[2, 0] * p1 + coupling[2, 1] * pxx + coupling[2, 2] * pyy
+    return SimpleNamespace(c=c, bx=px / m2, by=py / m2, axx=axx, ayy=ayy, axy=pxy / m22)
+
+
+def oracle_bilinear_warp(cy, cx):
+    h, w = cy.shape
+    fy, fx = np.floor(cy), np.floor(cx)
+    wy0 = 1.0 - (cy - fy)
+    wx0 = 1.0 - (cx - fx)
+    wy1, wx1 = 1.0 - wy0, 1.0 - wx0
+    iy, ix = fy.astype(np.intp), fx.astype(np.intp)
+    del fy, fx
+    # The far neighbour clamps to the last row or column, where its weight is 0.
+    right = ix < w - 1
+    i00 = iy * w + ix
+    i01 = i00 + right
+    i10 = i00 + np.where(iy < h - 1, w, 0)
+    i11 = i10 + right
+    del iy, ix, right
+
+    def warp(plane):
+        flat = plane.ravel()
+        out = (flat.take(i00) * wy0) * wx0
+        out += (flat.take(i01) * wy0) * wx1
+        out += (flat.take(i10) * wy1) * wx0
+        out += (flat.take(i11) * wy1) * wx1
+        return out
+
+    return warp
+
+
+def oracle_displacement_update(poly1, poly2, dx0, dy0, winsize):
+    h, w = dx0.shape
+    wx = np.arange(w, dtype=np.float64) + dx0
+    wy = np.arange(h, dtype=np.float64)[:, None] + dy0
+    inside = (wx >= 0) & (wx <= w - 1) & (wy >= 0) & (wy <= h - 1)
+    warp = oracle_bilinear_warp(np.clip(wy, 0, h - 1), np.clip(wx, 0, w - 1))
+    del wx, wy
+
+    p = 0.5 * (poly1.axx + warp(poly2.axx))
+    r = 0.5 * (poly1.ayy + warp(poly2.ayy))
+    q = 0.25 * (poly1.axy + warp(poly2.axy))
+    hx = -0.5 * (warp(poly2.bx) - poly1.bx)
+    hy = -0.5 * (warp(poly2.by) - poly1.by)
+    del warp
+    # Where the warp leaves the frame there is no data term: fall back to the
+    # single-frame quadratic and let the prior displacement carry through.
+    p = np.where(inside, p, poly1.axx)
+    r = np.where(inside, r, poly1.ayy)
+    q = np.where(inside, q, 0.5 * poly1.axy)
+    hx = np.where(inside, hx, 0.0) + p * dx0 + q * dy0
+    hy = np.where(inside, hy, 0.0) + q * dx0 + r * dy0
+
+    m11 = p * p + q * q
+    m12 = q * (p + r)
+    m22 = q * q + r * r
+    mx = p * hx + q * hy
+    my = q * hx + r * hy
+    blur = lambda a: ndimage.uniform_filter(a, size=winsize, mode="nearest")
+    m11, m12, m22, mx, my = blur(m11), blur(m12), blur(m22), blur(mx), blur(my)
+
+    det = m11 * m22 - m12 * m12 + SOLVE_REGULARIZATION
+    return (m22 * mx - m12 * my) / det, (m11 * my - m12 * mx) / det
+
+
+def oracle_flow(prev, cur, params=FlowParams()):
+    """farneback_flow composed from the oracle expansion and update."""
+    height, width = prev.shape
+    dims = _pyramid_dims(width, height, params)
+
+    def expand(gray):
+        return [
+            oracle_polynomial_expansion(
+                _level_image(gray, params.pyr_scale**k, w, h), params.poly_n, params.poly_sigma
+            )
+            for k, (w, h) in enumerate(dims)
+        ]
+
+    polys1, polys2 = expand(prev), expand(cur)
+    dx = dy = None
+    for k in range(len(dims) - 1, -1, -1):
+        w, h = dims[k]
+        if dx is None:
+            dx, dy = np.zeros((h, w)), np.zeros((h, w))
+        else:
+            prev_h, prev_w = dx.shape
+            dx = resize_bilinear(dx, w, h) * (w / prev_w)
+            dy = resize_bilinear(dy, w, h) * (h / prev_h)
+        for _ in range(params.iterations):
+            dx, dy = oracle_displacement_update(polys1[k], polys2[k], dx, dy, params.winsize)
+    return dx, dy
+
+
+PLANES = ("bx", "by", "axx", "ayy", "axy")
+
+
+def _textured_pair(rng, h, w):
+    img1 = texture(rng, h, w)
+    shift = (int(rng.integers(-4, 5)), int(rng.integers(-4, 5)))
+    return img1, np.roll(img1, shift, (0, 1)) + rng.normal(0.0, 2.0, (h, w))
+
+
+class TestBitEqualToRowAtATimeOracle:
+    @pytest.mark.parametrize("h,w", [(16, 16), (17, 23), (67, 120), (270, 480)])
+    @pytest.mark.parametrize("poly_n,poly_sigma", [(5, 1.2), (7, 1.5)])
+    def test_expansion_planes(self, rng, h, w, poly_n, poly_sigma):
+        gray = texture(rng, h, w)
+        got = polynomial_expansion(gray, poly_n, poly_sigma)
+        ref = oracle_polynomial_expansion(gray, poly_n, poly_sigma)
+        for name in PLANES:
+            assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+
+    def test_expansion_writes_into_the_given_block(self, rng):
+        gray = texture(rng, 30, 41)
+        block = np.full((5, 30, 41), np.nan)
+        got = polynomial_expansion(gray, 5, 1.2, block)
+        ref = oracle_polynomial_expansion(gray, 5, 1.2)
+        for plane, name in zip(block, PLANES):
+            assert np.shares_memory(getattr(got, name), plane)
+            assert np.array_equal(plane, getattr(ref, name)), name
+
+    # Heights below, at and off a multiple of the band height; displacements
+    # up to +-20 px push many warps out of the frame on every side.
+    @pytest.mark.parametrize(
+        "h,w", [(16, 16), (17, 23), (32, 40), (67, 120), (135, 240), (270, 480), (271, 481)]
+    )
+    def test_update(self, rng, h, w):
+        img1, img2 = _textured_pair(rng, h, w)
+        poly1 = oracle_polynomial_expansion(img1, 5, 1.2)
+        poly2 = oracle_polynomial_expansion(img2, 5, 1.2)
+        dx = rng.uniform(-20.0, 20.0, (h, w))
+        dy = rng.uniform(-20.0, 20.0, (h, w))
+        dx[: h // 3], dy[: h // 3] = rng.uniform(-1.0, 1.0, (2, h // 3, w))  # mostly inside
+        for _ in range(3):
+            new = _displacement_update(poly1, poly2, dx, dy, 15)
+            ref = oracle_displacement_update(poly1, poly2, dx, dy, 15)
+            assert np.array_equal(new[0], ref[0]) and np.array_equal(new[1], ref[1])
+            dx, dy = new
+
+    def test_update_with_every_warp_inside(self, rng):
+        h, w = 90, 160
+        img1, img2 = _textured_pair(rng, h, w)
+        poly1 = oracle_polynomial_expansion(img1, 5, 1.2)
+        poly2 = oracle_polynomial_expansion(img2, 5, 1.2)
+        dx = np.zeros((h, w))
+        dy = np.zeros((h, w))
+        new = _displacement_update(poly1, poly2, dx, dy, 15)
+        ref = oracle_displacement_update(poly1, poly2, dx, dy, 15)
+        assert np.array_equal(new[0], ref[0]) and np.array_equal(new[1], ref[1])
+
+    def test_farneback_flow_through_flow_frames(self, rng):
+        h, w = 270, 480
+        frames = [texture(rng, h, w)]
+        for shift in ((2, 1), (-3, 0)):
+            frames.append(np.roll(frames[-1], shift, (1, 0)) + rng.normal(0.0, 1.0, (h, w)))
+        cached = [FlowFrame(f) for f in frames]
+        for a, b, fa, fb in zip(frames, frames[1:], cached, cached[1:]):
+            field = farneback_flow(fa, fb)
+            ref_dx, ref_dy = oracle_flow(a, b)
+            assert np.array_equal(field.dx, ref_dx) and np.array_equal(field.dy, ref_dy)
 
 
 class TestFlowFrame:

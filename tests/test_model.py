@@ -303,7 +303,9 @@ def test_validate_record_returns_the_record_when_nothing_changes():
 
 def _constructed_row(obj: dict) -> CanonicalRow:
     """Oracle: a parsed object built through the public constructors only,
-    with the decoder's session_id/ts and motion-key rules."""
+    with the decoder's session_id/ts, motion-key and value-type rules: the
+    logical flags are JSON booleans, the count and the motion magnitudes JSON
+    numbers."""
     session_id, ts = obj["session_id"], obj["ts"]
     if type(session_id) is not str or type(ts) is not int:
         raise TypeError("session_id/ts type")
@@ -311,15 +313,20 @@ def _constructed_row(obj: dict) -> CanonicalRow:
     roles = tuple(None if r is None else RoleDistribution(r) for r in obj["roles"])
     motion = logical = None
     if obj.get("motion") is not None:
+        if not isinstance(obj["motion"], dict):
+            raise TypeError("motion is not an object")
         if set(obj["motion"]) - {"scene", "bed", "safety_zone"}:
             raise ValueError("unknown motion key")
+        if not all(type(v) in (int, float) for v in obj["motion"].values()):
+            raise TypeError("motion value type")
         motion = MotionRecord(session_id, ts, obj["motion"])
     if obj.get("logical") is not None:
         lg = obj["logical"]
-        flags = ("person_alone", "patient_alone", "supervised_by_staff", "moving")
-        logical = LogicalState(
-            session_id, ts, *(bool(lg[k]) for k in flags), float(lg["smoothed_person_count"])
-        )
+        flags = [lg[k] for k in ("person_alone", "patient_alone", "supervised_by_staff", "moving")]
+        count = lg["smoothed_person_count"]
+        if not all(type(f) is bool for f in flags) or type(count) not in (int, float):
+            raise TypeError("logical value type")
+        logical = LogicalState(session_id, ts, *flags, float(count))
     return CanonicalRow(DetectionRecord(session_id, ts, boxes, roles), motion, logical)
 
 
@@ -373,8 +380,19 @@ def _mutations(obj, rng):
     mutate("session-int", lambda o: o.__setitem__("session_id", 7))
     mutate("motion-key", lambda o: o.__setitem__("motion", {"scene": 0.5, "hall": 0.1}))
     mutate("motion=inf", lambda o: o.__setitem__("motion", {"scene": float("inf")}))
+    mutate("motion-bool", lambda o: o.__setitem__("motion", {"scene": True}))
+    mutate("motion-str", lambda o: o.__setitem__("motion", {"scene": "0.5", "bed": 0.25}))
+    mutate("motion-list", lambda o: o.__setitem__("motion", []))
+    mutate("motion-int", lambda o: o.__setitem__("motion", {"scene": 1, "bed": 0}))
     if "logical" in obj:
         mutate("count=inf", lambda o: o["logical"].__setitem__("smoothed_person_count", float("inf")))
+        mutate("count-str", lambda o: o["logical"].__setitem__("smoothed_person_count", "1.5"))
+        mutate("count-bool", lambda o: o["logical"].__setitem__("smoothed_person_count", True))
+        mutate("count-int", lambda o: o["logical"].__setitem__("smoothed_person_count", 2))
+        flag = str(rng.choice(["person_alone", "patient_alone", "supervised_by_staff", "moving"]))
+        mutate("flag-str", lambda o: o["logical"].__setitem__(flag, "false"))
+        mutate("flag-int", lambda o: o["logical"].__setitem__(flag, int(o["logical"][flag])))
+        mutate("flag-null", lambda o: o["logical"].__setitem__(flag, None))
     return out
 
 
@@ -396,6 +414,9 @@ def test_loads_row_rejects_exactly_what_the_constructors_reject(rng):
             assert got == want and dumps_row(got) == dumps_row(want), name
     assert {"box.w=inf", "conf>1", "h<0", "roles-sum-1.15", "role-missing", "role-extra"} <= kinds
     assert {"cls", "ts-bool", "ts-float", "motion-key", "count=inf", "roles-list"} <= kinds
+    assert {"motion-bool", "motion-str", "motion-list", "count-str", "count-bool"} <= kinds
+    assert {"flag-str", "flag-int", "flag-null"} <= kinds
+    assert not {"motion-int", "count-int"} & kinds
 
 
 def test_valid_rows_round_trip_byte_for_byte_and_validate_once(rng):

@@ -1,3 +1,5 @@
+from datetime import datetime, timezone
+
 import pytest
 
 from ward_sentinel.errors import IntervalOutOfBounds, OverlappingIntervals, UnsortedInput
@@ -12,6 +14,7 @@ from ward_sentinel.trends import (
     read_observation_csv,
     write_observation_csv,
     write_trend_csv,
+    _utc_hour,
 )
 
 MIDNIGHT = 1709251200  # 2024-03-01T00:00:00Z
@@ -27,6 +30,17 @@ def make_state(ts, alone=False, supervised=False, moving=False, session="s"):
         moving=moving,
         smoothed_person_count=1.0 if alone else 2.0,
     )
+
+
+def test_utc_hour_matches_datetime_across_day_boundaries(rng):
+    days = rng.integers(-400, 40_000, 400) * 86400
+    offsets = rng.choice([0, 1, 3599, 3600, 43_200, 86_399], 400)
+    jitter = rng.integers(-2, 3, 400)
+    stamps = [int(t) for t in days + offsets + jitter]
+    stamps += [int(t) for t in rng.integers(-(2**33), 2**33, 2000)]
+    for ts in stamps:
+        dt = datetime.fromtimestamp(ts, tz=timezone.utc)
+        assert _utc_hour(ts // 3600) == (dt.date(), dt.hour), ts
 
 
 class TestAggregateHourly:
