@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from math import inf
 from typing import Mapping, Optional
 
@@ -53,7 +54,14 @@ class FlowField:
                 raise ValueError("flow planes must be finite")
 
     def magnitude(self) -> np.ndarray:
-        return np.hypot(self.dx, self.dy)
+        """Per-pixel |d|, computed on the first call and shared read-only."""
+        return self._magnitude
+
+    @cached_property
+    def _magnitude(self) -> np.ndarray:
+        mag = np.hypot(self.dx, self.dy)
+        mag.flags.writeable = False
+        return mag
 
 
 @dataclass(frozen=True)
@@ -405,7 +413,8 @@ def roi_motion(flow: FlowField, mask: RoiMask) -> float:
     """Mean per-pixel flow magnitude |d| inside a mask.
 
     Averaging magnitudes rather than vectors keeps opposing motions from
-    canceling.
+    canceling. The magnitude plane is computed once per field and shared by
+    every ROI of it.
     """
     if (mask.width, mask.height) != (flow.width, flow.height):
         raise DimensionMismatch(
@@ -414,4 +423,4 @@ def roi_motion(flow: FlowField, mask: RoiMask) -> float:
     bits = mask.bits
     if not bits.any():
         raise EmptyMask(f"ROI mask {mask.kind!r} selects no pixels")
-    return float(np.hypot(flow.dx[bits], flow.dy[bits]).mean())
+    return float(flow.magnitude()[bits].mean())

@@ -6,14 +6,15 @@ ingest adapters feed one parse-validate loop that rejects a bad row by its line.
 Per-session inference state is the smoothing window and the previous flow
 frame, a FlowFrame that keeps the polynomial expansions of its pyramid levels
 from the pair it was the current frame of, so each frame is expanded once; a
-gap of more than one second drops it. The detector-resolution image is
-resized only when a detector port reads `PreprocessedFrame.detector`, and
-after detection only the flow image of a frame is kept. The store writer
-stages every row until the run ends, so memory grows with run length, and
-resuming a session on the same UTC date rewrites that date's segment
-(ROADMAP.md, item 3). Sessions are independent; within a session the stages
-are strictly sequential (flow needs the previous frame, the window needs
-order).
+gap of more than one second drops it. Preprocessing builds the flow image
+straight from the captured pixels; the 1088x612 analysis image, and the
+detector-resolution image made from it, are resized only when a detector
+port reads `PreprocessedFrame.analysis` or `.detector`. After detection only
+the flow image of a frame is kept. The store writer stages every row until
+the run ends, so memory grows with run length, and resuming a session on the
+same UTC date rewrites that date's segment (ROADMAP.md, item 3). Sessions
+are independent; within a session the stages are strictly sequential (flow
+needs the previous frame, the window needs order).
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ import numpy as np
 from .errors import AdapterError, MalformedRecord, SchemaMismatch, TooSmallInput, UnknownAdapter, ValidationError
 from .flow import FlowFrame, MotionRecord, farneback_flow, roi_motion
 from .geometry import Polygon, RoiMask, bed_roi_from_detection, detect_crossings, expand_polygon, rasterize
-from .imageops import resize_bilinear, resize_bicubic, to_grayscale, to_uint8
+from .imageops import resize_bilinear, resize_bicubic, resize_luma_via, to_uint8
+from .imageops import to_grayscale  # noqa: F401  (a lookup site perfbench/spans.py wraps)
 from .logic import SmoothingWindow, attribute_roles, derive_state
 from .model import (
     ANALYSIS_DIMS,
@@ -55,13 +57,19 @@ MIN_INPUT_DIM = 64
 class PreprocessedFrame:
     """The three working resolutions derived from one captured frame.
 
-    `analysis` and `detector` are made from the float analysis image on
-    first read and kept from then on, so a detector port that never reads
-    them costs no conversion or resize.
+    Only the flow image is made up front, straight from the captured pixels.
+    The float analysis image, and `analysis` and `detector` made from it, are
+    built on first read and kept from then on, so a detector port that never
+    reads them costs no resize or conversion.
     """
 
     flow_gray: np.ndarray  # 480x270, float64 luma
-    analysis_float: np.ndarray  # 1088x612, float64, the source of the others
+    pixels: np.ndarray  # the captured frame, (height, width, channels) uint8
+
+    @cached_property
+    def analysis_float(self) -> np.ndarray:
+        """1088x612, float64 (bilinear), the source of the two below."""
+        return resize_bilinear(self.pixels, *ANALYSIS_DIMS)
 
     @cached_property
     def analysis(self) -> np.ndarray:
@@ -75,18 +83,20 @@ class PreprocessedFrame:
 
 
 def preprocess(frame: Frame) -> PreprocessedFrame:
-    """Resize a captured frame to the fixed working resolutions.
+    """Derive the working resolutions of a captured frame.
 
-    Bicubic resampling feeds the detector; everything else is bilinear.
-    Aspect ratios are not letterboxed (fixed output resolutions).
+    The 480x270 flow image is the BT.601 luma of the bilinear 1088x612
+    analysis image, resized bilinearly, and is computed without building that
+    image (bit for bit the same). The analysis image is bilinear and the
+    detector image bicubic from it, both made on first read. Aspect ratios
+    are not letterboxed (fixed output resolutions).
     """
     if min(frame.width, frame.height) < MIN_INPUT_DIM:
         raise TooSmallInput(
             f"frame {frame.width}x{frame.height} below minimum {MIN_INPUT_DIM}px"
         )
-    analysis = resize_bilinear(frame.pixels, *ANALYSIS_DIMS)
-    flow_gray = resize_bilinear(to_grayscale(analysis), *FLOW_DIMS)
-    return PreprocessedFrame(flow_gray=flow_gray, analysis_float=analysis)
+    flow_gray = resize_luma_via(frame.pixels, *ANALYSIS_DIMS, *FLOW_DIMS)
+    return PreprocessedFrame(flow_gray=flow_gray, pixels=frame.pixels)
 
 
 @dataclass(frozen=True)

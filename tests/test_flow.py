@@ -18,11 +18,11 @@ from ward_sentinel.flow import (
     polynomial_expansion,
     roi_motion,
 )
-from ward_sentinel.geometry import RoiMask
+from ward_sentinel.geometry import Polygon, RoiMask, bed_roi_from_detection, expand_polygon, rasterize
 from ward_sentinel.imageops import resize_bilinear, to_grayscale
 from ward_sentinel.model import FlowParams
 
-from conftest import shifted_pair, texture
+from conftest import make_record, shifted_pair, texture
 
 
 def lsq_fit_oracle(gray, cx, cy, n, sigma):
@@ -496,6 +496,27 @@ class TestRoiMotion:
         dx = np.array([[1.0, -1.0]])
         dy = np.zeros((1, 2))
         assert roi_motion(self._field(dx, dy), RoiMask.scene(2, 1)) == pytest.approx(1.0)
+
+    def test_bit_equal_to_hypot_of_the_masked_pixels(self, rng):
+        h, w = 270, 480
+        dx, dy = rng.normal(0.0, 2.0, (2, h, w))
+        field = self._field(dx, dy)
+        zone = expand_polygon(Polygon(((180, 110), (330, 110), (330, 250), (180, 250))), 0.1)
+        masks = [
+            RoiMask.scene(w, h),
+            bed_roi_from_detection(make_record("s", 0), w, h),
+            rasterize(zone, w, h),
+            RoiMask("bed", w, h, rng.uniform(size=(h, w)) < 0.3),
+        ]
+        for mask in masks:
+            bits = mask.bits
+            assert roi_motion(field, mask) == float(np.hypot(dx[bits], dy[bits]).mean())
+
+    def test_magnitude_is_computed_once_and_read_only(self, rng):
+        field = self._field(*rng.normal(size=(2, 27, 48)))
+        mag = field.magnitude()
+        assert field.magnitude() is mag and not mag.flags.writeable
+        assert np.array_equal(mag, np.hypot(field.dx, field.dy))
 
     def test_empty_mask_raises(self):
         f = self._field(np.zeros((4, 4)), np.zeros((4, 4)))

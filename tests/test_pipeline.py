@@ -15,8 +15,15 @@ from ward_sentinel.errors import (
 )
 from ward_sentinel import pipeline
 from ward_sentinel.flow import MotionRecord
-from ward_sentinel.imageops import resize_bicubic, resize_bilinear, to_uint8
-from ward_sentinel.model import ANALYSIS_DIMS, DETECTOR_DIMS, Frame, PipelineConfig
+from ward_sentinel.imageops import (
+    _luma_plan,
+    resize_bicubic,
+    resize_bilinear,
+    resize_luma_via,
+    to_grayscale,
+    to_uint8,
+)
+from ward_sentinel.model import ANALYSIS_DIMS, DETECTOR_DIMS, FLOW_DIMS, Frame, PipelineConfig
 from ward_sentinel.pipeline import (
     DetectorOutput,
     DetectorPort,
@@ -65,6 +72,44 @@ class TestResize:
         img = np.array([[0.0, 100.0], [50.0, 150.0]])
         out = resize_bilinear(img, 1, 1)
         assert out[0, 0] == pytest.approx(75.0)
+
+    # Downscales on both stages, the identity first stage, upscales, sizes off
+    # the band height and an extreme aspect ratio.
+    @pytest.mark.parametrize(
+        "w,h", [(960, 540), (1920, 1080), (1088, 612), (640, 480), (481, 271), (2000, 90), (64, 64)]
+    )
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_luma_via_is_byte_equal_to_the_two_stage_formula(self, rng, w, h, channels):
+        img = rng.integers(0, 256, size=(h, w, channels), dtype=np.uint8)
+        got = resize_luma_via(img, *ANALYSIS_DIMS, *FLOW_DIMS)
+        ref = resize_bilinear(to_grayscale(resize_bilinear(img, *ANALYSIS_DIMS)), *FLOW_DIMS)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize(
+        "shape,mid,out",
+        [
+            ((50, 70, 3), (70, 50), (70, 50)),  # both stages the same size
+            ((50, 70), (131, 97), (33, 47)),  # 2-D input, up then down
+            ((90, 61, 3), (40, 200), (300, 7)),  # opposite directions per axis
+            ((17, 23, 1), (23, 17), (480, 270)),  # identity, then upscale
+        ],
+    )
+    def test_luma_via_other_sizes(self, rng, shape, mid, out):
+        img = rng.integers(0, 256, size=shape, dtype=np.uint8)
+        ref = resize_bilinear(to_grayscale(resize_bilinear(img, *mid)), *out)
+        assert resize_luma_via(img, *mid, *out).tobytes() == ref.tobytes()
+
+    def test_luma_plan_is_cached_and_read_only(self):
+        plan = _luma_plan(960, 540, *ANALYSIS_DIMS, *FLOW_DIMS)
+        assert _luma_plan(960, 540, *ANALYSIS_DIMS, *FLOW_DIMS) is plan
+        x1, x2, bands = plan
+        _, ins, y1, y2 = bands[0]
+        for taps in (x1, x2, y1, y2):
+            assert not any(a.flags.writeable for a in taps)
+        assert not ins.flags.writeable
+        # 960 of the 1088 intermediate columns are read, 480 x 2 taps
+        assert len(x1[0]) == 960
 
     def test_bicubic_constant_preserved(self):
         img = np.full((64, 64), 113.0)
@@ -118,6 +163,17 @@ class TestPreprocess:
         assert pre.analysis.dtype == np.uint8 and pre.analysis.shape == (612, 1088, 3)
         assert np.array_equal(pre.analysis, eager)
         assert pre.analysis is pre.analysis  # converted on the first read only
+
+    @pytest.mark.parametrize("mode,channels", [("NIR", 1), ("RGB", 3)])
+    def test_analysis_image_is_built_on_first_read_only(self, rng, mode, channels):
+        pixels = rng.integers(0, 256, size=(540, 960, channels), dtype=np.uint8)
+        pre = preprocess(Frame("s", 0, 960, 540, mode, pixels))
+        ref = resize_bilinear(to_grayscale(resize_bilinear(pixels, *ANALYSIS_DIMS)), *FLOW_DIMS)
+        assert pre.flow_gray.tobytes() == ref.tobytes()
+        assert "analysis_float" not in pre.__dict__
+        analysis = pre.analysis_float
+        assert "analysis_float" in pre.__dict__ and pre.analysis_float is analysis
+        assert analysis.tobytes() == resize_bilinear(pixels, *ANALYSIS_DIMS).tobytes()
 
 
 def _scenario(duration=120, **kwargs):
@@ -205,6 +261,18 @@ class TestRunPipeline:
             raise AssertionError("the analysis image was converted to uint8")
 
         monkeypatch.setattr(pipeline, "to_uint8", refuse)
+        sim = generate(_scenario(duration=4), CFG)
+        stats = run_pipeline(
+            frame_source(sim.frames()), CFG, Store(tmp_path / "store"), detector=SyntheticDetector(sim)
+        )
+        assert stats.rows == 4
+
+    def test_frame_mode_never_builds_the_analysis_image(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the analysis image was built")
+
+        monkeypatch.setattr(pipeline, "resize_bilinear", refuse)
+        monkeypatch.setattr(pipeline, "to_grayscale", refuse)
         sim = generate(_scenario(duration=4), CFG)
         stats = run_pipeline(
             frame_source(sim.frames()), CFG, Store(tmp_path / "store"), detector=SyntheticDetector(sim)
