@@ -26,7 +26,8 @@ from .pipeline import (
     rows_source,
     run_pipeline,
 )
-from .schema import SCHEMA_VERSION, CanonicalRow, read_labels_jsonl, read_rows_jsonl, write_rows_jsonl
+from .schema import SCHEMA_VERSION, CanonicalRow, loads_row, parse_jsonl
+from .schema import read_labels_jsonl, read_rows_jsonl, write_rows_jsonl
 from .simulator import generate, spec_from_dict
 from .store import Store
 
@@ -61,11 +62,14 @@ def _write_json(obj: dict, path: Path) -> None:
 
 
 def _read_states(source: str):
-    """Logical states grouped by session from a store dir or a JSONL file."""
+    """Logical states grouped by session from a verified store dir or a JSONL file."""
     path = Path(source)
-    rows = (
-        list(Store(path).iter_rows()) if path.is_dir() else read_rows_jsonl(path)
-    )
+    if path.is_dir():
+        store = Store(path)
+        store.verify()
+        rows = store.iter_rows()
+    else:
+        rows = parse_jsonl(path, loads_row)
     by_session: dict[str, list] = {}
     for row in rows:
         if row.logical is not None:

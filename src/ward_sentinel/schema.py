@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .errors import SchemaMismatch
 from .evaluation import FrameLabel
@@ -171,24 +171,30 @@ def jsonl_lines(path) -> Iterator[tuple[int, str]]:
                 yield i, line
 
 
-def read_labels_jsonl(path) -> list[FrameLabel]:
-    labels = []
+def parse_jsonl(path, parse: Callable[[str], object]) -> Iterator:
+    """parse(line) for each non-blank line of a file; a SchemaMismatch names path:line."""
     for i, line in jsonl_lines(path):
         try:
-            labels.append(obj_to_label(json.loads(line)))
-        except (json.JSONDecodeError, SchemaMismatch) as e:
+            item = parse(line)
+        except SchemaMismatch as e:
             raise SchemaMismatch(f"{path}:{i}: {e}") from None
-    return labels
+        yield item
+
+
+def _label(line: str) -> FrameLabel:
+    try:
+        return obj_to_label(json.loads(line))
+    except json.JSONDecodeError as e:
+        raise SchemaMismatch(str(e)) from None
+
+
+def read_labels_jsonl(path) -> list[FrameLabel]:
+    return list(parse_jsonl(path, _label))
 
 
 def read_rows_jsonl(path) -> list[CanonicalRow]:
-    rows = []
-    for i, line in jsonl_lines(path):
-        try:
-            rows.append(loads_row(line))
-        except SchemaMismatch as e:
-            raise SchemaMismatch(f"{path}:{i}: {e}") from None
-    return rows
+    """A list on purpose: a lazy reader measured slower on replay (CHANGES.md)."""
+    return list(parse_jsonl(path, loads_row))
 
 
 def write_rows_jsonl(rows, path) -> None:

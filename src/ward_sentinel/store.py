@@ -11,6 +11,10 @@ session again on the same date overwrites that date's segment. The manifest
 records a sha256 and row count per segment so integrity is checkable
 offline. Writing the same content twice yields byte-identical files, which
 makes re-ingest idempotent.
+
+Readers follow the manifest, not the directory: `iter_rows` and `verify`
+share one walk of its keys, which must read sessions/<session id>/<name>.jsonl
+and must exist on disk, and a file the manifest does not list is never read.
 """
 
 from __future__ import annotations
@@ -22,10 +26,10 @@ from functools import cache
 from pathlib import Path
 from typing import Iterator, Optional
 
-from .errors import NonMonotonicTimestamp, SchemaMismatch, ValidationError
+from .errors import MalformedRecord, NonMonotonicTimestamp, ValidationError
 from .geometry import CrossingEvent
 from .model import check_session_id
-from .schema import ENCODER, SCHEMA_VERSION, CanonicalRow, dumps_row, jsonl_lines, loads_row
+from .schema import ENCODER, SCHEMA_VERSION, CanonicalRow, dumps_row, loads_row, parse_jsonl
 
 MANIFEST_NAME = "manifest.json"
 
@@ -36,8 +40,30 @@ def _date_str(day: int) -> str:
     return datetime.fromtimestamp(day * 86400, tz=timezone.utc).date().isoformat()
 
 
+def _key_parts(rel: str) -> list[str]:
+    """A manifest key's path parts; it must read sessions/<session id>/<name>.jsonl."""
+    parts = rel.split("/")
+    if len(parts) == 3 and parts[0] == "sessions" and parts[2].endswith(".jsonl"):
+        try:
+            check_session_id(parts[1])
+            check_session_id(parts[2])
+            return parts
+        except MalformedRecord:
+            pass
+    raise ValidationError(f"manifest segment key {rel!r} is not sessions/<session id>/<name>.jsonl")
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _file_sha256(path: Path) -> str:
+    """_sha256 of a file's bytes, read in 1 MiB chunks so no segment is held whole."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 class Store:
@@ -50,9 +76,16 @@ class Store:
         return self.root / MANIFEST_NAME
 
     def load_manifest(self) -> dict:
-        if not self.manifest_path.exists():
+        path = self.manifest_path
+        if not path.exists():
             return {"schema_version": SCHEMA_VERSION, "segments": {}}
-        manifest = json.loads(self.manifest_path.read_text())
+        try:
+            manifest = json.loads(path.read_text())
+        except ValueError as e:
+            raise ValidationError(f"{path}: invalid JSON: {e}") from None
+        segments = manifest.get("segments") if isinstance(manifest, dict) else None
+        if not isinstance(segments, dict) or not all(type(e) is dict for e in segments.values()):
+            raise ValidationError(f"{path}: not an object whose 'segments' maps keys to objects")
         if manifest.get("schema_version") != SCHEMA_VERSION:
             raise ValidationError(
                 f"store schema version {manifest.get('schema_version')} != {SCHEMA_VERSION}"
@@ -69,37 +102,29 @@ class Store:
         check_session_id(session_id)
         return SessionWriter(self, session_id)
 
-    def session_ids(self) -> list[str]:
-        sessions_dir = self.root / "sessions"
-        if not sessions_dir.exists():
-            return []
-        return sorted(p.name for p in sessions_dir.iterdir() if p.is_dir())
+    def _segments(self) -> list[tuple[str, Path, dict]]:
+        """(key, path, entry) of each manifest segment, by session then file name."""
+        segments = self.load_manifest()["segments"]
+        walk = [(rel, self.root / rel, segments[rel]) for rel in sorted(segments, key=_key_parts)]
+        for rel, path, _ in walk:
+            if not path.exists():
+                raise ValidationError(f"manifest segment missing on disk: {rel}")
+        return walk
 
     def iter_rows(self, session_id: Optional[str] = None) -> Iterator[CanonicalRow]:
-        """Rows in (session, date) order; within a segment, file order."""
-        sessions = [session_id] if session_id else self.session_ids()
-        for sid in sessions:
-            for seg in sorted((self.root / "sessions" / sid).glob("*.jsonl")):
-                if seg.name == "crossings.jsonl":
-                    continue
-                for i, line in jsonl_lines(seg):
-                    try:
-                        row = loads_row(line)
-                    except SchemaMismatch as e:
-                        raise SchemaMismatch(f"{seg}:{i}: {e}") from None
-                    yield row
+        """Rows of the manifest's date segments by session, then date, then line."""
+        for _, path, _ in self._segments():
+            if path.name == "crossings.jsonl" or session_id not in (None, path.parent.name):
+                continue
+            yield from parse_jsonl(path, loads_row)
 
     def verify(self) -> int:
         """Recompute segment hashes against the manifest; return segment count."""
-        manifest = self.load_manifest()
-        for rel, meta in manifest["segments"].items():
-            path = self.root / rel
-            if not path.exists():
-                raise ValidationError(f"manifest segment missing on disk: {rel}")
-            digest = _sha256(path.read_bytes())
-            if digest != meta["sha256"]:
+        segments = self._segments()
+        for rel, path, entry in segments:
+            if _file_sha256(path) != entry.get("sha256"):
                 raise ValidationError(f"segment hash mismatch: {rel}")
-        return len(manifest["segments"])
+        return len(segments)
 
 
 class SessionWriter:

@@ -364,17 +364,28 @@ BAD_INPUTS = {
     "log-wrong-header": ("log", "session,start,end\nroomA,1709251200,1709251300\n"),
     "labels-float-ts": ("labels", {"session_id": "roomA", "ts": 1709251200.9, "boxes": []}),
     "labels-int-session": ("labels", {"session_id": 7, "ts": True, "boxes": []}),
+    "labels-not-json": ("labels", '{"session_id": "roomA", "ts": 1709251200, "boxes": []}\n\n{not json'),
+    "preds-not-json": ("preds", "\n{not json"),
+    "detections-bad-row": ("detections", '{"session_id": 5}'),
+    "states-not-json": ("states", "\n\n{not json"),
+    "evaluate-states-bad-row": ("evaluate-states", '\n{"session_id": "roomA"}'),
 }
+JSONL_KINDS = {"labels", "preds", "detections", "states", "evaluate-states"}
 
 
 @pytest.mark.parametrize("kind,content", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
 def test_bad_input_file_exits_two(tmp_path, spec_path, capsys, kind, content):
     bad = tmp_path / "bad.txt"
-    bad.write_text(content if isinstance(content, str) else json.dumps(content))
+    text = content if isinstance(content, str) else json.dumps(content)
+    bad.write_text(text)
     states = tmp_path / "states.jsonl"
     ts = 1709251200
     alone = LogicalState("roomA", ts, True, True, False, False, 1.0)
     write_rows_jsonl([CanonicalRow(make_record("roomA", ts, ["patient"]), logical=alone)], states)
+    labels = tmp_path / "labels.jsonl"
+    labels.write_text(json.dumps({"session_id": "roomA", "ts": ts, "boxes": []}) + "\n")
+    log = tmp_path / "log.csv"
+    log.write_text(f"session_id,start_ts,end_ts\nroomA,{ts},{ts + 60}\n")
     out = str(tmp_path / "out")
     argv = {
         "config": ["--config", str(bad), "simulate", "--spec", str(spec_path), "--out", out],
@@ -382,10 +393,17 @@ def test_bad_input_file_exits_two(tmp_path, spec_path, capsys, kind, content):
         "scenario": ["run", "--scenario", str(bad), "--out", out],
         "log": ["evaluate", "trends", "--log", str(bad), "--states", str(states), "--out", out],
         "labels": ["evaluate", "frames", "--labels", str(bad), "--preds", str(states), "--out", out],
+        "preds": ["evaluate", "frames", "--labels", str(labels), "--preds", str(bad), "--out", out],
+        "detections": ["run", "--detections", str(bad), "--out", out],
+        "states": ["trends", "--states", str(bad), "--out", out],
+        "evaluate-states": ["evaluate", "trends", "--log", str(log), "--states", str(bad), "--out", out],
     }[kind]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("validation error: ") and str(bad) in err
+    if kind in JSONL_KINDS:  # the bad line is the file's last; blank lines count
+        last_line = text.count("\n") + 1
+        assert err.startswith(f"validation error: {bad}:{last_line}: ")
 
 
 T0 = 1709251200
@@ -461,3 +479,69 @@ def test_run_detections_rejects_bad_row_key(tmp_path, capsys, override, message)
     assert err.startswith("validation error: ") and message in err
     assert "Traceback" not in err
     assert all(store_dir in p.parents for p in _files(tmp_path) - before)
+
+
+def _two_session_store(tmp_path):
+    """A store of sessions roomA and roomB with logical states, and an observation log."""
+    store = Store(tmp_path / "store")
+    for sid in ("roomA", "roomB"):
+        w = store.writer(sid)
+        for ts in range(T0, T0 + 120):
+            alone = LogicalState(sid, ts, True, True, False, False, 1.0)
+            w.append(CanonicalRow(make_record(sid, ts, ["patient"]), logical=alone))
+        w.seal()
+    log = tmp_path / "log.csv"
+    log.write_text(f"session_id,start_ts,end_ts\nroomA,{T0},{T0 + 60}\nroomB,{T0},{T0 + 60}\n")
+    return store, log
+
+
+def _drop_last_row(path):
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+
+
+STORE_DAMAGE = {
+    "tampered": (_drop_last_row, "segment hash mismatch: sessions/roomB/2024-03-01.jsonl"),
+    "missing": (lambda p: p.unlink(), "manifest segment missing on disk: sessions/roomB/2024-03-01.jsonl"),
+}
+
+
+@pytest.mark.parametrize("damage,message", STORE_DAMAGE.values(), ids=STORE_DAMAGE.keys())
+@pytest.mark.parametrize("command", ["trends", "evaluate-trends"])
+def test_store_readers_verify_first(tmp_path, capsys, command, damage, message):
+    store, log = _two_session_store(tmp_path)
+    argv = {
+        "trends": ["trends", "--states", str(store.root), "--out", str(tmp_path / "out")],
+        "evaluate-trends": [
+            "evaluate", "trends", "--log", str(log), "--states", str(store.root), "--out", str(tmp_path / "out"),
+        ],
+    }[command]
+    assert main(argv) == 0
+    damage(store.root / "sessions" / "roomB" / "2024-03-01.jsonl")
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"validation error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        "{not json",
+        "[1]",
+        '{"schema_version": 1}',
+        '{"schema_version": 1, "segments": null}',
+        '{"schema_version": 1, "segments": {"sessions/roomA/2024-03-01.jsonl": "abc"}}',
+    ],
+    ids=["not-json", "not-object", "no-segments", "segments-null", "entry-not-object"],
+)
+@pytest.mark.parametrize("command", ["ingest", "trends"])
+def test_corrupt_manifest_exits_two(tmp_path, capsys, command, content):
+    store, _ = _two_session_store(tmp_path)
+    store.manifest_path.write_text(content)
+    rows = tmp_path / "rows.jsonl"
+    write_rows_jsonl([CanonicalRow(make_record("roomC", T0))], rows)
+    argv = {
+        "ingest": ["ingest", "--adapter", "canonical", "--input", str(rows), "--store", str(store.root)],
+        "trends": ["trends", "--states", str(store.root), "--out", str(tmp_path / "out")],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"validation error: {store.manifest_path}: ") and "Traceback" not in err

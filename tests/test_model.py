@@ -18,7 +18,15 @@ from ward_sentinel.model import (
 )
 from ward_sentinel.flow import MotionRecord
 from ward_sentinel.logic import LogicalState
-from ward_sentinel.schema import CanonicalRow, dumps_row, loads_row, obj_to_label
+from ward_sentinel.schema import (
+    CanonicalRow,
+    dumps_row,
+    loads_row,
+    obj_to_label,
+    parse_jsonl,
+    read_labels_jsonl,
+    read_rows_jsonl,
+)
 
 from conftest import make_record, person_box, role_dist
 
@@ -205,6 +213,32 @@ def test_obj_to_label_rejects_what_obj_to_row_rejects(override, message):
     row = json.loads(dumps_row(CanonicalRow(make_record("s", 1709251200))))
     with pytest.raises(SchemaMismatch, match=re.escape(f"bad canonical row: {message}")):
         loads_row(json.dumps(dict(row, **override)))
+
+
+JSONL_READ_ERRORS = {
+    "row-not-json": (read_rows_jsonl, "{not json", "invalid JSON: Expecting property name"),
+    "row-bad-key": (read_rows_jsonl, '{"session_id": 5}', "bad canonical row: "),
+    "label-not-json": (read_labels_jsonl, "{not json", "Expecting property name"),
+    "label-bad-key": (read_labels_jsonl, json.dumps(dict(LABEL, ts=True)), "bad frame label: ts must"),
+}
+
+
+@pytest.mark.parametrize("read,bad,message", JSONL_READ_ERRORS.values(), ids=JSONL_READ_ERRORS.keys())
+def test_jsonl_readers_name_path_and_file_line(tmp_path, read, bad, message):
+    good = json.dumps(LABEL) if read is read_labels_jsonl else dumps_row(CanonicalRow(make_record("s", 1)))
+    path = tmp_path / "in.jsonl"
+    path.write_text(f"{good}\n\n  \n{bad}\n{good}\n")
+    with pytest.raises(SchemaMismatch, match=f"^{re.escape(f'{path}:4: {message}')}"):
+        read(path)
+
+
+def test_parse_jsonl_leaves_an_error_thrown_in_by_the_consumer_as_it_is(tmp_path):
+    path = tmp_path / "in.jsonl"
+    path.write_text(dumps_row(CanonicalRow(make_record("s", 1))) + "\n")
+    rows = parse_jsonl(path, loads_row)
+    next(rows)
+    with pytest.raises(SchemaMismatch, match="^from the consumer$"):
+        rows.throw(SchemaMismatch("from the consumer"))
 
 
 # ---- each value checked once ----------------------------------------------

@@ -15,6 +15,7 @@ from ward_sentinel.errors import (
 )
 from ward_sentinel import pipeline
 from ward_sentinel.flow import MotionRecord
+from ward_sentinel.geometry import CrossingEvent
 from ward_sentinel.imageops import (
     _luma_plan,
     resize_bicubic,
@@ -501,6 +502,97 @@ class TestStore:
         segment.write_text("\n".join(lines) + "\n")
         with pytest.raises(SchemaMismatch, match=re.escape(f"{segment}:2: bad canonical row")):
             list(store.iter_rows())
+
+    @staticmethod
+    def _sealed(root, days_by_session, crossing=None):
+        """A store with one row per listed day per session, plus one crossing if given."""
+        store = Store(root)
+        for sid, days in days_by_session.items():
+            w = store.writer(sid)
+            for day in days:
+                w.append(CanonicalRow(make_record(sid, day * 86400 + 7)))
+            if crossing == sid:
+                w.append_crossing(CrossingEvent(sid, days[0] * 86400 + 7, "exit", 0))
+            w.seal()
+        return store
+
+    def test_iter_rows_follows_manifest_order_and_session_filter(self, tmp_path):
+        store = self._sealed(tmp_path / "store", {"a-b": [0, 1], "a": [0, 1]}, crossing="a")
+        assert (tmp_path / "store" / "sessions" / "a" / "crossings.jsonl").exists()
+        # Path order puts sessions/a/ before sessions/a-b/; the raw keys would not.
+        assert [(r.record.session_id, r.record.ts // 86400) for r in store.iter_rows()] == [
+            ("a", 0), ("a", 1), ("a-b", 0), ("a-b", 1)
+        ]
+        assert {r.record.session_id for r in store.iter_rows("a")} == {"a"}
+        assert list(store.iter_rows("absent")) == []
+
+    def test_iter_rows_skips_segment_the_manifest_does_not_list(self, tmp_path):
+        store = self._sealed(tmp_path / "store", {"a": [0], "b": [0]})
+        listed = tmp_path / "store" / "sessions" / "a" / "1970-01-01.jsonl"
+        (listed.parent / "1970-01-01.copy.jsonl").write_bytes(listed.read_bytes())
+        stray = tmp_path / "store" / "sessions" / "c"
+        stray.mkdir()
+        (stray / "1970-01-01.jsonl").write_bytes(listed.read_bytes())
+        assert store.verify() == 2
+        assert [r.record.session_id for r in store.iter_rows()] == ["a", "b"]
+
+    def test_missing_listed_segment_raises_the_same_error_in_every_reader(self, tmp_path):
+        store = self._sealed(tmp_path / "store", {"a": [0, 1], "b": [0]})
+        (tmp_path / "store" / "sessions" / "a" / "1970-01-02.jsonl").unlink()
+        message = "manifest segment missing on disk: sessions/a/1970-01-02.jsonl"
+        for read in (store.verify, lambda: list(store.iter_rows()), lambda: list(store.iter_rows("b"))):
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                read()
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "../x.jsonl",
+            "sessions/../../x.jsonl",
+            "sessions/a/../x.jsonl",
+            "sessions/../x.jsonl",
+            "sessions/a/x.txt",
+            "/abs/x.jsonl",
+            "other/a/x.jsonl",
+        ],
+    )
+    def test_manifest_key_outside_sessions_layout_is_rejected_unread(self, tmp_path, key, monkeypatch):
+        store = self._sealed(tmp_path / "store", {"a": [0]})
+        manifest = json.loads(store.manifest_path.read_text())
+        manifest["segments"][key] = dict(manifest["segments"]["sessions/a/1970-01-01.jsonl"])
+        store.manifest_path.write_text(json.dumps(manifest))
+        opened = []
+        monkeypatch.setattr("builtins.open", lambda *a, **k: opened.append(a))
+        for read in (store.verify, lambda: list(store.iter_rows())):
+            with pytest.raises(ValidationError, match="manifest segment key .* is not sessions/"):
+                read()
+        assert opened == []
+
+    def test_verify_reads_an_entry_without_sha256_as_a_mismatch(self, tmp_path):
+        store = self._sealed(tmp_path / "store", {"a": [0]})
+        store.manifest_path.write_text(
+            json.dumps({"schema_version": 1, "segments": {"sessions/a/1970-01-01.jsonl": {"rows": 1}}})
+        )
+        with pytest.raises(ValidationError, match="^segment hash mismatch: sessions/a/1970-01-01.jsonl$"):
+            store.verify()
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            "{not json",
+            "[]",
+            '{"schema_version": 1}',
+            '{"schema_version": 1, "segments": []}',
+            '{"schema_version": 1, "segments": {"sessions/a/1970-01-01.jsonl": 5}}',
+        ],
+        ids=["not-json", "not-object", "no-segments", "segments-not-object", "entry-not-object"],
+    )
+    def test_corrupt_manifest_is_a_validation_error(self, tmp_path, content):
+        store = Store(tmp_path / "store")
+        store.manifest_path.write_text(content)
+        for read in (store.load_manifest, store.verify, lambda: list(store.iter_rows())):
+            with pytest.raises(ValidationError, match=re.escape(str(store.manifest_path))):
+                read()
 
 
 class TestIngest:
