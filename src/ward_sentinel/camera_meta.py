@@ -118,33 +118,16 @@ def write_stats_csv(stats: Sequence[BedPlacementStat], path) -> None:
 
 def write_histogram_csv(dist: PlacementDistribution, path) -> None:
     """Both histograms in one long-format CSV, metadata in leading comments."""
+    tables = (
+        ("centroid_xy", dist.centroid_hist, *dist.centroid_edges),
+        ("area_angle", dist.area_angle_hist, dist.area_edges, dist.angle_edges),
+    )
     with open(path, "w", newline="") as fh:
         fh.write(f"# angle_definition: {dist.metadata['angle_definition']}\n")
         fh.write(f"# n_stats: {dist.n_stats}\n")
         writer = csv.writer(fh)
         writer.writerow(["table", "bin_a_low", "bin_a_high", "bin_b_low", "bin_b_high", "count"])
-        xe, ye = dist.centroid_edges
-        for i in range(dist.centroid_hist.shape[0]):
-            for j in range(dist.centroid_hist.shape[1]):
-                writer.writerow(
-                    [
-                        "centroid_xy",
-                        f"{xe[i]:.6f}",
-                        f"{xe[i + 1]:.6f}",
-                        f"{ye[j]:.6f}",
-                        f"{ye[j + 1]:.6f}",
-                        int(dist.centroid_hist[i, j]),
-                    ]
-                )
-        for i in range(dist.area_angle_hist.shape[0]):
-            for j in range(dist.area_angle_hist.shape[1]):
-                writer.writerow(
-                    [
-                        "area_angle",
-                        f"{dist.area_edges[i]:.6f}",
-                        f"{dist.area_edges[i + 1]:.6f}",
-                        f"{dist.angle_edges[j]:.6f}",
-                        f"{dist.angle_edges[j + 1]:.6f}",
-                        int(dist.area_angle_hist[i, j]),
-                    ]
-                )
+        for name, hist, a_edges, b_edges in tables:
+            for (i, j), count in np.ndenumerate(hist):
+                bounds = (a_edges[i], a_edges[i + 1], b_edges[j], b_edges[j + 1])
+                writer.writerow([name, *(f"{v:.6f}" for v in bounds), int(count)])

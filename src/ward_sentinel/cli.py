@@ -11,12 +11,13 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import camera_meta as cm
 from . import trends as tr
 from .errors import ValidationError, WardSentinelError
-from .evaluation import TrendAccuracyReport, evaluate_frames, trend_accuracy
+from .evaluation import TrendAccuracyReport, TrendAccuracyRow, evaluate_frames, trend_accuracy
 from .model import ANALYSIS_DIMS, PipelineConfig
 from .pipeline import (
     ADAPTERS,
@@ -196,14 +197,13 @@ def _cmd_evaluate_trends(args, cfg) -> int:
         [r for sid in shared for r in trend_accuracy(by_session[sid], logs[sid], cfg).rows]
     )
     out = _out_dir(args.out)
-    _write_json(report.to_dict(), out / "trend_report.json")
+    report_obj = report.to_dict()
+    _write_json(report_obj, out / "trend_report.json")
     with open(out / "per_patient_day.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["session_id", "date", "period", "method", "accuracy", "seconds"])
-        for r in report.rows:
-            writer.writerow(
-                [r.session_id, r.date.isoformat(), r.period, r.method, f"{r.accuracy:.6f}", r.seconds]
-            )
+        writer = csv.DictWriter(fh, [f.name for f in fields(TrendAccuracyRow)])
+        writer.writeheader()
+        for row in report_obj["rows"]:
+            writer.writerow({**row, "accuracy": f"{row['accuracy']:.6f}"})
     for period, s in report.summary.items():
         print(f"{period}: {s['mean']:.3f} +/- {s['std']:.3f} over {s['n']} patient-day(s)")
     return 0
@@ -211,15 +211,12 @@ def _cmd_evaluate_trends(args, cfg) -> int:
 
 def _cmd_camera_meta(args, cfg) -> int:
     labels = read_labels_jsonl(args.labels)
-    dims = (args.frame_width, args.frame_height)
-    stats = [s for s in (cm.bed_stats(l, dims) for l in labels) if s is not None]
+    stats = [s for s in (cm.bed_stats(l, ANALYSIS_DIMS) for l in labels) if s is not None]
     if not stats:
         raise ValidationError("no labeled bed boxes found")
     out = _out_dir(args.out)
     cm.write_stats_csv(stats, out / "bed_stats.csv")
-    cm.write_histogram_csv(
-        cm.placement_distribution(stats, bins=args.bins), out / "bed_histograms.csv"
-    )
+    cm.write_histogram_csv(cm.placement_distribution(stats), out / "bed_histograms.csv")
     print(f"{len(stats)} bed placements summarized into {out}")
     return 0
 
@@ -283,9 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("camera-meta", help="bed-placement meta-analysis from labels")
     p.add_argument("--labels", required=True, help="frame-label JSONL")
     p.add_argument("--out", required=True)
-    p.add_argument("--bins", type=int, default=cm.DEFAULT_BINS)
-    p.add_argument("--frame-width", type=float, default=ANALYSIS_DIMS[0])
-    p.add_argument("--frame-height", type=float, default=ANALYSIS_DIMS[1])
     p.set_defaults(func=_cmd_camera_meta)
 
     p = sub.add_parser("ingest", help="map an external export into the store")

@@ -10,7 +10,7 @@ and the plain agreement fraction where they are not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import date
 from typing import Mapping, Optional, Sequence
 
@@ -78,16 +78,6 @@ class ClassMetrics:
         p, r, f1 = prf1(tp, fp, fn)
         return ClassMetrics(tp, fp, fn, p, r, f1)
 
-    def to_dict(self) -> dict:
-        return {
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-        }
-
 
 @dataclass(frozen=True)
 class EvalReport:
@@ -99,16 +89,7 @@ class EvalReport:
     frames_excluded: int
 
     def to_dict(self) -> dict:
-        return {
-            "per_class": {c: m.to_dict() for c, m in self.per_class.items()},
-            "macro_f1": self.macro_f1,
-            "patient_role": self.patient_role.to_dict(),
-            "patient_alone": None
-            if self.patient_alone is None
-            else self.patient_alone.to_dict(),
-            "frames_evaluated": self.frames_evaluated,
-            "frames_excluded": self.frames_excluded,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -141,18 +122,9 @@ class TrendAccuracyReport:
         return cls(rows=tuple(rows), summary=summary)
 
     def to_dict(self) -> dict:
+        """Each row's fields, with its date as an ISO string, and the summary."""
         return {
-            "rows": [
-                {
-                    "session_id": r.session_id,
-                    "date": r.date.isoformat(),
-                    "period": r.period,
-                    "method": r.method,
-                    "accuracy": r.accuracy,
-                    "seconds": r.seconds,
-                }
-                for r in self.rows
-            ],
+            "rows": [{**asdict(r), "date": r.date.isoformat()} for r in self.rows],
             "summary": self.summary,
         }
 

@@ -17,12 +17,13 @@ from .errors import IntervalOutOfBounds, OverlappingIntervals, UnsortedInput, Va
 from .logic import LogicalState
 
 TREND_KEYS = ("alone", "alone_and_moving", "supervised_by_staff", "moving")
-TREND_CSV_HEADER = (
-    "session_id,date,hour,monitored_min,alone_min,moving_min,alone_moving_min,supervised_min"
-)
-COHORT_CSV_HEADER = (
-    "hour,patient_days,monitored_min,alone_min,moving_min,alone_moving_min,supervised_min"
-)
+# Trend key -> its minutes column in trends.csv and cohort.csv, in column order.
+MINUTE_COLUMNS = {
+    "alone": "alone_min",
+    "moving": "moving_min",
+    "alone_and_moving": "alone_moving_min",
+    "supervised_by_staff": "supervised_min",
+}
 OBSLOG_CSV_HEADER = "session_id,start_ts,end_ts"
 
 
@@ -207,44 +208,24 @@ def assisted_trends(
     )
 
 
-def write_trend_csv(trends: Sequence[HourlyTrend], path) -> None:
+def _write_minutes_csv(path, lead_columns: Sequence[str], rows, lead) -> None:
+    """A trend table: lead(row) under lead_columns, then monitored_min and
+    MINUTE_COLUMNS to 6 decimals, with "" for an hour with no data (None)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(TREND_CSV_HEADER.split(","))
-        for t in trends:
-            writer.writerow(
-                [
-                    t.session_id,
-                    t.date.isoformat(),
-                    t.hour,
-                    f"{t.monitored_minutes:.6f}",
-                    f"{t.minutes['alone']:.6f}",
-                    f"{t.minutes['moving']:.6f}",
-                    f"{t.minutes['alone_and_moving']:.6f}",
-                    f"{t.minutes['supervised_by_staff']:.6f}",
-                ]
-            )
+        writer.writerow([*lead_columns, "monitored_min", *MINUTE_COLUMNS.values()])
+        for r in rows:
+            values = (r.monitored_minutes, *(r.minutes[k] for k in MINUTE_COLUMNS))
+            writer.writerow([*lead(r), *("" if v is None else f"{v:.6f}" for v in values)])
+
+
+def write_trend_csv(trends: Sequence[HourlyTrend], path) -> None:
+    columns = ("session_id", "date", "hour")
+    _write_minutes_csv(path, columns, trends, lambda t: (t.session_id, t.date.isoformat(), t.hour))
 
 
 def write_cohort_csv(rows: Sequence[CohortHourlyTrend], path) -> None:
-    def fmt(v):
-        return "" if v is None else f"{v:.6f}"
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(COHORT_CSV_HEADER.split(","))
-        for r in rows:
-            writer.writerow(
-                [
-                    r.hour,
-                    r.patient_days,
-                    fmt(r.monitored_minutes),
-                    fmt(r.minutes["alone"]),
-                    fmt(r.minutes["moving"]),
-                    fmt(r.minutes["alone_and_moving"]),
-                    fmt(r.minutes["supervised_by_staff"]),
-                ]
-            )
+    _write_minutes_csv(path, ("hour", "patient_days"), rows, lambda r: (r.hour, r.patient_days))
 
 
 def read_observation_csv(path) -> dict[str, ObservationLog]:
