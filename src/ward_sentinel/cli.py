@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import camera_meta as cm
 from . import trends as tr
-from .errors import ValidationError, WardSentinelError
+from .errors import SchemaMismatch, ValidationError, WardSentinelError
 from .evaluation import TrendAccuracyReport, TrendAccuracyRow, evaluate_frames, trend_accuracy
 from .model import ANALYSIS_DIMS, PipelineConfig
 from .pipeline import (
@@ -27,7 +27,7 @@ from .pipeline import (
     rows_source,
     run_pipeline,
 )
-from .schema import SCHEMA_VERSION, CanonicalRow, loads_row, parse_jsonl
+from .schema import DECODER, SCHEMA_VERSION, CanonicalRow, loads_row, parse_jsonl
 from .schema import read_labels_jsonl, read_rows_jsonl, write_rows_jsonl
 from .simulator import generate, spec_from_dict
 from .store import Store
@@ -39,10 +39,10 @@ def _load_json(path, build):
     """build(parsed JSON file); bad content is a ValidationError naming the file."""
     with open(path) as fh:
         try:
-            return build(json.load(fh))
+            return build(DECODER.decode(fh.read()))
         except KeyError as e:
             raise ValidationError(f"{path}: missing key {e}") from None
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, SchemaMismatch) as e:
             raise ValidationError(f"{path}: {e}") from None
 
 
@@ -104,6 +104,8 @@ def _cmd_simulate(args, cfg) -> int:
 
 
 def _cmd_run(args, cfg) -> int:
+    if args.with_frames and not args.scenario:
+        raise ValidationError("--with-frames needs --scenario")
     store = Store(args.out)
     detector = None
     if args.scenario:

@@ -131,12 +131,14 @@ def _reject_constant(name: str):
 
 
 # NaN/Infinity are not JSON; Python's decoder accepts them unless told not to.
-_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+# Every JSON input (rows, frame labels, config, scenario specs, the store
+# manifest) is decoded with this one decoder.
+DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
 def loads_row(line: str) -> CanonicalRow:
     try:
-        obj = _DECODER.decode(line)
+        obj = DECODER.decode(line)
     except json.JSONDecodeError as e:
         raise SchemaMismatch(f"invalid JSON: {e}") from None
     if not isinstance(obj, dict):
@@ -183,7 +185,7 @@ def parse_jsonl(path, parse: Callable[[str], object]) -> Iterator:
 
 def _label(line: str) -> FrameLabel:
     try:
-        return obj_to_label(json.loads(line))
+        return obj_to_label(DECODER.decode(line))
     except json.JSONDecodeError as e:
         raise SchemaMismatch(str(e)) from None
 

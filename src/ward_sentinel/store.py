@@ -26,10 +26,10 @@ from functools import cache
 from pathlib import Path
 from typing import Iterator, Optional
 
-from .errors import MalformedRecord, NonMonotonicTimestamp, ValidationError
+from .errors import MalformedRecord, NonMonotonicTimestamp, SchemaMismatch, ValidationError
 from .geometry import CrossingEvent
 from .model import check_session_id
-from .schema import ENCODER, SCHEMA_VERSION, CanonicalRow, dumps_row, loads_row, parse_jsonl
+from .schema import DECODER, ENCODER, SCHEMA_VERSION, CanonicalRow, dumps_row, loads_row, parse_jsonl
 
 MANIFEST_NAME = "manifest.json"
 
@@ -80,8 +80,8 @@ class Store:
         if not path.exists():
             return {"schema_version": SCHEMA_VERSION, "segments": {}}
         try:
-            manifest = json.loads(path.read_text())
-        except ValueError as e:
+            manifest = DECODER.decode(path.read_text())
+        except (ValueError, SchemaMismatch) as e:
             raise ValidationError(f"{path}: invalid JSON: {e}") from None
         segments = manifest.get("segments") if isinstance(manifest, dict) else None
         if not isinstance(segments, dict) or not all(type(e) is dict for e in segments.values()):
@@ -99,7 +99,9 @@ class Store:
         )
 
     def writer(self, session_id: str) -> "SessionWriter":
+        """A session's writer; a bad manifest fails here, before any row is staged."""
         check_session_id(session_id)
+        self.load_manifest()
         return SessionWriter(self, session_id)
 
     def _segments(self) -> list[tuple[str, Path, dict]]:
@@ -164,9 +166,9 @@ class SessionWriter:
 
     def seal(self) -> list[str]:
         """Write segments and register them in the manifest; returns rel paths."""
+        manifest = self.store.load_manifest()
         session_dir = self.store.root / "sessions" / self.session_id
         session_dir.mkdir(parents=True, exist_ok=True)
-        manifest = self.store.load_manifest()
         sealed = []
         targets = {f"{d}.jsonl": lines for d, lines in sorted(self._rows.items())}
         if self._crossings:

@@ -29,15 +29,25 @@ def make_record(session_id, ts, primaries=(), bed=True, origin=(50.0, 50.0)):
     return DetectionRecord(session_id, ts, tuple(boxes), tuple(roles))
 
 
+# make_record's bed, its person boxes by index and role_dist by primary; all
+# immutable, so random_stream shares them between records.
+_BED, *_PERSONS = make_record("s", 0, ["patient"] * 4).boxes
+_ROLE_DISTS = {r: role_dist(r) for r in ROLE_ORDER}
+
+
 def random_stream(rng, session_id, n_seconds, start_ts=1_700_000_000, gap_p=0.02):
-    """Random detection/motion stream with occasional gaps, for oracle tests."""
+    """Random detection/motion stream with occasional gaps, for oracle tests.
+
+    Each record equals make_record(session_id, ts, primaries); the role index
+    is drawn as rng.choice(ROLE_ORDER) draws it (test_logic.py checks both).
+    """
     records, motions = [], {}
     ts = start_ts
     for _ in range(n_seconds):
         ts += 1 + (int(rng.integers(2, 30)) if rng.uniform() < gap_p else 0)
         count = int(rng.integers(0, 5))
-        primaries = [str(rng.choice(ROLE_ORDER)) for _ in range(count)]
-        records.append(make_record(session_id, ts, primaries))
+        roles = [_ROLE_DISTS[ROLE_ORDER[int(rng.integers(0, 3))]] for _ in range(count)]
+        records.append(DetectionRecord(session_id, ts, (_BED, *_PERSONS[:count]), (None, *roles)))
         if rng.uniform() < 0.9:
             motions[ts] = MotionRecord(session_id, ts, {"scene": float(rng.uniform(0, 1.5))})
     return records, motions

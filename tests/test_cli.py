@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from ward_sentinel import cli
 from ward_sentinel.cli import main
 from ward_sentinel.evaluation import trend_accuracy
 from ward_sentinel.logic import LogicalState
 from ward_sentinel.model import PipelineConfig
+from ward_sentinel.pipeline import rows_source
 from ward_sentinel.store import Store
 from ward_sentinel.trends import read_observation_csv
 from ward_sentinel.schema import dumps_row, write_rows_jsonl, CanonicalRow
@@ -261,6 +263,15 @@ def test_ingest_unknown_adapter_exits_two(tmp_path, capsys):
     assert err.startswith("validation error: unknown adapter 'nope'")
 
 
+def test_with_frames_needs_a_scenario(tmp_path, capsys):
+    rows = tmp_path / "rows.jsonl"
+    write_rows_jsonl([CanonicalRow(make_record("roomA", 1709251200, ["patient"]))], rows)
+    out = tmp_path / "store"
+    assert main(["run", "--detections", str(rows), "--with-frames", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "validation error: --with-frames needs --scenario\n"
+    assert not out.exists()
+
+
 def test_missing_input_maps_to_exit_one(tmp_path):
     code = main(
         ["run", "--detections", str(tmp_path / "absent.jsonl"), "--out", str(tmp_path / "s")]
@@ -349,6 +360,7 @@ BAD_INPUTS = {
     "config-unknown-key": ("config", {"bogus": 1}),
     "config-bad-window": ("config", {"smoothing_window_s": 0}),
     "config-even-winsize": ("config", {"flow": {"winsize": 4}}),
+    "config-nan-window": ("config", '{"smoothing_window_s": NaN}'),
     "spec-no-schedule": ("spec", {k: v for k, v in SPEC.items() if k != "schedule"}),
     "spec-bad-noise": ("spec", dict(SPEC, noise={"p_miss": 2})),
     "spec-unknown-key": ("scenario", dict(SPEC, trakcs=[])),
@@ -359,11 +371,16 @@ BAD_INPUTS = {
         "spec", dict(SPEC, tracks=[{"role": "staff", "waypoints": [[0, 10, 10], [50, 60, 60]], "speed": 2}]),
     ),
     "spec-frame-dims": ("spec", dict(SPEC, frame_dims=[1088, 612])),
+    "spec-nan-motion": ("spec", dict(SPEC, schedule=[dict(SPEC["schedule"][0], motion=float("nan"))])),
+    "scenario-nan-motion": (
+        "scenario", dict(SPEC, schedule=[dict(SPEC["schedule"][0], motion=float("nan"))]),
+    ),
     "log-inverted-interval": ("log", "session_id,start_ts,end_ts\nroomA,1709251300,1709251200\n"),
     "log-non-integer-ts": ("log", "session_id,start_ts,end_ts\nroomA,1709251200.5,1709251300\n"),
     "log-wrong-header": ("log", "session,start,end\nroomA,1709251200,1709251300\n"),
     "labels-float-ts": ("labels", {"session_id": "roomA", "ts": 1709251200.9, "boxes": []}),
     "labels-int-session": ("labels", {"session_id": 7, "ts": True, "boxes": []}),
+    "labels-nan": ("labels", '{"session_id": "roomA", "ts": 1709251200, "boxes": [], "in_bed": NaN}'),
     "labels-not-json": ("labels", '{"session_id": "roomA", "ts": 1709251200, "boxes": []}\n\n{not json'),
     "preds-not-json": ("preds", "\n{not json"),
     "detections-bad-row": ("detections", '{"session_id": 5}'),
@@ -401,6 +418,8 @@ def test_bad_input_file_exits_two(tmp_path, spec_path, capsys, kind, content):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("validation error: ") and str(bad) in err
+    if "NaN" in text:  # rejected by the one strict decoder, not by a later check
+        assert "non-finite number NaN is not allowed" in err
     if kind in JSONL_KINDS:  # the bad line is the file's last; blank lines count
         last_line = text.count("\n") + 1
         assert err.startswith(f"validation error: {bad}:{last_line}: ")
@@ -529,19 +548,31 @@ def test_store_readers_verify_first(tmp_path, capsys, command, damage, message):
         '{"schema_version": 1}',
         '{"schema_version": 1, "segments": null}',
         '{"schema_version": 1, "segments": {"sessions/roomA/2024-03-01.jsonl": "abc"}}',
+        '{"schema_version": 1, "segments": {"sessions/roomA/2024-03-01.jsonl": {"rows": NaN}}}',
     ],
-    ids=["not-json", "not-object", "no-segments", "segments-null", "entry-not-object"],
+    ids=["not-json", "not-object", "no-segments", "segments-null", "entry-not-object", "nan"],
 )
-@pytest.mark.parametrize("command", ["ingest", "trends"])
-def test_corrupt_manifest_exits_two(tmp_path, capsys, command, content):
+@pytest.mark.parametrize("command", ["ingest", "trends", "run"])
+def test_corrupt_manifest_exits_two(tmp_path, capsys, monkeypatch, command, content):
     store, _ = _two_session_store(tmp_path)
     store.manifest_path.write_text(content)
     rows = tmp_path / "rows.jsonl"
-    write_rows_jsonl([CanonicalRow(make_record("roomC", T0))], rows)
+    write_rows_jsonl([CanonicalRow(make_record("roomC", T0 + i)) for i in range(100)], rows)
+    pulled = []
+
+    def counting_source(rows):
+        for item in rows_source(rows):
+            pulled.append(item)
+            yield item
+
+    monkeypatch.setattr(cli, "rows_source", counting_source)
     argv = {
         "ingest": ["ingest", "--adapter", "canonical", "--input", str(rows), "--store", str(store.root)],
         "trends": ["trends", "--states", str(store.root), "--out", str(tmp_path / "out")],
+        "run": ["run", "--detections", str(rows), "--out", str(store.root)],
     }[command]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"validation error: {store.manifest_path}: ") and "Traceback" not in err
+    assert not (store.root / "sessions" / "roomC").exists()  # nothing staged or made
+    assert len(pulled) <= 1

@@ -11,7 +11,7 @@ from ward_sentinel.logic import (
 )
 from ward_sentinel.model import ROLES, BoundingBox, DetectionRecord, PipelineConfig
 
-from conftest import make_record, random_stream, role_dist
+from conftest import ROLE_ORDER, make_record, random_stream, role_dist
 
 
 def brute_force_state(records_by_ts, motions_by_ts, ts, cfg):
@@ -158,6 +158,29 @@ class TestDeriveState:
     def test_empty_window_raises(self):
         with pytest.raises(EmptyWindow):
             derive_state(SmoothingWindow(5), self.cfg)
+
+
+def reference_random_stream(rng, session_id, n_seconds, start_ts=1_700_000_000, gap_p=0.02):
+    """random_stream as first written: rng.choice and a fresh make_record per second."""
+    records, motions = [], {}
+    ts = start_ts
+    for _ in range(n_seconds):
+        ts += 1 + (int(rng.integers(2, 30)) if rng.uniform() < gap_p else 0)
+        count = int(rng.integers(0, 5))
+        primaries = [str(rng.choice(ROLE_ORDER)) for _ in range(count)]
+        records.append(make_record(session_id, ts, primaries))
+        if rng.uniform() < 0.9:
+            motions[ts] = MotionRecord(session_id, ts, {"scene": float(rng.uniform(0, 1.5))})
+    return records, motions
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_random_stream_equals_the_reference_generator(seed):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    records, motions = random_stream(rng, "s", 3000, gap_p=0.05)
+    ref_records, ref_motions = reference_random_stream(ref_rng, "s", 3000, gap_p=0.05)
+    assert records == ref_records and motions == ref_motions
+    assert rng.integers(0, 1 << 62) == ref_rng.integers(0, 1 << 62)  # same number of draws
 
 
 class TestOracleEquivalence:
