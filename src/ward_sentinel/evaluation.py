@@ -6,6 +6,9 @@ binary classification counts on top of that. Trend accuracy compares the
 per-second alone stream with logged ground truth per patient-day and period,
 using a single-feature logistic regression where both classes are present
 and the plain agreement fraction where they are not.
+
+scipy is imported inside the function that calls it, so the read and replay
+commands start without loading it; tests/test_cli.py enforces this.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from datetime import date
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import (
     EmptyPeriod,
@@ -25,7 +27,7 @@ from .errors import (
     SingleClassTarget,
 )
 from .logic import LogicalState
-from .model import BoundingBox, CLASSES, DetectionRecord, PipelineConfig
+from .model import BoundingBox, CLASSES, DetectionRecord, PipelineConfig, ROLES
 from .trends import ObservationLog, log_to_states, _utc_hour
 
 RIDGE = 1e-6
@@ -46,6 +48,12 @@ class FrameLabel:
     exceptions: tuple[str, ...] = ()
 
     def __post_init__(self):
+        if not isinstance(self.exceptions, (list, tuple)) or not all(
+            isinstance(e, str) for e in self.exceptions
+        ):
+            raise ValueError(f"exceptions must be a list of strings, got {self.exceptions!r}")
+        if self.in_bed is not None and not isinstance(self.in_bed, bool):
+            raise ValueError(f"in_bed must be true, false or null, got {self.in_bed!r}")
         object.__setattr__(self, "boxes", tuple(self.boxes))
         object.__setattr__(self, "roles", tuple(self.roles))
         object.__setattr__(self, "exceptions", tuple(self.exceptions))
@@ -54,6 +62,8 @@ class FrameLabel:
         for b, r in zip(self.boxes, self.roles):
             if (b.cls == "person") != (r is not None):
                 raise ValueError("exactly person boxes carry a role label")
+            if r is not None and r not in ROLES:
+                raise ValueError(f"role must be one of {', '.join(ROLES)}, got {r!r}")
 
     @property
     def frame_id(self) -> str:
@@ -282,6 +292,8 @@ def fit_logistic(
     stops when the penalized gradient norm drops below GRAD_TOL. Returns the
     weights (intercept, slope) and the in-sample accuracy at threshold 0.5.
     """
+    from scipy.special import expit
+
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1 or x.size == 0:

@@ -10,6 +10,9 @@ coarse-to-fine through an image pyramid.
 Displacements are in pixels per frame; positive dx points right, positive
 dy points down, and the field maps the previous frame onto the current one
 (cur(x + d(x)) ~ prev(x)).
+
+scipy is imported inside the functions that call it, so the read and replay
+commands start without loading it; tests/test_cli.py enforces this.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from math import inf
 from typing import Mapping, Optional
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import DimensionMismatch, EmptyMask
 from .imageops import resize_bilinear
@@ -121,6 +123,8 @@ def polynomial_expansion(
     along y. out, if given, is a (5, h, w) array that receives the planes in
     PolyExpansion's field order.
     """
+    from scipy import ndimage
+
     gray = np.asarray(gray, dtype=np.float64)
     if out is None:
         out = np.empty((5,) + gray.shape)
@@ -180,6 +184,8 @@ def _pyramid_dims(width: int, height: int, params: FlowParams) -> list[tuple[int
 
 def _level_image(gray: np.ndarray, scale: float, w: int, h: int) -> np.ndarray:
     """Anti-alias blur matched to the scale, then bilinear resample."""
+    from scipy import ndimage
+
     sigma = (1.0 / scale - 1.0) * 0.5
     if sigma > 1e-2:
         gray = ndimage.gaussian_filter(gray, sigma, mode="nearest")
@@ -330,6 +336,8 @@ def _displacement_update(
     runs over each full plane: scipy's running sum depends on where each line
     starts, so filtering a band with a halo would change the last bits.
     """
+    from scipy import ndimage
+
     h, w = dx0.shape
     bands = [slice(y0, y0 + STRIP_ROWS) for y0 in range(0, h, STRIP_ROWS)]
     terms = np.empty((5, h, w))

@@ -158,7 +158,7 @@ def obj_to_label(obj: dict) -> FrameLabel:
             ),
             roles=tuple(b.get("role") for b in obj["boxes"]),
             in_bed=obj.get("in_bed"),
-            exceptions=tuple(obj.get("exceptions", ())),
+            exceptions=obj.get("exceptions", ()),
         )
     except (KeyError, TypeError, ValueError) as e:
         raise SchemaMismatch(f"bad frame label: {e}") from None

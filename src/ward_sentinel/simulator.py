@@ -7,6 +7,9 @@ noise and before smoothing, so end-to-end comparisons measure the pipeline
 rather than the generator. Camera frames are synthesized lazily as a
 translating textured background whose shift rate realizes the scheduled
 motion level exactly.
+
+scipy is imported inside the function that calls it, so the read and replay
+commands start without loading it; tests/test_cli.py enforces this.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from dataclasses import dataclass, field, fields
 from typing import Iterator, Optional
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import InvalidSchedule
 from .flow import MotionRecord
@@ -317,6 +319,8 @@ def generate(spec: ScenarioSpec, cfg: PipelineConfig = PipelineConfig()) -> Simu
 
 
 def _base_texture(spec: ScenarioSpec) -> np.ndarray:
+    from scipy import ndimage
+
     rng = np.random.default_rng([spec.seed, 0xF1])
     rw, rh = spec.raw_frame_dims
     t = rng.uniform(0.0, 1.0, size=(rh, rw))

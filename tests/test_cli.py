@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -356,6 +360,11 @@ def test_config_flag_applies(tmp_path, spec_path):
     assert not any(r["logical"]["moving"] for r in rows)  # threshold too high
 
 
+LABEL = {
+    "session_id": "roomA",
+    "ts": 1709251200,
+    "boxes": [{"cls": "person", "x": 10, "y": 10, "w": 40, "h": 90, "role": "patient"}],
+}
 BAD_INPUTS = {
     "config-unknown-key": ("config", {"bogus": 1}),
     "config-bad-window": ("config", {"smoothing_window_s": 0}),
@@ -381,13 +390,20 @@ BAD_INPUTS = {
     "labels-float-ts": ("labels", {"session_id": "roomA", "ts": 1709251200.9, "boxes": []}),
     "labels-int-session": ("labels", {"session_id": 7, "ts": True, "boxes": []}),
     "labels-nan": ("labels", '{"session_id": "roomA", "ts": 1709251200, "boxes": [], "in_bed": NaN}'),
+    "labels-exceptions-string": ("labels", dict(LABEL, exceptions="none")),
+    "labels-exceptions-null": ("labels", dict(LABEL, exceptions=[1, None])),
+    "labels-in-bed-int": ("labels", dict(LABEL, in_bed=7)),
+    "labels-unknown-role": ("labels", dict(LABEL, boxes=[dict(LABEL["boxes"][0], role="nurse")])),
+    "camera-labels-exceptions-string": ("camera-labels", dict(LABEL, exceptions="none")),
+    "camera-labels-in-bed-int": ("camera-labels", dict(LABEL, in_bed=7)),
+    "camera-labels-unknown-role": ("camera-labels", dict(LABEL, boxes=[dict(LABEL["boxes"][0], role="nurse")])),
     "labels-not-json": ("labels", '{"session_id": "roomA", "ts": 1709251200, "boxes": []}\n\n{not json'),
     "preds-not-json": ("preds", "\n{not json"),
     "detections-bad-row": ("detections", '{"session_id": 5}'),
     "states-not-json": ("states", "\n\n{not json"),
     "evaluate-states-bad-row": ("evaluate-states", '\n{"session_id": "roomA"}'),
 }
-JSONL_KINDS = {"labels", "preds", "detections", "states", "evaluate-states"}
+JSONL_KINDS = {"labels", "camera-labels", "preds", "detections", "states", "evaluate-states"}
 
 
 @pytest.mark.parametrize("kind,content", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
@@ -410,6 +426,7 @@ def test_bad_input_file_exits_two(tmp_path, spec_path, capsys, kind, content):
         "scenario": ["run", "--scenario", str(bad), "--out", out],
         "log": ["evaluate", "trends", "--log", str(bad), "--states", str(states), "--out", out],
         "labels": ["evaluate", "frames", "--labels", str(bad), "--preds", str(states), "--out", out],
+        "camera-labels": ["camera-meta", "--labels", str(bad), "--out", out],
         "preds": ["evaluate", "frames", "--labels", str(labels), "--preds", str(bad), "--out", out],
         "detections": ["run", "--detections", str(bad), "--out", out],
         "states": ["trends", "--states", str(bad), "--out", out],
@@ -423,6 +440,8 @@ def test_bad_input_file_exits_two(tmp_path, spec_path, capsys, kind, content):
     if kind in JSONL_KINDS:  # the bad line is the file's last; blank lines count
         last_line = text.count("\n") + 1
         assert err.startswith(f"validation error: {bad}:{last_line}: ")
+    if kind.endswith("labels") and "NaN" not in text and "not json" not in text:
+        assert err.startswith(f"validation error: {bad}:1: bad frame label: ")
 
 
 T0 = 1709251200
@@ -576,3 +595,69 @@ def test_corrupt_manifest_exits_two(tmp_path, capsys, monkeypatch, command, cont
     assert err.startswith(f"validation error: {store.manifest_path}: ") and "Traceback" not in err
     assert not (store.root / "sessions" / "roomC").exists()  # nothing staged or made
     assert len(pulled) <= 1
+
+
+# What each case runs in a fresh interpreter, and the scipy subpackages it may
+# load: the read and replay commands load none, a logistic fit loads
+# scipy.special and frame synthesis or flow loads scipy.ndimage (which brings
+# scipy.special along).
+SCIPY_LOADS = {
+    "import-package": ("import ward_sentinel", set()),
+    "import-cli": ("import ward_sentinel.cli", set()),
+    "run-detections": (["run", "--detections", "{d}/sim/detections.jsonl", "--out", "{out}"], set()),
+    "run-scenario": (["run", "--scenario", "{d}/spec.json", "--out", "{out}"], set()),
+    "ingest": (["ingest", "--adapter", "canonical", "--input", "{d}/preds.jsonl", "--store", "{out}"], set()),
+    "trends": (
+        ["trends", "--states", "{d}/store", "--log", "{d}/sim/observations.csv", "--cohort", "--out", "{out}"],
+        set(),
+    ),
+    "evaluate-frames": (
+        ["evaluate", "frames", "--labels", "{d}/labels.jsonl", "--preds", "{d}/preds.jsonl", "--out", "{out}"],
+        set(),
+    ),
+    "camera-meta": (["camera-meta", "--labels", "{d}/labels.jsonl", "--out", "{out}"], set()),
+    "simulate": (["simulate", "--spec", "{d}/spec.json", "--out", "{out}"], set()),
+    "evaluate-trends": (
+        ["evaluate", "trends", "--log", "{d}/sim/observations.csv", "--states", "{d}/store", "--out", "{out}"],
+        {"scipy.special"},
+    ),
+    "run-with-frames": (
+        ["run", "--scenario", "{d}/frames.json", "--with-frames", "--out", "{out}"],
+        {"scipy.ndimage", "scipy.special"},
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def scipy_inputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("scipy-inputs")
+    (d / "spec.json").write_text(json.dumps(SPEC))
+    frames = dict(SPEC, duration_s=3, schedule=[{"start_s": 0, "end_s": 3, "patients": 1, "motion": 2.0}])
+    (d / "frames.json").write_text(json.dumps(frames))
+    assert main(["simulate", "--spec", str(d / "spec.json"), "--out", str(d / "sim")]) == 0
+    assert main(["run", "--detections", str(d / "sim" / "detections.jsonl"), "--out", str(d / "store")]) == 0
+    bed = {"cls": "bed", "x": 600, "y": 200, "w": 300, "h": 150}
+    person = {"cls": "person", "x": 10, "y": 10, "w": 40, "h": 90, "role": "patient"}
+    labels = [{"session_id": "s", "ts": i, "boxes": [person, bed]} for i in range(6)]
+    (d / "labels.jsonl").write_text("".join(json.dumps(l) + "\n" for l in labels))
+    rows = [CanonicalRow(make_record("s", i, ["patient"], origin=(10.0, 10.0))) for i in range(6)]
+    write_rows_jsonl(rows, d / "preds.jsonl")
+    return d
+
+
+@pytest.mark.parametrize("command,allowed", SCIPY_LOADS.values(), ids=SCIPY_LOADS.keys())
+def test_scipy_loads_only_where_it_is_called(tmp_path, scipy_inputs, command, allowed):
+    if isinstance(command, str):
+        body = command
+    else:
+        argv = [a.format(d=scipy_inputs, out=tmp_path / "out") for a in command]
+        body = f"from ward_sentinel.cli import main\nassert main({argv!r}) == 0"
+    code = body + "\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+    assert {"scipy.ndimage", "scipy.special"} & loaded == allowed
+    if not allowed:
+        assert loaded == set()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -293,6 +295,33 @@ def _label(ts, boxes_roles, exceptions=(), session="s"):
     boxes = tuple(b for b, _ in boxes_roles)
     roles = tuple(r for _, r in boxes_roles)
     return FrameLabel(session, ts, boxes, roles, exceptions=tuple(exceptions))
+
+
+BAD_FRAME_LABELS = {
+    "exceptions-string": (dict(exceptions="none"), "exceptions must be a list of strings, got 'none'"),
+    "exceptions-empty-string": (dict(exceptions=""), "exceptions must be a list of strings, got ''"),
+    "exceptions-non-string": (dict(exceptions=[1, None]), "exceptions must be a list of strings, got [1, None]"),
+    "in-bed-int": (dict(in_bed=7), "in_bed must be true, false or null, got 7"),
+    "in-bed-one": (dict(in_bed=1), "in_bed must be true, false or null, got 1"),
+    "in-bed-string": (dict(in_bed="true"), "in_bed must be true, false or null, got 'true'"),
+    "role-unknown": (dict(roles=("nurse",)), "role must be one of patient, staff, other, got 'nurse'"),
+}
+
+
+class TestFrameLabel:
+    BOX = BoundingBox("person", 0.0, 0.0, 10.0, 10.0, 1.0)
+
+    @pytest.mark.parametrize("fields,message", BAD_FRAME_LABELS.values(), ids=BAD_FRAME_LABELS.keys())
+    def test_malformed_fields_are_rejected(self, fields, message):
+        kwargs = dict(dict(session_id="s", ts=0, boxes=(self.BOX,), roles=("patient",)), **fields)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            FrameLabel(**kwargs)
+
+    @pytest.mark.parametrize("in_bed", [True, False, None])
+    @pytest.mark.parametrize("role", ["patient", "staff", "other"])
+    def test_valid_fields_are_kept(self, in_bed, role):
+        label = FrameLabel("s", 0, [self.BOX], [role], in_bed=in_bed, exceptions=["hard to see"])
+        assert (label.in_bed, label.roles, label.exceptions) == (in_bed, (role,), ("hard to see",))
 
 
 def _pred(ts, boxes_roles, session="s"):
