@@ -1,4 +1,7 @@
+import hashlib
 import itertools
+import json
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -227,3 +230,93 @@ class TestSpecFromDict:
         assert spec.noise.p_miss == 0.05
         assert spec.tracks[0].waypoints[1] == (50, 60.0, 60.0)
         assert spec.zone_polygon().area() > 0
+
+
+# Each golden spec reaches a branch of `generate`: several intervals (one an
+# empty room), every noise draw on or off (a miss draw is taken even when
+# p_miss is 0), tracks entering the zone in one interval and leaving it in
+# another, two tracks crossing in the same second in opposite directions, a
+# track that starts inside the zone, no zone, and a 1-second scenario.
+GOLDEN_SCHEDULE = (
+    ScheduleInterval(0, 40, patients=1, motion=0.2),
+    ScheduleInterval(40, 95, patients=1, staff=2, others=1, motion=1.5),
+    ScheduleInterval(95, 120),
+    ScheduleInterval(120, 180, patients=2, others=2, motion=0.8),
+    ScheduleInterval(180, 200, patients=1),
+    ScheduleInterval(200, 230, patients=1, others=1, motion=0.5),
+    ScheduleInterval(230, 260, patients=1),
+)
+GOLDEN_TRACKS = (
+    OccupantTrack("staff", ((0, 100.0, 430.0), (40, 550.0, 430.0), (96, 900.0, 430.0))),
+    OccupantTrack("patient", ((0, 550.0, 450.0), (30, 550.0, 100.0))),
+    OccupantTrack("other", ((150, 900.0, 430.0), (179, 100.0, 430.0))),
+    OccupantTrack("staff", ((100, 100.0, 430.0), (150, 550.0, 430.0))),
+    OccupantTrack("other", ((100, 670.0, 400.0), (150, 220.0, 400.0))),
+    OccupantTrack("patient", ((97, 50.0, 500.0), (99, 80.0, 500.0))),
+)
+
+
+def _golden_spec(seed, noise, zone=ZONE, duration=260, schedule=GOLDEN_SCHEDULE, tracks=GOLDEN_TRACKS):
+    return ScenarioSpec(
+        seed=seed,
+        duration_s=duration,
+        schedule=schedule,
+        tracks=tracks,
+        noise=NoiseModel(*noise),
+        session_id=f"golden-{seed}",
+        zone=zone,
+    )
+
+
+ONE_SECOND = (ScheduleInterval(0, 1, patients=1, staff=1, motion=2.0),)
+GOLDEN = {  # name: (_golden_spec arguments, sha256)
+    "all-noise-zone": (
+        dict(seed=7, noise=(0.1, 0.2, 0.3)),
+        "4694de4c772d2b5df094fda38725b472c50c276733e0c4da1a560277918547aa",
+    ),
+    "all-noise-no-zone": (
+        dict(seed=8, noise=(0.1, 0.2, 0.3), zone=None),
+        "1d86bd39eb81b7fc556080b2153d3eb14754858e74c0d2c2346ccec9174144ef",
+    ),
+    "no-miss": (
+        dict(seed=9, noise=(0.0, 0.25, 0.25)),
+        "e5e9b3bdb80aac971ca9c0417e1762d9b4dba2f79eabe7fd3e08a14035ced185",
+    ),
+    "miss-and-spurious": (
+        dict(seed=10, noise=(0.2, 0.3, 0.0)),
+        "58f290641fb575e20c07ebb4c2b3540160856bcdbd07c00f675d347b97a408d4",
+    ),
+    "role-only": (
+        dict(seed=11, noise=(0.0, 0.0, 0.3)),
+        "5e9037baa15c0c4286a9e5cfd1b37729dfb5143bc2826ecffbf040a23cae371f",
+    ),
+    "noiseless": (
+        dict(seed=12, noise=(0.0, 0.0, 0.0)),
+        "498248c06794b05f0b3688816101d3e397b875980b6963c6b41912ca85316252",
+    ),
+    "one-second": (
+        dict(seed=13, noise=(0.2, 0.3, 0.4), duration=1, schedule=ONE_SECOND, tracks=()),
+        "49d1ca41466f64044bec6c033a732de131b8496179975b47fbdd279459971d61",
+    ),
+}
+
+
+def _golden_digest(sim) -> str:
+    h = hashlib.sha256()
+    for rec, gt in zip(sim.records, sim.gt_states, strict=True):
+        h.update(dumps_row(CanonicalRow(rec, sim.motions.get(rec.ts), gt)).encode() + b"\n")
+    tail = [sim.observation_log_intervals, [astuple(c) for c in sim.gt_crossings]]
+    h.update(json.dumps(tail).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_generate_output_is_pinned(name):
+    """The exact bytes of every second, the observation log and the crossings.
+
+    The digests were recorded from the per-second generator; a rewrite must
+    keep its draw order and arithmetic to keep them."""
+    kwargs, digest = GOLDEN[name]
+    sim = generate(_golden_spec(**kwargs), CFG)
+    assert sorted(sim.motions) == [r.ts for r in sim.records[1:]]
+    assert _golden_digest(sim) == digest
