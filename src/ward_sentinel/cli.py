@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import camera_meta as cm
 from . import trends as tr
-from .errors import SchemaMismatch, ValidationError, WardSentinelError
+from .errors import ValidationError, WardSentinelError
 from .evaluation import TrendAccuracyReport, TrendAccuracyRow, evaluate_frames, trend_accuracy
 from .model import ANALYSIS_DIMS, PipelineConfig
 from .pipeline import (
@@ -42,7 +42,7 @@ def _load_json(path, build):
             return build(DECODER.decode(fh.read()))
         except KeyError as e:
             raise ValidationError(f"{path}: missing key {e}") from None
-        except (TypeError, ValueError, SchemaMismatch) as e:
+        except (TypeError, ValueError, ValidationError) as e:
             raise ValidationError(f"{path}: {e}") from None
 
 

@@ -6,7 +6,8 @@ detection noise model. Ground truth is derived from the schedule before
 noise and before smoothing, so end-to-end comparisons measure the pipeline
 rather than the generator. Camera frames are synthesized lazily as a
 translating textured background whose shift rate realizes the scheduled
-motion level exactly.
+motion level exactly. The generator walks the schedule one interval at a
+time, and its draw order is pinned by the golden test in tests/test_simulator.py.
 
 scipy is imported inside the function that calls it, so the read and replay
 commands start without loading it; tests/test_cli.py enforces this.
@@ -15,6 +16,7 @@ commands start without loading it; tests/test_cli.py enforces this.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from math import inf, isfinite
 from typing import Iterator, Optional
 
 import numpy as np
@@ -51,6 +53,13 @@ class ScheduleInterval:
     others: int = 0
     motion: float = 0.0
 
+    def __post_init__(self):
+        for name, v in self.counts().items():
+            if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+                raise InvalidSchedule(f"{name} count must be an integer >= 0, got {v!r}")
+        if not 0.0 <= self.motion < inf:
+            raise InvalidSchedule(f"motion must be finite and >= 0, got {self.motion!r}")
+
     def counts(self) -> dict[str, int]:
         return {"patient": self.patients, "staff": self.staff, "other": self.others}
 
@@ -73,6 +82,8 @@ class OccupantTrack:
         object.__setattr__(self, "waypoints", wps)
         if len(wps) < 2:
             raise ValueError("a track needs at least two waypoints")
+        if not all(isfinite(x) and isfinite(y) for _, x, y in wps):
+            raise InvalidSchedule(f"track waypoint coordinates must be finite: {wps}")
         for a, b in zip(wps, wps[1:]):
             if b[0] <= a[0]:
                 raise ValueError("waypoint times must be strictly increasing")
@@ -165,14 +176,16 @@ class SimulationResult:
         return {r.ts: r for r in self.records}
 
 
-def _person_box(anchor_x: float, anchor_y: float) -> BoundingBox:
+def _person_box(
+    anchor_x: float, anchor_y: float, confidence: float = PERSON_CONFIDENCE
+) -> BoundingBox:
     """Person box whose bottom-center sits at the given anchor, clamped inside."""
     fw, fh = ANALYSIS_DIMS
     w = 0.07 * fw
     h = 0.22 * fh
     x = min(max(anchor_x - w / 2.0, 0.0), fw - w)
     y = min(max(anchor_y - h, 0.0), fh - h)
-    return BoundingBox("person", x, y, w, h, PERSON_CONFIDENCE)
+    return BoundingBox("person", x, y, w, h, confidence)
 
 
 def _bed_box() -> BoundingBox:
@@ -191,28 +204,6 @@ def _static_anchor(role: str, index: int) -> tuple[float, float]:
     return (0.80 * fw + index * 0.06 * fw, 0.40 * fh)
 
 
-def _true_occupants(spec: ScenarioSpec, t: int) -> list[tuple[str, str, float, float]]:
-    """(identity, role, anchor_x, anchor_y) for every occupant present at t."""
-    iv = spec.interval_at(t)
-    out = []
-    for role, count in iv.counts().items():
-        for k in range(count):
-            x, y = _static_anchor(role, k)
-            out.append((f"{role}-{k}", role, x, y))
-    for i, tr in enumerate(spec.tracks):
-        if tr.active(t):
-            x, y = tr.position(t)
-            out.append((f"track-{i}", tr.role, x, y))
-    return out
-
-
-def _role_distribution(primary: str) -> RoleDistribution:
-    rest = (1.0 - PRIMARY_ROLE_CONFIDENCE) / 2.0
-    return RoleDistribution(
-        {r: (PRIMARY_ROLE_CONFIDENCE if r == primary else rest) for r in ROLES}
-    )
-
-
 def generate(spec: ScenarioSpec, cfg: PipelineConfig = PipelineConfig()) -> SimulationResult:
     """Produce the detection stream, ground truth, and observation log.
 
@@ -221,6 +212,7 @@ def generate(spec: ScenarioSpec, cfg: PipelineConfig = PipelineConfig()) -> Simu
     """
     rng = np.random.default_rng(spec.seed)
     fw, fh = ANALYSIS_DIMS
+    sid, noise = spec.session_id, spec.noise
 
     zone_mask: Optional[RoiMask] = None
     zone = spec.zone_polygon()
@@ -229,81 +221,86 @@ def generate(spec: ScenarioSpec, cfg: PipelineConfig = PipelineConfig()) -> Simu
             expand_polygon(zone, cfg.safety_zone_expansion), fw, fh, kind="safety_zone"
         )
 
+    bed = _bed_box()  # boxes are immutable, so seconds share them
+    # score templates: RoleDistribution copies its scores, so no instance is shared
+    rest = (1.0 - PRIMARY_ROLE_CONFIDENCE) / 2.0
+    scores = {p: {r: (PRIMARY_ROLE_CONFIDENCE if r == p else rest) for r in ROLES} for p in ROLES}
+    swaps = {p: [r for r in ROLES if r != p] for p in ROLES}
+    inside = [False] * len(spec.tracks)  # each track's zone containment a second earlier
+
     records = []
     motions: dict[int, MotionRecord] = {}
     gt_states = []
     gt_crossings: list[CrossingEvent] = []
     alone_runs: list[tuple[int, int]] = []
     run_start: Optional[int] = None
-    prev_occupants: dict[str, tuple[str, float, float]] = {}
 
-    for t in range(spec.duration_s):
-        ts = spec.start_ts + t
-        iv = spec.interval_at(t)
-        occupants = _true_occupants(spec, t)
-
-        # ground truth (pre-noise, pre-smoothing)
-        count = len(occupants)
-        any_patient = any(role == "patient" for _, role, _, _ in occupants)
-        any_staff = any(role == "staff" for _, role, _, _ in occupants)
-        patient_alone = count < 2 and any_patient
-        gt_states.append(
-            LogicalState(
-                session_id=spec.session_id,
-                ts=ts,
-                person_alone=count < 2,
-                patient_alone=patient_alone,
-                supervised_by_staff=count >= 2 and any_staff,
-                moving=iv.motion > cfg.moving_threshold,
-                smoothed_person_count=float(count),
-            )
-        )
-        if patient_alone and run_start is None:
-            run_start = ts
-        elif not patient_alone and run_start is not None:
-            alone_runs.append((run_start, ts))
-            run_start = None
-
-        # schedule-implied crossings of the expanded zone, by identity
-        cur_map = {ident: (role, x, y) for ident, role, x, y in occupants}
-        if zone_mask is not None:
-            for ident, (role, x, y) in cur_map.items():
-                if ident in prev_occupants:
-                    _, px, py = prev_occupants[ident]
-                    was = zone_mask.contains(px, py)
+    for iv in spec.schedule:
+        # (role, box) of each occupant at rest, in role order; a resting
+        # occupant never moves, so only tracks can cross the zone
+        resting = [
+            (role, _person_box(*_static_anchor(role, k)))
+            for role, count in iv.counts().items()
+            for k in range(count)
+        ]
+        moving = iv.motion > cfg.moving_threshold
+        scene = float(iv.motion)
+        for t in range(iv.start_s, iv.end_s):
+            ts = spec.start_ts + t
+            occupants = resting.copy()
+            for i, tr in enumerate(spec.tracks):
+                if not tr.active(t):
+                    continue
+                x, y = tr.position(t)
+                occupants.append((tr.role, _person_box(x, y)))
+                if zone_mask is not None:
                     now = zone_mask.contains(x, y)
-                    if was != now:
-                        direction = "exit" if was else "entry"
-                        gt_crossings.append(
-                            CrossingEvent(spec.session_id, ts, direction, -1)
-                        )
-        prev_occupants = cur_map
+                    if t > tr.waypoints[0][0] and now != inside[i]:
+                        direction = "exit" if inside[i] else "entry"
+                        gt_crossings.append(CrossingEvent(sid, ts, direction, -1))
+                    inside[i] = now
 
-        # noisy detection record
-        boxes: list[BoundingBox] = [_bed_box()]
-        roles: list[Optional[RoleDistribution]] = [None]
-        for ident, role, x, y in occupants:
-            if rng.uniform() < spec.noise.p_miss:
-                continue
-            reported = role
-            if spec.noise.p_role > 0 and rng.uniform() < spec.noise.p_role:
-                reported = str(rng.choice([r for r in ROLES if r != role]))
-            boxes.append(_person_box(x, y))
-            roles.append(_role_distribution(reported))
-        if spec.noise.p_spur > 0 and rng.uniform() < spec.noise.p_spur:
-            sx = float(rng.uniform(0.05 * fw, 0.95 * fw))
-            sy = float(rng.uniform(0.25 * fh, 0.95 * fh))
-            box = _person_box(sx, sy)
-            boxes.append(
-                BoundingBox("person", box.x, box.y, box.w, box.h, SPURIOUS_CONFIDENCE)
+            # ground truth (pre-noise, pre-smoothing)
+            count = len(occupants)
+            present = {role for role, _ in occupants}
+            patient_alone = count < 2 and "patient" in present
+            gt_states.append(
+                LogicalState(
+                    session_id=sid,
+                    ts=ts,
+                    person_alone=count < 2,
+                    patient_alone=patient_alone,
+                    supervised_by_staff=count >= 2 and "staff" in present,
+                    moving=moving,
+                    smoothed_person_count=float(count),
+                )
             )
-            roles.append(_role_distribution(str(rng.choice(ROLES))))
-        records.append(DetectionRecord(spec.session_id, ts, tuple(boxes), tuple(roles)))
+            if patient_alone and run_start is None:
+                run_start = ts
+            elif not patient_alone and run_start is not None:
+                alone_runs.append((run_start, ts))
+                run_start = None
 
-        if t >= 1:
-            motions[ts] = MotionRecord(
-                spec.session_id, ts, {"scene": float(iv.motion)}
-            )
+            # noisy detection record. The draw order is part of the output: a miss
+            # draw per occupant even at p_miss 0; random() is uniform() unscaled.
+            boxes: list[BoundingBox] = [bed]
+            roles: list[Optional[RoleDistribution]] = [None]
+            for role, box in occupants:
+                if rng.random() < noise.p_miss:
+                    continue
+                if noise.p_role > 0 and rng.random() < noise.p_role:
+                    role = str(rng.choice(swaps[role]))
+                boxes.append(box)
+                roles.append(RoleDistribution(scores[role]))
+            if noise.p_spur > 0 and rng.random() < noise.p_spur:
+                sx = float(rng.uniform(0.05 * fw, 0.95 * fw))
+                sy = float(rng.uniform(0.25 * fh, 0.95 * fh))
+                boxes.append(_person_box(sx, sy, SPURIOUS_CONFIDENCE))
+                roles.append(RoleDistribution(scores[str(rng.choice(ROLES))]))
+            records.append(DetectionRecord(sid, ts, tuple(boxes), tuple(roles)))
+
+            if t >= 1:
+                motions[ts] = MotionRecord(sid, ts, {"scene": scene})
 
     if run_start is not None:
         alone_runs.append((run_start, spec.start_ts + spec.duration_s))
@@ -378,9 +375,9 @@ def spec_from_dict(raw: dict) -> ScenarioSpec:
         ScheduleInterval(
             start_s=int(iv["start_s"]),
             end_s=int(iv["end_s"]),
-            patients=int(iv.get("patients", 0)),
-            staff=int(iv.get("staff", 0)),
-            others=int(iv.get("others", 0)),
+            patients=iv.get("patients", 0),
+            staff=iv.get("staff", 0),
+            others=iv.get("others", 0),
             motion=float(iv.get("motion", 0.0)),
         )
         for iv in raw["schedule"]

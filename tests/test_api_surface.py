@@ -2,13 +2,15 @@
 
 The benchmark tracer (perfbench/spans.py) patches functions and methods at
 the module globals and class attributes where the package looks them up, the
-demos import from the package, and the README shows command lines, a config
-file and a scenario spec. A rename in the package must fail here, not only
-when the benchmark or a demo is run or a reader copies from the README.
+benchmark's workloads and checks call into the package, the demos import from
+it, and the README shows command lines, a config file and a scenario spec. A
+rename in the package must fail here, not only when the benchmark or a demo is
+run or a reader copies from the README.
 """
 
 import argparse
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import json
@@ -25,7 +27,7 @@ import ward_sentinel
 from ward_sentinel.cli import build_parser
 from ward_sentinel.model import PipelineConfig
 from ward_sentinel.pipeline import ADAPTERS
-from ward_sentinel.simulator import spec_from_dict
+from ward_sentinel.simulator import ScenarioSpec, SimulationResult, spec_from_dict
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -62,6 +64,58 @@ def test_tracer_patches_and_restores_every_lookup_site():
     for (owner, attr), fn in zip(sites, original):
         assert owner.__dict__[attr] is fn, f"{owner.__name__}.{attr} not restored"
     assert logic_log.handlers == handlers
+
+
+def _package_chains(tree: ast.AST) -> set[tuple[str, ...]]:
+    """Each attribute chain read from the package namespace, such as
+    ("simulator", "ScenarioSpec") for `ws.simulator.ScenarioSpec`.
+
+    The namespace is `ws` or `self.ws`; a local name bound to a chain, such as
+    `p = self.ws.pipeline`, continues it.
+    """
+    aliases: dict[str, tuple[str, ...]] = {"ws": ()}
+
+    def chain(node):
+        names = []
+        while isinstance(node, ast.Attribute):
+            names.insert(0, node.attr)
+            node = node.value
+        if isinstance(node, ast.Name) and node.id == "self" and names[:1] == ["ws"]:
+            return tuple(names[1:])
+        if isinstance(node, ast.Name) and node.id in aliases:
+            return aliases[node.id] + tuple(names)
+        return None
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target, value = node.targets[0], node.value
+            pairs = [(target, value)]
+            if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple):
+                pairs = zip(target.elts, value.elts)
+            for name, expr in pairs:
+                if isinstance(name, ast.Name) and chain(expr) is not None:
+                    aliases[name.id] = chain(expr)
+    return {c for node in ast.walk(tree) if isinstance(node, ast.Attribute) and (c := chain(node))}
+
+
+@pytest.mark.parametrize("source,least", [("workloads.py", 30), ("checks.py", 1)])
+def test_benchmark_package_lookups_resolve(source, least):
+    tree = ast.parse((ROOT / "perfbench" / source).read_text())
+    chains = _package_chains(tree)
+    assert len(chains) >= least
+    ws = _package()
+    for names in sorted(chains):
+        obj = ws
+        for name in names:
+            assert hasattr(obj, name), f"{source}: ws.{'.'.join(names)}"
+            obj = getattr(obj, name)
+
+
+def test_benchmark_instance_lookups_resolve():
+    """What the workloads read from a spec or simulation result they hold."""
+    assert callable(ScenarioSpec.interval_at)
+    assert "raw_frame_dims" in {f.name for f in dataclasses.fields(ScenarioSpec)}
+    assert callable(SimulationResult.frames)
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[p.name for p in DEMOS])

@@ -360,6 +360,15 @@ def test_config_flag_applies(tmp_path, spec_path):
     assert not any(r["logical"]["moving"] for r in rows)  # threshold too high
 
 
+def _overflowing(obj, marker=0.125) -> str:
+    """obj as JSON text with the number marker written as 1e999, which decodes to inf."""
+    return json.dumps(obj).replace(repr(marker), "1e999")
+
+
+def _first_interval(**changes) -> dict:
+    return dict(SPEC, schedule=[dict(SPEC["schedule"][0], **changes), SPEC["schedule"][1]])
+
+
 LABEL = {
     "session_id": "roomA",
     "ts": 1709251200,
@@ -384,6 +393,16 @@ BAD_INPUTS = {
     "scenario-nan-motion": (
         "scenario", dict(SPEC, schedule=[dict(SPEC["schedule"][0], motion=float("nan"))]),
     ),
+    "spec-negative-patients": ("spec", _first_interval(patients=-1)),
+    "spec-fractional-staff": ("spec", _first_interval(staff=1.5)),
+    "spec-boolean-others": ("spec", _first_interval(others=True)),
+    "spec-negative-motion": ("spec", _first_interval(motion=-0.5)),
+    "scenario-infinite-motion": ("scenario", _overflowing(_first_interval(motion=0.125))),
+    "spec-infinite-waypoint": (
+        "spec",
+        _overflowing(dict(SPEC, tracks=[{"role": "staff", "waypoints": [[0, 0.125, 10], [50, 60, 60]]}])),
+    ),
+    "scenario-schedule-gap": ("scenario", dict(SPEC, duration_s=700)),
     "log-inverted-interval": ("log", "session_id,start_ts,end_ts\nroomA,1709251300,1709251200\n"),
     "log-non-integer-ts": ("log", "session_id,start_ts,end_ts\nroomA,1709251200.5,1709251300\n"),
     "log-wrong-header": ("log", "session,start,end\nroomA,1709251200,1709251300\n"),
@@ -435,6 +454,8 @@ def test_bad_input_file_exits_two(tmp_path, spec_path, capsys, kind, content):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("validation error: ") and str(bad) in err
+    if kind in ("config", "spec", "scenario"):
+        assert err.startswith(f"validation error: {bad}: ")
     if "NaN" in text:  # rejected by the one strict decoder, not by a later check
         assert "non-finite number NaN is not allowed" in err
     if kind in JSONL_KINDS:  # the bad line is the file's last; blank lines count

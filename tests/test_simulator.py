@@ -53,6 +53,30 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             NoiseModel(p_spur=-0.1)
 
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            dict(patients=-1),
+            dict(staff=1.5),
+            dict(others=True),
+            dict(patients="1"),
+            dict(motion=-0.5),
+            dict(motion=float("inf")),
+            dict(motion=float("nan")),
+        ],
+        ids=repr,
+    )
+    def test_interval_counts_and_motion_checked(self, changes):
+        with pytest.raises(InvalidSchedule):
+            ScheduleInterval(0, 10, **changes)
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+    def test_track_waypoints_must_be_finite(self, bad):
+        with pytest.raises(InvalidSchedule):
+            OccupantTrack("staff", ((0, bad, 10.0), (5, 20.0, 20.0)))
+        with pytest.raises(InvalidSchedule):
+            OccupantTrack("staff", ((0, 10.0, 10.0), (5, 20.0, bad)))
+
     def test_track_requires_waypoints_in_range(self):
         track = OccupantTrack("staff", ((0, 10, 10), (700, 20, 20)))
         with pytest.raises(InvalidSchedule):
@@ -230,6 +254,11 @@ class TestSpecFromDict:
         assert spec.noise.p_miss == 0.05
         assert spec.tracks[0].waypoints[1] == (50, 60.0, 60.0)
         assert spec.zone_polygon().area() > 0
+
+    def test_counts_are_not_coerced(self):
+        raw = {"seed": 1, "duration_s": 10, "schedule": [{"start_s": 0, "end_s": 10, "patients": 1.5}]}
+        with pytest.raises(InvalidSchedule):
+            spec_from_dict(raw)
 
 
 # Each golden spec reaches a branch of `generate`: several intervals (one an
