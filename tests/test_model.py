@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 from dataclasses import replace
@@ -459,3 +460,86 @@ def test_valid_rows_round_trip_byte_for_byte_and_validate_once(rng):
         assert dumps_row(row) == line
         once = validate_record(row.record, ANALYSIS_DIMS)
         assert validate_record(once, ANALYSIS_DIMS) is once
+
+
+LOGICAL_KEYS = ("person_alone", "patient_alone", "supervised_by_staff", "moving", "smoothed_person_count")
+MOTION_SUBSETS = [keys for n in range(4) for keys in itertools.combinations(("scene", "bed", "safety_zone"), n)]
+# Values a row may hold, by where they may stand: JSON int, float and bool,
+# the signed zero, the smallest subnormal, a float past 2**53 and a big int.
+ANY_COORD = (-0.0, 0, -3, 0.1 + 0.2, 1e16, 2**70, True, False, np.float64(0.1))
+SIZES = (5e-324, 1e16, 2**70, 7, 12.5, 1 / 3, True, np.float64(2.5))
+CONFS = (-0.0, 5e-324, 0, 1, True, False, 0.25, 1 / 3)
+SCORES = (
+    (0.8, 0.1, 0.1), (1, 0, 0), (True, False, False), (0.5, 0.5, 0), (-0.0, 1, 0.0),
+    (1.0, 5e-324, 0.0), (1 / 3, 1 / 3, 1 / 3),
+)
+MAGNITUDES = (0.0, -0.0, 5e-324, 1e16, 2**70, 3, True, 0.1 + 0.2)
+COUNTS = (0, 2, 1.5, -0.0, 5e-324, 1e16, 2**70)
+SESSION_IDS = ("s", 'quo"te', "back\\slash", "caf\u00e9", "line\u2028sep", "ctrl\x01", "")
+TIMESTAMPS = (0, -5, 1_709_251_200, 2**70)
+
+
+def _expected_obj(row: CanonicalRow) -> dict:
+    """The canonical object of a row, field by field."""
+    rec = row.record
+    obj = {
+        "session_id": rec.session_id,
+        "ts": rec.ts,
+        "boxes": [
+            {"cls": b.cls, "x": b.x, "y": b.y, "w": b.w, "h": b.h, "conf": b.confidence}
+            for b in rec.boxes
+        ],
+        "roles": [None if r is None else dict(r.scores) for r in rec.roles],
+    }
+    if row.motion is not None:
+        obj["motion"] = dict(row.motion.magnitudes)
+    if row.logical is not None:
+        obj["logical"] = {k: getattr(row.logical, k) for k in LOGICAL_KEYS}
+    return obj
+
+
+def _random_row(rng, k: int) -> CanonicalRow:
+    def pick(values):
+        return values[int(rng.integers(len(values)))]
+
+    boxes, roles = [], []
+    for _ in range(int(rng.integers(0, 4))):
+        cls = pick(("person", "bed", "chair"))
+        boxes.append(BoundingBox(cls, pick(ANY_COORD), pick(ANY_COORD), pick(SIZES), pick(SIZES), pick(CONFS)))
+        scores = dict(zip(ROLES, pick(SCORES)))
+        roles.append(RoleDistribution(scores) if cls == "person" and k % 5 else None)
+    session_id, ts = pick(SESSION_IDS), pick(TIMESTAMPS)
+    rec = DetectionRecord(session_id, ts, tuple(boxes), tuple(roles))
+    keys = MOTION_SUBSETS[k % len(MOTION_SUBSETS)]
+    motion = None if k % 9 == 8 else MotionRecord(session_id, ts, {m: pick(MAGNITUDES) for m in keys})
+    logical = None
+    if k % 4:
+        alone = bool(rng.integers(2))
+        flags = (alone, alone and bool(rng.integers(2)), not alone and bool(rng.integers(2)), bool(rng.integers(2)))
+        logical = LogicalState(session_id, ts, *flags, pick(COUNTS))
+    return CanonicalRow(rec, motion, logical)
+
+
+def test_dumps_row_writes_the_sorted_compact_json_of_the_row(rng):
+    seen = set()
+    for k in range(600):
+        row = _random_row(rng, k)
+        want = json.dumps(_expected_obj(row), sort_keys=True, separators=(",", ":"))
+        assert dumps_row(row) == want
+        if row.motion is not None:
+            seen.add(tuple(sorted(row.motion.magnitudes)))
+        seen.add(("boxes", len(row.record.boxes)))
+        seen.add(("roles-none", all(r is None for r in row.record.roles)))
+        seen.add(("session", row.record.session_id))
+    assert {tuple(sorted(keys)) for keys in MOTION_SUBSETS} <= seen
+    assert {("boxes", 0), ("roles-none", True), ("roles-none", False)} <= seen
+    assert {("session", sid) for sid in SESSION_IDS} <= seen
+
+
+def test_dumps_row_keeps_the_json_encoders_bytes_and_errors_for_numpy_scalars():
+    box = BoundingBox("person", np.float64(0.1) + 0.2, 5.0, np.float64(1e16), 2**70, np.float64(0.5))
+    row = CanonicalRow(DetectionRecord("s", 7, (box,), (role_dist("staff"),)))
+    assert dumps_row(row) == json.dumps(_expected_obj(row), sort_keys=True, separators=(",", ":"))
+    assert '"x":0.30000000000000004' in dumps_row(row)
+    with pytest.raises(TypeError, match="int64"):
+        dumps_row(CanonicalRow(DetectionRecord("s", np.int64(7), (box,), (role_dist("staff"),))))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -24,7 +25,17 @@ from ward_sentinel.imageops import (
     to_grayscale,
     to_uint8,
 )
-from ward_sentinel.model import ANALYSIS_DIMS, DETECTOR_DIMS, FLOW_DIMS, Frame, PipelineConfig
+from ward_sentinel.model import (
+    ANALYSIS_DIMS,
+    DETECTOR_DIMS,
+    FLOW_DIMS,
+    ROLES,
+    BoundingBox,
+    DetectionRecord,
+    Frame,
+    PipelineConfig,
+    RoleDistribution,
+)
 from ward_sentinel.pipeline import (
     DetectorOutput,
     DetectorPort,
@@ -739,3 +750,75 @@ class TestIngest:
         assert (report.rows_ok, report.rows_rejected) == (3, 1)
         assert report.errors == ((4, "duplicate ts 1001 for session ing"),)
         assert [dumps_row(r) for r in store.iter_rows()] == [dumps_row(r) for r in rows]
+
+
+# A store built by the pipeline from hand-made rows, pinned byte for byte: two
+# sessions, one straddling UTC midnight with a 12 s gap (longer than the 5 s
+# window), walkers that enter and leave the safety zone, boxes the clamp
+# rebuilds (a stored w of 10.0 from an int 10, a box past each frame edge),
+# int geometry the clamp keeps, int role scores and every motion-key subset.
+GOLDEN_MIDNIGHT = 1_709_337_600  # 2024-03-02T00:00:00Z
+GOLDEN_ZONE = ((400.0, 300.0), (700.0, 300.0), (700.0, 560.0), (400.0, 560.0))
+GOLDEN_STORE = {  # manifest key: sha256 of the file
+    "sessions/ward-a/2024-03-01.jsonl": "4887f821c6b73f276aef400e9dcc5534a85e38c63a9df1a6547f543fd3d53e87",
+    "sessions/ward-a/2024-03-02.jsonl": "6c041b10f7ee2d1b6921c3fa1d5e9f3e1d595435fe8b3960ec48c4e437bebe56",
+    "sessions/ward-a/crossings.jsonl": "688ce166d4eac192db3a23799d82313ec65b72cf0a67f9a2bce4d4f3fe65c6e4",
+    "sessions/ward-b/2024-03-01.jsonl": "7602a599223ce8140e9dc29239504e3d40c70e0cce0dabb75264f98995770fb7",
+    "sessions/ward-b/crossings.jsonl": "a2d04fd6bde302f8ad24ab1f7c0133c3e6f5d26bf64637f0bff434405da9c0cb",
+}
+
+
+def _golden_record(session_id: str, ts: int, t: int, walker_x: float, walker_role: str) -> CanonicalRow:
+    def person(x, y, w, h, conf, scores):
+        return BoundingBox("person", x, y, w, h, conf), RoleDistribution(dict(zip(ROLES, scores)))
+
+    walker_scores = (0.9, 0.05, 0.05) if walker_role == "patient" else (0.05, 0.9, 0.05)
+    pairs = [
+        (BoundingBox("bed", 300.0, 250.0, 380.0, 240.0, 0.92), None),
+        person(walker_x, 340.0, 40.0, 90.0, 0.81, walker_scores),
+    ]
+    if t % 2:
+        pairs.append((BoundingBox("chair", 5.0, 5.0, 10, 10, 0.5), None))  # stored as w 10.0, h 10.0
+    else:
+        pairs.append((BoundingBox("chair", 20, 30, 40, 50, 1), None))  # stored as ints
+    if t % 7 < 3:
+        pairs.append(person(900.0, 100.0 + t, 50.0, 110.0, 0.66, (0, 1, 0)))
+    if t % 11 == 0:
+        pairs.append(person(-12.5, 200.0, 60.0, 120.0, 0.7, (0.2, 0.2, 0.6)))  # past the left edge
+    if t % 13 == 0:
+        pairs.append((BoundingBox("chair", 1080.0, 600.0, 20.0, 30.0, 0.4), None))  # past the right and bottom
+    boxes, roles = zip(*pairs)
+    motion = None
+    if t % 10 != 9:
+        keys = ("scene", "bed", "safety_zone")  # every subset, by the bits of t
+        mags = {k: (t % 9) * 0.125 + i for i, k in enumerate(keys) if (t >> i) & 1}
+        motion = MotionRecord(session_id, ts, mags)
+    return CanonicalRow(DetectionRecord(session_id, ts, boxes, roles), motion)
+
+
+def _golden_rows() -> list[CanonicalRow]:
+    rows = []
+    start_a = GOLDEN_MIDNIGHT - 25
+    for t in range(70):
+        if 30 <= t < 42:
+            continue  # the gap
+        x = 100.0 + 25.0 * t if t < 30 else 825.0 - 25.0 * (t - 42)
+        rows.append((start_a + t, 0, _golden_record("ward-a", start_a + t, t, x, "patient")))
+    start_b = GOLDEN_MIDNIGHT - 40
+    for t in range(40):
+        x = 520.0 - 30.0 * t if t < 15 else 100.0 + 30.0 * (t - 15)
+        rows.append((start_b + t, 1, _golden_record("ward-b", start_b + t, t, x, "staff")))
+    return [row for *_, row in sorted(rows, key=lambda e: e[:2])]
+
+
+def test_pipeline_store_bytes_are_pinned(tmp_path):
+    cfg = PipelineConfig(zones={"default": GOLDEN_ZONE})
+    store = Store(tmp_path / "store")
+    stats = run_pipeline(rows_source(_golden_rows()), cfg, store)
+    assert stats.rows == 98 and stats.sessions == 2
+    segments = store.load_manifest()["segments"]
+    digests = {rel: hashlib.sha256((tmp_path / "store" / rel).read_bytes()).hexdigest() for rel in segments}
+    stored = "".join((tmp_path / "store" / rel).read_text() for rel in sorted(segments))
+    assert '"direction":"entry"' in stored and '"direction":"exit"' in stored
+    assert '"h":10.0,"w":10.0,"x":5.0' in stored and '"h":50,"w":40,"x":20,"y":30' in stored
+    assert digests == GOLDEN_STORE
