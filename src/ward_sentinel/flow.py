@@ -66,7 +66,7 @@ class FlowField:
         return mag
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MotionRecord:
     """Per-second average motion magnitude for each available ROI."""
 
@@ -75,7 +75,7 @@ class MotionRecord:
     magnitudes: Mapping[str, float]
 
     def __post_init__(self):
-        mags = {k: float(v) for k, v in dict(self.magnitudes).items()}
+        mags = {k: float(v) for k, v in self.magnitudes.items()}
         for k, v in mags.items():
             if not 0.0 <= v < inf:
                 raise ValueError(f"motion magnitude for {k} must be finite and >= 0: {v}")

@@ -116,9 +116,10 @@ class RoiMask:
 
     def contains(self, x: float, y: float) -> bool:
         """Membership of the pixel under a continuous point, clamped to frame."""
-        px = min(max(math.floor(x), 0), self.width - 1)
-        py = min(max(math.floor(y), 0), self.height - 1)
-        return bool(self.bits[py, px])
+        px, py = math.floor(x), math.floor(y)
+        px = 0 if px < 0 else self.width - 1 if px >= self.width else px
+        py = 0 if py < 0 else self.height - 1 if py >= self.height else py
+        return self.bits.item(py, px)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from .model import DetectionRecord, PipelineConfig, ROLES, RoleDistribution
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogicalState:
     session_id: str
     ts: int
@@ -102,7 +102,11 @@ class SmoothingWindow:
                 f"session {rec.session_id}: ts {rec.ts} not after {last}"
             )
         scene = motion.magnitudes.get("scene") if motion is not None else None
-        patient, staff = rec.has_primary_role("patient"), rec.has_primary_role("staff")
+        # One walk of the roles; person_count() counts every box, with a role or not.
+        primaries = {
+            r.primary() for b, r in zip(rec.boxes, rec.roles) if r is not None and b.cls == "person"
+        }
+        patient, staff = "patient" in primaries, "staff" in primaries
         self._seconds.append((rec.ts, rec.person_count(), patient, staff, scene))
         self.newest = rec
         cutoff = rec.ts - self.window_s

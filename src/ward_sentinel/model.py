@@ -253,7 +253,10 @@ class PipelineConfig:
 
 def check_session_id(session_id: str) -> None:
     """A session id names a store directory, so it must be one path component."""
-    if session_id in ("", ".", "..") or any(c in session_id for c in "/\\\0"):
+    if (
+        session_id in ("", ".", "..")
+        or "/" in session_id or "\\" in session_id or "\0" in session_id
+    ):
         raise MalformedRecord(f"session id {session_id!r} is not a single path component")
 
 

@@ -139,7 +139,7 @@ class SyntheticDetector(DetectorPort):
         return DetectorOutput(boxes=rec.boxes, role_confidences=confidences)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SourceItem:
     """One second of input: a frame, a recorded DetectionRecord with the item's
     session_id and ts, or both, plus any recorded motion for that same second.

@@ -8,16 +8,26 @@ One object per monitored second:
      "logical": {"person_alone","patient_alone","supervised_by_staff",
                  "moving","smoothed_person_count"}} # optional
 
-motion/logical are absent on ingest and filled by the pipeline. Rows are
-serialized with sorted keys and no whitespace so identical content is
-byte-identical. Floats survive the round trip exactly (repr-based JSON);
-NaN and Infinity are rejected on read, and each value is checked once on
-construction or decode.
+motion/logical are absent on ingest and filled by the pipeline. A row is
+stored as ENCODER (sorted keys, no whitespace) writes its object, so identical
+content is byte-identical. dumps_row writes those bytes from fixed templates
+whose keys are already in sorted order: {"boxes":[...],"logical":{...},
+"motion":{...},"roles":[...],"session_id":...,"ts":...}, without logical or
+motion when it is None; a box is {"cls","conf","h","w","x","y"}, a role
+{"other","patient","staff"}, and motion keys go in sorted() order. Like
+ENCODER, it writes a plain float with float.__repr__ (every stored float is
+finite by construction), a plain int with int.__repr__, a bool as true or
+false and a str with encode_basestring_ascii; any other value (a float
+subclass, np.int64, a motion key that is not a str) goes through ENCODER, so
+it gets ENCODER's bytes or its TypeError. Floats survive the round trip
+exactly; NaN and Infinity are rejected on read, and each value is checked
+once on construction or decode.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
@@ -29,46 +39,80 @@ from .model import BoundingBox, DetectionRecord, RoleDistribution
 
 SCHEMA_VERSION = 1
 _MOTION_KEYS = ("scene", "bed", "safety_zone")
+_MOTION_KEY_SET = frozenset(_MOTION_KEYS)
 _LOGICAL_FLAGS = ("person_alone", "patient_alone", "supervised_by_staff", "moving")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CanonicalRow:
     record: DetectionRecord
     motion: Optional[MotionRecord] = None
     logical: Optional[LogicalState] = None
 
 
-def row_to_obj(row: CanonicalRow) -> dict:
-    rec = row.record
-    obj = {
-        "session_id": rec.session_id,
-        "ts": rec.ts,
-        "boxes": [
-            {"cls": b.cls, "x": b.x, "y": b.y, "w": b.w, "h": b.h, "conf": b.confidence}
-            for b in rec.boxes
-        ],
-        "roles": [None if r is None else dict(r.scores) for r in rec.roles],
-    }
-    if row.motion is not None:
-        obj["motion"] = dict(row.motion.magnitudes)
-    if row.logical is not None:
-        s = row.logical
-        obj["logical"] = {
-            "person_alone": s.person_alone,
-            "patient_alone": s.patient_alone,
-            "supervised_by_staff": s.supervised_by_staff,
-            "moving": s.moving,
-            "smoothed_person_count": s.smoothed_person_count,
-        }
-    return obj
-
-
 ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+# An object whose numbers are all plain floats is filled with repr() (%r);
+# any other, through _value (%s).
+_BOX = '{"cls":%s,"conf":%r,"h":%r,"w":%r,"x":%r,"y":%r}'
+_ROLE = '{"other":%r,"patient":%r,"staff":%r}'
+_BOX_ANY, _ROLE_ANY = _BOX.replace("%r", "%s"), _ROLE.replace("%r", "%s")
+_LOGICAL = (
+    '"logical":{"moving":%s,"patient_alone":%s,"person_alone":%s,'
+    '"smoothed_person_count":%s,"supervised_by_staff":%s},'
+)
+
+
+def _value(v) -> str:
+    """v as ENCODER writes it, without ENCODER's call for the common types."""
+    t = type(v)
+    if t is float:
+        return float.__repr__(v)
+    if t is int:
+        return int.__repr__(v)
+    if t is bool:
+        return "true" if v else "false"
+    if t is str:
+        return encode_basestring_ascii(v)
+    return ENCODER.encode(v)
 
 
 def dumps_row(row: CanonicalRow) -> str:
-    return ENCODER.encode(row_to_obj(row))
+    """ENCODER.encode of the row's canonical object (module docstring)."""
+    rec, v = row.record, _value
+    boxes = []
+    for b in rec.boxes:
+        c, h, w, x, y = b.confidence, b.h, b.w, b.x, b.y
+        if type(c) is type(h) is type(w) is type(x) is type(y) is float:
+            boxes.append(_BOX % (v(b.cls), c, h, w, x, y))
+        else:
+            boxes.append(_BOX_ANY % (v(b.cls), v(c), v(h), v(w), v(x), v(y)))
+    text = '{"boxes":[' + ",".join(boxes) + "],"
+    lg = row.logical
+    if lg is not None:
+        text += _LOGICAL % (
+            v(lg.moving), v(lg.patient_alone), v(lg.person_alone),
+            v(lg.smoothed_person_count), v(lg.supervised_by_staff),
+        )
+    if row.motion is not None:
+        mags = row.motion.magnitudes
+        try:
+            pairs = [encode_basestring_ascii(k) + ":" + v(mags[k]) for k in sorted(mags)]
+            text += '"motion":{' + ",".join(pairs) + "},"
+        except TypeError:  # a key that is not a str
+            text += '"motion":' + ENCODER.encode(mags) + ","
+    roles = []
+    for r in rec.roles:
+        if r is None:
+            roles.append("null")
+            continue
+        o, p, s = r.scores["other"], r.scores["patient"], r.scores["staff"]
+        if type(o) is type(p) is type(s) is float:
+            roles.append(_ROLE % (o, p, s))
+        else:
+            roles.append(_ROLE_ANY % (v(o), v(p), v(s)))
+    text += '"roles":[' + ",".join(roles) + "],"
+    return text + '"session_id":' + v(rec.session_id) + ',"ts":' + v(rec.ts) + "}"
 
 
 def _session_and_ts(obj: dict) -> tuple[str, int]:
@@ -96,29 +140,28 @@ def obj_to_row(obj: dict) -> CanonicalRow:
         )
         roles = tuple([None if r is None else RoleDistribution(r) for r in obj["roles"]])
         record = DetectionRecord(session_id, ts, boxes, roles)
-        motion = None
-        if obj.get("motion") is not None:
-            mags = obj["motion"]
+        motion = logical = None
+        mags = obj.get("motion")
+        if mags is not None:
             if type(mags) is not dict:
                 raise TypeError(f"motion must be an object, got {mags!r}")
-            unknown = set(mags) - set(_MOTION_KEYS)
-            if unknown:
-                raise SchemaMismatch(f"unknown motion keys {sorted(unknown)}")
+            if not mags.keys() <= _MOTION_KEY_SET:
+                unknown = sorted(mags.keys() - _MOTION_KEY_SET)
+                raise SchemaMismatch(f"unknown motion keys {unknown}")
             for k, v in mags.items():
-                _check_number(v, f"motion {k}")
+                if type(v) is not float:
+                    _check_number(v, f"motion {k}")
             motion = MotionRecord(session_id, ts, mags)
-        logical = None
-        if obj.get("logical") is not None:
-            lg = obj["logical"]
-            flags = {k: lg[k] for k in _LOGICAL_FLAGS}
-            for k, v in flags.items():
-                if type(v) is not bool:
-                    raise TypeError(f"logical {k} must be true or false, got {v!r}")
+        lg = obj.get("logical")
+        if lg is not None:
+            flags = a, b, c, d = [lg[k] for k in _LOGICAL_FLAGS]
+            if not (type(a) is type(b) is type(c) is type(d) is bool):
+                k, v = next((k, v) for k, v in zip(_LOGICAL_FLAGS, flags) if type(v) is not bool)
+                raise TypeError(f"logical {k} must be true or false, got {v!r}")
             count = lg["smoothed_person_count"]
-            _check_number(count, "smoothed_person_count")
-            logical = LogicalState(
-                session_id=session_id, ts=ts, smoothed_person_count=float(count), **flags
-            )
+            if type(count) is not float:
+                _check_number(count, "smoothed_person_count")
+            logical = LogicalState(session_id, ts, a, b, c, d, float(count))
         return CanonicalRow(record, motion, logical)
     except SchemaMismatch:
         raise

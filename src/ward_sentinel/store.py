@@ -67,9 +67,10 @@ def _file_sha256(path: Path) -> str:
 
 
 class Store:
+    """A store rooted at a directory that the first seal creates; opening one makes nothing."""
+
     def __init__(self, root):
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
 
     @property
     def manifest_path(self) -> Path:

@@ -540,6 +540,35 @@ def test_run_detections_rejects_bad_row_key(tmp_path, capsys, override, message)
     assert all(store_dir in p.parents for p in _files(tmp_path) - before)
 
 
+@pytest.mark.parametrize("kind", ["scenario-infinite-waypoint", "detections-bad-line", "unknown-adapter"])
+def test_rejected_input_creates_no_store(tmp_path, capsys, kind):
+    bad, store = tmp_path / "bad.txt", tmp_path / "store"
+    good = dumps_row(CanonicalRow(make_record("roomA", T0, ["patient"])))
+    waypoints = [{"role": "staff", "waypoints": [[0, 0.125, 10], [50, 60, 60]]}]
+    content, argv = {
+        "scenario-infinite-waypoint": (
+            _overflowing(dict(SPEC, tracks=waypoints)), ["run", "--scenario", str(bad), "--out", str(store)]
+        ),
+        "detections-bad-line": (good + "\n{not json\n", ["run", "--detections", str(bad), "--out", str(store)]),
+        "unknown-adapter": (
+            good + "\n", ["ingest", "--adapter", "nope", "--input", str(bad), "--store", str(store)]
+        ),
+    }[kind]
+    bad.write_text(content)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("validation error: ")
+    assert not store.exists()
+
+
+def test_run_with_no_rows_creates_no_store(tmp_path, capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("\n")
+    store = tmp_path / "store"
+    assert main(["run", "--detections", str(empty), "--out", str(store)]) == 0
+    assert "store sealed: 0 segment(s)" in capsys.readouterr().out
+    assert not store.exists()
+
+
 def _two_session_store(tmp_path):
     """A store of sessions roomA and roomB with logical states, and an observation log."""
     store = Store(tmp_path / "store")

@@ -536,10 +536,12 @@ def test_dumps_row_writes_the_sorted_compact_json_of_the_row(rng):
     assert {("session", sid) for sid in SESSION_IDS} <= seen
 
 
-def test_dumps_row_keeps_the_json_encoders_bytes_and_errors_for_numpy_scalars():
+def test_dumps_row_keeps_the_json_encoders_bytes_and_errors_for_other_values():
     box = BoundingBox("person", np.float64(0.1) + 0.2, 5.0, np.float64(1e16), 2**70, np.float64(0.5))
-    row = CanonicalRow(DetectionRecord("s", 7, (box,), (role_dist("staff"),)))
-    assert dumps_row(row) == json.dumps(_expected_obj(row), sort_keys=True, separators=(",", ":"))
-    assert '"x":0.30000000000000004' in dumps_row(row)
+    rec = DetectionRecord("s", 7, (box,), (role_dist("staff"),))
+    for motion in (None, MotionRecord("s", 7, {2: 0.5, 1: 0.25})):  # keys that are not str
+        row = CanonicalRow(rec, motion)
+        assert dumps_row(row) == json.dumps(_expected_obj(row), sort_keys=True, separators=(",", ":"))
+    assert '"x":0.30000000000000004' in dumps_row(row) and '"motion":{"1":0.25,"2":0.5}' in dumps_row(row)
     with pytest.raises(TypeError, match="int64"):
         dumps_row(CanonicalRow(DetectionRecord("s", np.int64(7), (box,), (role_dist("staff"),))))

@@ -600,6 +600,7 @@ class TestStore:
     )
     def test_corrupt_manifest_is_a_validation_error(self, tmp_path, content):
         store = Store(tmp_path / "store")
+        store.root.mkdir()
         store.manifest_path.write_text(content)
         for read in (store.load_manifest, store.verify, lambda: list(store.iter_rows())):
             with pytest.raises(ValidationError, match=re.escape(str(store.manifest_path))):
