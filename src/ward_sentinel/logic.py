@@ -96,10 +96,10 @@ class SmoothingWindow:
         return self.newest.ts if self.newest is not None else None
 
     def push(self, rec: DetectionRecord, motion: Optional[MotionRecord] = None) -> None:
-        last = self.last_ts
-        if last is not None and rec.ts <= last:
+        newest = self.newest
+        if newest is not None and rec.ts <= newest.ts:
             raise OutOfOrderRecord(
-                f"session {rec.session_id}: ts {rec.ts} not after {last}"
+                f"session {rec.session_id}: ts {rec.ts} not after {newest.ts}"
             )
         scene = motion.magnitudes.get("scene") if motion is not None else None
         # One walk of the roles; person_count() counts every box, with a role or not.

@@ -9,19 +9,17 @@ One object per monitored second:
                  "moving","smoothed_person_count"}} # optional
 
 motion/logical are absent on ingest and filled by the pipeline. A row is
-stored as ENCODER (sorted keys, no whitespace) writes its object, so identical
-content is byte-identical. dumps_row writes those bytes from fixed templates
-whose keys are already in sorted order: {"boxes":[...],"logical":{...},
-"motion":{...},"roles":[...],"session_id":...,"ts":...}, without logical or
-motion when it is None; a box is {"cls","conf","h","w","x","y"}, a role
-{"other","patient","staff"}, and motion keys go in sorted() order. Like
-ENCODER, it writes a plain float with float.__repr__ (every stored float is
-finite by construction), a plain int with int.__repr__, a bool as true or
-false and a str with encode_basestring_ascii; any other value (a float
-subclass, np.int64, a motion key that is not a str) goes through ENCODER, so
-it gets ENCODER's bytes or its TypeError. Floats survive the round trip
-exactly; NaN and Infinity are rejected on read, and each value is checked
-once on construction or decode.
+stored as ENCODER (sorted keys, no whitespace) writes it, so identical content
+is byte-identical. dumps_row writes those bytes from fixed templates, keys in
+sorted order: {"boxes":[...],"logical":{...},"motion":{...},"roles":[...],
+"session_id":...,"ts":...} without logical or motion when None, a box
+{"cls","conf","h","w","x","y"}, a role {"other","patient","staff"}, motion keys
+in sorted() order. As in ENCODER, a plain float is float.__repr__ (stored floats
+are finite by construction), a plain int int.__repr__, a bool true/false and a
+str encode_basestring_ascii; any other value (a float subclass, np.int64, a
+motion key that is not a str) goes through ENCODER, for its bytes or its
+TypeError. Floats survive the round trip exactly; NaN and Infinity are rejected
+on read, and each value is checked once on construction or decode.
 """
 
 from __future__ import annotations
@@ -52,11 +50,11 @@ class CanonicalRow:
 
 ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
-# An object whose numbers are all plain floats is filled with repr() (%r);
-# any other, through _value (%s).
+# A box whose numbers are all plain floats is filled by %r; any other value
+# goes through _value.
 _BOX = '{"cls":%s,"conf":%r,"h":%r,"w":%r,"x":%r,"y":%r}'
-_ROLE = '{"other":%r,"patient":%r,"staff":%r}'
-_BOX_ANY, _ROLE_ANY = _BOX.replace("%r", "%s"), _ROLE.replace("%r", "%s")
+_BOX_ANY = _BOX.replace("%r", "%s")
+_ROLE = '{"other":%s,"patient":%s,"staff":%s}'
 _LOGICAL = (
     '"logical":{"moving":%s,"patient_alone":%s,"person_alone":%s,'
     '"smoothed_person_count":%s,"supervised_by_staff":%s},'
@@ -66,34 +64,31 @@ _LOGICAL = (
 def _value(v) -> str:
     """v as ENCODER writes it, without ENCODER's call for the common types."""
     t = type(v)
-    if t is float:
-        return float.__repr__(v)
-    if t is int:
-        return int.__repr__(v)
+    if t is float or t is int:
+        return repr(v)
     if t is bool:
         return "true" if v else "false"
-    if t is str:
-        return encode_basestring_ascii(v)
-    return ENCODER.encode(v)
+    return encode_basestring_ascii(v) if t is str else ENCODER.encode(v)
 
 
 def dumps_row(row: CanonicalRow) -> str:
     """ENCODER.encode of the row's canonical object (module docstring)."""
-    rec, v = row.record, _value
-    boxes = []
-    for b in rec.boxes:
-        c, h, w, x, y = b.confidence, b.h, b.w, b.x, b.y
-        if type(c) is type(h) is type(w) is type(x) is type(y) is float:
-            boxes.append(_BOX % (v(b.cls), c, h, w, x, y))
-        else:
-            boxes.append(_BOX_ANY % (v(b.cls), v(c), v(h), v(w), v(x), v(y)))
+    rec, lg, v = row.record, row.logical, _value
+    boxes = [
+        _BOX % (v(b.cls), b.confidence, b.h, b.w, b.x, b.y)
+        if type(b.confidence) is type(b.h) is type(b.w) is type(b.x) is type(b.y) is float
+        else _BOX_ANY % (v(b.cls), v(b.confidence), v(b.h), v(b.w), v(b.x), v(b.y))
+        for b in rec.boxes
+    ]
+    roles = [
+        "null" if r is None
+        else _ROLE % (v(r.scores["other"]), v(r.scores["patient"]), v(r.scores["staff"]))
+        for r in rec.roles
+    ]
     text = '{"boxes":[' + ",".join(boxes) + "],"
-    lg = row.logical
     if lg is not None:
-        text += _LOGICAL % (
-            v(lg.moving), v(lg.patient_alone), v(lg.person_alone),
-            v(lg.smoothed_person_count), v(lg.supervised_by_staff),
-        )
+        text += _LOGICAL % (v(lg.moving), v(lg.patient_alone), v(lg.person_alone),
+                            v(lg.smoothed_person_count), v(lg.supervised_by_staff))
     if row.motion is not None:
         mags = row.motion.magnitudes
         try:
@@ -101,18 +96,8 @@ def dumps_row(row: CanonicalRow) -> str:
             text += '"motion":{' + ",".join(pairs) + "},"
         except TypeError:  # a key that is not a str
             text += '"motion":' + ENCODER.encode(mags) + ","
-    roles = []
-    for r in rec.roles:
-        if r is None:
-            roles.append("null")
-            continue
-        o, p, s = r.scores["other"], r.scores["patient"], r.scores["staff"]
-        if type(o) is type(p) is type(s) is float:
-            roles.append(_ROLE % (o, p, s))
-        else:
-            roles.append(_ROLE_ANY % (v(o), v(p), v(s)))
-    text += '"roles":[' + ",".join(roles) + "],"
-    return text + '"session_id":' + v(rec.session_id) + ',"ts":' + v(rec.ts) + "}"
+    text += '"roles":[' + ",".join(roles) + '],"session_id":' + v(rec.session_id)
+    return text + ',"ts":' + v(rec.ts) + "}"
 
 
 def _session_and_ts(obj: dict) -> tuple[str, int]:
