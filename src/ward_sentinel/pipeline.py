@@ -162,7 +162,8 @@ def rows_source(rows: Iterable[CanonicalRow]) -> Iterator[SourceItem]:
     """Replay canonical rows (detections plus any recorded motion)."""
     for row in rows:
         rec = row.record
-        yield SourceItem(session_id=rec.session_id, ts=rec.ts, record=rec, motion=row.motion)
+        # Positional (no frame): keyword arguments cost about 1 us more per item.
+        yield SourceItem(rec.session_id, rec.ts, None, rec, row.motion)
 
 
 def _scale_record(rec: DetectionRecord, sx: float, sy: float) -> DetectionRecord:
@@ -297,7 +298,7 @@ def run_pipeline(
 
         st.window.push(rec, motion)
         logical = derive_state(st.window, cfg)
-        st.writer.append(CanonicalRow(record=rec, motion=motion, logical=logical))
+        st.writer.append(CanonicalRow(rec, motion, logical))
         stats.rows += 1
 
     for st in states.values():

@@ -50,10 +50,7 @@ class CanonicalRow:
 
 ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
-# A box whose numbers are all plain floats is filled by %r; any other value
-# goes through _value.
-_BOX = '{"cls":%s,"conf":%r,"h":%r,"w":%r,"x":%r,"y":%r}'
-_BOX_ANY = _BOX.replace("%r", "%s")
+_BOX = '{"cls":%s,"conf":%s,"h":%s,"w":%s,"x":%s,"y":%s}'
 _ROLE = '{"other":%s,"patient":%s,"staff":%s}'
 _LOGICAL = (
     '"logical":{"moving":%s,"patient_alone":%s,"person_alone":%s,'
@@ -74,12 +71,7 @@ def _value(v) -> str:
 def dumps_row(row: CanonicalRow) -> str:
     """ENCODER.encode of the row's canonical object (module docstring)."""
     rec, lg, v = row.record, row.logical, _value
-    boxes = [
-        _BOX % (v(b.cls), b.confidence, b.h, b.w, b.x, b.y)
-        if type(b.confidence) is type(b.h) is type(b.w) is type(b.x) is type(b.y) is float
-        else _BOX_ANY % (v(b.cls), v(b.confidence), v(b.h), v(b.w), v(b.x), v(b.y))
-        for b in rec.boxes
-    ]
+    boxes = [_BOX % (v(b.cls), v(b.confidence), v(b.h), v(b.w), v(b.x), v(b.y)) for b in rec.boxes]
     roles = [
         "null" if r is None
         else _ROLE % (v(r.scores["other"]), v(r.scores["patient"]), v(r.scores["staff"]))
