@@ -25,8 +25,8 @@ on read, and each value is checked once on construction or decode.
 from __future__ import annotations
 
 import json
-from json.encoder import encode_basestring_ascii
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterator, Optional
 
 from .errors import SchemaMismatch
