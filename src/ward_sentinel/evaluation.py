@@ -27,7 +27,7 @@ from .errors import (
     SingleClassTarget,
 )
 from .logic import LogicalState
-from .model import BoundingBox, CLASSES, DetectionRecord, PipelineConfig, ROLES
+from .model import BoundingBox, CLASSES, DetectionRecord, PipelineConfig, ROLES, check_session_and_ts
 from .trends import ObservationLog, log_to_states, _utc_hour
 
 RIDGE = 1e-6
@@ -48,6 +48,7 @@ class FrameLabel:
     exceptions: tuple[str, ...] = ()
 
     def __post_init__(self):
+        check_session_and_ts(self.session_id, self.ts)
         if not isinstance(self.exceptions, (list, tuple)) or not all(
             isinstance(e, str) for e in self.exceptions
         ):
@@ -244,25 +245,15 @@ def evaluate_frames(
             counts[cls][1] += fp
             counts[cls][2] += fn
             if cls == "person":
-                matched_p = set()
-                matched_g = set()
-                for mi, mj in matches:
-                    pi, gi = p_idx[mi], g_idx[mj]
-                    matched_p.add(pi)
-                    matched_g.add(gi)
-                    pred_patient = (
-                        rec.roles[pi] is not None and rec.roles[pi].primary() == "patient"
-                    )
-                    gt_patient = label.roles[gi] == "patient"
-                    role_counts[0] += pred_patient and gt_patient
-                    role_counts[1] += pred_patient and not gt_patient
-                    role_counts[2] += gt_patient and not pred_patient
-                for i in p_idx:  # unmatched predicted patients are false positives
-                    if i not in matched_p and rec.roles[i] is not None:
-                        role_counts[1] += rec.roles[i].primary() == "patient"
-                for i in g_idx:  # unmatched labeled patients are misses
-                    if i not in matched_g:
-                        role_counts[2] += label.roles[i] == "patient"
+                # Every predicted patient not in a patient pair is a false
+                # positive, and every labelled one a miss, matched or not.
+                roles = [rec.roles[i] for i in p_idx]
+                pred_patient = [r is not None and r.primary() == "patient" for r in roles]
+                gt_patient = [label.roles[i] == "patient" for i in g_idx]
+                both = sum(pred_patient[mi] and gt_patient[mj] for mi, mj in matches)
+                role_counts[0] += both
+                role_counts[1] += sum(pred_patient) - both
+                role_counts[2] += sum(gt_patient) - both
         if pred_alone is not None:
             alone_preds.append(bool(pred_alone[f"{label.session_id}:{label.ts}"]))
         else:

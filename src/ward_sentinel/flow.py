@@ -21,6 +21,7 @@ import time
 from dataclasses import dataclass
 from functools import cached_property
 from math import inf
+from numbers import Real
 from typing import Mapping, Optional
 
 import numpy as np
@@ -29,7 +30,7 @@ from .errors import DimensionMismatch, EmptyMask
 from .imageops import resize_bilinear
 from .model import FlowParams
 
-from .geometry import RoiMask
+from .geometry import ROI_KINDS, RoiMask
 
 MIN_PYRAMID_DIM = 16
 # Keeps the 2x2 normal equations solvable on textureless patches; negligible
@@ -39,6 +40,8 @@ SOLVE_REGULARIZATION = 1e-3
 # that a band's temporaries stay in cache. At 480x270, 16 to 64 rows timed
 # alike and 96 rows slower.
 STRIP_ROWS = 32
+
+_ROI_KIND_SET = frozenset(ROI_KINDS)
 
 
 @dataclass(frozen=True)
@@ -68,17 +71,29 @@ class FlowField:
 
 @dataclass(frozen=True, slots=True)
 class MotionRecord:
-    """Per-second average motion magnitude for each available ROI."""
+    """Per-second average motion magnitude for each available ROI.
+
+    Checked on construction: every key is an ROI kind and every magnitude a
+    real number, not a bool, finite and >= 0, kept as a float.
+    """
 
     session_id: str
     ts: int
     magnitudes: Mapping[str, float]
 
     def __post_init__(self):
-        mags = {k: float(v) for k, v in self.magnitudes.items()}
-        for k, v in mags.items():
+        if not self.magnitudes.keys() <= _ROI_KIND_SET:
+            unknown = sorted(self.magnitudes.keys() - _ROI_KIND_SET, key=str)
+            raise ValueError(f"unknown motion keys {unknown}")
+        mags = {}
+        for k, v in self.magnitudes.items():
+            if type(v) is not float:
+                if type(v) is bool or not isinstance(v, Real):
+                    raise TypeError(f"motion {k} must be a number, got {v!r}")
+                v = float(v)
             if not 0.0 <= v < inf:
                 raise ValueError(f"motion magnitude for {k} must be finite and >= 0: {v}")
+            mags[k] = v
         object.__setattr__(self, "magnitudes", mags)
 
 

@@ -16,6 +16,7 @@ import logging
 from collections import deque
 from dataclasses import dataclass
 from math import inf
+from numbers import Real
 from typing import Mapping, Optional, Sequence
 
 from .errors import EmptyWindow, OutOfOrderRecord
@@ -23,10 +24,16 @@ from .flow import MotionRecord
 from .model import DetectionRecord, PipelineConfig, ROLES, RoleDistribution
 
 log = logging.getLogger(__name__)
+_FLAGS = ("person_alone", "patient_alone", "supervised_by_staff", "moving")
 
 
 @dataclass(frozen=True, slots=True)
 class LogicalState:
+    """One second's states. Checked on construction: the four flags are bools,
+    and smoothed_person_count is a real number, not a bool, finite and >= 0,
+    kept as a float.
+    """
+
     session_id: str
     ts: int
     person_alone: bool
@@ -36,11 +43,21 @@ class LogicalState:
     smoothed_person_count: float
 
     def __post_init__(self):
-        if not 0.0 <= self.smoothed_person_count < inf:
+        a, b, c, d = self.person_alone, self.patient_alone, self.supervised_by_staff, self.moving
+        if not (type(a) is type(b) is type(c) is type(d) is bool):
+            k = next(k for k in _FLAGS if type(getattr(self, k)) is not bool)
+            raise TypeError(f"logical {k} must be true or false, got {getattr(self, k)!r}")
+        count = self.smoothed_person_count
+        if type(count) is not float:
+            if type(count) is bool or not isinstance(count, Real):
+                raise TypeError(f"smoothed_person_count must be a number, got {count!r}")
+            count = float(count)
+            object.__setattr__(self, "smoothed_person_count", count)
+        if not 0.0 <= count < inf:
             raise ValueError("smoothed_person_count must be finite and >= 0")
-        if self.patient_alone and not self.person_alone:
+        if b and not a:
             raise ValueError("patient_alone implies person_alone")
-        if self.supervised_by_staff and self.person_alone:
+        if c and a:
             raise ValueError("supervised_by_staff implies not person_alone")
 
 

@@ -154,7 +154,7 @@ class DetectionRecord:
     """All detections for one session-second.
 
     roles is parallel to boxes: a RoleDistribution exactly where the box is a
-    person, None elsewhere.
+    person, None elsewhere. session_id and ts are checked on construction.
     """
 
     session_id: str
@@ -163,6 +163,7 @@ class DetectionRecord:
     roles: tuple[Optional[RoleDistribution], ...]
 
     def __post_init__(self):
+        check_session_and_ts(self.session_id, self.ts)
         object.__setattr__(self, "boxes", tuple(self.boxes))
         object.__setattr__(self, "roles", tuple(self.roles))
 
@@ -249,6 +250,14 @@ class PipelineConfig:
         raw = dict(raw)
         flow = FlowParams(**raw.pop("flow", {}))
         return PipelineConfig(flow=flow, **raw)
+
+
+def check_session_and_ts(session_id, ts) -> None:
+    """A stored row's session_id is a str and its ts exactly an int, not a bool."""
+    if type(session_id) is not str:
+        raise TypeError(f"session_id must be a string, got {session_id!r}")
+    if type(ts) is not int:
+        raise TypeError(f"ts must be an integer, got {ts!r}")
 
 
 def check_session_id(session_id: str) -> None:

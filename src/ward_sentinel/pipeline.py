@@ -12,7 +12,7 @@ detector-resolution image made from it, are resized only when a detector
 port reads `PreprocessedFrame.analysis` or `.detector`. After detection only
 the flow image of a frame is kept. The store writer stages every row until
 the run ends, so memory grows with run length, and resuming a session on the
-same UTC date rewrites that date's segment (ROADMAP.md, item 2). Sessions
+same UTC date rewrites that date's segment (ROADMAP.md, item 1). Sessions
 are independent; within a session the stages are strictly sequential (flow
 needs the previous frame, the window needs order).
 """

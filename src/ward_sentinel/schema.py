@@ -16,10 +16,11 @@ sorted order: {"boxes":[...],"logical":{...},"motion":{...},"roles":[...],
 {"cls","conf","h","w","x","y"}, a role {"other","patient","staff"}, motion keys
 in sorted() order. As in ENCODER, a plain float is float.__repr__ (stored floats
 are finite by construction), a plain int int.__repr__, a bool true/false and a
-str encode_basestring_ascii; any other value (a float subclass, np.int64, a
-motion key that is not a str) goes through ENCODER, for its bytes or its
-TypeError. Floats survive the round trip exactly; NaN and Infinity are rejected
-on read, and each value is checked once on construction or decode.
+str encode_basestring_ascii; any other value (a float subclass, np.int64) goes
+through ENCODER, for its bytes or its TypeError. Floats survive the round trip
+exactly; NaN and Infinity are rejected on read. Each value is checked once, by
+the record type that holds it: obj_to_row only maps JSON onto the constructors,
+so a row built through the API meets the rules a read row does.
 """
 
 from __future__ import annotations
@@ -36,9 +37,6 @@ from .logic import LogicalState
 from .model import BoundingBox, DetectionRecord, RoleDistribution
 
 SCHEMA_VERSION = 1
-_MOTION_KEYS = ("scene", "bed", "safety_zone")
-_MOTION_KEY_SET = frozenset(_MOTION_KEYS)
-_LOGICAL_FLAGS = ("person_alone", "patient_alone", "supervised_by_staff", "moving")
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,66 +80,30 @@ def dumps_row(row: CanonicalRow) -> str:
         text += _LOGICAL % (v(lg.moving), v(lg.patient_alone), v(lg.person_alone),
                             v(lg.smoothed_person_count), v(lg.supervised_by_staff))
     if row.motion is not None:
-        mags = row.motion.magnitudes
-        try:
-            pairs = [encode_basestring_ascii(k) + ":" + v(mags[k]) for k in sorted(mags)]
-            text += '"motion":{' + ",".join(pairs) + "},"
-        except TypeError:  # a key that is not a str
-            text += '"motion":' + ENCODER.encode(mags) + ","
+        mags = row.motion.magnitudes  # ROI kinds to floats (MotionRecord)
+        text += '"motion":{' + ",".join(['"%s":%r' % (k, mags[k]) for k in sorted(mags)]) + "},"
     text += '"roles":[' + ",".join(roles) + '],"session_id":' + v(rec.session_id)
     return text + ',"ts":' + v(rec.ts) + "}"
 
 
-def _session_and_ts(obj: dict) -> tuple[str, int]:
-    """A parsed object's session_id (a str) and ts (exactly an int, not a bool)."""
-    session_id, ts = obj["session_id"], obj["ts"]
-    if type(session_id) is not str:
-        raise TypeError(f"session_id must be a string, got {session_id!r}")
-    if type(ts) is not int:
-        raise TypeError(f"ts must be an integer, got {ts!r}")
-    return session_id, ts
-
-
-def _check_number(value, name: str) -> None:
-    """A stored magnitude or count is a JSON number: bool and str are not."""
-    if type(value) is not float and type(value) is not int:
-        raise TypeError(f"{name} must be a number, got {value!r}")
-
-
 def obj_to_row(obj: dict) -> CanonicalRow:
-    """The row of a parsed canonical object; each value is checked once."""
+    """The row of a parsed canonical object; the record types check each value."""
     try:
-        session_id, ts = _session_and_ts(obj)
-        boxes = tuple(
-            [BoundingBox(b["cls"], b["x"], b["y"], b["w"], b["h"], b["conf"]) for b in obj["boxes"]]
+        session_id, ts = obj["session_id"], obj["ts"]
+        boxes = [BoundingBox(b["cls"], b["x"], b["y"], b["w"], b["h"], b["conf"]) for b in obj["boxes"]]
+        roles = [None if r is None else RoleDistribution(r) for r in obj["roles"]]
+        record = DetectionRecord(session_id, ts, tuple(boxes), tuple(roles))
+        mags, lg = obj.get("motion"), obj.get("logical")
+        if mags is not None and type(mags) is not dict:
+            raise TypeError(f"motion must be an object, got {mags!r}")
+        return CanonicalRow(
+            record,
+            None if mags is None else MotionRecord(session_id, ts, mags),
+            None if lg is None else LogicalState(
+                session_id, ts, lg["person_alone"], lg["patient_alone"],
+                lg["supervised_by_staff"], lg["moving"], lg["smoothed_person_count"],
+            ),
         )
-        roles = tuple([None if r is None else RoleDistribution(r) for r in obj["roles"]])
-        record = DetectionRecord(session_id, ts, boxes, roles)
-        motion = logical = None
-        mags = obj.get("motion")
-        if mags is not None:
-            if type(mags) is not dict:
-                raise TypeError(f"motion must be an object, got {mags!r}")
-            if not mags.keys() <= _MOTION_KEY_SET:
-                unknown = sorted(mags.keys() - _MOTION_KEY_SET)
-                raise SchemaMismatch(f"unknown motion keys {unknown}")
-            for k, v in mags.items():
-                if type(v) is not float:
-                    _check_number(v, f"motion {k}")
-            motion = MotionRecord(session_id, ts, mags)
-        lg = obj.get("logical")
-        if lg is not None:
-            flags = a, b, c, d = [lg[k] for k in _LOGICAL_FLAGS]
-            if not (type(a) is type(b) is type(c) is type(d) is bool):
-                k, v = next((k, v) for k, v in zip(_LOGICAL_FLAGS, flags) if type(v) is not bool)
-                raise TypeError(f"logical {k} must be true or false, got {v!r}")
-            count = lg["smoothed_person_count"]
-            if type(count) is not float:
-                _check_number(count, "smoothed_person_count")
-            logical = LogicalState(session_id, ts, a, b, c, d, float(count))
-        return CanonicalRow(record, motion, logical)
-    except SchemaMismatch:
-        raise
     except (KeyError, TypeError, ValueError) as e:
         raise SchemaMismatch(f"bad canonical row: {e}") from None
 
@@ -168,10 +130,9 @@ def loads_row(line: str) -> CanonicalRow:
 
 def obj_to_label(obj: dict) -> FrameLabel:
     try:
-        session_id, ts = _session_and_ts(obj)
         return FrameLabel(
-            session_id=session_id,
-            ts=ts,
+            session_id=obj["session_id"],
+            ts=obj["ts"],
             boxes=tuple(
                 BoundingBox(b["cls"], b["x"], b["y"], b["w"], b["h"], b.get("conf", 1.0))
                 for b in obj["boxes"]

@@ -243,7 +243,7 @@ def generate(spec: ScenarioSpec, cfg: PipelineConfig = PipelineConfig()) -> Simu
             for role, count in iv.counts().items()
             for k in range(count)
         ]
-        moving = iv.motion > cfg.moving_threshold
+        moving = bool(iv.motion > cfg.moving_threshold)  # a numpy motion compares to np.bool_
         scene = float(iv.motion)
         for t in range(iv.start_s, iv.end_s):
             ts = spec.start_ts + t
@@ -264,17 +264,9 @@ def generate(spec: ScenarioSpec, cfg: PipelineConfig = PipelineConfig()) -> Simu
             count = len(occupants)
             present = {role for role, _ in occupants}
             patient_alone = count < 2 and "patient" in present
-            gt_states.append(
-                LogicalState(
-                    session_id=sid,
-                    ts=ts,
-                    person_alone=count < 2,
-                    patient_alone=patient_alone,
-                    supervised_by_staff=count >= 2 and "staff" in present,
-                    moving=moving,
-                    smoothed_person_count=float(count),
-                )
-            )
+            supervised = count >= 2 and "staff" in present
+            # Positional, in field order: keyword arguments cost about 1 us more per state.
+            gt_states.append(LogicalState(sid, ts, count < 2, patient_alone, supervised, moving, float(count)))
             if patient_alone and run_start is None:
                 run_start = ts
             elif not patient_alone and run_start is not None:

@@ -94,7 +94,6 @@ class Store:
         return manifest
 
     def _save_manifest(self, manifest: dict) -> None:
-        manifest["segments"] = dict(sorted(manifest["segments"].items()))
         self.manifest_path.write_text(
             json.dumps(manifest, sort_keys=True, indent=1) + "\n"
         )

@@ -388,6 +388,23 @@ class TestEvaluateFrames:
         )
         assert report.patient_role.f1 == pytest.approx(0.98, abs=1e-9)
 
+    def test_unmatched_patients_count_as_role_false_positives_and_misses(self):
+        near, staffed = box(10, 10, 30, 60), box(150, 10, 30, 60)
+        far = [box(10 + 120 * i, 300, 30, 60) for i in range(4)]
+        labels = [
+            _label(0, [(near, "patient"), (far[0], "patient"), (staffed, "staff")]),
+            _label(1, [(near, "staff"), (far[1], "patient"), (far[3], "patient")]),
+        ]
+        preds = [
+            _pred(0, [(near, "patient"), (far[2], "patient"), (staffed, "patient")]),
+            _pred(1, [(far[2], "patient"), (far[3], None), (box(600, 10, 30, 60), "other")]),
+        ]
+        role = evaluate_frames(labels, preds).patient_role
+        # tp: the one matched patient pair. fp: far[2] unmatched in both frames,
+        # and a patient predicted on labelled staff. fn: far[0] and far[1]
+        # unmatched, and far[3] matched to a person with no role distribution.
+        assert (role.tp, role.fp, role.fn) == (1, 3, 3)
+
     def test_exception_frames_are_pure_filter(self):
         clean_labels = [_label(0, [(box(0, 0, 10, 10), "patient")])]
         clean_preds = [_pred(0, [(box(0, 0, 10, 10, conf=0.9), "patient")])]

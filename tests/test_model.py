@@ -2,6 +2,7 @@ import itertools
 import json
 import re
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from ward_sentinel.model import (
     RoleDistribution,
     validate_record,
 )
+from ward_sentinel.evaluation import FrameLabel
 from ward_sentinel.flow import MotionRecord
 from ward_sentinel.logic import LogicalState
 from ward_sentinel.schema import (
@@ -473,7 +475,7 @@ SCORES = (
     (0.8, 0.1, 0.1), (1, 0, 0), (True, False, False), (0.5, 0.5, 0), (-0.0, 1, 0.0),
     (1.0, 5e-324, 0.0), (1 / 3, 1 / 3, 1 / 3),
 )
-MAGNITUDES = (0.0, -0.0, 5e-324, 1e16, 2**70, 3, True, 0.1 + 0.2)
+MAGNITUDES = (0.0, -0.0, 5e-324, 1e16, 2**70, 3, 0.1 + 0.2)
 COUNTS = (0, 2, 1.5, -0.0, 5e-324, 1e16, 2**70)
 SESSION_IDS = ("s", 'quo"te', "back\\slash", "caf\u00e9", "line\u2028sep", "ctrl\x01", "")
 TIMESTAMPS = (0, -5, 1_709_251_200, 2**70)
@@ -539,9 +541,68 @@ def test_dumps_row_writes_the_sorted_compact_json_of_the_row(rng):
 def test_dumps_row_keeps_the_json_encoders_bytes_and_errors_for_other_values():
     box = BoundingBox("person", np.float64(0.1) + 0.2, 5.0, np.float64(1e16), 2**70, np.float64(0.5))
     rec = DetectionRecord("s", 7, (box,), (role_dist("staff"),))
-    for motion in (None, MotionRecord("s", 7, {2: 0.5, 1: 0.25})):  # keys that are not str
-        row = CanonicalRow(rec, motion)
-        assert dumps_row(row) == json.dumps(_expected_obj(row), sort_keys=True, separators=(",", ":"))
-    assert '"x":0.30000000000000004' in dumps_row(row) and '"motion":{"1":0.25,"2":0.5}' in dumps_row(row)
+    row = CanonicalRow(rec)
+    assert dumps_row(row) == json.dumps(_expected_obj(row), sort_keys=True, separators=(",", ":"))
+    assert '"x":0.30000000000000004' in dumps_row(row)
+    with pytest.raises(ValueError, match=re.escape("unknown motion keys [1, 2]")):  # keys that are not str
+        MotionRecord("s", 7, {2: 0.5, 1: 0.25})
     with pytest.raises(TypeError, match="int64"):
         dumps_row(CanonicalRow(DetectionRecord("s", np.int64(7), (box,), (role_dist("staff"),))))
+
+
+def test_stored_rows_read_back_as_written(rng):
+    for k in range(600):
+        line = dumps_row(_random_row(rng, k))
+        assert dumps_row(loads_row(line)) == line
+
+
+STATE = dict(person_alone=True, patient_alone=True, supervised_by_staff=False, moving=False, smoothed_person_count=1.0)
+# One case per stored-value rule: the record type that holds the value, the
+# values that break the rule, and the message its reader names.
+CONSTRUCTOR_REJECTS = {
+    "session-int": (DetectionRecord, {"session_id": 7}, "session_id must be a string, got 7"),
+    "ts-bool": (DetectionRecord, {"ts": True}, "ts must be an integer, got True"),
+    "ts-float": (DetectionRecord, {"ts": 7.0}, "ts must be an integer, got 7.0"),
+    "label-session-int": (FrameLabel, {"session_id": 7}, "session_id must be a string, got 7"),
+    "label-ts-bool": (FrameLabel, {"ts": True}, "ts must be an integer, got True"),
+    "motion-key": (MotionRecord, {"scene": 0.5, "foo": 1.0, "bar": 2.0}, "unknown motion keys ['bar', 'foo']"),
+    "motion-bool": (MotionRecord, {"scene": True}, "motion scene must be a number, got True"),
+    "motion-str": (MotionRecord, {"bed": "0.5"}, "motion bed must be a number, got '0.5'"),
+    "motion-null": (MotionRecord, {"bed": None}, "motion bed must be a number, got None"),
+    "motion-negative": (MotionRecord, {"safety_zone": -0.5}, "motion magnitude for safety_zone must be finite and >= 0: -0.5"),
+    "flag-int": (LogicalState, {"moving": 0}, "logical moving must be true or false, got 0"),
+    "flag-str": (LogicalState, {"person_alone": "true"}, "logical person_alone must be true or false, got 'true'"),
+    "flag-null": (LogicalState, {"supervised_by_staff": None}, "logical supervised_by_staff must be true or false, got None"),
+    "count-bool": (LogicalState, {"smoothed_person_count": True}, "smoothed_person_count must be a number, got True"),
+    "count-str": (LogicalState, {"smoothed_person_count": "1.5"}, "smoothed_person_count must be a number, got '1.5'"),
+}
+
+
+@pytest.mark.parametrize("record_type,values,message", CONSTRUCTOR_REJECTS.values(), ids=CONSTRUCTOR_REJECTS.keys())
+def test_each_stored_value_rule_fails_on_construction_with_the_readers_message(record_type, values, message):
+    if record_type is MotionRecord:
+        build, override = partial(MotionRecord, "s", 7, values), {"motion": values}
+    elif record_type is LogicalState:
+        state = dict(STATE, **values)
+        build, override = partial(LogicalState, "s", 7, **state), {"logical": state}
+    else:
+        build, override = partial(record_type, **{"session_id": "s", "ts": 7, "boxes": (), "roles": (), **values}), values
+    with pytest.raises((TypeError, ValueError), match=f"^{re.escape(message)}$"):
+        build()
+    if record_type is FrameLabel:
+        read, source, prefix = obj_to_label, dict(LABEL, **override), "bad frame label: "
+    else:
+        read, source, prefix = loads_row, json.dumps(dict(_full_row_obj(), **override)), "bad canonical row: "
+    with pytest.raises(SchemaMismatch, match=f"^{re.escape(prefix + message)}$"):
+        read(source)
+
+
+def test_numbers_are_stored_as_floats_in_motion_and_state():
+    motion = MotionRecord("s", 7, {"scene": 2, "bed": np.float32(0.5), "safety_zone": 2**70})
+    assert [(k, type(v)) for k, v in motion.magnitudes.items()] == [
+        ("scene", float), ("bed", float), ("safety_zone", float)
+    ]
+    state = LogicalState("s", 7, False, False, True, True, 2)
+    assert type(state.smoothed_person_count) is float
+    row = CanonicalRow(make_record("s", 7), motion, state)
+    assert '"smoothed_person_count":2.0' in dumps_row(row) and '"scene":2.0' in dumps_row(row)

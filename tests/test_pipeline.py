@@ -403,6 +403,15 @@ class TestRunPipeline:
             run_pipeline(iter([item]), CFG, Store(tmp_path / "store"))
         assert str(info.value) == f"motion {key[0]}@{key[1]} on source item s@7"
 
+    def test_motion_key_that_is_no_roi_kind_raises_and_leaves_no_store(self, tmp_path):
+        def source():
+            for ts, kind in ((7, "scene"), (8, "foo")):
+                yield SourceItem("s", ts, None, make_record("s", ts, ["patient"]), MotionRecord("s", ts, {kind: 0.5}))
+
+        with pytest.raises(ValueError, match=re.escape("unknown motion keys ['foo']")):
+            run_pipeline(source(), CFG, Store(tmp_path / "store"))
+        assert not (tmp_path / "store").exists()
+
     def test_frame_and_replay_modes_store_identical_bytes(self, tmp_path):
         from ward_sentinel.simulator import OccupantTrack
 
@@ -742,6 +751,17 @@ class TestIngest:
         assert [n for n, _ in report.errors] == [2]
         assert [r.record.ts for r in store.iter_rows()] == [101]
 
+    def test_flat_csv_line_without_a_session_id_is_rejected_by_its_line(self, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_text(
+            "ts,cls,x,y,w,h,conf,patient,staff,other,session_id\n"
+            + "100,person,10,10,40,90,0.8,0.9,0.05,0.05,r1\n"
+            + "101,person,10,10,40,90,0.8,0.9,0.05,0.05\n"  # the session_id field is missing
+        )
+        report = ingest_external(path, "flat-csv", Store(tmp_path / "store"))
+        assert (report.rows_ok, report.rows_rejected) == (1, 1)
+        assert report.errors == ((3, "bad flat-csv line: session_id must be a string, got None"),)
+
     def test_duplicate_ts_keeps_first_line(self, tmp_path):
         path = tmp_path / "in.jsonl"
         rows = self._rows(3)
@@ -767,6 +787,7 @@ GOLDEN_STORE = {  # manifest key: sha256 of the file
     "sessions/ward-b/2024-03-01.jsonl": "7602a599223ce8140e9dc29239504e3d40c70e0cce0dabb75264f98995770fb7",
     "sessions/ward-b/crossings.jsonl": "a2d04fd6bde302f8ad24ab1f7c0133c3e6f5d26bf64637f0bff434405da9c0cb",
 }
+GOLDEN_MANIFEST = "a034cfab772b92a6d3d00a55f1805538c552cf891e919a14b564516c505965c7"  # manifest.json
 
 
 def _golden_record(session_id: str, ts: int, t: int, walker_x: float, walker_role: str) -> CanonicalRow:
@@ -823,3 +844,4 @@ def test_pipeline_store_bytes_are_pinned(tmp_path):
     assert '"direction":"entry"' in stored and '"direction":"exit"' in stored
     assert '"h":10.0,"w":10.0,"x":5.0' in stored and '"h":50,"w":40,"x":20,"y":30' in stored
     assert digests == GOLDEN_STORE
+    assert hashlib.sha256((tmp_path / "store" / "manifest.json").read_bytes()).hexdigest() == GOLDEN_MANIFEST
