@@ -28,7 +28,7 @@ from .errors import (
 )
 from .logic import LogicalState
 from .model import BoundingBox, CLASSES, DetectionRecord, PipelineConfig, ROLES, check_session_and_ts
-from .trends import ObservationLog, log_to_states, _utc_hour
+from .trends import ObservationLog, _columns, _logged_alone, _run_starts, _utc_hour
 
 RIDGE = 1e-6
 GRAD_TOL = 1e-8
@@ -342,11 +342,6 @@ def manual_accuracy(x: Sequence[float], y: Sequence[float]) -> float:
     return float(np.mean(x == y))
 
 
-def _period_of(ts: int, cfg: PipelineConfig) -> str:
-    hour = _utc_hour(ts // 3600)[1]
-    return "day" if cfg.day_start_hour <= hour < cfg.night_start_hour else "night"
-
-
 def trend_accuracy(
     states: Sequence[LogicalState],
     log: ObservationLog,
@@ -354,30 +349,31 @@ def trend_accuracy(
 ) -> TrendAccuracyReport:
     """Per patient-day and period accuracy of the alone stream vs the log.
 
-    Analysis runs at the per-second level. Periods with both classes in the
-    ground truth are scored by logistic-regression accuracy, single-class
-    periods by the agreement fraction. The summary reports the mean and the
-    population standard deviation across patient-days.
+    Analysis runs at the per-second level over one session's states, sorted
+    by strictly increasing ts. Days are UTC days (ts // 86400) and the day
+    period is the UTC hours [day_start_hour, night_start_hour). Periods with
+    both classes in the ground truth are scored by logistic-regression
+    accuracy, single-class periods by the agreement fraction. The summary
+    reports the mean and the population standard deviation across
+    patient-days.
     """
     if not states:
         raise NoOverlap("no states to evaluate")
-    grid = [s.ts for s in states]
-    truth = log_to_states(log, grid)
-    by_day: dict[date, list[tuple[int, bool, bool]]] = {}
-    for s, y in zip(states, truth):
-        by_day.setdefault(_utc_hour(s.ts // 3600)[0], []).append((s.ts, s.patient_alone, y))
-
+    ts, alone, _, _ = _columns(states)
+    truth = _logged_alone(log, ts)
+    days = ts // 86400
+    hours = (ts // 3600) % 24
+    daytime = (cfg.day_start_hour <= hours) & (hours < cfg.night_start_hour)
+    starts = _run_starts(days).tolist()
     rows = []
-    for day, entries in sorted(by_day.items()):
-        for period in PERIODS:
-            if period == "full":
-                selected = entries
-            else:
-                selected = [e for e in entries if _period_of(e[0], cfg) == period]
-            if not selected:
+    for start, end in zip(starts, starts[1:] + [len(ts)]):
+        day = _utc_hour(int(days[start]) * 24)[0]
+        x_day, y_day, in_day = alone[start:end], truth[start:end], daytime[start:end]
+        for period, mask in zip(PERIODS, (in_day, ~in_day, None)):
+            x = (x_day if mask is None else x_day[mask]).astype(np.float64)
+            if not x.size:
                 continue
-            x = np.array([float(e[1]) for e in selected])
-            y = np.array([float(e[2]) for e in selected])
+            y = (y_day if mask is None else y_day[mask]).astype(np.float64)
             try:
                 _, acc = fit_logistic(x, y)
                 method = "logistic"
@@ -391,9 +387,7 @@ def trend_accuracy(
                     period=period,
                     method=method,
                     accuracy=acc,
-                    seconds=len(selected),
+                    seconds=x.size,
                 )
             )
-    if not rows:
-        raise NoOverlap("states and observation log share no scored seconds")
     return TrendAccuracyReport.from_rows(rows)

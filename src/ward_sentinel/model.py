@@ -67,8 +67,9 @@ class BoundingBox:
     """Axis-aligned detection box, top-left origin, pixel units.
 
     x/y may be negative before validation; validate_record clamps boxes to
-    frame bounds. Checked once on construction or decode: geometry must be
-    finite, width and height positive, confidence in [0, 1].
+    frame bounds. Checked once on construction or decode: no coordinate or
+    confidence may be a bool, geometry must be finite, width and height
+    positive, confidence in [0, 1].
     """
 
     cls: str
@@ -81,11 +82,16 @@ class BoundingBox:
     def __post_init__(self):
         if self.cls not in CLASSES:
             raise ValueError(f"unknown box class {self.cls!r}")
-        if not (isfinite(self.x) and isfinite(self.y) and isfinite(self.w) and isfinite(self.h)):
-            raise ValueError(f"box geometry must be finite: {self.x}, {self.y}, {self.w}, {self.h}")
-        if self.w <= 0 or self.h <= 0:
+        x, y, w, h, conf = self.x, self.y, self.w, self.h, self.confidence
+        if type(x) is bool or type(y) is bool or type(w) is bool or type(h) is bool or type(conf) is bool:
+            named = zip(("x", "y", "w", "h", "conf"), (x, y, w, h, conf))
+            key, v = next((k, v) for k, v in named if type(v) is bool)
+            raise TypeError(f"box {key} must be a number, got {v!r}")
+        if not (isfinite(x) and isfinite(y) and isfinite(w) and isfinite(h)):
+            raise ValueError(f"box geometry must be finite: {x}, {y}, {w}, {h}")
+        if w <= 0 or h <= 0:
             raise ValueError("box width/height must be positive")
-        if not 0.0 <= self.confidence <= 1.0:
+        if not 0.0 <= conf <= 1.0:
             raise ValueError("confidence must be in [0, 1]")
 
     @property
@@ -118,7 +124,8 @@ class BoundingBox:
 class RoleDistribution:
     """Per-person scores over {patient, staff, other}, summing to one.
 
-    Checked once on construction or decode, which fixes the primary role.
+    Checked once on construction or decode (each score a number, not a bool,
+    in [0, 1]), which fixes the primary role.
     Ties in argmax break in the fixed order patient > staff > other: the
     downstream safety logic prefers assuming a patient is present.
     """
@@ -131,6 +138,9 @@ class RoleDistribution:
         if set(self.scores) != _ROLE_SET:
             raise ValueError(f"role scores must cover exactly {ROLES}")
         p, s, o = self.scores["patient"], self.scores["staff"], self.scores["other"]
+        if type(p) is bool or type(s) is bool or type(o) is bool:
+            role = next(r for r in ROLES if type(self.scores[r]) is bool)
+            raise TypeError(f"score for {role} must be a number, got {self.scores[role]!r}")
         if not (0.0 <= p <= 1.0 and 0.0 <= s <= 1.0 and 0.0 <= o <= 1.0):
             role = next(r for r in ROLES if not 0.0 <= self.scores[r] <= 1.0)
             raise ValueError(f"score for {role} out of [0, 1]: {self.scores[role]}")

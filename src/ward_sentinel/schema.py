@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterator, Optional
 
-from .errors import SchemaMismatch
+from .errors import MalformedRecord, SchemaMismatch
 from .evaluation import FrameLabel
 from .flow import MotionRecord
 from .logic import LogicalState
@@ -41,9 +41,19 @@ SCHEMA_VERSION = 1
 
 @dataclass(frozen=True, slots=True)
 class CanonicalRow:
+    """One stored second. A motion or logical must carry the record's
+    session_id and ts, which are the only ones stored."""
+
     record: DetectionRecord
     motion: Optional[MotionRecord] = None
     logical: Optional[LogicalState] = None
+
+    def __post_init__(self):
+        rec, m, lg = self.record, self.motion, self.logical
+        if m is not None and (m.ts != rec.ts or m.session_id != rec.session_id):
+            raise MalformedRecord(f"motion {m.session_id}@{m.ts} on record {rec.session_id}@{rec.ts}")
+        if lg is not None and (lg.ts != rec.ts or lg.session_id != rec.session_id):
+            raise MalformedRecord(f"logical {lg.session_id}@{lg.ts} on record {rec.session_id}@{rec.ts}")
 
 
 ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))

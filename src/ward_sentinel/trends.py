@@ -3,6 +3,13 @@
 Trends are reported in minutes per clock hour (percentages derive directly).
 Missing seconds are excluded from both numerator and denominator, so partial
 hours still contribute with an explicit monitored-minutes denominator.
+
+Each call takes one session's states in strictly increasing ts order and
+works on them as numpy columns: int64 ts and one bool column per flag. Hourly
+counts are sums over the runs of equal ts // 3600, and the logged alone flag
+of each second is a binary search of its ts among the interval ends. Counts
+leave numpy as Python ints, so every reported value is a plain float, int or
+bool.
 """
 
 from __future__ import annotations
@@ -11,7 +18,10 @@ import csv
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from functools import cache
-from typing import Iterable, Optional, Sequence
+from operator import attrgetter
+from typing import Optional, Sequence
+
+import numpy as np
 
 from .errors import IntervalOutOfBounds, OverlappingIntervals, UnsortedInput, ValidationError
 from .logic import LogicalState
@@ -25,6 +35,8 @@ MINUTE_COLUMNS = {
     "supervised_by_staff": "supervised_min",
 }
 OBSLOG_CSV_HEADER = "session_id,start_ts,end_ts"
+_FLAG_COLUMNS = ("patient_alone", "supervised_by_staff", "moving")
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 @cache
@@ -81,36 +93,69 @@ class ObservationLog:
                 raise ValueError(f"empty or inverted interval [{a}, {b})")
 
 
-def _flags(state: LogicalState, alone: bool) -> dict[str, bool]:
-    """Trend flags for one second, with the alone status supplied by the caller."""
-    return {
-        "alone": alone,
-        "alone_and_moving": alone and state.moving,
-        "supervised_by_staff": state.supervised_by_staff,
-        "moving": state.moving,
-    }
+def _int64_stamps(stamps: Sequence[int]) -> np.ndarray:
+    """stamps as an int64 column; a ts that is not an integer within int64 raises."""
+    ts = np.array(stamps)
+    if ts.dtype != np.int64:
+        outside = (t for t in stamps if not isinstance(t, int) or not _INT64_MIN <= t <= _INT64_MAX)
+        bad = next(outside, stamps[0])
+        raise ValidationError(f"ts must be an integer within int64, got {bad!r}")
+    return ts
 
 
-def _aggregate(session_id: str, rows: Iterable[tuple[int, dict[str, bool]]]) -> list[HourlyTrend]:
-    buckets: dict[tuple[date, int], dict] = {}
-    for ts, flags in rows:
-        key = _utc_hour(ts // 3600)
-        bucket = buckets.setdefault(key, {"seconds": 0, **{k: 0 for k in TREND_KEYS}})
-        bucket["seconds"] += 1
-        for k in TREND_KEYS:
-            bucket[k] += flags[k]
-    out = []
-    for (d, hour), bucket in sorted(buckets.items()):
-        out.append(
-            HourlyTrend(
-                session_id=session_id,
-                date=d,
-                hour=hour,
-                minutes={k: bucket[k] / 60.0 for k in TREND_KEYS},
-                monitored_minutes=bucket["seconds"] / 60.0,
-            )
+def _first_unsorted(ts: np.ndarray) -> int:
+    """Index i of the first pair ts[i], ts[i + 1] that does not increase, or len(ts)."""
+    bad = np.flatnonzero(ts[1:] <= ts[:-1])
+    return int(bad[0]) if bad.size else len(ts)
+
+
+def _columns(states: Sequence[LogicalState]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """ts (int64) and the patient_alone, supervised_by_staff and moving flags
+    (bool) of non-empty states.
+
+    The states must be one session's, sorted by strictly increasing ts; the
+    first adjacent pair that breaks either rule raises UnsortedInput, naming
+    the ts fault when a pair breaks both.
+    """
+    # One list per column, not a tuple per state: tuples are objects the
+    # cyclic GC tracks, and its collections also walk every row the caller holds.
+    stamps = list(map(attrgetter("ts"), states))
+    sids = list(map(attrgetter("session_id"), states))
+    ts = _int64_stamps(stamps)
+    i = _first_unsorted(ts)
+    if sids.count(sids[0]) != len(sids):
+        j = next(j for j, (a, b) in enumerate(zip(sids, sids[1:])) if a != b)
+        if j < i:
+            raise UnsortedInput(f"states mix sessions at ts {stamps[j + 1]}: {sids[j]!r} then {sids[j + 1]!r}")
+    if i < len(ts):
+        raise UnsortedInput(f"states not strictly increasing at ts {stamps[i + 1]}")
+    alone, supervised, moving = (np.fromiter(map(attrgetter(k), states), bool, len(states)) for k in _FLAG_COLUMNS)
+    return ts, alone, supervised, moving
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Start index of each run of equal values in a non-empty column."""
+    return np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+
+
+def _hourly(
+    session_id: str, ts: np.ndarray, alone: np.ndarray, supervised: np.ndarray, moving: np.ndarray
+) -> list[HourlyTrend]:
+    """One HourlyTrend per clock hour with monitored seconds, in time order."""
+    hours = ts // 3600
+    starts = _run_starts(hours)
+    flags = np.column_stack((alone, alone & moving, supervised, moving))  # TREND_KEYS order
+    counts = np.add.reduceat(flags, starts, axis=0).tolist()
+    seconds = np.diff(np.r_[starts, len(ts)]).tolist()
+    return [
+        HourlyTrend(
+            session_id,
+            *_utc_hour(hour),
+            minutes={k: c / 60.0 for k, c in zip(TREND_KEYS, row)},
+            monitored_minutes=n / 60.0,
         )
-    return out
+        for hour, row, n in zip(hours[starts].tolist(), counts, seconds)
+    ]
 
 
 def aggregate_hourly(states: Sequence[LogicalState]) -> list[HourlyTrend]:
@@ -121,13 +166,8 @@ def aggregate_hourly(states: Sequence[LogicalState]) -> list[HourlyTrend]:
     """
     if not states:
         return []
-    session_id = states[0].session_id
-    for a, b in zip(states, states[1:]):
-        if b.ts <= a.ts:
-            raise UnsortedInput(f"states not strictly increasing at ts {b.ts}")
-        if b.session_id != session_id:
-            raise UnsortedInput("aggregate_hourly expects a single session")
-    return _aggregate(session_id, ((s.ts, _flags(s, s.patient_alone)) for s in states))
+    ts, alone, supervised, moving = _columns(states)
+    return _hourly(states[0].session_id, ts, alone, supervised, moving)
 
 
 def cohort_average(trends: Sequence[HourlyTrend]) -> list[CohortHourlyTrend]:
@@ -157,18 +197,10 @@ def cohort_average(trends: Sequence[HourlyTrend]) -> list[CohortHourlyTrend]:
     return out
 
 
-def log_to_states(log: ObservationLog, grid: Sequence[int]) -> list[bool]:
-    """Per-second alone flags aligned with grid (a strictly increasing second grid).
-
-    Intervals are half-open [start, end), must be sorted and non-overlapping,
-    and must stay within the grid's span.
-    """
-    if not grid:
-        return []
-    for a, b in zip(grid, grid[1:]):
-        if b <= a:
-            raise UnsortedInput(f"states not strictly increasing at ts {b}")
-    lo, hi = grid[0], grid[-1] + 1
+def _logged_alone(log: ObservationLog, ts: np.ndarray) -> np.ndarray:
+    """The log's alone flag (bool) at each second of ts, a non-empty strictly
+    increasing int64 column; the intervals are checked as log_to_states says."""
+    lo, hi = int(ts[0]), int(ts[-1]) + 1
     prev_end = None
     for a, b in log.intervals:
         if prev_end is not None and a < prev_end:
@@ -180,14 +212,30 @@ def log_to_states(log: ObservationLog, grid: Sequence[int]) -> list[bool]:
                 f"interval [{a}, {b}) outside session span [{lo}, {hi})"
             )
         prev_end = b
-    flags = []
-    idx = 0
-    intervals = log.intervals
-    for ts in grid:
-        while idx < len(intervals) and intervals[idx][1] <= ts:
-            idx += 1
-        flags.append(idx < len(intervals) and intervals[idx][0] <= ts < intervals[idx][1])
-    return flags
+    if not log.intervals:
+        return np.zeros(len(ts), dtype=bool)
+    starts = np.array([a for a, _ in log.intervals], dtype=np.int64)
+    # Each interval's last second: b itself may be one past the int64 range.
+    lasts = np.array([b - 1 for _, b in log.intervals], dtype=np.int64)
+    idx = np.searchsorted(lasts, ts)  # the first interval that ends after each second
+    inside = idx < len(starts)
+    return inside & (starts[np.minimum(idx, len(starts) - 1)] <= ts)
+
+
+def log_to_states(log: ObservationLog, grid: Sequence[int]) -> list[bool]:
+    """Per-second alone flags aligned with grid (a strictly increasing second grid).
+
+    Intervals are half-open [start, end), must be sorted and non-overlapping,
+    and must stay within the grid's span. A grid value that is not an integer
+    within int64 raises ValidationError.
+    """
+    if not grid:
+        return []
+    ts = _int64_stamps(grid)
+    i = _first_unsorted(ts)
+    if i < len(ts):
+        raise UnsortedInput(f"states not strictly increasing at ts {grid[i + 1]}")
+    return _logged_alone(log, ts).tolist()
 
 
 def assisted_trends(
@@ -200,12 +248,8 @@ def assisted_trends(
     """
     if not states:
         return []
-    session_id = states[0].session_id
-    grid = [s.ts for s in states]
-    alone = log_to_states(log, grid)
-    return _aggregate(
-        session_id, ((s.ts, _flags(s, flag)) for s, flag in zip(states, alone))
-    )
+    ts, _, supervised, moving = _columns(states)
+    return _hourly(states[0].session_id, ts, _logged_alone(log, ts), supervised, moving)
 
 
 def _write_minutes_csv(path, lead_columns: Sequence[str], rows, lead) -> None:

@@ -403,12 +403,14 @@ def _mutations(obj, rng):
         mutate("cls", lambda o: o["boxes"][i].__setitem__("cls", "dog"))
         mutate("no-conf", lambda o: o["boxes"][i].pop("conf"))
         mutate("x-str", lambda o: o["boxes"][i].__setitem__("x", "1.0"))
+        mutate("box-bool", lambda o: o["boxes"][i].__setitem__(str(rng.choice(["x", "y", "w", "h", "conf"])), True))
     if p is not None:
         mutate("role=inf", lambda o: o["roles"][p].__setitem__(role, float("inf")))
         mutate("roles-sum-1.15", lambda o: o["roles"][p].__setitem__(role, o["roles"][p][role] + 0.15))
         mutate("role-missing", lambda o: o["roles"][p].pop(role))
         mutate("role-extra", lambda o: o["roles"][p].__setitem__("visitor", 0.0))
         mutate("role<0", lambda o: o["roles"][p].__setitem__(role, -0.05))
+        mutate("role-bool", lambda o: o["roles"].__setitem__(p, {"patient": True, "staff": False, "other": False}))
         mutate("roles-list", lambda o: o["roles"].__setitem__(p, list(ROLES)))
         out_of_range = {"patient": 1.25, "staff": -0.125, "other": -0.125}  # sums to exactly 1
         mutate("roles-out-of-range", lambda o: o["roles"].__setitem__(p, out_of_range))
@@ -452,7 +454,7 @@ def test_loads_row_rejects_exactly_what_the_constructors_reject(rng):
     assert {"box.w=inf", "conf>1", "h<0", "roles-sum-1.15", "role-missing", "role-extra"} <= kinds
     assert {"cls", "ts-bool", "ts-float", "motion-key", "count=inf", "roles-list"} <= kinds
     assert {"motion-bool", "motion-str", "motion-list", "count-str", "count-bool"} <= kinds
-    assert {"flag-str", "flag-int", "flag-null"} <= kinds
+    assert {"flag-str", "flag-int", "flag-null", "box-bool", "role-bool"} <= kinds
     assert not {"motion-int", "count-int"} & kinds
 
 
@@ -466,13 +468,14 @@ def test_valid_rows_round_trip_byte_for_byte_and_validate_once(rng):
 
 LOGICAL_KEYS = ("person_alone", "patient_alone", "supervised_by_staff", "moving", "smoothed_person_count")
 MOTION_SUBSETS = [keys for n in range(4) for keys in itertools.combinations(("scene", "bed", "safety_zone"), n)]
-# Values a row may hold, by where they may stand: JSON int, float and bool,
-# the signed zero, the smallest subnormal, a float past 2**53 and a big int.
-ANY_COORD = (-0.0, 0, -3, 0.1 + 0.2, 1e16, 2**70, True, False, np.float64(0.1))
-SIZES = (5e-324, 1e16, 2**70, 7, 12.5, 1 / 3, True, np.float64(2.5))
-CONFS = (-0.0, 5e-324, 0, 1, True, False, 0.25, 1 / 3)
+# Values a row may hold, by where they may stand: JSON int and float (a bool
+# is rejected wherever a number stands), the signed zero, the smallest
+# subnormal, a float past 2**53 and a big int.
+ANY_COORD = (-0.0, 0, -3, 0.1 + 0.2, 1e16, 2**70, np.float64(0.1))
+SIZES = (5e-324, 1e16, 2**70, 7, 12.5, 1 / 3, np.float64(2.5))
+CONFS = (-0.0, 5e-324, 0, 1, 0.25, 1 / 3)
 SCORES = (
-    (0.8, 0.1, 0.1), (1, 0, 0), (True, False, False), (0.5, 0.5, 0), (-0.0, 1, 0.0),
+    (0.8, 0.1, 0.1), (1, 0, 0), (0.5, 0.5, 0), (-0.0, 1, 0.0),
     (1.0, 5e-324, 0.0), (1 / 3, 1 / 3, 1 / 3),
 )
 MAGNITUDES = (0.0, -0.0, 5e-324, 1e16, 2**70, 3, 0.1 + 0.2)
@@ -595,6 +598,36 @@ def test_each_stored_value_rule_fails_on_construction_with_the_readers_message(r
         read, source, prefix = loads_row, json.dumps(dict(_full_row_obj(), **override)), "bad canonical row: "
     with pytest.raises(SchemaMismatch, match=f"^{re.escape(prefix + message)}$"):
         read(source)
+
+
+# A bool where a box number or a role score stands: the values, the message.
+BOOL_NUMBERS = {
+    "box-x": ("box", {"x": True}, "box x must be a number, got True"),
+    "box-h-conf": ("box", {"h": True, "conf": False}, "box h must be a number, got True"),
+    "box-conf": ("box", {"conf": False}, "box conf must be a number, got False"),
+    "score-staff": ("role", {"staff": False}, "score for staff must be a number, got False"),
+    "scores": ("role", {"patient": True, "staff": False, "other": False}, "score for patient must be a number, got True"),
+}
+
+
+@pytest.mark.parametrize("where,values,message", BOOL_NUMBERS.values(), ids=BOOL_NUMBERS.keys())
+def test_a_bool_is_no_box_number_or_role_score(where, values, message):
+    box = dict(dict(x=10.0, y=10.0, w=20.0, h=30.0, conf=0.5), **values if where == "box" else {})
+    scores = dict(dict(patient=0.8, staff=0.1, other=0.1), **values if where == "role" else {})
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        if where == "box":
+            BoundingBox("person", box["x"], box["y"], box["w"], box["h"], box["conf"])
+        else:
+            RoleDistribution(scores)
+    obj = _full_row_obj()  # box 1 is the person box, role 1 its distribution
+    obj["boxes"][1].update(box)
+    obj["roles"][1] = scores
+    with pytest.raises(SchemaMismatch, match=f"^{re.escape('bad canonical row: ' + message)}$"):
+        loads_row(json.dumps(obj))
+    if where == "box":
+        label = dict(LABEL, boxes=[{"cls": "bed", **box}])
+        with pytest.raises(SchemaMismatch, match=f"^{re.escape('bad frame label: ' + message)}$"):
+            obj_to_label(label)
 
 
 def test_numbers_are_stored_as_floats_in_motion_and_state():

@@ -25,6 +25,7 @@ from ward_sentinel.imageops import (
     to_grayscale,
     to_uint8,
 )
+from ward_sentinel.logic import LogicalState
 from ward_sentinel.model import (
     ANALYSIS_DIMS,
     DETECTOR_DIMS,
@@ -492,6 +493,22 @@ class TestStore:
         with pytest.raises(NonMonotonicTimestamp):
             w.append(CanonicalRow(make_record("s", 100)))
 
+    @pytest.mark.parametrize("part", ["motion", "logical"])
+    @pytest.mark.parametrize("key", [("b", 7), ("a", 99), ("c", 5)], ids=["session", "ts", "both"])
+    def test_row_whose_motion_or_state_has_another_key_never_reaches_the_writer(self, tmp_path, part, key):
+        store = Store(tmp_path / "store")
+        w = store.writer("a")
+        w.append(CanonicalRow(make_record("a", 6)))
+        other = {
+            "motion": MotionRecord(*key, {"scene": 0.5}),
+            "logical": LogicalState(*key, True, True, False, False, 1.0),
+        }[part]
+        with pytest.raises(MalformedRecord) as info:
+            w.append(CanonicalRow(make_record("a", 7), **{part: other}))
+        assert str(info.value) == f"{part} {key[0]}@{key[1]} on record a@7"
+        w.seal()
+        assert [r.record.ts for r in store.iter_rows()] == [6]
+
     def test_rows_partitioned_by_date(self, tmp_path):
         store = Store(tmp_path / "store")
         w = store.writer("s")
@@ -649,6 +666,21 @@ class TestIngest:
         assert "NaN" in report.errors[0][1]
         assert [r.record.ts for r in store.iter_rows()] == [1000, 1002, 1003]
         assert "NaN" not in (tmp_path / "store" / "sessions" / "ing" / "1970-01-01.jsonl").read_text()
+
+    def test_adapter_row_whose_motion_or_state_has_another_key_is_rejected_by_its_line(self, tmp_path, monkeypatch):
+        def keyed_rows(path):
+            yield 1, lambda: CanonicalRow(make_record("a", 1, ["patient"]))
+            yield 2, lambda: CanonicalRow(make_record("a", 2, ["patient"]), MotionRecord("b", 99, {"scene": 0.5}))
+            yield 3, lambda: CanonicalRow(
+                make_record("a", 3, ["patient"]), logical=LogicalState("c", 5, True, True, False, False, 1.0)
+            )
+
+        monkeypatch.setitem(pipeline.ADAPTERS, "keyed", keyed_rows)
+        store = Store(tmp_path / "store")
+        report = ingest_external(tmp_path / "unused", "keyed", store)
+        assert (report.rows_ok, report.rows_rejected) == (1, 2)
+        assert report.errors == ((2, "motion b@99 on record a@2"), (3, "logical c@5 on record a@3"))
+        assert [(r.record.session_id, r.record.ts) for r in store.iter_rows()] == [("a", 1)]
 
     def test_double_ingest_idempotent(self, tmp_path):
         path = tmp_path / "in.jsonl"

@@ -1,10 +1,29 @@
+import re
+from dataclasses import fields, is_dataclass
 from datetime import datetime, timezone
 
+import numpy as np
 import pytest
 
-from ward_sentinel.errors import IntervalOutOfBounds, OverlappingIntervals, UnsortedInput
+from ward_sentinel.errors import (
+    IntervalOutOfBounds,
+    OverlappingIntervals,
+    SingleClassTarget,
+    UnsortedInput,
+    ValidationError,
+)
+from ward_sentinel.evaluation import (
+    PERIODS,
+    TrendAccuracyReport,
+    TrendAccuracyRow,
+    fit_logistic,
+    manual_accuracy,
+    trend_accuracy,
+)
 from ward_sentinel.logic import LogicalState
+from ward_sentinel.model import PipelineConfig
 from ward_sentinel.trends import (
+    TREND_KEYS,
     HourlyTrend,
     ObservationLog,
     aggregate_hourly,
@@ -221,3 +240,246 @@ class TestCsvRoundTrip:
         loaded = read_observation_csv(path)
         assert loaded["a"].intervals == ((10, 50), (60, 90))
         assert loaded["b"].intervals == ((0, 5),)
+
+
+# Oracle: the per-second loops that trends.py and evaluation.trend_accuracy
+# ran before they worked on numpy columns, kept verbatim but for the names.
+def _oracle_utc_hour(hour):
+    dt = datetime.fromtimestamp(hour * 3600, tz=timezone.utc)
+    return dt.date(), dt.hour
+
+
+def _oracle_flags(state, alone):
+    return {
+        "alone": alone,
+        "alone_and_moving": alone and state.moving,
+        "supervised_by_staff": state.supervised_by_staff,
+        "moving": state.moving,
+    }
+
+
+def _oracle_aggregate(session_id, rows):
+    buckets = {}
+    for ts, flags in rows:
+        key = _oracle_utc_hour(ts // 3600)
+        bucket = buckets.setdefault(key, {"seconds": 0, **{k: 0 for k in TREND_KEYS}})
+        bucket["seconds"] += 1
+        for k in TREND_KEYS:
+            bucket[k] += flags[k]
+    out = []
+    for (d, hour), bucket in sorted(buckets.items()):
+        out.append(
+            HourlyTrend(
+                session_id=session_id,
+                date=d,
+                hour=hour,
+                minutes={k: bucket[k] / 60.0 for k in TREND_KEYS},
+                monitored_minutes=bucket["seconds"] / 60.0,
+            )
+        )
+    return out
+
+
+def _oracle_hourly(states):
+    return _oracle_aggregate(states[0].session_id, ((s.ts, _oracle_flags(s, s.patient_alone)) for s in states))
+
+
+def _oracle_log_to_states(log, grid):
+    flags = []
+    idx = 0
+    intervals = log.intervals
+    for ts in grid:
+        while idx < len(intervals) and intervals[idx][1] <= ts:
+            idx += 1
+        flags.append(idx < len(intervals) and intervals[idx][0] <= ts < intervals[idx][1])
+    return flags
+
+
+def _oracle_assisted(states, log):
+    alone = _oracle_log_to_states(log, [s.ts for s in states])
+    return _oracle_aggregate(
+        states[0].session_id, ((s.ts, _oracle_flags(s, flag)) for s, flag in zip(states, alone))
+    )
+
+
+def _oracle_trend_accuracy(states, log, cfg):
+    def period_of(ts):
+        hour = _oracle_utc_hour(ts // 3600)[1]
+        return "day" if cfg.day_start_hour <= hour < cfg.night_start_hour else "night"
+
+    truth = _oracle_log_to_states(log, [s.ts for s in states])
+    by_day = {}
+    for s, y in zip(states, truth):
+        by_day.setdefault(_oracle_utc_hour(s.ts // 3600)[0], []).append((s.ts, s.patient_alone, y))
+    rows = []
+    for day, entries in sorted(by_day.items()):
+        for period in PERIODS:
+            if period == "full":
+                selected = entries
+            else:
+                selected = [e for e in entries if period_of(e[0]) == period]
+            if not selected:
+                continue
+            x = np.array([float(e[1]) for e in selected])
+            y = np.array([float(e[2]) for e in selected])
+            try:
+                _, acc = fit_logistic(x, y)
+                method = "logistic"
+            except SingleClassTarget:
+                acc = manual_accuracy(x, y)
+                method = "manual"
+            rows.append(TrendAccuracyRow(states[0].session_id, day, period, method, acc, len(selected)))
+    return TrendAccuracyReport.from_rows(rows)
+
+
+def _typed(v):
+    """v as nested (type, value) pairs: == on two of these compares exact types
+    and dict key order as well as values."""
+    if is_dataclass(v):
+        return type(v), tuple(_typed(getattr(v, f.name)) for f in fields(v))
+    if isinstance(v, dict):
+        return dict, tuple((k, _typed(x)) for k, x in v.items())
+    if isinstance(v, (list, tuple)):
+        return type(v), tuple(_typed(x) for x in v)
+    return type(v), v
+
+
+# Starts just before an hour, midnight, 06:00, 21:00, the epoch and a
+# negative day, so streams cross each boundary the trends split on.
+STREAM_STARTS = (
+    MIDNIGHT - 90, MIDNIGHT + 6 * 3600 - 700, MIDNIGHT + 21 * 3600 - 1500, MIDNIGHT + 3600 * 13 - 5,
+    -40, -3 * 86400 - 1200, -86400 + 21 * 3600 - 60,
+)
+
+
+def _random_stream(rng, k):
+    """One session's states with gaps, and a log of intervals within its span."""
+    steps = np.where(rng.uniform(size=int(rng.integers(1, 2500))) < 0.995, 1, rng.integers(2, 4000))
+    steps[0] = 0
+    grid = (STREAM_STARTS[k % len(STREAM_STARTS)] + int(rng.integers(-30, 30)) + np.cumsum(steps)).tolist()
+    n = len(grid)
+    # Runs of equal truth, predicted with a k-dependent error rate.
+    truth = np.repeat(rng.uniform(size=n // 50 + 1) < 0.5, 50)[:n] if k % 5 else np.zeros(n, bool)
+    pred = truth ^ (rng.uniform(size=n) < (0.0, 0.05, 0.4)[k % 3])
+    person_alone = pred | (rng.uniform(size=n) < 0.5)
+    supervised = ~person_alone & (rng.uniform(size=n) < 0.5)
+    moving = rng.uniform(size=n) < 0.3
+    states = [
+        LogicalState("s", ts, bool(pa), bool(p), bool(su), bool(m), 1.0)
+        for ts, pa, p, su, m in zip(grid, person_alone, pred, supervised, moving)
+    ]
+    # Intervals from the truth runs, cut at random inside gaps and at the
+    # span's edges [grid[0], grid[-1] + 1).
+    edges = np.flatnonzero(np.diff(np.r_[0, truth.astype(int), 0]))
+    intervals = []
+    for a, b in zip(edges[::2], edges[1::2]):
+        start = grid[a] - int(rng.integers(0, grid[a] - grid[a - 1])) if a else grid[0]
+        end = grid[b - 1] + 1 + (int(rng.integers(0, grid[b] - grid[b - 1])) if b < n else 0)
+        intervals.append((start, end))
+    return states, ObservationLog("s", tuple(intervals))
+
+
+def test_columns_give_the_per_second_loops_results_with_their_types(rng):
+    cfg = PipelineConfig()
+    seen = set()
+    for k in range(70):
+        states, log = _random_stream(rng, k)
+        grid = [s.ts for s in states]
+        for got, want in (
+            (aggregate_hourly(states), _oracle_hourly(states)),
+            (assisted_trends(states, log), _oracle_assisted(states, log)),
+            (log_to_states(log, grid), _oracle_log_to_states(log, grid)),
+            (trend_accuracy(states, log, cfg), _oracle_trend_accuracy(states, log, cfg)),
+        ):
+            assert _typed(got) == _typed(want), k
+        seen.add("empty-log" if not log.intervals else "log")
+        seen.add("negative" if grid[0] < 0 else "positive")
+        seen |= {"gap" for a, b in zip(grid, grid[1:]) if b - a > 1}
+        seen |= {"edge-start" for a, _ in log.intervals[:1] if a == grid[0]}
+        seen |= {"edge-end" for _, b in log.intervals[-1:] if b == grid[-1] + 1}
+        seen |= {r.method for r in trend_accuracy(states, log, cfg).rows}
+        days = {ts // 86400 for ts in grid}
+        hours = {ts // 3600 % 24 for ts in grid}
+        seen |= {"days" for _ in range(len(days) > 1)} | {f"{h}:00" for h in (0, 6, 21) if {h, (h - 1) % 24} <= hours}
+    assert seen >= {"empty-log", "log", "negative", "positive", "gap", "edge-start", "edge-end"}
+    assert seen >= {"logistic", "manual", "days", "0:00", "6:00", "21:00"}
+
+
+def test_empty_inputs():
+    assert aggregate_hourly([]) == [] and assisted_trends([], ObservationLog("s", ((0, 1),))) == []
+    assert log_to_states(ObservationLog("s", ((0, 1),)), []) == []
+
+
+def _states(stamps, sessions=None):
+    sessions = sessions or ["a"] * len(stamps)
+    return [make_state(ts, alone=True, session=sid) for ts, sid in zip(stamps, sessions)]
+
+
+ALL_THREE = {
+    "hourly": lambda states, log: aggregate_hourly(states),
+    "assisted": assisted_trends,
+    "accuracy": trend_accuracy,
+}
+# Stamps and sessions of states that break a rule, and the exact error.
+BAD_STATES = {
+    "unsorted": ([10, 12, 11, 13], None, "states not strictly increasing at ts 11"),
+    "repeated": ([10, 11, 11], None, "states not strictly increasing at ts 11"),
+    "mixed": ([10, 11, 12], ["a", "a", "b"], "states mix sessions at ts 12: 'a' then 'b'"),
+    "mixed-back": ([10, 11, 12], ["a", "b", "a"], "states mix sessions at ts 11: 'a' then 'b'"),
+    "mixed-before-unsorted": ([10, 11, 9], ["a", "b", "b"], "states mix sessions at ts 11: 'a' then 'b'"),
+    "unsorted-before-mixed": ([10, 9, 12], ["a", "a", "b"], "states not strictly increasing at ts 9"),
+    "both-at-one-pair": ([10, 10, 12], ["a", "b", "b"], "states not strictly increasing at ts 10"),
+}
+
+
+@pytest.mark.parametrize("call", ALL_THREE.values(), ids=ALL_THREE.keys())
+@pytest.mark.parametrize("stamps,sessions,message", BAD_STATES.values(), ids=BAD_STATES.keys())
+def test_each_call_takes_one_sessions_states_in_increasing_ts(call, stamps, sessions, message):
+    with pytest.raises(UnsortedInput, match=f"^{re.escape(message)}$"):
+        call(_states(stamps, sessions), ObservationLog("a", ()))
+
+
+@pytest.mark.parametrize("call", ALL_THREE.values(), ids=ALL_THREE.keys())
+def test_two_sessions_in_one_call_are_rejected(call):
+    states = _states(range(MIDNIGHT, MIDNIGHT + 120), ["a"] * 60 + ["b"] * 60)
+    with pytest.raises(UnsortedInput, match=re.escape(f"states mix sessions at ts {MIDNIGHT + 60}: 'a' then 'b'")):
+        call(states, ObservationLog("a", ((MIDNIGHT, MIDNIGHT + 30),)))
+
+
+def test_unsorted_grid_is_named_by_log_to_states():
+    with pytest.raises(UnsortedInput, match=r"^states not strictly increasing at ts 3$"):
+        log_to_states(ObservationLog("s", ()), [1, 5, 3])
+
+
+BAD_LOGS = {
+    "overlap": (((10, 20), (15, 25)), OverlappingIntervals, "interval [15, 25) overlaps or precedes an earlier interval"),
+    "unsorted": (((20, 25), (10, 15)), OverlappingIntervals, "interval [10, 15) overlaps or precedes an earlier interval"),
+    "before-span": (((9, 12),), IntervalOutOfBounds, "interval [9, 12) outside session span [10, 40)"),
+    "after-span": (((30, 41),), IntervalOutOfBounds, "interval [30, 41) outside session span [10, 40)"),
+}
+
+
+@pytest.mark.parametrize("intervals,error,message", BAD_LOGS.values(), ids=BAD_LOGS.keys())
+def test_bad_logs_raise_the_same_error_in_every_call(intervals, error, message):
+    states = _states(range(10, 40))
+    log = ObservationLog("a", intervals)
+    for call in (assisted_trends, trend_accuracy, lambda s, lg: log_to_states(lg, [x.ts for x in s])):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call(states, log)
+
+
+def test_interval_may_end_one_past_the_int64_range():
+    top = 2**63 - 1
+    grid = [top - 2, top - 1, top]
+    assert log_to_states(ObservationLog("s", ((top - 1, top + 1),)), grid) == [False, True, True]
+    assert log_to_states(ObservationLog("s", ((-(2**63), 1 - 2**63),)), [-(2**63), 5]) == [True, False]
+
+
+@pytest.mark.parametrize("bad", [2**63, -(2**63) - 1, 1.5])
+def test_ts_outside_int64_is_rejected(bad):
+    grid = [0, bad] if bad > 0 else [bad, 0]
+    message = f"ts must be an integer within int64, got {bad!r}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        log_to_states(ObservationLog("s", ()), grid)
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        aggregate_hourly([make_state(ts) for ts in grid])
