@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, EmptyMask
 from .imageops import resize_bilinear
-from .model import FlowParams
+from .model import FlowParams, check_session_and_ts, slot_init
 
 from .geometry import ROI_KINDS, RoiMask
 
@@ -69,12 +69,14 @@ class FlowField:
         return mag
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class MotionRecord:
     """Per-second average motion magnitude for each available ROI.
 
-    Checked on construction: every key is an ROI kind and every magnitude a
-    real number, not a bool, finite and >= 0, kept as a float.
+    Checked on construction: session_id and ts as in DetectionRecord, every
+    key an ROI kind and every magnitude a real number, not a bool, finite and
+    >= 0, kept as a float.
     """
 
     session_id: str
@@ -82,6 +84,7 @@ class MotionRecord:
     magnitudes: Mapping[str, float]
 
     def __post_init__(self):
+        check_session_and_ts(self.session_id, self.ts)
         if not self.magnitudes.keys() <= _ROI_KIND_SET:
             unknown = sorted(self.magnitudes.keys() - _ROI_KIND_SET, key=str)
             raise ValueError(f"unknown motion keys {unknown}")

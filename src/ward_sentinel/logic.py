@@ -21,17 +21,18 @@ from typing import Mapping, Optional, Sequence
 
 from .errors import EmptyWindow, OutOfOrderRecord
 from .flow import MotionRecord
-from .model import DetectionRecord, PipelineConfig, ROLES, RoleDistribution
+from .model import DetectionRecord, PipelineConfig, ROLES, RoleDistribution, check_session_and_ts, slot_init
 
 log = logging.getLogger(__name__)
 _FLAGS = ("person_alone", "patient_alone", "supervised_by_staff", "moving")
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class LogicalState:
-    """One second's states. Checked on construction: the four flags are bools,
-    and smoothed_person_count is a real number, not a bool, finite and >= 0,
-    kept as a float.
+    """One second's states. Checked on construction: session_id and ts as in
+    DetectionRecord, the four flags are bools, and smoothed_person_count is a
+    real number, not a bool, finite and >= 0, kept as a float.
     """
 
     session_id: str
@@ -43,6 +44,7 @@ class LogicalState:
     smoothed_person_count: float
 
     def __post_init__(self):
+        check_session_and_ts(self.session_id, self.ts)
         a, b, c, d = self.person_alone, self.patient_alone, self.supervised_by_staff, self.moving
         if not (type(a) is type(b) is type(c) is type(d) is bool):
             k = next(k for k in _FLAGS if type(getattr(self, k)) is not bool)

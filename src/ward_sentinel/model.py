@@ -3,11 +3,22 @@
 All types here are immutable after construction and safe to share across
 threads. Timestamps are whole seconds UTC (the capture cadence is 1 fps, so
 sub-second precision carries no information).
+
+How records are built: the per-row record types (BoundingBox,
+RoleDistribution and DetectionRecord here; MotionRecord, LogicalState,
+CanonicalRow and SourceItem elsewhere) are @dataclass(frozen=True, slots=True)
+classes decorated with slot_init. The __init__ a frozen dataclass generates
+sets each field through object.__setattr__; slot_init's stores each argument
+through its slot's member descriptor instead, which is cheaper per field, and
+then runs __post_init__, where every value is checked. Parameters, defaults,
+assignment (FrozenInstanceError), replace, fields, eq, hash, repr and pickling
+are the dataclass's own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import inspect
+from dataclasses import MISSING, dataclass, field, fields
 from math import isfinite
 from operator import is_
 from typing import Mapping, Optional
@@ -27,6 +38,47 @@ FLOW_DIMS = (480, 270)
 
 ROLE_SUM_TOL = 1e-9
 _ROLE_SET = frozenset(ROLES)
+
+
+def slot_init(cls):
+    """Replace the __init__ of a @dataclass(frozen=True, slots=True) class with
+    one that stores each init field through cls.__dict__[name].__set__.
+
+    The new __init__ has the same parameters, order, defaults and annotations,
+    and calls __post_init__ when the class has one. A class this cannot rebuild
+    exactly (not frozen and slotted, or with a default_factory, a kw_only
+    field, an InitVar or a non-init field with a default) raises TypeError.
+    """
+    old = cls.__init__
+    init_fields = [f for f in fields(cls) if f.init]
+    names = [f.name for f in init_fields]
+    if (
+        not cls.__dataclass_params__.frozen
+        or "__slots__" not in cls.__dict__
+        or any(f.kw_only or f.default_factory is not MISSING for f in init_fields)
+        or any(f.default is not MISSING for f in fields(cls) if not f.init)
+        or list(inspect.signature(old).parameters)[1:] != names
+    ):
+        raise TypeError(f"slot_init cannot rebuild the __init__ of {cls.__qualname__}")
+    closure = {f"_set_{n}": cls.__dict__[n].__set__ for n in names}
+    closure.update((f"_default_{f.name}", f.default) for f in init_fields if f.default is not MISSING)
+    params = [n if f.default is MISSING else f"{n}=_default_{n}" for n, f in zip(names, init_fields)]
+    body = [f"        _set_{n}(self, {n})" for n in names]
+    if hasattr(cls, "__post_init__"):
+        body.append("        self.__post_init__()")
+    source = (
+        f"def make({', '.join(closure)}):\n"
+        f"    def __init__(self, {', '.join(params)}):\n" + "\n".join(body)
+        + "\n    return __init__\n"
+    )
+    namespace = {}
+    exec(source, {}, namespace)
+    init = namespace["make"](**closure)
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__module__ = cls.__module__
+    init.__annotations__ = dict(old.__annotations__)
+    cls.__init__ = init
+    return cls
 
 
 @dataclass(frozen=True)
@@ -62,6 +114,7 @@ class Frame:
         return 3 if self.mode == "RGB" else 1
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class BoundingBox:
     """Axis-aligned detection box, top-left origin, pixel units.
@@ -120,6 +173,7 @@ class BoundingBox:
         return BoundingBox(self.cls, left, top, new_w, new_h, self.confidence)
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class RoleDistribution:
     """Per-person scores over {patient, staff, other}, summing to one.
@@ -159,6 +213,7 @@ class RoleDistribution:
         return RoleDistribution({r: 1.0 / 3.0 for r in ROLES}, fallback_uniform=fallback)
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class DetectionRecord:
     """All detections for one session-second.
@@ -174,8 +229,10 @@ class DetectionRecord:
 
     def __post_init__(self):
         check_session_and_ts(self.session_id, self.ts)
-        object.__setattr__(self, "boxes", tuple(self.boxes))
-        object.__setattr__(self, "roles", tuple(self.roles))
+        if type(self.boxes) is not tuple:
+            object.__setattr__(self, "boxes", tuple(self.boxes))
+        if type(self.roles) is not tuple:
+            object.__setattr__(self, "roles", tuple(self.roles))
 
     def person_indices(self) -> list[int]:
         return [i for i, b in enumerate(self.boxes) if b.cls == "person"]

@@ -44,6 +44,7 @@ from .model import (
     Frame,
     PipelineConfig,
     RoleDistribution,
+    slot_init,
     validate_record,
 )
 from .schema import CanonicalRow, jsonl_lines, loads_row
@@ -139,6 +140,7 @@ class SyntheticDetector(DetectorPort):
         return DetectorOutput(boxes=rec.boxes, role_confidences=confidences)
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class SourceItem:
     """One second of input: a frame, a recorded DetectionRecord with the item's

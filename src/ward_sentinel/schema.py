@@ -34,11 +34,12 @@ from .errors import MalformedRecord, SchemaMismatch
 from .evaluation import FrameLabel
 from .flow import MotionRecord
 from .logic import LogicalState
-from .model import BoundingBox, DetectionRecord, RoleDistribution
+from .model import BoundingBox, DetectionRecord, RoleDistribution, slot_init
 
 SCHEMA_VERSION = 1
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class CanonicalRow:
     """One stored second. A motion or logical must carry the record's
@@ -129,10 +130,21 @@ DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
 def loads_row(line: str) -> CanonicalRow:
+    """The row of one line. A line that is exactly one JSON value is read by
+    the decoder's scanner alone. Any other line (whitespace around the value,
+    trailing data, invalid JSON, not a str) is read by DECODER.decode, so its
+    result or error is decode's. The scanner raises StopIteration for an error
+    at the first character, JSONDecodeError for one inside an object and
+    TypeError for a line that is not a str."""
     try:
-        obj = DECODER.decode(line)
-    except json.JSONDecodeError as e:
-        raise SchemaMismatch(f"invalid JSON: {e}") from None
+        obj, end = DECODER.scan_once(line, 0)
+    except (StopIteration, json.JSONDecodeError, TypeError):
+        end = -1
+    if end != len(line):
+        try:
+            obj = DECODER.decode(line)
+        except json.JSONDecodeError as e:
+            raise SchemaMismatch(f"invalid JSON: {e}") from None
     if not isinstance(obj, dict):
         raise SchemaMismatch("canonical row must be a JSON object")
     return obj_to_row(obj)

@@ -153,6 +153,10 @@ class SessionWriter:
         self._rows.setdefault(_date_str(rec.ts // 86400), []).append(dumps_row(row))
 
     def append_crossing(self, event: CrossingEvent) -> None:
+        if event.session_id != self.session_id:
+            raise ValidationError(
+                f"crossing for session {event.session_id} in writer for {self.session_id}"
+            )
         self._crossings.append(
             ENCODER.encode(
                 {

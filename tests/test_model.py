@@ -1,7 +1,9 @@
+import inspect
 import itertools
 import json
+import pickle
 import re
-from dataclasses import replace
+from dataclasses import MISSING, FrozenInstanceError, InitVar, dataclass, field, fields, replace
 from functools import partial
 
 import numpy as np
@@ -16,16 +18,20 @@ from ward_sentinel.model import (
     Frame,
     PipelineConfig,
     RoleDistribution,
+    slot_init,
     validate_record,
 )
 from ward_sentinel.evaluation import FrameLabel
 from ward_sentinel.flow import MotionRecord
 from ward_sentinel.logic import LogicalState
+from ward_sentinel.pipeline import SourceItem
 from ward_sentinel.schema import (
+    DECODER,
     CanonicalRow,
     dumps_row,
     loads_row,
     obj_to_label,
+    obj_to_row,
     parse_jsonl,
     read_labels_jsonl,
     read_rows_jsonl,
@@ -458,6 +464,73 @@ def test_loads_row_rejects_exactly_what_the_constructors_reject(rng):
     assert not {"motion-int", "count-int"} & kinds
 
 
+def _loads_row_by_decode(line):
+    """Oracle: loads_row as it read a line before the scanner path, through
+    DECODER.decode alone."""
+    try:
+        obj = DECODER.decode(line)
+    except json.JSONDecodeError as e:
+        raise SchemaMismatch(f"invalid JSON: {e}") from None
+    if not isinstance(obj, dict):
+        raise SchemaMismatch("canonical row must be a JSON object")
+    return obj_to_row(obj)
+
+
+def _outcome(read, line):
+    try:
+        return "row", read(line)
+    except Exception as e:  # noqa: BLE001  (the error itself is the outcome)
+        return type(e), str(e)
+
+
+GOOD_LINE = '{"boxes":[{"cls":"bed","conf":1,"h":20,"w":10,"x":5,"y":0}],"roles":[null],"session_id":"s","ts":7}'
+# Lines the scanner alone does not read, each with the outcome loads_row gives.
+SCANNER_FALLBACKS = {
+    "trailing-data": (GOOD_LINE + "x", "invalid JSON: Extra data: line 1 column 100 (char 99)"),
+    "trailing-brace": (GOOD_LINE + "}", "invalid JSON: Extra data: line 1 column 100 (char 99)"),
+    "two-objects": (GOOD_LINE + GOOD_LINE, "invalid JSON: Extra data: line 1 column 100 (char 99)"),
+    "two-objects-spaced": (GOOD_LINE + " " + GOOD_LINE, "invalid JSON: Extra data: line 1 column 101 (char 100)"),
+    "leading-space": (" " + GOOD_LINE, None),
+    "trailing-newline": (GOOD_LINE + "\n", None),
+    "both-whitespace": ("\t" + GOOD_LINE + " \r\n", None),
+    "only-whitespace": ("  ", "invalid JSON: Expecting value: line 1 column 3 (char 2)"),
+    "empty": ("", "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+    "array": ("[1]", "canonical row must be a JSON object"),
+    "number": ("7", "canonical row must be a JSON object"),
+    "string": ('"row"', "canonical row must be a JSON object"),
+    "null": ("null", "canonical row must be a JSON object"),
+    "spaced-array": (" [] ", "canonical row must be a JSON object"),
+    "number-then-data": ("7 8", "invalid JSON: Extra data: line 1 column 3 (char 2)"),
+    "missing-value": ('{"ts":}', "invalid JSON: Expecting value: line 1 column 7 (char 6)"),
+    "bare-key": ("{not json", "invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    "unterminated": (GOOD_LINE[:-1], "invalid JSON: Expecting ',' delimiter: line 1 column 99 (char 98)"),
+    "unterminated-string": ('{"session_id":"s', "invalid JSON: Unterminated string starting at: line 1 column 15 (char 14)"),
+    "bad-in-list": ('{"boxes":[1 2]}', "invalid JSON: Expecting ',' delimiter: line 1 column 13 (char 12)"),
+    "nan": (GOOD_LINE.replace('"x":5', '"x":NaN'), "non-finite number NaN is not allowed"),
+    "infinity-then-data": (GOOD_LINE.replace('"ts":7', '"ts":-Infinity') + "x", "non-finite number -Infinity is not allowed"),
+    "spaced-infinity": (" " + GOOD_LINE.replace('"ts":7', '"ts":Infinity'), "non-finite number Infinity is not allowed"),
+}
+
+
+@pytest.mark.parametrize("line,message", SCANNER_FALLBACKS.values(), ids=SCANNER_FALLBACKS.keys())
+def test_loads_row_reads_each_line_as_decode_did(line, message):
+    got = _outcome(loads_row, line)
+    assert got == _outcome(_loads_row_by_decode, line)
+    assert got == (("row", loads_row(GOOD_LINE)) if message is None else (SchemaMismatch, message))
+
+
+def test_loads_row_builds_the_row_of_the_parsed_object(rng):
+    lines = _valid_lines(rng)
+    for line in lines:
+        assert loads_row(line) == obj_to_row(json.loads(line))
+        assert _outcome(loads_row, line) == _outcome(_loads_row_by_decode, line)
+        for name, obj in _mutations(json.loads(line), rng):
+            text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+            assert _outcome(loads_row, text) == _outcome(_loads_row_by_decode, text), name
+    # A line that is not a str fails as the decoder fails on it.
+    assert _outcome(loads_row, lines[0].encode()) == _outcome(_loads_row_by_decode, lines[0].encode())
+
+
 def test_valid_rows_round_trip_byte_for_byte_and_validate_once(rng):
     for line in _valid_lines(rng):
         row = loads_row(line)
@@ -568,6 +641,11 @@ CONSTRUCTOR_REJECTS = {
     "ts-float": (DetectionRecord, {"ts": 7.0}, "ts must be an integer, got 7.0"),
     "label-session-int": (FrameLabel, {"session_id": 7}, "session_id must be a string, got 7"),
     "label-ts-bool": (FrameLabel, {"ts": True}, "ts must be an integer, got True"),
+    "motion-session-int": (MotionRecord, {"session_id": 7}, "session_id must be a string, got 7"),
+    "motion-ts-bool": (MotionRecord, {"ts": True}, "ts must be an integer, got True"),
+    "logical-session-none": (LogicalState, {"session_id": None}, "session_id must be a string, got None"),
+    "logical-ts-bool": (LogicalState, {"ts": True}, "ts must be an integer, got True"),
+    "logical-ts-float": (LogicalState, {"ts": 7.0}, "ts must be an integer, got 7.0"),
     "motion-key": (MotionRecord, {"scene": 0.5, "foo": 1.0, "bar": 2.0}, "unknown motion keys ['bar', 'foo']"),
     "motion-bool": (MotionRecord, {"scene": True}, "motion scene must be a number, got True"),
     "motion-str": (MotionRecord, {"bed": "0.5"}, "motion bed must be a number, got '0.5'"),
@@ -583,13 +661,17 @@ CONSTRUCTOR_REJECTS = {
 
 @pytest.mark.parametrize("record_type,values,message", CONSTRUCTOR_REJECTS.values(), ids=CONSTRUCTOR_REJECTS.keys())
 def test_each_stored_value_rule_fails_on_construction_with_the_readers_message(record_type, values, message):
+    # A bad session_id or ts is a row key, whatever record type it is given to.
+    keys = {k: values[k] for k in ("session_id", "ts") if k in values}
+    rest = {k: v for k, v in values.items() if k not in keys}
+    session_keys = {"session_id": "s", "ts": 7, **keys}
     if record_type is MotionRecord:
-        build, override = partial(MotionRecord, "s", 7, values), {"motion": values}
+        build, override = partial(MotionRecord, **session_keys, magnitudes=rest), dict(keys, motion=rest)
     elif record_type is LogicalState:
-        state = dict(STATE, **values)
-        build, override = partial(LogicalState, "s", 7, **state), {"logical": state}
+        state = dict(STATE, **rest)
+        build, override = partial(LogicalState, **session_keys, **state), dict(keys, logical=state)
     else:
-        build, override = partial(record_type, **{"session_id": "s", "ts": 7, "boxes": (), "roles": (), **values}), values
+        build, override = partial(record_type, **session_keys, boxes=(), roles=(), **rest), values
     with pytest.raises((TypeError, ValueError), match=f"^{re.escape(message)}$"):
         build()
     if record_type is FrameLabel:
@@ -639,3 +721,124 @@ def test_numbers_are_stored_as_floats_in_motion_and_state():
     assert type(state.smoothed_person_count) is float
     row = CanonicalRow(make_record("s", 7), motion, state)
     assert '"smoothed_person_count":2.0' in dumps_row(row) and '"scene":2.0' in dumps_row(row)
+
+
+# ---- the record types' slot_init constructors -------------------------------
+
+
+def _record_cases():
+    """(type, positional arguments, a bad value by field, its error and message)."""
+    box = BoundingBox("person", 1.0, 2.0, 30.0, 40.0, 0.9)
+    role = RoleDistribution({"patient": 0.8, "staff": 0.1, "other": 0.1})
+    record = DetectionRecord("s", 7, (box,), (role,))
+    motion = MotionRecord("s", 7, {"scene": 0.5})
+    state = LogicalState("s", 7, True, True, False, False, 1.0)
+    return {
+        BoundingBox: (("bed", 1.0, 2.0, 3.0, 4.0, 0.5), {"w": 0.0}, ValueError, "box width/height must be positive"),
+        RoleDistribution: (({"patient": 0.2, "staff": 0.7, "other": 0.1}, True), {"scores": {"patient": 1.0}}, ValueError, "role scores must cover exactly ('patient', 'staff', 'other')"),
+        DetectionRecord: (("s", 7, (box,), (role,)), {"ts": 7.0}, TypeError, "ts must be an integer, got 7.0"),
+        MotionRecord: (("s", 7, {"bed": 0.25}), {"magnitudes": {"bed": -1.0}}, ValueError, "motion magnitude for bed must be finite and >= 0: -1.0"),
+        LogicalState: (("s", 7, True, False, False, True, 1.0), {"moving": 1}, TypeError, "logical moving must be true or false, got 1"),
+        CanonicalRow: ((record, motion, state), {"motion": MotionRecord("s", 8, {})}, MalformedRecord, "motion s@8 on record s@7"),
+        SourceItem: (("s", 7, None, record, motion), None, None, None),
+    }
+
+
+RECORD_TYPES = (BoundingBox, RoleDistribution, DetectionRecord, MotionRecord, LogicalState, CanonicalRow, SourceItem)
+
+
+@pytest.mark.parametrize("record_type", RECORD_TYPES, ids=lambda t: t.__name__)
+def test_record_constructors_keep_the_dataclass_contract(record_type):
+    args, bad, error, message = _record_cases()[record_type]
+    init_fields = [f for f in fields(record_type) if f.init]
+    names = [f.name for f in init_fields]
+    # The signature is the dataclass's: init fields in order, their defaults and annotations.
+    params = list(inspect.signature(record_type).parameters.values())
+    assert [(p.name, p.kind, p.default, p.annotation) for p in params] == [
+        (f.name, inspect.Parameter.POSITIONAL_OR_KEYWORD,
+         inspect.Parameter.empty if f.default is MISSING else f.default, f.type)
+        for f in init_fields
+    ]
+    obj = record_type(*args)
+    assert obj == record_type(**dict(zip(names, args)))
+    assert [getattr(obj, n) for n in names] == list(args)
+    short = [a for a, f in zip(args, init_fields) if f.default is MISSING]
+    assert record_type(*short) == replace(obj, **{f.name: f.default for f in init_fields if f.default is not MISSING})
+    for name in names:
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, name, args[0])
+        with pytest.raises(FrozenInstanceError):
+            delattr(obj, name)
+    assert replace(obj) == obj and replace(obj) is not obj
+    compared = tuple(getattr(obj, f.name) for f in fields(obj) if f.compare)
+    try:
+        want = hash(compared)
+    except TypeError:  # a field holds a dict
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(obj)
+    else:
+        assert hash(obj) == want == hash(record_type(*args))
+    shown = ", ".join(f"{f.name}={getattr(obj, f.name)!r}" for f in fields(obj) if f.repr)
+    assert repr(obj) == f"{record_type.__qualname__}({shown})"
+    copy = pickle.loads(pickle.dumps(obj))
+    assert copy == obj and type(copy) is record_type
+    assert [getattr(copy, f.name) for f in fields(obj)] == [getattr(obj, f.name) for f in fields(obj)]
+    if bad is not None:
+        with pytest.raises(error, match=f"^{re.escape(message)}$") as raised:
+            replace(obj, **bad)
+        assert "__post_init__" in [entry.name for entry in raised.traceback]
+
+
+@pytest.mark.parametrize("record_type", RECORD_TYPES, ids=lambda t: t.__name__)
+def test_record_constructors_store_fields_through_their_slots(record_type):
+    # The dataclass __init__ of a frozen class sets each field through
+    # object.__setattr__; slot_init's calls each slot's own descriptor.
+    init = record_type.__init__
+    names = [f.name for f in fields(record_type) if f.init]
+    assert "__setattr__" not in init.__code__.co_names
+    setters = {name: cell.cell_contents for name, cell in zip(init.__code__.co_freevars, init.__closure__)}
+    for name in names:
+        setter = setters[f"_set_{name}"]
+        assert setter.__self__ is record_type.__dict__[name] and setter.__name__ == "__set__"
+
+
+def test_slot_init_refuses_what_it_cannot_rebuild():
+    @dataclass(frozen=True, slots=True)
+    class Plain:
+        a: int
+        b: int = 2
+
+    assert slot_init(Plain)(1).b == 2
+    unhandled = {
+        "not-frozen": dataclass(slots=True),
+        "not-slotted": dataclass(frozen=True),
+    }
+    for name, make in unhandled.items():
+        cls = make(type(name, (), {"__annotations__": {"a": "int"}}))
+        with pytest.raises(TypeError, match=f"^slot_init cannot rebuild the __init__ of {name}$"):
+            slot_init(cls)
+
+    @dataclass(frozen=True, slots=True)
+    class Factory:
+        a: list = field(default_factory=list)
+
+    @dataclass(frozen=True, slots=True)
+    class KwOnly:
+        a: int = field(kw_only=True)
+
+    @dataclass(frozen=True, slots=True)
+    class WithInitVar:
+        a: int
+        b: InitVar[int]
+
+        def __post_init__(self, b):
+            pass
+
+    @dataclass(frozen=True, slots=True)
+    class NotInitWithDefault:
+        a: int
+        b: int = field(init=False, default=3)
+
+    for cls in (Factory, KwOnly, WithInitVar, NotInitWithDefault):
+        with pytest.raises(TypeError, match="^slot_init cannot rebuild the __init__ of "):
+            slot_init(cls)

@@ -493,6 +493,20 @@ class TestStore:
         with pytest.raises(NonMonotonicTimestamp):
             w.append(CanonicalRow(make_record("s", 100)))
 
+    def test_writer_rejects_a_row_or_crossing_of_another_session(self, tmp_path):
+        store = Store(tmp_path / "store")
+        w = store.writer("a")
+        w.append(CanonicalRow(make_record("a", 7)))
+        with pytest.raises(ValidationError, match="^row for session b in writer for a$"):
+            w.append(CanonicalRow(make_record("b", 8)))
+        w.append_crossing(CrossingEvent("a", 7, "exit", 0))
+        with pytest.raises(ValidationError, match="^crossing for session b in writer for a$"):
+            w.append_crossing(CrossingEvent("b", 7, "entry", 0))
+        w.seal()
+        crossings = (tmp_path / "store" / "sessions" / "a" / "crossings.jsonl").read_text()
+        assert crossings == '{"direction":"exit","person_index":0,"session_id":"a","ts":7}\n'
+        assert not (tmp_path / "store" / "sessions" / "b").exists()
+
     @pytest.mark.parametrize("part", ["motion", "logical"])
     @pytest.mark.parametrize("key", [("b", 7), ("a", 99), ("c", 5)], ids=["session", "ts", "both"])
     def test_row_whose_motion_or_state_has_another_key_never_reaches_the_writer(self, tmp_path, part, key):

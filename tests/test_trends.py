@@ -481,5 +481,9 @@ def test_ts_outside_int64_is_rejected(bad):
     message = f"ts must be an integer within int64, got {bad!r}"
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         log_to_states(ObservationLog("s", ()), grid)
+    if type(bad) is not int:  # no LogicalState holds it
+        with pytest.raises(TypeError, match=f"^ts must be an integer, got {re.escape(repr(bad))}$"):
+            make_state(bad)
+        return
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         aggregate_hourly([make_state(ts) for ts in grid])
