@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .errors import MalformedRecord
 from .evaluation import FrameLabel
 
 ANGLE_DEFINITION = "atan2(centroid_x_px - width/2, height - centroid_y_px), degrees"
@@ -55,12 +56,17 @@ class PlacementDistribution:
 def bed_stats(
     label: FrameLabel, frame_dims: tuple[float, float]
 ) -> Optional[BedPlacementStat]:
-    """Placement stat from the highest-confidence bed box, None without a bed."""
+    """Placement stat from the highest-confidence bed box clamped to the
+    frame, None without a bed. A bed wholly outside the frame raises
+    MalformedRecord."""
     width, height = frame_dims
     beds = [b for b in label.boxes if b.cls == "bed"]
     if not beds:
         return None
-    best = max(beds, key=lambda b: b.confidence)
+    try:
+        best = max(beds, key=lambda b: b.confidence).clamped(width, height)
+    except MalformedRecord as e:
+        raise MalformedRecord(f"label {label.frame_id}: {e}") from None
     cx_px = best.x + best.w / 2.0
     cy_px = best.y + best.h / 2.0
     return BedPlacementStat(

@@ -213,7 +213,10 @@ def _cmd_evaluate_trends(args, cfg) -> int:
 
 def _cmd_camera_meta(args, cfg) -> int:
     labels = read_labels_jsonl(args.labels)
-    stats = [s for s in (cm.bed_stats(l, ANALYSIS_DIMS) for l in labels) if s is not None]
+    try:
+        stats = [s for s in (cm.bed_stats(l, ANALYSIS_DIMS) for l in labels) if s is not None]
+    except ValidationError as e:
+        raise ValidationError(f"{args.labels}: {e}") from None
     if not stats:
         raise ValidationError("no labeled bed boxes found")
     out = _out_dir(args.out)

@@ -21,14 +21,13 @@ import time
 from dataclasses import dataclass
 from functools import cached_property
 from math import inf
-from numbers import Real
 from typing import Mapping, Optional
 
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyMask
 from .imageops import resize_bilinear
-from .model import FlowParams, check_session_and_ts, slot_init
+from .model import FlowParams, check_session_and_ts, real_number, slot_init
 
 from .geometry import ROI_KINDS, RoiMask
 
@@ -91,9 +90,7 @@ class MotionRecord:
         mags = {}
         for k, v in self.magnitudes.items():
             if type(v) is not float:
-                if type(v) is bool or not isinstance(v, Real):
-                    raise TypeError(f"motion {k} must be a number, got {v!r}")
-                v = float(v)
+                v = float(real_number(f"motion {k}", v))
             if not 0.0 <= v < inf:
                 raise ValueError(f"motion magnitude for {k} must be finite and >= 0: {v}")
             mags[k] = v

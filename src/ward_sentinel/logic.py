@@ -16,12 +16,11 @@ import logging
 from collections import deque
 from dataclasses import dataclass
 from math import inf
-from numbers import Real
 from typing import Mapping, Optional, Sequence
 
 from .errors import EmptyWindow, OutOfOrderRecord
 from .flow import MotionRecord
-from .model import DetectionRecord, PipelineConfig, ROLES, RoleDistribution, check_session_and_ts, slot_init
+from .model import DetectionRecord, PipelineConfig, ROLES, RoleDistribution, check_session_and_ts, real_number, slot_init
 
 log = logging.getLogger(__name__)
 _FLAGS = ("person_alone", "patient_alone", "supervised_by_staff", "moving")
@@ -51,9 +50,7 @@ class LogicalState:
             raise TypeError(f"logical {k} must be true or false, got {getattr(self, k)!r}")
         count = self.smoothed_person_count
         if type(count) is not float:
-            if type(count) is bool or not isinstance(count, Real):
-                raise TypeError(f"smoothed_person_count must be a number, got {count!r}")
-            count = float(count)
+            count = float(real_number("smoothed_person_count", count))
             object.__setattr__(self, "smoothed_person_count", count)
         if not 0.0 <= count < inf:
             raise ValueError("smoothed_person_count must be finite and >= 0")

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import MISSING, dataclass, field, fields
-from math import isfinite
+from math import inf, isfinite
+from numbers import Integral, Real
 from operator import is_
 from typing import Mapping, Optional
 
@@ -120,9 +121,10 @@ class BoundingBox:
     """Axis-aligned detection box, top-left origin, pixel units.
 
     x/y may be negative before validation; validate_record clamps boxes to
-    frame bounds. Checked once on construction or decode: no coordinate or
-    confidence may be a bool, geometry must be finite, width and height
-    positive, confidence in [0, 1].
+    frame bounds. Checked once on construction or decode: each coordinate and
+    the confidence is a real number, not a bool (an Integral kept as an int,
+    any other real as a float), geometry finite, width and height positive,
+    confidence in [0, 1].
     """
 
     cls: str
@@ -136,10 +138,16 @@ class BoundingBox:
         if self.cls not in CLASSES:
             raise ValueError(f"unknown box class {self.cls!r}")
         x, y, w, h, conf = self.x, self.y, self.w, self.h, self.confidence
-        if type(x) is bool or type(y) is bool or type(w) is bool or type(h) is bool or type(conf) is bool:
-            named = zip(("x", "y", "w", "h", "conf"), (x, y, w, h, conf))
-            key, v = next((k, v) for k, v in named if type(v) is bool)
-            raise TypeError(f"box {key} must be a number, got {v!r}")
+        if not (
+            (type(x) is float or type(x) is int) and (type(y) is float or type(y) is int)
+            and (type(w) is float or type(w) is int) and (type(h) is float or type(h) is int)
+            and (type(conf) is float or type(conf) is int)
+        ):
+            x, y, w, h, conf = (
+                real_number(f"box {k}", v) for k, v in zip(("x", "y", "w", "h", "conf"), (x, y, w, h, conf))
+            )
+            for name, v in zip(("x", "y", "w", "h", "confidence"), (x, y, w, h, conf)):
+                object.__setattr__(self, name, v)
         if not (isfinite(x) and isfinite(y) and isfinite(w) and isfinite(h)):
             raise ValueError(f"box geometry must be finite: {x}, {y}, {w}, {h}")
         if w <= 0 or h <= 0:
@@ -178,8 +186,8 @@ class BoundingBox:
 class RoleDistribution:
     """Per-person scores over {patient, staff, other}, summing to one.
 
-    Checked once on construction or decode (each score a number, not a bool,
-    in [0, 1]), which fixes the primary role.
+    Checked once on construction or decode (each score a real number, not a
+    bool, kept as in BoundingBox, in [0, 1]), which fixes the primary role.
     Ties in argmax break in the fixed order patient > staff > other: the
     downstream safety logic prefers assuming a patient is present.
     """
@@ -191,17 +199,22 @@ class RoleDistribution:
     def __post_init__(self):
         if set(self.scores) != _ROLE_SET:
             raise ValueError(f"role scores must cover exactly {ROLES}")
-        p, s, o = self.scores["patient"], self.scores["staff"], self.scores["other"]
-        if type(p) is bool or type(s) is bool or type(o) is bool:
-            role = next(r for r in ROLES if type(self.scores[r]) is bool)
-            raise TypeError(f"score for {role} must be a number, got {self.scores[role]!r}")
+        scores = dict(self.scores)
+        p, s, o = scores["patient"], scores["staff"], scores["other"]
+        if not (
+            (type(p) is float or type(p) is int) and (type(s) is float or type(s) is int)
+            and (type(o) is float or type(o) is int)
+        ):
+            for r in ROLES:
+                scores[r] = real_number(f"score for {r}", scores[r])
+            p, s, o = scores["patient"], scores["staff"], scores["other"]
         if not (0.0 <= p <= 1.0 and 0.0 <= s <= 1.0 and 0.0 <= o <= 1.0):
-            role = next(r for r in ROLES if not 0.0 <= self.scores[r] <= 1.0)
-            raise ValueError(f"score for {role} out of [0, 1]: {self.scores[role]}")
+            role = next(r for r in ROLES if not 0.0 <= scores[r] <= 1.0)
+            raise ValueError(f"score for {role} out of [0, 1]: {scores[role]}")
         total = p + s + o
         if abs(total - 1.0) > ROLE_SUM_TOL:
             raise ValueError(f"role scores sum to {total}, expected 1")
-        object.__setattr__(self, "scores", dict(self.scores))
+        object.__setattr__(self, "scores", scores)
         primary = "patient" if p >= s and p >= o else "staff" if s >= o else "other"
         object.__setattr__(self, "_primary", primary)
 
@@ -260,16 +273,18 @@ class FlowParams:
     poly_sigma: float = 1.2
 
     def __post_init__(self):
-        if not 0.0 < self.pyr_scale < 1.0:
+        if not 0.0 < real_number("pyr_scale", self.pyr_scale) < 1.0:
             raise ValueError("pyr_scale must be in (0, 1)")
-        if self.levels < 1:
-            raise ValueError("levels must be >= 1")
-        if self.winsize < 1 or self.winsize % 2 == 0:
+        check_int("levels", self.levels, 1)
+        check_int("winsize", self.winsize, 1)
+        if self.winsize % 2 == 0:
             raise ValueError("winsize must be odd and positive")
-        if self.poly_n < 3 or self.poly_n % 2 == 0:
+        check_int("iterations", self.iterations, 1)
+        check_int("poly_n", self.poly_n, 3)
+        if self.poly_n % 2 == 0:
             raise ValueError("poly_n must be odd and >= 3")
-        if self.poly_sigma <= 0:
-            raise ValueError("poly_sigma must be positive")
+        if not 0.0 < real_number("poly_sigma", self.poly_sigma) < inf:
+            raise ValueError("poly_sigma must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -277,8 +292,10 @@ class PipelineConfig:
     """Tunable knobs of the analytics chain.
 
     moving_threshold is a mean flow magnitude in px/frame at the flow
-    analysis resolution. Day runs [day_start_hour, night_start_hour) and
-    night wraps around midnight.
+    analysis resolution. The hours are whole UTC hours with
+    0 <= day_start_hour < night_start_hour <= 24: day runs [day_start_hour,
+    night_start_hour) and night is the rest of the 24 hours, wrapping
+    around midnight.
     """
 
     smoothing_window_s: int = 5
@@ -293,12 +310,20 @@ class PipelineConfig:
     zones: Mapping[str, tuple[tuple[float, float], ...]] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.smoothing_window_s < 1:
-            raise ValueError("smoothing_window_s must be >= 1")
-        if not 0.0 < self.iou_threshold < 1.0:
+        check_int("smoothing_window_s", self.smoothing_window_s, 1)
+        day, night = self.day_start_hour, self.night_start_hour
+        check_int("day_start_hour", day)
+        check_int("night_start_hour", night)
+        if not 0 <= day < night <= 24:
+            raise ValueError(
+                f"hours need 0 <= day_start_hour < night_start_hour <= 24, got {day} and {night}"
+            )
+        if not 0.0 <= real_number("moving_threshold", self.moving_threshold) < inf:
+            raise ValueError("moving_threshold must be finite and >= 0")
+        if not 0.0 < real_number("iou_threshold", self.iou_threshold) < 1.0:
             raise ValueError("iou_threshold must be in (0, 1)")
-        if self.safety_zone_expansion < 0.0:
-            raise ValueError("safety_zone_expansion must be >= 0")
+        if not 0.0 <= real_number("safety_zone_expansion", self.safety_zone_expansion) < inf:
+            raise ValueError("safety_zone_expansion must be finite and >= 0")
         object.__setattr__(
             self,
             "zones",
@@ -313,10 +338,35 @@ class PipelineConfig:
         return verts
 
     @staticmethod
-    def from_dict(raw: Mapping) -> "PipelineConfig":
-        raw = dict(raw)
-        flow = FlowParams(**raw.pop("flow", {}))
-        return PipelineConfig(flow=flow, **raw)
+    def from_dict(raw: dict) -> "PipelineConfig":
+        return from_json(PipelineConfig, raw, "config", flow=lambda flow: from_json(FlowParams, flow, "flow"))
+
+
+def from_json(cls, raw, what: str, **nested):
+    """cls(**raw) for a JSON object raw whose keys all name fields of cls, with
+    nested[k](raw[k]) for each key k it has; cls declares each default and checks each value."""
+    if not isinstance(raw, dict):
+        raise TypeError(f"{what} must be a JSON object, got {raw!r}")
+    unknown = raw.keys() - {f.name for f in fields(cls)}
+    if unknown:
+        raise TypeError(f"unknown {what} keys {sorted(unknown)}")
+    return cls(**{**raw, **{k: build(raw[k]) for k, build in nested.items() if k in raw}})
+
+
+def check_int(name: str, v, lo: Optional[int] = None) -> int:
+    """v, an int (not a bool) of at least lo when lo is given."""
+    if type(v) is bool or not isinstance(v, int):
+        raise TypeError(f"{name} must be an integer, got {v!r}")
+    if lo is not None and v < lo:
+        raise ValueError(f"{name} must be >= {lo}, got {v!r}")
+    return v
+
+
+def real_number(name: str, v):
+    """v, a real number (not a bool), as an int if it is an Integral and a float otherwise."""
+    if type(v) is bool or not isinstance(v, Real):
+        raise TypeError(f"{name} must be a number, got {v!r}")
+    return int(v) if isinstance(v, Integral) else float(v)
 
 
 def check_session_and_ts(session_id, ts) -> None:

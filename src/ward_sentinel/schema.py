@@ -16,11 +16,13 @@ sorted order: {"boxes":[...],"logical":{...},"motion":{...},"roles":[...],
 {"cls","conf","h","w","x","y"}, a role {"other","patient","staff"}, motion keys
 in sorted() order. As in ENCODER, a plain float is float.__repr__ (stored floats
 are finite by construction), a plain int int.__repr__, a bool true/false and a
-str encode_basestring_ascii; any other value (a float subclass, np.int64) goes
-through ENCODER, for its bytes or its TypeError. Floats survive the round trip
-exactly; NaN and Infinity are rejected on read. Each value is checked once, by
-the record type that holds it: obj_to_row only maps JSON onto the constructors,
-so a row built through the API meets the rules a read row does.
+str encode_basestring_ascii. The record types keep every stored number a plain
+int or float (a numpy scalar from a detector port is converted on
+construction), so only a str subclass (a box class) goes through ENCODER.
+Floats survive the round trip exactly; NaN and Infinity are rejected on read.
+Each value is checked once, by the record type that holds it: obj_to_row only
+maps JSON onto the constructors, so a row built through the API meets the
+rules a read row does.
 """
 
 from __future__ import annotations
@@ -68,7 +70,8 @@ _LOGICAL = (
 
 
 def _value(v) -> str:
-    """v as ENCODER writes it, without ENCODER's call for the common types."""
+    """v as ENCODER writes it, without ENCODER's call for the types a record
+    stores; ENCODER only writes a value of another type (a str subclass)."""
     t = type(v)
     if t is float or t is int:
         return repr(v)

@@ -15,7 +15,7 @@ commands start without loading it; tests/test_cli.py enforces this.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from math import inf, isfinite
 from typing import Iterator, Optional
 
@@ -34,6 +34,7 @@ from .model import (
     ROLES,
     RoleDistribution,
 )
+from .model import check_int, check_session_and_ts, check_session_id, from_json, real_number
 
 DEFAULT_START_TS = 1709251200  # 2024-03-01T00:00:00Z
 PERSON_CONFIDENCE = 0.8
@@ -44,7 +45,7 @@ PRIMARY_ROLE_CONFIDENCE = 0.9
 
 @dataclass(frozen=True)
 class ScheduleInterval:
-    """Occupancy and scene motion over [start_s, end_s)."""
+    """Occupancy and scene motion (kept as a float) over [start_s, end_s)."""
 
     start_s: int
     end_s: int
@@ -54,11 +55,17 @@ class ScheduleInterval:
     motion: float = 0.0
 
     def __post_init__(self):
-        for name, v in self.counts().items():
-            if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-                raise InvalidSchedule(f"{name} count must be an integer >= 0, got {v!r}")
-        if not 0.0 <= self.motion < inf:
+        try:
+            check_int("start_s", self.start_s)
+            check_int("end_s", self.end_s)
+            for name, v in self.counts().items():
+                check_int(f"{name} count", v, 0)
+            motion = float(real_number("motion", self.motion))
+        except (TypeError, ValueError) as e:
+            raise InvalidSchedule(str(e)) from None
+        if not 0.0 <= motion < inf:
             raise InvalidSchedule(f"motion must be finite and >= 0, got {self.motion!r}")
+        object.__setattr__(self, "motion", motion)
 
     def counts(self) -> dict[str, int]:
         return {"patient": self.patients, "staff": self.staff, "other": self.others}
@@ -68,8 +75,8 @@ class ScheduleInterval:
 class OccupantTrack:
     """A scripted walker: position is piecewise-linear between waypoints.
 
-    Waypoints are (t_s, x, y) with the anchor (foot position) in analysis
-    coordinates; the occupant exists from the first to the last waypoint.
+    Waypoints are exactly (t_s, x, y), t_s an int and the anchor (foot position)
+    in analysis coordinates; the occupant exists from the first to the last one.
     """
 
     role: str
@@ -78,7 +85,7 @@ class OccupantTrack:
     def __post_init__(self):
         if self.role not in ROLES:
             raise ValueError(f"unknown role {self.role!r}")
-        wps = tuple((int(t), float(x), float(y)) for t, x, y in self.waypoints)
+        wps = tuple((check_int("waypoint time", t), float(x), float(y)) for t, x, y in self.waypoints)
         object.__setattr__(self, "waypoints", wps)
         if len(wps) < 2:
             raise ValueError("a track needs at least two waypoints")
@@ -117,7 +124,7 @@ class NoiseModel:
 class ScenarioSpec:
     """A seeded scenario. Boxes, track waypoints and the zone are in analysis
     coordinates (ANALYSIS_DIMS), where the pipeline clamps boxes and rasterizes
-    zones; raw_frame_dims only sizes the synthesized camera frames."""
+    zones; raw_frame_dims (two positive ints) only sizes the synthesized frames."""
 
     seed: int
     duration_s: int
@@ -130,10 +137,16 @@ class ScenarioSpec:
     zone: Optional[tuple[tuple[float, float], ...]] = None
 
     def __post_init__(self):
+        check_int("seed", self.seed, 0)
+        check_int("duration_s", self.duration_s, 1)
+        check_session_and_ts(self.session_id, self.start_ts)
+        check_session_id(self.session_id)
+        w, h = self.raw_frame_dims
+        dims = (check_int("raw frame width", w, 1), check_int("raw frame height", h, 1))
+        object.__setattr__(self, "raw_frame_dims", dims)
+        object.__setattr__(self, "zone", tuple((x, y) for x, y in self.zone) if self.zone else None)
         object.__setattr__(self, "schedule", tuple(self.schedule))
         object.__setattr__(self, "tracks", tuple(self.tracks))
-        if self.duration_s < 1:
-            raise InvalidSchedule("duration must be >= 1 second")
         if not self.schedule:
             raise InvalidSchedule("schedule is empty")
         cursor = 0
@@ -243,8 +256,7 @@ def generate(spec: ScenarioSpec, cfg: PipelineConfig = PipelineConfig()) -> Simu
             for role, count in iv.counts().items()
             for k in range(count)
         ]
-        moving = bool(iv.motion > cfg.moving_threshold)  # a numpy motion compares to np.bool_
-        scene = float(iv.motion)
+        moving = bool(iv.motion > cfg.moving_threshold)  # a numpy threshold compares to np.bool_
         for t in range(iv.start_s, iv.end_s):
             ts = spec.start_ts + t
             occupants = resting.copy()
@@ -292,7 +304,7 @@ def generate(spec: ScenarioSpec, cfg: PipelineConfig = PipelineConfig()) -> Simu
             records.append(DetectionRecord(sid, ts, tuple(boxes), tuple(roles)))
 
             if t >= 1:
-                motions[ts] = MotionRecord(sid, ts, {"scene": scene})
+                motions[ts] = MotionRecord(sid, ts, {"scene": iv.motion})
 
     if run_start is not None:
         alone_runs.append((run_start, spec.start_ts + spec.duration_s))
@@ -345,51 +357,15 @@ def _frame_stream(spec: ScenarioSpec) -> Iterator[Frame]:
         )
 
 
-def _reject_unknown_keys(raw: dict, cls, what: str) -> None:
-    """Every key of raw must name a field of the dataclass cls."""
-    unknown = set(raw) - {f.name for f in fields(cls)}
-    if unknown:
-        raise ValueError(f"unknown {what} keys {sorted(unknown)}")
-
-
 def spec_from_dict(raw: dict) -> ScenarioSpec:
     """Build a ScenarioSpec from a plain-JSON mapping (the --spec file).
 
     An unknown key at the top level, in a schedule interval, in a track or in
     the noise model is rejected rather than ignored.
     """
-    _reject_unknown_keys(raw, ScenarioSpec, "scenario spec")
-    for iv in raw["schedule"]:
-        _reject_unknown_keys(iv, ScheduleInterval, "schedule interval")
-    for tr in raw.get("tracks", []):
-        _reject_unknown_keys(tr, OccupantTrack, "track")
-    schedule = tuple(
-        ScheduleInterval(
-            start_s=int(iv["start_s"]),
-            end_s=int(iv["end_s"]),
-            patients=iv.get("patients", 0),
-            staff=iv.get("staff", 0),
-            others=iv.get("others", 0),
-            motion=float(iv.get("motion", 0.0)),
-        )
-        for iv in raw["schedule"]
-    )
-    tracks = tuple(
-        OccupantTrack(
-            role=tr["role"],
-            waypoints=tuple((wp[0], wp[1], wp[2]) for wp in tr["waypoints"]),
-        )
-        for tr in raw.get("tracks", [])
-    )
-    noise = NoiseModel(**raw.get("noise", {}))
-    return ScenarioSpec(
-        seed=int(raw["seed"]),
-        duration_s=int(raw["duration_s"]),
-        schedule=schedule,
-        tracks=tracks,
-        noise=noise,
-        session_id=raw.get("session_id", "sim"),
-        start_ts=int(raw.get("start_ts", DEFAULT_START_TS)),
-        raw_frame_dims=tuple(raw.get("raw_frame_dims", (960, 540))),
-        zone=tuple(tuple(v) for v in raw["zone"]) if raw.get("zone") else None,
+    return from_json(
+        ScenarioSpec, raw, "scenario spec",
+        schedule=lambda ivs: [from_json(ScheduleInterval, iv, "schedule interval") for iv in ivs],
+        tracks=lambda trs: [from_json(OccupantTrack, tr, "track") for tr in trs],
+        noise=lambda noise: from_json(NoiseModel, noise, "noise"),
     )

@@ -25,9 +25,16 @@ import pytest
 
 import ward_sentinel
 from ward_sentinel.cli import build_parser
-from ward_sentinel.model import PipelineConfig
+from ward_sentinel.model import FlowParams, PipelineConfig
 from ward_sentinel.pipeline import ADAPTERS
-from ward_sentinel.simulator import ScenarioSpec, SimulationResult, spec_from_dict
+from ward_sentinel.simulator import (
+    NoiseModel,
+    OccupantTrack,
+    ScenarioSpec,
+    ScheduleInterval,
+    SimulationResult,
+    spec_from_dict,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -181,8 +188,21 @@ def test_readme_shows_every_ingest_adapter():
 def test_readme_config_example_loads():
     raw = json.loads(_readme_block("Global flag `--config", "json"))
     assert PipelineConfig.from_dict(raw).zones
+    assert set(raw) == {f.name for f in dataclasses.fields(PipelineConfig)}
+    assert set(raw["flow"]) == {f.name for f in dataclasses.fields(FlowParams)}
 
 
 def test_readme_scenario_spec_example_loads():
     spec = spec_from_dict(json.loads(_readme_block("A scenario spec for", "json")))
-    assert spec.tracks and spec.zone
+    assert spec == ScenarioSpec(
+        seed=7,
+        duration_s=3600,
+        session_id="roomA",
+        schedule=(
+            ScheduleInterval(0, 1800, patients=1, motion=0.0),
+            ScheduleInterval(1800, 3600, patients=1, staff=2, motion=1.5),
+        ),
+        tracks=(OccupantTrack("staff", ((100, 100.0, 430.0), (200, 550.0, 430.0))),),
+        noise=NoiseModel(p_miss=0.05, p_spur=0.05, p_role=0.0),
+        zone=((400, 300), (700, 300), (700, 560), (400, 560)),
+    )

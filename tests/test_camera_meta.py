@@ -10,6 +10,7 @@ from ward_sentinel.camera_meta import (
     write_histogram_csv,
     write_stats_csv,
 )
+from ward_sentinel.errors import MalformedRecord
 from ward_sentinel.evaluation import FrameLabel
 from ward_sentinel.model import BoundingBox
 
@@ -47,6 +48,12 @@ class TestBedStats:
         extra = (BoundingBox("bed", 0, 0, 100, 100, 0.99),)
         s = bed_stats(bed_label(600, 200, 300, 150, conf=0.5, extra=extra), (1088, 612))
         assert s.centroid == pytest.approx((50 / 1088, 50 / 612))
+
+    def test_bed_is_clamped_to_the_frame(self):
+        s = bed_stats(bed_label(1000, -50, 300, 150), (1088, 612))
+        assert s == bed_stats(bed_label(1000, 0, 88, 100), (1088, 612))
+        with pytest.raises(MalformedRecord, match="^label cam:0: box bed .* lies outside a 1088x612 frame$"):
+            bed_stats(bed_label(1100, 0, 300, 150), (1088, 612))
 
     def test_invariant_under_proportional_rescale(self):
         a = bed_stats(bed_label(600, 200, 300, 150), (1088, 612))

@@ -227,6 +227,22 @@ def test_camera_meta_cli(tmp_path):
     assert (out / "bed_histograms.csv").exists()
 
 
+def test_camera_meta_measures_a_bed_clamped_to_the_frame(tmp_path, capsys):
+    def camera_meta(x):
+        label = {"session_id": "s", "ts": 1, "boxes": [{"cls": "bed", "x": x, "y": 200, "w": 300, "h": 150}]}
+        path = tmp_path / f"labels-{x}.jsonl"
+        path.write_text(json.dumps(label) + "\n")
+        return main(["camera-meta", "--labels", str(path), "--out", str(tmp_path / f"cm-{x}")]), path
+
+    assert camera_meta(1000)[0] == 0  # the bed's right 212 px lie outside the 1088 px frame
+    stats = (tmp_path / "cm-1000" / "bed_stats.csv").read_text().splitlines()
+    assert stats[1].split(",")[2:4] == [f"{88 * 150 / (1088 * 612):.9f}", f"{1044 / 1088:.9f}"]
+    code, path = camera_meta(1200)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"validation error: {path}: label s:1: box bed (1200,200,300,150) lies outside")
+
+
 def test_ingest_cli_reports_validation_exit_code(tmp_path):
     bad = tmp_path / "rows.jsonl"
     good_row = dumps_row(CanonicalRow(make_record("x", 5, ["patient"])))
@@ -379,6 +395,11 @@ BAD_INPUTS = {
     "config-bad-window": ("config", {"smoothing_window_s": 0}),
     "config-even-winsize": ("config", {"flow": {"winsize": 4}}),
     "config-nan-window": ("config", '{"smoothing_window_s": NaN}'),
+    "config-day-start-25": ("config", {"day_start_hour": 25}),
+    "config-day-after-night": ("config", {"day_start_hour": 22, "night_start_hour": 6}),
+    "config-boolean-window": ("config", {"smoothing_window_s": True}),
+    "config-string-threshold": ("config", {"moving_threshold": "0.5"}),
+    "config-zero-iterations": ("config", {"flow": {"iterations": 0}}),
     "spec-no-schedule": ("spec", {k: v for k, v in SPEC.items() if k != "schedule"}),
     "spec-bad-noise": ("spec", dict(SPEC, noise={"p_miss": 2})),
     "spec-unknown-key": ("scenario", dict(SPEC, trakcs=[])),
@@ -403,6 +424,25 @@ BAD_INPUTS = {
         _overflowing(dict(SPEC, tracks=[{"role": "staff", "waypoints": [[0, 0.125, 10], [50, 60, 60]]}])),
     ),
     "scenario-schedule-gap": ("scenario", dict(SPEC, duration_s=700)),
+    "spec-string-seed": ("spec", dict(SPEC, seed="7")),
+    "spec-fractional-seed": ("spec", dict(SPEC, seed=7.9)),
+    "spec-negative-seed": ("spec", dict(SPEC, seed=-1)),
+    "spec-float-duration": ("spec", dict(SPEC, duration_s=600.0)),
+    "spec-fractional-end": (
+        "spec", dict(SPEC, schedule=[dict(SPEC["schedule"][0], end_s=300.9), SPEC["schedule"][1]]),
+    ),
+    "spec-float-start-ts": ("spec", dict(SPEC, start_ts=1709251200.0)),
+    "spec-string-motion": ("spec", _first_interval(motion="0.5")),
+    "spec-boolean-motion": ("spec", _first_interval(motion=True)),
+    "spec-fractional-waypoint-time": (
+        "spec", dict(SPEC, tracks=[{"role": "staff", "waypoints": [[0.6, 10, 10], [50, 60, 60]]}]),
+    ),
+    "spec-four-entry-waypoint": (
+        "spec", dict(SPEC, tracks=[{"role": "staff", "waypoints": [[0, 10, 10, 5], [50, 60, 60]]}]),
+    ),
+    "spec-string-frame-dims": ("spec", dict(SPEC, raw_frame_dims=["960", 540])),
+    "spec-int-session": ("spec", dict(SPEC, session_id=5)),
+    "spec-session-with-slash": ("spec", dict(SPEC, session_id="a/b")),
     "log-inverted-interval": ("log", "session_id,start_ts,end_ts\nroomA,1709251300,1709251200\n"),
     "log-non-integer-ts": ("log", "session_id,start_ts,end_ts\nroomA,1709251200.5,1709251300\n"),
     "log-wrong-header": ("log", "session,start,end\nroomA,1709251200,1709251300\n"),

@@ -712,6 +712,18 @@ def test_a_bool_is_no_box_number_or_role_score(where, values, message):
             obj_to_label(label)
 
 
+def test_box_and_role_numbers_are_kept_as_plain_ints_and_floats():
+    box = BoundingBox("bed", np.int64(3), np.float32(0.5), np.uint8(20), 2**70, np.float64(0.25))
+    assert [(v, type(v)) for v in (box.x, box.y, box.w, box.h, box.confidence)] == [
+        (3, int), (0.5, float), (20, int), (2**70, int), (0.25, float)
+    ]
+    role = RoleDistribution({"patient": np.float64(0.5), "staff": np.float32(0.25), "other": 0.25})
+    assert [(r, type(v)) for r, v in role.scores.items()] == [("patient", float), ("staff", float), ("other", float)]
+    for bad in ("1", None, np.bool_(True)):
+        with pytest.raises(TypeError, match="^box x must be a number, got "):
+            BoundingBox("bed", bad, 0.0, 1.0, 1.0, 0.5)
+
+
 def test_numbers_are_stored_as_floats_in_motion_and_state():
     motion = MotionRecord("s", 7, {"scene": 2, "bed": np.float32(0.5), "safety_zone": 2**70})
     assert [(k, type(v)) for k, v in motion.magnitudes.items()] == [

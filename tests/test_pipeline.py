@@ -438,6 +438,29 @@ class TestRunPipeline:
         assert any(p.name == "crossings.jsonl" for p in frames_tree)
         assert tree(tmp_path / "replay") == frames_tree
 
+    def test_numpy_numbers_from_a_detector_port_store_the_bytes_of_equal_python_numbers(self, tmp_path):
+        sim = generate(_scenario(duration=8, schedule=(ScheduleInterval(0, 8, patients=1, staff=1),)), CFG)
+
+        class ConvertingDetector(DetectorPort):
+            """The simulation's boxes and role confidences with each number passed through convert."""
+
+            def __init__(self, convert):
+                self.convert = convert
+
+            def detect(self, session_id, ts, frame=None):
+                rec, c = sim.detections_by_ts()[ts], self.convert
+                boxes = tuple(BoundingBox(b.cls, c(b.x), c(b.y), c(b.w), c(b.h), c(b.confidence)) for b in rec.boxes)
+                confs = tuple(None if r is None else {r.primary(): c(r.scores[r.primary()])} for r in rec.roles)
+                return DetectorOutput(boxes, confs)
+
+        trees = []
+        for name, convert in (("numpy", np.float32), ("python", lambda v: float(np.float32(v)))):
+            items = [SourceItem(sim.spec.session_id, r.ts) for r in sim.records]
+            run_pipeline(iter(items), CFG, Store(tmp_path / name), detector=ConvertingDetector(convert))
+            root = tmp_path / name
+            trees.append({p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()})
+        assert trees[0] == trees[1] and len(trees[0]) > 1
+
     def test_other_detector_failure_wrapped_once(self, tmp_path):
         class BrokenDetector(DetectorPort):
             def detect(self, session_id, ts, frame=None):

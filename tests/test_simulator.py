@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import re
 from dataclasses import astuple
 
 import numpy as np
@@ -12,6 +13,7 @@ from ward_sentinel.logic import SmoothingWindow, derive_state
 from ward_sentinel.model import ANALYSIS_DIMS, PipelineConfig
 from ward_sentinel.schema import CanonicalRow, dumps_row
 from ward_sentinel.simulator import (
+    DEFAULT_START_TS,
     NoiseModel,
     OccupantTrack,
     ScenarioSpec,
@@ -259,6 +261,44 @@ class TestSpecFromDict:
         raw = {"seed": 1, "duration_s": 10, "schedule": [{"start_s": 0, "end_s": 10, "patients": 1.5}]}
         with pytest.raises(InvalidSchedule):
             spec_from_dict(raw)
+
+    def test_a_minimal_spec_takes_every_default_from_the_dataclasses(self):
+        spec = spec_from_dict({"seed": 3, "duration_s": 10, "schedule": [{"start_s": 0, "end_s": 10}]})
+        assert spec == ScenarioSpec(3, 10, (ScheduleInterval(0, 10),))
+        assert (spec.session_id, spec.start_ts, spec.raw_frame_dims) == ("sim", DEFAULT_START_TS, (960, 540))
+        assert (spec.noise, spec.tracks, spec.zone) == (NoiseModel(), (), None)
+
+    def test_an_integer_motion_builds_the_float_interval(self):
+        raw = {"seed": 1, "duration_s": 10, "schedule": [{"start_s": 0, "end_s": 10, "motion": 1}]}
+        motion = spec_from_dict(raw).schedule[0].motion
+        assert (motion, type(motion)) == (1.0, float)
+
+
+MINIMAL_SPEC = {"seed": 1, "duration_s": 10, "schedule": [{"start_s": 0, "end_s": 10}]}
+# One unknown key per section of the two JSON inputs: the builder, the input
+# and the message that names the section and the key.
+UNKNOWN_KEYS = {
+    "config": (PipelineConfig.from_dict, {"window": 5}, "unknown config keys ['window']"),
+    "flow": (PipelineConfig.from_dict, {"flow": {"level": 3}}, "unknown flow keys ['level']"),
+    "spec": (spec_from_dict, dict(MINIMAL_SPEC, frame_dims=[9, 9]), "unknown scenario spec keys ['frame_dims']"),
+    "interval": (
+        spec_from_dict,
+        dict(MINIMAL_SPEC, schedule=[{"start_s": 0, "end_s": 10, "staf": 1}]),
+        "unknown schedule interval keys ['staf']",
+    ),
+    "track": (
+        spec_from_dict,
+        dict(MINIMAL_SPEC, tracks=[{"role": "staff", "waypoints": [[0, 1, 1], [5, 2, 2]], "speed": 2}]),
+        "unknown track keys ['speed']",
+    ),
+    "noise": (spec_from_dict, dict(MINIMAL_SPEC, noise={"p_mis": 0.1}), "unknown noise keys ['p_mis']"),
+}
+
+
+@pytest.mark.parametrize("build,raw,message", UNKNOWN_KEYS.values(), ids=UNKNOWN_KEYS.keys())
+def test_the_builder_names_an_unknown_key_and_its_section(build, raw, message):
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        build(raw)
 
 
 # Each golden spec reaches a branch of `generate`: several intervals (one an
