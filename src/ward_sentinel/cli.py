@@ -304,10 +304,7 @@ def main(argv=None) -> int:
     except ValidationError as e:
         print(f"validation error: {e}", file=sys.stderr)
         return 2
-    except WardSentinelError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (WardSentinelError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -26,7 +26,7 @@ from .errors import (
     NonConvergence,
     SingleClassTarget,
 )
-from .logic import LogicalState
+from .logic import LogicalState, occupancy, record_facts
 from .model import BoundingBox, CLASSES, DetectionRecord, PipelineConfig, ROLES, check_session_and_ts
 from .trends import ObservationLog, _columns, _logged_alone, _run_starts, _utc_hour
 
@@ -72,7 +72,7 @@ class FrameLabel:
 
     def alone_flag(self) -> bool:
         persons = [r for b, r in zip(self.boxes, self.roles) if b.cls == "person"]
-        return len(persons) < 2 and any(r == "patient" for r in persons)
+        return occupancy(len(persons), "patient" in persons, "staff" in persons)[1]
 
 
 @dataclass(frozen=True)
@@ -257,9 +257,7 @@ def evaluate_frames(
         if pred_alone is not None:
             alone_preds.append(bool(pred_alone[f"{label.session_id}:{label.ts}"]))
         else:
-            alone_preds.append(
-                rec.person_count() < 2 and rec.has_primary_role("patient")
-            )
+            alone_preds.append(occupancy(*record_facts(rec))[1])
         alone_labels.append(label.alone_flag())
 
     per_class = {c: ClassMetrics.from_counts(*counts[c]) for c in CLASSES}

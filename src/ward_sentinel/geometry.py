@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DegeneratePolygon, WrongClass, ZoneDimensionMismatch
-from .model import BoundingBox, DetectionRecord
+from .model import BoundingBox, DetectionRecord, real_number
 
 AREA_EPS = 1e-12
 # Cross-frame anchor matching gate, as a fraction of the frame diagonal.
@@ -28,12 +28,13 @@ ROI_KINDS = ("scene", "bed", "safety_zone")
 
 @dataclass(frozen=True)
 class Polygon:
-    """Simple polygon, implicitly closed, real pixel coordinates."""
+    """Simple polygon, implicitly closed, real pixel coordinates. Each vertex
+    is exactly two finite real numbers, not bools, kept as floats."""
 
     vertices: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        verts = tuple((float(x), float(y)) for x, y in self.vertices)
+        verts = tuple(map(_vertex, self.vertices))
         object.__setattr__(self, "vertices", verts)
         if len(verts) < 3:
             raise DegeneratePolygon("polygon needs at least 3 vertices")
@@ -76,6 +77,15 @@ class Polygon:
                 if _segments_cross(*edges[i], *edges[j]):
                     return True
         return False
+
+
+def _vertex(v) -> tuple[float, float]:
+    if not isinstance(v, (tuple, list)) or len(v) != 2:
+        raise TypeError(f"polygon vertex must be two numbers, got {v!r}")
+    x, y = (float(real_number("polygon vertex coordinate", c)) for c in v)
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"polygon vertex must be finite, got {v!r}")
+    return x, y
 
 
 def _segments_cross(p1, p2, p3, p4) -> bool:

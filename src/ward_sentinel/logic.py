@@ -60,6 +60,22 @@ class LogicalState:
             raise ValueError("supervised_by_staff implies not person_alone")
 
 
+def occupancy(persons: float, patient: bool, staff: bool) -> tuple[bool, bool, bool]:
+    """(person_alone, patient_alone, supervised_by_staff) for a person count or
+    smoothed average, and whether a patient and a staff member are present:
+    fewer than two people is alone, and two or more with staff is supervised.
+    """
+    alone = persons < 2
+    return alone, alone and patient, not alone and staff
+
+
+def record_facts(rec: DetectionRecord) -> tuple[int, bool, bool]:
+    """rec's person count (every person box, with a role or not), and whether
+    a person box's primary role is patient, and whether one is staff."""
+    primaries = {r.primary() for b, r in zip(rec.boxes, rec.roles) if r is not None and b.cls == "person"}
+    return rec.person_count(), "patient" in primaries, "staff" in primaries
+
+
 def attribute_roles(
     role_confidences: Sequence[Mapping[str, float]],
 ) -> list[RoleDistribution]:
@@ -118,12 +134,7 @@ class SmoothingWindow:
                 f"session {rec.session_id}: ts {rec.ts} not after {newest.ts}"
             )
         scene = motion.magnitudes.get("scene") if motion is not None else None
-        # One walk of the roles; person_count() counts every box, with a role or not.
-        primaries = {
-            r.primary() for b, r in zip(rec.boxes, rec.roles) if r is not None and b.cls == "person"
-        }
-        patient, staff = "patient" in primaries, "staff" in primaries
-        self._seconds.append((rec.ts, rec.person_count(), patient, staff, scene))
+        self._seconds.append((rec.ts, *record_facts(rec), scene))
         self.newest = rec
         cutoff = rec.ts - self.window_s
         while self._seconds[0][0] <= cutoff:
@@ -140,18 +151,9 @@ def derive_state(w: SmoothingWindow, cfg: PipelineConfig) -> LogicalState:
         raise EmptyWindow("cannot derive a state from an empty window")
     _, counts, patients, staffs, scenes = zip(*w._seconds)
     avg = sum(counts) / len(counts)
-    any_patient = any(patients)
-    any_staff = any(staffs)
     scene = [m for m in scenes if m is not None]
     moving = bool(scene) and sum(scene) / len(scene) > cfg.moving_threshold
     newest = w.newest
     # Positional, in field order: keyword arguments cost about 1 us more per state.
-    return LogicalState(
-        newest.session_id,
-        newest.ts,
-        avg < 2.0,  # person_alone
-        avg < 2.0 and any_patient,  # patient_alone
-        avg >= 2.0 and any_staff,  # supervised_by_staff
-        moving,
-        avg,  # smoothed_person_count
-    )
+    flags = occupancy(avg, any(patients), any(staffs))
+    return LogicalState(newest.session_id, newest.ts, *flags, moving, avg)

@@ -253,13 +253,6 @@ class DetectionRecord:
     def person_count(self) -> int:
         return sum(1 for b in self.boxes if b.cls == "person")
 
-    def has_primary_role(self, role: str) -> bool:
-        return any(
-            r is not None and r.primary() == role
-            for b, r in zip(self.boxes, self.roles)
-            if b.cls == "person"
-        )
-
 
 @dataclass(frozen=True)
 class FlowParams:
@@ -324,14 +317,11 @@ class PipelineConfig:
             raise ValueError("iou_threshold must be in (0, 1)")
         if not 0.0 <= real_number("safety_zone_expansion", self.safety_zone_expansion) < inf:
             raise ValueError("safety_zone_expansion must be finite and >= 0")
-        object.__setattr__(
-            self,
-            "zones",
-            {
-                sid: tuple((float(x), float(y)) for x, y in verts)
-                for sid, verts in dict(self.zones).items()
-            },
-        )
+        from .geometry import Polygon  # geometry imports this module
+
+        # An empty vertex list is no zone.
+        zones = {sid: tuple(verts) and Polygon(verts).vertices for sid, verts in dict(self.zones).items()}
+        object.__setattr__(self, "zones", zones)
 
     def zone_for(self, session_id: str):
         verts = self.zones.get(session_id, self.zones.get("default"))

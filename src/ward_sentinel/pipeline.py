@@ -277,10 +277,6 @@ def run_pipeline(
         pre = None
 
         motion = item.motion
-        if motion is not None and (motion.session_id, motion.ts) != (item.session_id, item.ts):
-            raise MalformedRecord(
-                f"motion {motion.session_id}@{motion.ts} on source item {item.session_id}@{item.ts}"
-            )
         if motion is None and cur_frame is not None and st.prev_frame is not None:
             flow = farneback_flow(st.prev_frame, cur_frame, cfg.flow)
             mags = {"scene": roi_motion(flow, scene_mask)}

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import InvalidSchedule
 from .flow import MotionRecord
 from .geometry import CrossingEvent, Polygon, RoiMask, expand_polygon, rasterize
-from .logic import LogicalState
+from .logic import LogicalState, occupancy
 from .model import (
     ANALYSIS_DIMS,
     BoundingBox,
@@ -115,9 +115,10 @@ class NoiseModel:
 
     def __post_init__(self):
         for name in ("p_miss", "p_spur", "p_role"):
-            v = getattr(self, name)
+            v = float(real_number(name, getattr(self, name)))
             if not 0.0 <= v < 1.0:
                 raise ValueError(f"{name} must be in [0, 1)")
+            object.__setattr__(self, name, v)
 
 
 @dataclass(frozen=True)
@@ -144,7 +145,7 @@ class ScenarioSpec:
         w, h = self.raw_frame_dims
         dims = (check_int("raw frame width", w, 1), check_int("raw frame height", h, 1))
         object.__setattr__(self, "raw_frame_dims", dims)
-        object.__setattr__(self, "zone", tuple((x, y) for x, y in self.zone) if self.zone else None)
+        object.__setattr__(self, "zone", Polygon(self.zone).vertices if self.zone else None)
         object.__setattr__(self, "schedule", tuple(self.schedule))
         object.__setattr__(self, "tracks", tuple(self.tracks))
         if not self.schedule:
@@ -275,10 +276,9 @@ def generate(spec: ScenarioSpec, cfg: PipelineConfig = PipelineConfig()) -> Simu
             # ground truth (pre-noise, pre-smoothing)
             count = len(occupants)
             present = {role for role, _ in occupants}
-            patient_alone = count < 2 and "patient" in present
-            supervised = count >= 2 and "staff" in present
+            alone, patient_alone, supervised = occupancy(count, "patient" in present, "staff" in present)
             # Positional, in field order: keyword arguments cost about 1 us more per state.
-            gt_states.append(LogicalState(sid, ts, count < 2, patient_alone, supervised, moving, float(count)))
+            gt_states.append(LogicalState(sid, ts, alone, patient_alone, supervised, moving, float(count)))
             if patient_alone and run_start is None:
                 run_start = ts
             elif not patient_alone and run_start is not None:

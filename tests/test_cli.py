@@ -385,6 +385,16 @@ def _first_interval(**changes) -> dict:
     return dict(SPEC, schedule=[dict(SPEC["schedule"][0], **changes), SPEC["schedule"][1]])
 
 
+def _zone(*changes) -> list:
+    """A valid zone with each (index, vertex) in changes swapped in."""
+    zone = [[400, 300], [700, 300], [700, 560], [400, 560]]
+    for i, v in changes:
+        zone[i] = v
+    return zone
+
+
+TWO_VERTICES = [[400, 300], [700, 300]]
+BOWTIE = _zone((1, [700, 560]), (2, [700, 300]), (3, [400, 400]))
 LABEL = {
     "session_id": "roomA",
     "ts": 1709251200,
@@ -400,8 +410,19 @@ BAD_INPUTS = {
     "config-boolean-window": ("config", {"smoothing_window_s": True}),
     "config-string-threshold": ("config", {"moving_threshold": "0.5"}),
     "config-zero-iterations": ("config", {"flow": {"iterations": 0}}),
+    "config-string-zone-vertex": ("config", {"zones": {"default": _zone((0, ["400", 300]))}}),
+    "config-boolean-zone-vertex": ("config", {"zones": {"roomA": _zone((2, [700, True]))}}),
+    "config-two-vertex-zone": ("config", {"zones": {"default": TWO_VERTICES}}),
+    "config-self-intersecting-zone": ("config", {"zones": {"default": BOWTIE}}),
+    "config-infinite-zone-vertex": ("config", _overflowing({"zones": {"default": _zone((1, [0.125, 300]))}})),
     "spec-no-schedule": ("spec", {k: v for k, v in SPEC.items() if k != "schedule"}),
     "spec-bad-noise": ("spec", dict(SPEC, noise={"p_miss": 2})),
+    "spec-boolean-noise": ("spec", dict(SPEC, noise={"p_miss": False})),
+    "spec-string-zone-vertex": ("spec", dict(SPEC, zone=_zone((0, ["400", 300])))),
+    "spec-boolean-zone-vertex": ("spec", dict(SPEC, zone=_zone((2, [700, True])))),
+    "spec-two-vertex-zone": ("spec", dict(SPEC, zone=TWO_VERTICES)),
+    "spec-self-intersecting-zone": ("spec", dict(SPEC, zone=BOWTIE)),
+    "spec-infinite-zone-vertex": ("spec", _overflowing(dict(SPEC, zone=_zone((1, [0.125, 300]))))),
     "spec-unknown-key": ("scenario", dict(SPEC, trakcs=[])),
     "spec-interval-unknown-key": (
         "spec", dict(SPEC, schedule=[dict(SPEC["schedule"][0], staf=2), SPEC["schedule"][1]]),

@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 from ward_sentinel.errors import EmptyWindow, OutOfOrderRecord
+from ward_sentinel.evaluation import FrameLabel, evaluate_frames
 from ward_sentinel.flow import MotionRecord
 from ward_sentinel.logic import (
     LogicalState,
     SmoothingWindow,
     attribute_roles,
     derive_state,
+    occupancy,
+    record_facts,
 )
 from ward_sentinel.model import ROLES, BoundingBox, DetectionRecord, PipelineConfig
 
@@ -27,8 +30,15 @@ def brute_force_state(records_by_ts, motions_by_ts, ts, cfg):
     ]
     counts = [r.person_count() for r in window]
     avg = sum(counts) / len(counts)
-    any_patient = any(r.has_primary_role("patient") for r in window)
-    any_staff = any(r.has_primary_role("staff") for r in window)
+    # Roles past the end of boxes, or boxes past the end of roles, are unread.
+    primaries = [
+        role.primary()
+        for r in window
+        for b, role in zip(r.boxes, r.roles)
+        if b.cls == "person" and role is not None
+    ]
+    any_patient = "patient" in primaries
+    any_staff = "staff" in primaries
     scene = [
         motions_by_ts[r.ts].magnitudes["scene"]
         for r in window
@@ -200,8 +210,8 @@ class TestOracleEquivalence:
 
     def test_unvalidated_records_equal_brute_force(self):
         # Persons without a role, non-person boxes with one, and roles tuples
-        # shorter or longer than the boxes: the window judges them as
-        # person_count and has_primary_role do.
+        # shorter or longer than the boxes: the window judges them as the
+        # oracle does, counting every person box and reading zipped roles.
         cfg = PipelineConfig()
         rng = np.random.default_rng(5)
         by_ts, w = {}, SmoothingWindow(cfg.smoothing_window_s)
@@ -222,6 +232,20 @@ class TestOracleEquivalence:
         w = SmoothingWindow(5)
         w.push(DetectionRecord("s", 0, (BoundingBox("person", 10.0, 10.0, 5.0, 5.0, 0.5),), ()))
         assert derive_state(w, PipelineConfig()).smoothed_person_count == 1.0
+
+    def test_one_second_state_frame_fallback_and_occupancy_agree(self):
+        # Inference, frame evaluation's fallback and the rule itself read
+        # each record alike; an empty label makes a predicted alone an fp.
+        cfg = PipelineConfig(smoothing_window_s=1)
+        records, _ = random_stream(np.random.default_rng(11), "s", 600)
+        for rec in records:
+            w = SmoothingWindow(1)
+            w.push(rec)
+            state = derive_state(w, cfg)
+            flags = occupancy(*record_facts(rec))
+            assert (state.person_alone, state.patient_alone, state.supervised_by_staff) == flags
+            report = evaluate_frames([FrameLabel(rec.session_id, rec.ts, (), ())], [rec])
+            assert report.patient_alone.fp == flags[1]
 
     def test_patient_alone_implies_person_alone(self):
         cfg = PipelineConfig()

@@ -402,7 +402,8 @@ class TestRunPipeline:
         )
         with pytest.raises(MalformedRecord) as info:
             run_pipeline(iter([item]), CFG, Store(tmp_path / "store"))
-        assert str(info.value) == f"motion {key[0]}@{key[1]} on source item s@7"
+        assert str(info.value) == f"motion {key[0]}@{key[1]} on record s@7"
+        assert not (tmp_path / "store").exists()
 
     def test_motion_key_that_is_no_roi_kind_raises_and_leaves_no_store(self, tmp_path):
         def source():
