@@ -69,8 +69,8 @@ class OverlappingIntervals(ValidationError):
 
 
 # evaluation
-class MisalignedFrames(WardSentinelError):
-    pass
+class MisalignedFrames(ValidationError):
+    """Label and prediction inputs do not cover the same frames."""
 
 
 class SingleClassTarget(WardSentinelError):

@@ -148,8 +148,12 @@ class BoundingBox:
             )
             for name, v in zip(("x", "y", "w", "h", "confidence"), (x, y, w, h, conf)):
                 object.__setattr__(self, name, v)
-        if not (isfinite(x) and isfinite(y) and isfinite(w) and isfinite(h)):
-            raise ValueError(f"box geometry must be finite: {x}, {y}, {w}, {h}")
+        try:
+            if not (isfinite(x) and isfinite(y) and isfinite(w) and isfinite(h)):
+                raise ValueError(f"box geometry must be finite: {x}, {y}, {w}, {h}")
+        except OverflowError:  # an int of the fast path that no float holds
+            for k, v in zip("xywh", (x, y, w, h)):
+                real_number(f"box {k}", v)
         if w <= 0 or h <= 0:
             raise ValueError("box width/height must be positive")
         if not 0.0 <= conf <= 1.0:
@@ -353,10 +357,18 @@ def check_int(name: str, v, lo: Optional[int] = None) -> int:
 
 
 def real_number(name: str, v):
-    """v, a real number (not a bool), as an int if it is an Integral and a float otherwise."""
+    """v, a real number (not a bool), as an int if it is an Integral and a float
+    otherwise. An Integral too large for any float is a ValueError."""
     if type(v) is bool or not isinstance(v, Real):
         raise TypeError(f"{name} must be a number, got {v!r}")
-    return int(v) if isinstance(v, Integral) else float(v)
+    if not isinstance(v, Integral):
+        return float(v)
+    v = int(v)
+    try:
+        float(v)
+    except OverflowError:
+        raise ValueError(f"{name} is out of float range: a {v.bit_length()}-bit integer") from None
+    return v
 
 
 def check_session_and_ts(session_id, ts) -> None:

@@ -3,34 +3,34 @@ persistence, and external ingest. Recorded detection records pass straight to
 validation; frames go through the detector port and role attribution. Both
 ingest adapters feed one parse-validate loop that rejects a bad row by its line.
 
-Per-session inference state is the smoothing window and the previous flow
-frame, a FlowFrame that keeps the polynomial expansions of its pyramid levels
-from the pair it was the current frame of, so each frame is expanded once; a
-gap of more than one second drops it. Preprocessing builds the flow image
-straight from the captured pixels; the 1088x612 analysis image, and the
-detector-resolution image made from it, are resized only when a detector
-port reads `PreprocessedFrame.analysis` or `.detector`. After detection only
-the flow image of a frame is kept. The store writer stages every row until
-the run ends, so memory grows with run length, and resuming a session on the
-same UTC date rewrites that date's segment (ROADMAP.md, item 1). Sessions
-are independent; within a session the stages are strictly sequential (flow
-needs the previous frame, the window needs order).
+Inference never touches the store: a session's `_SessionState.step` turns one
+second into its row and zone crossings, which `run_pipeline` hands to that
+session's store writer. The state is the smoothing window, the zone masks and
+the previous flow frame, whose pyramid expansions are kept so each frame is
+expanded once; a gap of more than one second drops it. Preprocessing builds
+the flow image straight from the captured pixels; the analysis and
+detector-resolution images are resized only when a detector port reads them,
+and after detection only the flow image is kept. The writer stages every row
+until the run ends, so memory grows with run length, and resuming a session
+on the same UTC date rewrites that date's segment (ROADMAP.md, item 1). Within
+a session the stages are strictly sequential (flow needs the previous frame,
+the window needs order).
 """
 
 from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from itertools import groupby, zip_longest
-from typing import Callable, Iterable, Iterator, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .errors import AdapterError, MalformedRecord, SchemaMismatch, TooSmallInput, UnknownAdapter, ValidationError
 from .flow import FlowFrame, MotionRecord, farneback_flow, roi_motion
-from .geometry import Polygon, RoiMask, bed_roi_from_detection, detect_crossings, expand_polygon, rasterize
+from .geometry import CrossingEvent, Polygon, RoiMask, bed_roi_from_detection, detect_crossings, expand_polygon, rasterize
 from .imageops import resize_bilinear, resize_bicubic, resize_luma_via, to_uint8
 from .imageops import to_grayscale  # noqa: F401  (a lookup site perfbench/spans.py wraps)
 from .logic import SmoothingWindow, attribute_roles, derive_state
@@ -49,7 +49,7 @@ from .model import (
 )
 from .schema import CanonicalRow, jsonl_lines, loads_row
 from .simulator import SimulationResult
-from .store import Store
+from .store import SessionWriter, Store
 
 MIN_INPUT_DIM = 64
 
@@ -169,41 +169,107 @@ def rows_source(rows: Iterable[CanonicalRow]) -> Iterator[SourceItem]:
 
 
 def _scale_record(rec: DetectionRecord, sx: float, sy: float) -> DetectionRecord:
-    boxes = tuple(
-        replace(b, x=b.x * sx, y=b.y * sy, w=b.w * sx, h=b.h * sy) for b in rec.boxes
-    )
+    boxes = tuple(replace(b, x=b.x * sx, y=b.y * sy, w=b.w * sx, h=b.h * sy) for b in rec.boxes)
     return replace(rec, boxes=boxes)
 
 
-def _scale_polygon(p: Polygon, sx: float, sy: float) -> Polygon:
-    return Polygon(tuple((x * sx, y * sy) for x, y in p.vertices))
+# Analysis to flow coordinates, and the whole flow image as an ROI.
+_FX, _FY = FLOW_DIMS[0] / ANALYSIS_DIMS[0], FLOW_DIMS[1] / ANALYSIS_DIMS[1]
+_SCENE = RoiMask.scene(*FLOW_DIMS)
+_NO_CROSSINGS: tuple[CrossingEvent, ...] = ()
+
+
+def _detected(
+    detector: Optional[DetectorPort], session_id: str, ts: int, pre: Optional[PreprocessedFrame]
+) -> DetectionRecord:
+    """The detector port's record for one second, roles attributed to its
+    person boxes; a failure inside the port is one AdapterError with context."""
+    if detector is None:
+        raise AdapterError("source item has no detections and no detector port is configured", session_id, ts)
+    try:
+        det = detector.detect(session_id, ts, pre)
+    except AdapterError:
+        raise
+    except Exception as e:
+        raise AdapterError(str(e), session_id, ts) from e
+    boxes, confs = det.boxes, det.role_confidences
+    if len(confs) != len(boxes):
+        raise AdapterError(f"{len(confs)} role confidences for {len(boxes)} boxes", session_id, ts)
+    attributed = iter(attribute_roles([c or {} for b, c in zip(boxes, confs) if b.cls == "person"]))
+    roles = tuple(next(attributed) if b.cls == "person" else None for b in boxes)
+    return DetectionRecord(session_id, ts, boxes, roles)
 
 
 class _SessionState:
-    def __init__(self, cfg: PipelineConfig, session_id: str, store: Store):
+    """One session's inference state: window, previous flow frame, zone masks; no store."""
+
+    def __init__(self, cfg: PipelineConfig, session_id: str):
+        self.cfg = cfg
         self.window = SmoothingWindow(cfg.smoothing_window_s)
         self.prev_frame: Optional[FlowFrame] = None
-        self.writer = store.writer(session_id)
-        self.zone_analysis: Optional[RoiMask] = None
-        self.zone_flow: Optional[RoiMask] = None
+        self.zone_analysis = self.zone_flow = None  # RoiMasks when the session has a zone
         verts = cfg.zone_for(session_id)
         if verts:
             zone = expand_polygon(Polygon(verts), cfg.safety_zone_expansion)
             self.zone_analysis = rasterize(zone, *ANALYSIS_DIMS, kind="safety_zone")
-            fx = FLOW_DIMS[0] / ANALYSIS_DIMS[0]
-            fy = FLOW_DIMS[1] / ANALYSIS_DIMS[1]
-            self.zone_flow = rasterize(
-                _scale_polygon(zone, fx, fy), *FLOW_DIMS, kind="safety_zone"
-            )
+            flow_zone = Polygon(tuple((x * _FX, y * _FY) for x, y in zone.vertices))
+            self.zone_flow = rasterize(flow_zone, *FLOW_DIMS, kind="safety_zone")
+
+    def step(
+        self, item: SourceItem, detector: Optional[DetectorPort]
+    ) -> tuple[CanonicalRow, Sequence[CrossingEvent]]:
+        """One second's row and zone crossings.
+
+        preprocess -> the item's recorded record, or the detector port's output
+        with attributed roles -> validate -> optical flow against the previous
+        frame -> per-ROI motion -> crossings against the window's newest record
+        -> window update -> logical state. A gap longer than one second drops
+        the previous flow frame (motion restarts), and the smoothing window
+        applies its own gap rule.
+        """
+        window, ts = self.window, item.ts
+        contiguous = window.last_ts == ts - 1
+        if not contiguous:
+            self.prev_frame = None
+        pre = None if item.frame is None else preprocess(item.frame)
+        rec = item.record
+        if rec is None:
+            rec = _detected(detector, item.session_id, ts, pre)
+        elif rec.session_id != item.session_id or rec.ts != ts:
+            raise MalformedRecord(f"record {rec.session_id}@{rec.ts} on source item {item.session_id}@{ts}")
+        rec = validate_record(rec, ANALYSIS_DIMS)
+        # Only the flow image outlives detection; the analysis images go now.
+        cur_frame = None if pre is None else FlowFrame(pre.flow_gray)
+        pre = None
+
+        motion = item.motion
+        if cur_frame is not None:
+            if motion is None and self.prev_frame is not None:
+                flow = farneback_flow(self.prev_frame, cur_frame, self.cfg.flow)
+                mags = {"scene": roi_motion(flow, _SCENE)}
+                bed_mask = bed_roi_from_detection(_scale_record(rec, _FX, _FY), *FLOW_DIMS)
+                if bed_mask is not None and bed_mask.count():
+                    mags["bed"] = roi_motion(flow, bed_mask)
+                if self.zone_flow is not None and self.zone_flow.count():
+                    mags["safety_zone"] = roi_motion(flow, self.zone_flow)
+                motion = MotionRecord(item.session_id, ts, mags)
+            self.prev_frame = cur_frame
+
+        zone = self.zone_analysis
+        crossings = _NO_CROSSINGS
+        if zone is not None and contiguous:
+            crossings = detect_crossings(window.newest, rec, zone)
+        window.push(rec, motion)
+        return CanonicalRow(rec, motion, derive_state(window, self.cfg)), crossings
 
 
 @dataclass
 class PipelineStats:
-    sessions: int = 0
-    rows: int = 0
-    crossings: int = 0
-    elapsed_s: float = 0.0
-    sealed_segments: list[str] = field(default_factory=list)
+    sessions: int
+    rows: int
+    crossings: int
+    elapsed_s: float
+    sealed_segments: list[str]
 
 
 def run_pipeline(
@@ -212,97 +278,30 @@ def run_pipeline(
     store: Store,
     detector: Optional[DetectorPort] = None,
 ) -> PipelineStats:
-    """Drive the per-second chain and persist canonical rows.
+    """Step each item through its session's state and persist what it returns.
 
-    For each item: preprocess -> the item's recorded record, or the detector
-    port's output with attributed roles -> validate -> optical flow against
-    the previous frame -> per-ROI motion -> window update -> logical state ->
-    append. A source gap longer than one second drops the previous flow frame
-    (motion restarts), and the smoothing window applies its own gap rule.
+    A session's writer is made when its first item arrives, before any
+    inference; each second's crossings, then its row, go to it, and every
+    writer seals once the source is exhausted.
     """
     t0 = time.perf_counter()
-    stats = PipelineStats()
-    states: dict[str, _SessionState] = {}
-    scene_mask = RoiMask.scene(*FLOW_DIMS)
-    fx = FLOW_DIMS[0] / ANALYSIS_DIMS[0]
-    fy = FLOW_DIMS[1] / ANALYSIS_DIMS[1]
-
+    table: dict[str, tuple[_SessionState, SessionWriter]] = {}
+    rows = crossings = 0
     for item in source:
-        st = states.get(item.session_id)
-        if st is None:
-            st = states[item.session_id] = _SessionState(cfg, item.session_id, store)
-            stats.sessions += 1
-        contiguous = st.window.last_ts == item.ts - 1
-        if not contiguous:
-            st.prev_frame = None
-
-        pre: Optional[PreprocessedFrame] = None
-        if item.frame is not None:
-            pre = preprocess(item.frame)
-
-        rec = item.record
-        if rec is None:
-            if detector is None:
-                raise AdapterError(
-                    "source item has no detections and no detector port is configured",
-                    item.session_id,
-                    item.ts,
-                )
-            try:
-                det = detector.detect(item.session_id, item.ts, pre)
-            except AdapterError:
-                raise
-            except Exception as e:
-                raise AdapterError(str(e), item.session_id, item.ts) from e
-            if len(det.role_confidences) != len(det.boxes):
-                raise AdapterError(
-                    f"{len(det.role_confidences)} role confidences for {len(det.boxes)} boxes",
-                    item.session_id,
-                    item.ts,
-                )
-            confs = zip(det.boxes, det.role_confidences)
-            person_confs = [c or {} for b, c in confs if b.cls == "person"]
-            attributed = iter(attribute_roles(person_confs))
-            roles = tuple(
-                next(attributed) if b.cls == "person" else None for b in det.boxes
-            )
-            rec = DetectionRecord(item.session_id, item.ts, det.boxes, roles)
-        elif (rec.session_id, rec.ts) != (item.session_id, item.ts):
-            raise MalformedRecord(
-                f"record {rec.session_id}@{rec.ts} on source item {item.session_id}@{item.ts}"
-            )
-        rec = validate_record(rec, ANALYSIS_DIMS)
-        # Only the flow image outlives detection; the analysis images go now.
-        cur_frame = None if pre is None else FlowFrame(pre.flow_gray)
-        pre = None
-
-        motion = item.motion
-        if motion is None and cur_frame is not None and st.prev_frame is not None:
-            flow = farneback_flow(st.prev_frame, cur_frame, cfg.flow)
-            mags = {"scene": roi_motion(flow, scene_mask)}
-            bed_mask = bed_roi_from_detection(_scale_record(rec, fx, fy), *FLOW_DIMS)
-            if bed_mask is not None and bed_mask.count():
-                mags["bed"] = roi_motion(flow, bed_mask)
-            if st.zone_flow is not None and st.zone_flow.count():
-                mags["safety_zone"] = roi_motion(flow, st.zone_flow)
-            motion = MotionRecord(item.session_id, item.ts, mags)
-        if cur_frame is not None:
-            st.prev_frame = cur_frame
-
-        if st.zone_analysis is not None and contiguous:
-            for event in detect_crossings(st.window.newest, rec, st.zone_analysis):
-                st.writer.append_crossing(event)
-                stats.crossings += 1
-
-        st.window.push(rec, motion)
-        logical = derive_state(st.window, cfg)
-        st.writer.append(CanonicalRow(rec, motion, logical))
-        stats.rows += 1
-
-    for st in states.values():
-        stats.sealed_segments.extend(st.writer.seal())
-    stats.elapsed_s = time.perf_counter() - t0
-    return stats
+        entry = table.get(item.session_id)
+        if entry is None:
+            writer = store.writer(item.session_id)
+            entry = table[item.session_id] = (_SessionState(cfg, item.session_id), writer)
+        st, writer = entry
+        row, events = st.step(item, detector)
+        if events:
+            for event in events:
+                writer.append_crossing(event)
+            crossings += len(events)
+        writer.append(row)
+        rows += 1
+    sealed = [rel for _, writer in table.values() for rel in writer.seal()]
+    return PipelineStats(len(table), rows, crossings, time.perf_counter() - t0, sealed)
 
 
 @dataclass(frozen=True)

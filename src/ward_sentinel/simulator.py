@@ -76,7 +76,8 @@ class OccupantTrack:
     """A scripted walker: position is piecewise-linear between waypoints.
 
     Waypoints are exactly (t_s, x, y), t_s an int and the anchor (foot position)
-    in analysis coordinates; the occupant exists from the first to the last one.
+    in analysis coordinates, real numbers (not bools) kept as floats; the
+    occupant exists from the first to the last one.
     """
 
     role: str
@@ -85,7 +86,10 @@ class OccupantTrack:
     def __post_init__(self):
         if self.role not in ROLES:
             raise ValueError(f"unknown role {self.role!r}")
-        wps = tuple((check_int("waypoint time", t), float(x), float(y)) for t, x, y in self.waypoints)
+        wps = tuple(
+            (check_int("waypoint time", t), float(real_number("waypoint x", x)), float(real_number("waypoint y", y)))
+            for t, x, y in self.waypoints
+        )
         object.__setattr__(self, "waypoints", wps)
         if len(wps) < 2:
             raise ValueError("a track needs at least two waypoints")

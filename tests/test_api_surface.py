@@ -73,6 +73,70 @@ def test_tracer_patches_and_restores_every_lookup_site():
     assert logic_log.handlers == handlers
 
 
+# The layers each workload of perfbench/README.md crosses. The imageops layers
+# are left out: frame mode builds the flow image with resize_luma_via, which the
+# tracer does not wrap, and the synthetic detector reads no analysis image, so
+# resize_bilinear, resize_bicubic, to_grayscale and to_uint8 read 0 calls there.
+PER_SECOND_LAYERS = (
+    "pipeline.run_pipeline",
+    "model.validate_record",
+    "logic.SmoothingWindow.push",
+    "logic.derive_state",
+    "geometry.expand_polygon",
+    "geometry.rasterize",
+    "geometry.detect_crossings",
+    "schema.dumps_row",
+    "store.append",
+    "store.append_crossing",
+    "store.seal",
+)
+CROSSED_LAYERS = {
+    "frames": PER_SECOND_LAYERS + (
+        "pipeline.frame_source",
+        "pipeline.preprocess",
+        "pipeline.detector.detect",
+        "logic.attribute_roles",
+        "flow.farneback_flow",
+        "flow.roi_motion",
+        "geometry.bed_roi_from_detection",
+    ),
+    "replay": PER_SECOND_LAYERS + ("pipeline.rows_source", "schema.read_rows_jsonl", "schema.loads_row"),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(CROSSED_LAYERS))
+def test_tracer_sees_every_layer_a_workload_crosses(tmp_path, mode):
+    """A lookup site bound at definition time would trace 0 calls; this run
+    through the wrapped names must reach every layer at least once."""
+    spans = _load_spans()
+    ws = _package()
+    p = ws.pipeline
+    zone = ((400.0, 300.0), (700.0, 300.0), (700.0, 560.0), (400.0, 560.0))
+    spec = ScenarioSpec(
+        seed=21,
+        duration_s=5,
+        schedule=(ScheduleInterval(0, 5, patients=1, motion=1.0),),
+        tracks=(OccupantTrack("staff", ((0, 200.0, 430.0), (4, 600.0, 430.0))),),
+        session_id="room",
+        zone=zone,
+    )
+    cfg = PipelineConfig(zones={"room": zone})
+    sim = ws.simulator.generate(spec, cfg)
+    frames = list(sim.frames())  # set-up: the simulator's own rasterize stays untraced
+    rows = tmp_path / "rows.jsonl"
+    ws.schema.write_rows_jsonl((ws.schema.CanonicalRow(r, sim.motions.get(r.ts)) for r in sim.records), rows)
+
+    with spans.installed(ws, spans.Tracer()) as tr:
+        store = ws.store.Store(tmp_path / "store")
+        if mode == "frames":
+            stats = p.run_pipeline(p.frame_source(frames), cfg, store, detector=p.SyntheticDetector(sim))
+        else:
+            stats = p.run_pipeline(p.rows_source(ws.schema.read_rows_jsonl(rows)), cfg, store)
+    assert stats.rows == 5 and stats.crossings == tr.counters["geometry.crossings"] > 0
+    calls = {name: tr.names.count(name) for name in CROSSED_LAYERS[mode]}
+    assert all(calls.values()), calls
+
+
 def _package_chains(tree: ast.AST) -> set[tuple[str, ...]]:
     """Each attribute chain read from the package namespace, such as
     ("simulator", "ScenarioSpec") for `ws.simulator.ScenarioSpec`.

@@ -204,6 +204,17 @@ def test_evaluate_frames_cli(tmp_path):
     assert report["patient_alone"]["f1"] == 1.0
 
 
+def test_evaluate_frames_with_unmatched_frames_exits_two(tmp_path, capsys):
+    label = {"session_id": "s", "ts": 0, "boxes": [{"cls": "bed", "x": 300, "y": 250, "w": 380, "h": 240}]}
+    (tmp_path / "labels.jsonl").write_text("".join(json.dumps(dict(label, ts=i)) + "\n" for i in range(3)))
+    write_rows_jsonl([CanonicalRow(make_record("s", i)) for i in range(2)], tmp_path / "preds.jsonl")
+    argv = ["evaluate", "frames", "--labels", str(tmp_path / "labels.jsonl"), "--preds", str(tmp_path / "preds.jsonl")]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == "validation error: label/prediction frame sets differ, e.g. [('s', 2)]\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_camera_meta_cli(tmp_path):
     labels = [
         {
@@ -400,6 +411,33 @@ LABEL = {
     "ts": 1709251200,
     "boxes": [{"cls": "person", "x": 10, "y": 10, "w": 40, "h": 90, "role": "patient"}],
 }
+T0 = 1709251200
+LOGICAL = {
+    "person_alone": True,
+    "patient_alone": True,
+    "supervised_by_staff": False,
+    "moving": False,
+    "smoothed_person_count": 1.0,
+}
+HUGE = 10**400  # a JSON integer that no float can hold
+BED = {"cls": "bed", "x": 300.0, "y": 250.0, "w": 380.0, "h": 240.0, "conf": 0.9}
+# Canonical row keys, each carrying HUGE, with the name the error gives it.
+HUGE_ROW_KEYS = {
+    "box-x": ({"boxes": [dict(BED, x=HUGE)], "roles": [None]}, "box x"),
+    "motion": ({"motion": {"scene": HUGE}}, "motion scene"),
+    "count": ({"logical": {**LOGICAL, "smoothed_person_count": HUGE}}, "smoothed_person_count"),
+}
+
+
+def _row_json(ts, /, **override) -> str:
+    """A valid canonical row for roomA at ts, as JSON, with override's keys swapped in."""
+    return json.dumps({**json.loads(dumps_row(CanonicalRow(make_record("roomA", ts, ["patient"])))), **override})
+
+
+def _waypoint_track(*first) -> list:
+    return [{"role": "staff", "waypoints": [list(first), [50, 60, 60]]}]
+
+
 BAD_INPUTS = {
     "config-unknown-key": ("config", {"bogus": 1}),
     "config-bad-window": ("config", {"smoothing_window_s": 0}),
@@ -482,6 +520,18 @@ BAD_INPUTS = {
     "detections-bad-row": ("detections", '{"session_id": 5}'),
     "states-not-json": ("states", "\n\n{not json"),
     "evaluate-states-bad-row": ("evaluate-states", '\n{"session_id": "roomA"}'),
+    "config-huge-threshold": ("config", {"moving_threshold": HUGE}),
+    "spec-huge-motion": ("spec", _first_interval(motion=HUGE)),
+    "spec-huge-noise": ("spec", dict(SPEC, noise={"p_spur": HUGE})),
+    "spec-huge-zone-vertex": ("spec", dict(SPEC, zone=_zone((1, [HUGE, 300])))),
+    "spec-huge-waypoint": ("spec", dict(SPEC, tracks=_waypoint_track(0, 100, HUGE))),
+    "spec-string-waypoint": ("spec", dict(SPEC, tracks=_waypoint_track(0, "100", 10))),
+    "spec-boolean-waypoint": ("spec", dict(SPEC, tracks=_waypoint_track(0, 100, True))),
+    **{
+        f"{kind}-huge-{key}": (kind, _row_json(T0, **override))
+        for kind in ("detections", "states")
+        for key, (override, _) in HUGE_ROW_KEYS.items()
+    },
 }
 JSONL_KINDS = {"labels", "camera-labels", "preds", "detections", "states", "evaluate-states"}
 
@@ -526,14 +576,6 @@ def test_bad_input_file_exits_two(tmp_path, spec_path, capsys, kind, content):
         assert err.startswith(f"validation error: {bad}:1: bad frame label: ")
 
 
-T0 = 1709251200
-LOGICAL = {
-    "person_alone": True,
-    "patient_alone": True,
-    "supervised_by_staff": False,
-    "moving": False,
-    "smoothed_person_count": 1.0,
-}
 BAD_ROW_KEYS = {
     "session-int": ({"session_id": 5}, "bad canonical row: session_id must be a string, got 5"),
     "session-escapes-root": (
@@ -556,17 +598,17 @@ BAD_ROW_KEYS = {
         "bad canonical row: smoothed_person_count must be a number, got '1.5'",
     ),
     "motion-bool": ({"motion": {"scene": True}}, "bad canonical row: motion scene must be a number, got True"),
+    **{
+        f"huge-{key}": (override, f"bad canonical row: {name} is out of float range: a 1329-bit integer")
+        for key, (override, name) in HUGE_ROW_KEYS.items()
+    },
 }
 
 
 def _good_then_bad(tmp_path, override) -> str:
     """A canonical file whose line 1 is valid and line 2 carries override."""
-    bad = json.loads(dumps_row(CanonicalRow(make_record("roomA", T0 + 1, ["patient"]))))
-    bad.update(override)
     path = tmp_path / "rows.jsonl"
-    path.write_text(
-        dumps_row(CanonicalRow(make_record("roomA", T0, ["patient"]))) + "\n" + json.dumps(bad) + "\n"
-    )
+    path.write_text(_row_json(T0) + "\n" + _row_json(T0 + 1, **override) + "\n")
     return str(path)
 
 

@@ -439,6 +439,54 @@ class TestRunPipeline:
         assert any(p.name == "crossings.jsonl" for p in frames_tree)
         assert tree(tmp_path / "replay") == frames_tree
 
+    @pytest.mark.parametrize("mode", ["frames", "replay"])
+    def test_session_step_returns_what_run_pipeline_stores_without_a_store(self, tmp_path, monkeypatch, mode):
+        from dataclasses import asdict
+
+        from ward_sentinel.simulator import OccupantTrack
+        from ward_sentinel.store import SessionWriter
+
+        zone = ((400.0, 300.0), (700.0, 300.0), (700.0, 560.0), (400.0, 560.0))
+        track = OccupantTrack("staff", ((2, 100.0, 430.0), (7, 650.0, 430.0)))
+        spec = _scenario(
+            duration=8,
+            schedule=(ScheduleInterval(0, 8, patients=1, motion=1.0),),
+            tracks=(track,),
+            zone=zone,
+            noise=NoiseModel(p_miss=0.1, p_spur=0.1, p_role=0.1),
+        )
+        sim = generate(spec, CFG)
+        cfg = PipelineConfig(zones={"sim": zone})
+        gap = spec.start_ts + 2
+        if mode == "frames":
+            frames = [f for f in sim.frames() if f.ts != gap]
+            items, detector = list(frame_source(frames)), SyntheticDetector(sim)
+        else:
+            rows = [CanonicalRow(r, sim.motions.get(r.ts)) for r in sim.records if r.ts != gap]
+            items, detector = list(rows_source(rows)), None
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a step touched the store")
+
+        with monkeypatch.context() as m:
+            for owner, attr in ((Store, "__init__"), (Store, "writer"), (SessionWriter, "__init__")):
+                m.setattr(owner, attr, refuse)
+            state = pipeline._SessionState(cfg, "sim")
+            lines, events = [], []
+            for item in items:
+                row, crossings = state.step(item, detector)
+                lines.append(dumps_row(row))
+                events += [asdict(e) for e in crossings]
+        assert not any(isinstance(v, (Store, SessionWriter)) for v in vars(state).values())
+
+        stats = run_pipeline(iter(items), cfg, Store(tmp_path / "store"), detector=detector)
+        session = tmp_path / "store" / "sessions" / "sim"
+        stored = [line for seg in stats.sealed_segments if not seg.endswith("crossings.jsonl")
+                  for line in (tmp_path / "store" / seg).read_text().splitlines()]
+        assert lines == stored and len(lines) == 7
+        assert events and events == [json.loads(c) for c in (session / "crossings.jsonl").read_text().splitlines()]
+        assert stats.crossings == len(events)
+
     def test_numpy_numbers_from_a_detector_port_store_the_bytes_of_equal_python_numbers(self, tmp_path):
         sim = generate(_scenario(duration=8, schedule=(ScheduleInterval(0, 8, patients=1, staff=1),)), CFG)
 
