@@ -123,7 +123,7 @@ def _cmd_run(args, cfg) -> int:
                 CanonicalRow(r, sim.motions.get(r.ts)) for r in sim.records
             )
     else:
-        source = rows_source(read_rows_jsonl(args.detections))
+        source = rows_source(parse_jsonl(args.detections, loads_row))
     stats = run_pipeline(source, cfg, store, detector=detector)
     rate = stats.rows / stats.elapsed_s if stats.elapsed_s > 0 else float("inf")
     print(

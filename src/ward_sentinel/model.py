@@ -371,12 +371,22 @@ def real_number(name: str, v):
     return v
 
 
+# A ts must fall within the UTC dates a store segment can be named by,
+# 0001-01-01 to 9999-12-31 (datetime's range), so that every date and hour
+# made from it exists.
+TS_MIN = -62135596800  # 0001-01-01T00:00:00Z
+TS_MAX = 253402300799  # 9999-12-31T23:59:59Z
+
+
 def check_session_and_ts(session_id, ts) -> None:
-    """A stored row's session_id is a str and its ts exactly an int, not a bool."""
+    """A stored row's session_id is a str and its ts exactly an int, not a
+    bool, within TS_MIN..TS_MAX."""
     if type(session_id) is not str:
         raise TypeError(f"session_id must be a string, got {session_id!r}")
     if type(ts) is not int:
         raise TypeError(f"ts must be an integer, got {ts!r}")
+    if not TS_MIN <= ts <= TS_MAX:
+        raise ValueError(f"ts {ts} is outside the UTC dates 0001-01-01 to 9999-12-31")
 
 
 def check_session_id(session_id: str) -> None:

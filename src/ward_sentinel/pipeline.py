@@ -10,11 +10,12 @@ the previous flow frame, whose pyramid expansions are kept so each frame is
 expanded once; a gap of more than one second drops it. Preprocessing builds
 the flow image straight from the captured pixels; the analysis and
 detector-resolution images are resized only when a detector port reads them,
-and after detection only the flow image is kept. The writer stages every row
-until the run ends, so memory grows with run length, and resuming a session
-on the same UTC date rewrites that date's segment (ROADMAP.md, item 1). Within
-a session the stages are strictly sequential (flow needs the previous frame,
-the window needs order).
+and after detection only the flow image is kept. The writer streams rows into
+`.tmp` segments in fixed chunks, so memory does not grow with run length; a
+run that raises discards every writer's `.tmp` files, so the store is left
+as it was. Resuming a session on the same UTC date still rewrites that date's
+segment (ROADMAP.md, item 1). Within a session the stages are strictly
+sequential (flow needs the previous frame, the window needs order).
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .model import (
 )
 from .schema import CanonicalRow, jsonl_lines, loads_row
 from .simulator import SimulationResult
-from .store import SessionWriter, Store
+from .store import SessionWriter, Store, discard
 
 MIN_INPUT_DIM = 64
 
@@ -282,25 +283,30 @@ def run_pipeline(
 
     A session's writer is made when its first item arrives, before any
     inference; each second's crossings, then its row, go to it, and every
-    writer seals once the source is exhausted.
+    writer seals once the source is exhausted. On any exception, from the
+    source included, every writer is discarded before it propagates.
     """
     t0 = time.perf_counter()
     table: dict[str, tuple[_SessionState, SessionWriter]] = {}
     rows = crossings = 0
-    for item in source:
-        entry = table.get(item.session_id)
-        if entry is None:
-            writer = store.writer(item.session_id)
-            entry = table[item.session_id] = (_SessionState(cfg, item.session_id), writer)
-        st, writer = entry
-        row, events = st.step(item, detector)
-        if events:
-            for event in events:
-                writer.append_crossing(event)
-            crossings += len(events)
-        writer.append(row)
-        rows += 1
-    sealed = [rel for _, writer in table.values() for rel in writer.seal()]
+    try:
+        for item in source:
+            entry = table.get(item.session_id)
+            if entry is None:
+                writer = store.writer(item.session_id)
+                entry = table[item.session_id] = (_SessionState(cfg, item.session_id), writer)
+            st, writer = entry
+            row, events = st.step(item, detector)
+            if events:
+                for event in events:
+                    writer.append_crossing(event)
+                crossings += len(events)
+            writer.append(row)
+            rows += 1
+        sealed = [rel for _, writer in table.values() for rel in writer.seal()]
+    except BaseException:
+        discard(writer for _, writer in table.values())
+        raise
     return PipelineStats(len(table), rows, crossings, time.perf_counter() - t0, sealed)
 
 
@@ -383,7 +389,9 @@ def ingest_external(path, adapter: str, store: Store) -> IngestReport:
     The adapter yields (line number, parse) pairs. Each row is parsed and
     validated; one that fails either step, or repeats an earlier row's
     session and ts, is rejected with its line number and the rest are
-    ingested. Re-ingesting the same file leaves the store byte-identical.
+    ingested. Every session is written before any is sealed, and on any
+    exception every writer is discarded. Re-ingesting the same file leaves the
+    store byte-identical.
     """
     if adapter not in ADAPTERS:
         raise UnknownAdapter(f"unknown adapter {adapter!r}; available: {tuple(ADAPTERS)}")
@@ -403,12 +411,16 @@ def ingest_external(path, adapter: str, store: Store) -> IngestReport:
             continue
         rows[key] = CanonicalRow(rec, row.motion, row.logical)
 
-    sealed: list[str] = []
-    for sid, group in groupby(sorted(rows.items()), key=lambda pair: pair[0][0]):
-        writer = store.writer(sid)
-        for _, row in group:
-            writer.append(row)
-        sealed.extend(writer.seal())
+    writers: list[SessionWriter] = []
+    try:
+        for sid, group in groupby(sorted(rows.items()), key=lambda pair: pair[0][0]):
+            writers.append(store.writer(sid))
+            for _, row in group:
+                writers[-1].append(row)
+        sealed = [rel for writer in writers for rel in writer.seal()]
+    except BaseException:
+        discard(writers)
+        raise
     return IngestReport(
         rows_ok=len(rows),
         rows_rejected=len(errors),

@@ -145,6 +145,7 @@ class ScenarioSpec:
         check_int("seed", self.seed, 0)
         check_int("duration_s", self.duration_s, 1)
         check_session_and_ts(self.session_id, self.start_ts)
+        check_session_and_ts(self.session_id, self.start_ts + self.duration_s - 1)
         check_session_id(self.session_id)
         w, h = self.raw_frame_dims
         dims = (check_int("raw frame width", w, 1), check_int("raw frame height", h, 1))

@@ -6,25 +6,32 @@ Layout:
     <root>/sessions/<session_id>/<YYYY-MM-DD>.jsonl
     <root>/sessions/<session_id>/crossings.jsonl      # only when produced
 
-Segments are staged in memory and written whole at seal time; sealing a
-session again on the same date overwrites that date's segment. The manifest
-records a sha256 and row count per segment so integrity is checkable
-offline. Writing the same content twice yields byte-identical files, which
-makes re-ingest idempotent.
+A writer streams each segment into `<name>.tmp` next to it, CHUNK_LINES
+encoded lines at a time, keeping the segment's sha256 and row count as it
+goes, so its memory is constant however long the run. Sealing moves each
+`.tmp` into place with `os.replace` and records the sha256 and row count in
+the manifest, so integrity is checkable offline; the manifest itself is
+replaced through `manifest.json.tmp`. Sealing a session again on the same
+date overwrites that date's segment. A failed run discards its writers,
+which deletes their `.tmp` files and the directories they made, so the store
+is left as it was. Writing the same content twice yields byte-identical
+files, which makes re-ingest idempotent.
 
 Readers follow the manifest, not the directory: `iter_rows` and `verify`
 share one walk of its keys, which must read sessions/<session id>/<name>.jsonl
-and must exist on disk, and a file the manifest does not list is never read.
+and must exist on disk, and a file the manifest does not list (a `.tmp` file
+among them) is never read.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 from datetime import datetime, timezone
 from functools import cache
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import MalformedRecord, NonMonotonicTimestamp, SchemaMismatch, ValidationError
 from .geometry import CrossingEvent
@@ -32,11 +39,14 @@ from .model import check_session_id
 from .schema import DECODER, ENCODER, SCHEMA_VERSION, CanonicalRow, dumps_row, loads_row, parse_jsonl
 
 MANIFEST_NAME = "manifest.json"
+# Encoded lines a segment buffers before they are appended to its .tmp file:
+# enough that a flush costs little per row, few enough that memory stays flat.
+CHUNK_LINES = 512
 
 
 @cache
 def _date_str(day: int) -> str:
-    """The UTC date of a day number, ts // 86400."""
+    """The UTC date of a day number, ts // 86400 (model.TS_MIN..TS_MAX keeps it in range)."""
     return datetime.fromtimestamp(day * 86400, tz=timezone.utc).date().isoformat()
 
 
@@ -53,12 +63,8 @@ def _key_parts(rel: str) -> list[str]:
     raise ValidationError(f"manifest segment key {rel!r} is not sessions/<session id>/<name>.jsonl")
 
 
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def _file_sha256(path: Path) -> str:
-    """_sha256 of a file's bytes, read in 1 MiB chunks so no segment is held whole."""
+    """The sha256 hex digest of a file's bytes, read in 1 MiB chunks so no segment is held whole."""
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         while chunk := fh.read(1 << 20):
@@ -94,12 +100,13 @@ class Store:
         return manifest
 
     def _save_manifest(self, manifest: dict) -> None:
-        self.manifest_path.write_text(
-            json.dumps(manifest, sort_keys=True, indent=1) + "\n"
-        )
+        """Write the manifest whole to a .tmp file, then replace the old one with it."""
+        tmp = self.root / f"{MANIFEST_NAME}.tmp"
+        tmp.write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
+        os.replace(tmp, self.manifest_path)
 
     def writer(self, session_id: str) -> "SessionWriter":
-        """A session's writer; a bad manifest fails here, before any row is staged."""
+        """A session's writer; a bad manifest fails here, before any row is written."""
         check_session_id(session_id)
         self.load_manifest()
         return SessionWriter(self, session_id)
@@ -129,35 +136,74 @@ class Store:
         return len(segments)
 
 
+class _Segment:
+    """One segment being written: its file name, the lines not yet flushed to
+    its .tmp file, and the running sha256 and row count of those that were."""
+
+    __slots__ = ("name", "lines", "digest", "rows")
+
+    def __init__(self, name: str):
+        self.name = name
+        self.lines: list[str] = []
+        self.digest = hashlib.sha256()
+        self.rows = 0
+
+
 class SessionWriter:
-    """Stages one session's rows and seals them into dated segments."""
+    """Streams one session's rows into dated .tmp segments and seals them into place.
+
+    A row goes to its UTC date's segment and a crossing to crossings.jsonl.
+    Each segment buffers CHUNK_LINES lines, then appends them to its .tmp file,
+    opened and closed per flush so that no descriptor stays open between rows,
+    and a date's buffer is flushed when the next date begins. The session
+    directory is made at the first flush. After `seal` the writer starts
+    afresh: rows appended then go to new segments, as with a new writer.
+    """
 
     def __init__(self, store: Store, session_id: str):
         self.store = store
         self.session_id = session_id
-        self._rows: dict[str, list[str]] = {}
-        self._crossings: list[str] = []
+        self.dir = store.root / "sessions" / session_id
+        self._dates: list[_Segment] = []  # in date order; rows arrive in ts order
+        self._day: Optional[int] = None  # the day number of self._dates[-1]
+        self._crossings: Optional[_Segment] = None
+        self._made: list[Path] = []  # directories this writer made, innermost first
         self._last_ts: Optional[int] = None
 
     def append(self, row: CanonicalRow) -> None:
         rec = row.record
+        ts = rec.ts
         if rec.session_id != self.session_id:
             raise ValidationError(
                 f"row for session {rec.session_id} in writer for {self.session_id}"
             )
-        if self._last_ts is not None and rec.ts <= self._last_ts:
+        if self._last_ts is not None and ts <= self._last_ts:
             raise NonMonotonicTimestamp(
-                f"session {self.session_id}: ts {rec.ts} after {self._last_ts}"
+                f"session {self.session_id}: ts {ts} after {self._last_ts}"
             )
-        self._last_ts = rec.ts
-        self._rows.setdefault(_date_str(rec.ts // 86400), []).append(dumps_row(row))
+        self._last_ts = ts
+        if ts // 86400 != self._day:
+            self._start_day(ts // 86400)
+        seg = self._dates[-1]
+        seg.lines.append(dumps_row(row))
+        if len(seg.lines) == CHUNK_LINES:
+            self._flush(seg)
+
+    def _start_day(self, day: int) -> None:
+        if self._dates and self._dates[-1].lines:
+            self._flush(self._dates[-1])
+        self._dates.append(_Segment(f"{_date_str(day)}.jsonl"))
+        self._day = day
 
     def append_crossing(self, event: CrossingEvent) -> None:
         if event.session_id != self.session_id:
             raise ValidationError(
                 f"crossing for session {event.session_id} in writer for {self.session_id}"
             )
-        self._crossings.append(
+        if self._crossings is None:
+            self._crossings = _Segment("crossings.jsonl")
+        seg = self._crossings
+        seg.lines.append(
             ENCODER.encode(
                 {
                     "session_id": event.session_id,
@@ -167,22 +213,67 @@ class SessionWriter:
                 }
             )
         )
+        if len(seg.lines) == CHUNK_LINES:
+            self._flush(seg)
+
+    def _segments(self) -> list[_Segment]:
+        """Every segment of this writer, in seal order: dates, then crossings."""
+        return self._dates + ([self._crossings] if self._crossings else [])
+
+    def _make_dir(self) -> None:
+        """Make the session directory, noting each directory made, if it is missing."""
+        missing = []
+        d = self.dir
+        while not d.exists():
+            missing.append(d)
+            d = d.parent
+        self.dir.mkdir(parents=True, exist_ok=True)
+        self._made += missing
+
+    def _flush(self, seg: _Segment) -> None:
+        """Append a segment's buffered lines to its .tmp file; its first flush
+        truncates a .tmp file that an earlier, killed run left behind."""
+        data = ("\n".join(seg.lines) + "\n").encode()
+        first = not seg.rows
+        seg.rows += len(seg.lines)
+        seg.lines.clear()
+        seg.digest.update(data)
+        if first:
+            self._make_dir()
+        with open(self.dir / f"{seg.name}.tmp", "wb" if first else "ab") as fh:
+            fh.write(data)
 
     def seal(self) -> list[str]:
-        """Write segments and register them in the manifest; returns rel paths."""
+        """Move the segments into place and register them in the manifest; returns rel paths."""
         manifest = self.store.load_manifest()
-        session_dir = self.store.root / "sessions" / self.session_id
-        session_dir.mkdir(parents=True, exist_ok=True)
+        self._make_dir()
         sealed = []
-        targets = {f"{d}.jsonl": lines for d, lines in sorted(self._rows.items())}
-        if self._crossings:
-            targets["crossings.jsonl"] = self._crossings
-        for name, lines in targets.items():
-            data = ("\n".join(lines) + "\n").encode()
-            path = session_dir / name
-            path.write_bytes(data)
-            rel = str(path.relative_to(self.store.root))
-            manifest["segments"][rel] = {"sha256": _sha256(data), "rows": len(lines)}
+        for seg in self._segments():
+            if seg.lines:
+                self._flush(seg)
+            os.replace(self.dir / f"{seg.name}.tmp", self.dir / seg.name)
+            rel = f"sessions/{self.session_id}/{seg.name}"
+            manifest["segments"][rel] = {"sha256": seg.digest.hexdigest(), "rows": seg.rows}
             sealed.append(rel)
         self.store._save_manifest(manifest)
+        self._dates, self._day, self._crossings, self._made = [], None, None, []
         return sealed
+
+    def discard(self) -> None:
+        """Delete this writer's .tmp files and the directories it made, if empty;
+        what it sealed stays."""
+        for seg in self._segments():
+            (self.dir / f"{seg.name}.tmp").unlink(missing_ok=True)
+        for d in self._made:
+            try:
+                d.rmdir()
+            except OSError:  # it holds another writer's directory or a sealed file
+                break
+
+
+def discard(writers: Iterable[SessionWriter]) -> None:
+    """Discard each writer of a failed run. At most one of them made the shared
+    parent directories (the first to flush); it goes last, once the others'
+    session directories inside them are gone."""
+    for writer in sorted(writers, key=lambda w: len(w._made)):
+        writer.discard()

@@ -13,7 +13,7 @@ from ward_sentinel.evaluation import trend_accuracy
 from ward_sentinel.logic import LogicalState
 from ward_sentinel.model import PipelineConfig
 from ward_sentinel.pipeline import rows_source
-from ward_sentinel.store import Store
+from ward_sentinel.store import SessionWriter, Store
 from ward_sentinel.trends import read_observation_csv
 from ward_sentinel.schema import dumps_row, write_rows_jsonl, CanonicalRow
 
@@ -491,6 +491,13 @@ BAD_INPUTS = {
         "spec", dict(SPEC, schedule=[dict(SPEC["schedule"][0], end_s=300.9), SPEC["schedule"][1]]),
     ),
     "spec-float-start-ts": ("spec", dict(SPEC, start_ts=1709251200.0)),
+    "spec-start-ts-past-9999": ("spec", dict(SPEC, start_ts=253402300800)),
+    "spec-start-ts-before-year-1": ("spec", dict(SPEC, start_ts=-10**14)),
+    "spec-last-ts-past-9999": ("spec", dict(SPEC, start_ts=253402300799 - 598)),
+    "scenario-start-ts-huge": ("scenario", dict(SPEC, start_ts=86400 * 10**12)),
+    "detections-ts-past-9999": ("detections", _row_json(T0, ts=253402300800)),
+    "detections-ts-huge": ("detections", _row_json(T0) + "\n" + _row_json(T0, ts=86400 * 10**12)),
+    "states-ts-before-year-1": ("states", _row_json(T0, ts=-10**14)),
     "spec-string-motion": ("spec", _first_interval(motion="0.5")),
     "spec-boolean-motion": ("spec", _first_interval(motion=True)),
     "spec-fractional-waypoint-time": (
@@ -589,6 +596,9 @@ BAD_ROW_KEYS = {
     "ts-float": ({"ts": T0 + 1.4}, f"bad canonical row: ts must be an integer, got {T0 + 1.4!r}"),
     "ts-string": ({"ts": str(T0 + 1)}, f"bad canonical row: ts must be an integer, got '{T0 + 1}'"),
     "ts-bool": ({"ts": True}, "bad canonical row: ts must be an integer, got True"),
+    "ts-past-9999": (
+        {"ts": 253402300800}, "bad canonical row: ts 253402300800 is outside the UTC dates 0001-01-01 to 9999-12-31"
+    ),
     "flag-string": (
         {"logical": {**LOGICAL, "person_alone": "false"}},
         "bad canonical row: logical person_alone must be true or false, got 'false'",
@@ -660,6 +670,22 @@ def test_rejected_input_creates_no_store(tmp_path, capsys, kind):
     bad.write_text(content)
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("validation error: ")
+    assert not store.exists()
+
+
+def test_run_detections_bad_line_after_a_flushed_chunk_leaves_no_store(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "rows.jsonl"
+    lines = [_row_json(T0 + i) for i in range(1500)]
+    lines[999] = "{not json"
+    path.write_text("\n".join(lines) + "\n")
+    store = tmp_path / "store"
+    flushed = []
+    real_flush = SessionWriter._flush
+    monkeypatch.setattr(SessionWriter, "_flush", lambda w, seg: flushed.append(seg.rows) or real_flush(w, seg))
+    assert main(["run", "--detections", str(path), "--out", str(store)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"validation error: {path}:1000: invalid JSON: ")
+    assert flushed == [0]  # the run had written its first chunk before it read line 1000
     assert not store.exists()
 
 

@@ -17,6 +17,8 @@ from ward_sentinel.model import (
     DetectionRecord,
     Frame,
     PipelineConfig,
+    TS_MAX,
+    TS_MIN,
     RoleDistribution,
     slot_init,
     validate_record,
@@ -554,7 +556,7 @@ SCORES = (
 MAGNITUDES = (0.0, -0.0, 5e-324, 1e16, 2**70, 3, 0.1 + 0.2)
 COUNTS = (0, 2, 1.5, -0.0, 5e-324, 1e16, 2**70)
 SESSION_IDS = ("s", 'quo"te', "back\\slash", "caf\u00e9", "line\u2028sep", "ctrl\x01", "")
-TIMESTAMPS = (0, -5, 1_709_251_200, 2**70)
+TIMESTAMPS = (0, -5, 1_709_251_200, TS_MIN, TS_MAX)  # the first and last second of the calendar
 
 
 def _expected_obj(row: CanonicalRow) -> dict:
@@ -639,6 +641,11 @@ CONSTRUCTOR_REJECTS = {
     "session-int": (DetectionRecord, {"session_id": 7}, "session_id must be a string, got 7"),
     "ts-bool": (DetectionRecord, {"ts": True}, "ts must be an integer, got True"),
     "ts-float": (DetectionRecord, {"ts": 7.0}, "ts must be an integer, got 7.0"),
+    "ts-past-9999": (DetectionRecord, {"ts": TS_MAX + 1}, f"ts {TS_MAX + 1} is outside the UTC dates 0001-01-01 to 9999-12-31"),
+    "ts-before-year-1": (DetectionRecord, {"ts": TS_MIN - 1}, f"ts {TS_MIN - 1} is outside the UTC dates 0001-01-01 to 9999-12-31"),
+    "label-ts-huge": (FrameLabel, {"ts": 86400 * 10**12}, f"ts {86400 * 10**12} is outside the UTC dates 0001-01-01 to 9999-12-31"),
+    "motion-ts-huge": (MotionRecord, {"ts": -10**14}, f"ts {-10**14} is outside the UTC dates 0001-01-01 to 9999-12-31"),
+    "logical-ts-huge": (LogicalState, {"ts": 2**70}, f"ts {2**70} is outside the UTC dates 0001-01-01 to 9999-12-31"),
     "label-session-int": (FrameLabel, {"session_id": 7}, "session_id must be a string, got 7"),
     "label-ts-bool": (FrameLabel, {"ts": True}, "ts must be an integer, got True"),
     "motion-session-int": (MotionRecord, {"session_id": 7}, "session_id must be a string, got 7"),

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import re
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,7 +52,9 @@ from ward_sentinel.pipeline import (
 )
 from ward_sentinel.schema import CanonicalRow, dumps_row, write_rows_jsonl
 from ward_sentinel.simulator import NoiseModel, ScenarioSpec, ScheduleInterval, generate
-from ward_sentinel.store import Store
+from ward_sentinel import store as store_mod
+from ward_sentinel.model import TS_MAX, TS_MIN
+from ward_sentinel.store import CHUNK_LINES, Store
 
 from conftest import make_record
 
@@ -717,6 +721,146 @@ class TestStore:
         for read in (store.load_manifest, store.verify, lambda: list(store.iter_rows())):
             with pytest.raises(ValidationError, match=re.escape(str(store.manifest_path))):
                 read()
+
+
+def _tree(root) -> dict:
+    """Every path under root, files mapped to their bytes and directories to None."""
+    return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+class TestStreamingWriter:
+    T = 1_709_251_200  # 2024-03-01T00:00:00Z
+
+    def _rows(self, sid, n, start=T):
+        return [CanonicalRow(make_record(sid, ts, ["patient"])) for ts in range(start, start + n)]
+
+    def test_a_full_chunk_goes_to_the_tmp_file_and_seal_moves_it_into_place(self, tmp_path):
+        store = Store(tmp_path / "store")
+        w = store.writer("s")
+        rows = self._rows("s", CHUNK_LINES + 3)
+        for row in rows[:CHUNK_LINES - 1]:
+            w.append(row)
+        assert not store.root.exists()  # nothing is written before the first chunk fills
+        for row in rows[CHUNK_LINES - 1:]:
+            w.append(row)
+        tmp = store.root / "sessions" / "s" / "2024-03-01.jsonl.tmp"
+        assert tmp.read_text() == "".join(dumps_row(r) + "\n" for r in rows[:CHUNK_LINES])
+        assert [p.name for p in store.root.rglob("*") if p.is_file()] == [tmp.name]
+        assert w.seal() == ["sessions/s/2024-03-01.jsonl"]
+        data = "".join(dumps_row(r) + "\n" for r in rows).encode()
+        assert (store.root / "sessions" / "s" / "2024-03-01.jsonl").read_bytes() == data
+        assert store.load_manifest()["segments"] == {
+            "sessions/s/2024-03-01.jsonl": {"sha256": hashlib.sha256(data).hexdigest(), "rows": len(rows)}
+        }
+        assert sorted(p.name for p in store.root.rglob("*")) == ["2024-03-01.jsonl", "manifest.json", "s", "sessions"]
+
+    def test_a_date_change_flushes_the_previous_date(self, tmp_path):
+        store = Store(tmp_path / "store")
+        w = store.writer("s")
+        for row in self._rows("s", 3, self.T - 2):
+            w.append(row)
+        session = store.root / "sessions" / "s"
+        assert sorted(p.name for p in session.iterdir()) == ["2024-02-29.jsonl.tmp"]
+        assert len((session / "2024-02-29.jsonl.tmp").read_text().splitlines()) == 2
+        assert w.seal() == ["sessions/s/2024-02-29.jsonl", "sessions/s/2024-03-01.jsonl"]
+
+    def test_first_flush_truncates_a_tmp_file_left_by_a_killed_run(self, tmp_path):
+        store = Store(tmp_path / "store")
+        session = store.root / "sessions" / "s"
+        session.mkdir(parents=True)
+        (session / "2024-03-01.jsonl.tmp").write_text("left over\n")
+        w = store.writer("s")
+        rows = self._rows("s", 2)
+        for row in rows:
+            w.append(row)
+        w.seal()
+        assert (session / "2024-03-01.jsonl").read_text() == "".join(dumps_row(r) + "\n" for r in rows)
+        assert [r.record.ts for r in store.iter_rows()] == [self.T, self.T + 1]
+
+    def test_rows_at_the_ends_of_the_calendar_are_stored(self, tmp_path):
+        store = Store(tmp_path / "store")
+        w = store.writer("s")
+        for ts in (TS_MIN, TS_MAX):
+            w.append(CanonicalRow(make_record("s", ts)))
+        assert w.seal() == ["sessions/s/0001-01-01.jsonl", "sessions/s/9999-12-31.jsonl"]
+        assert [r.record.ts for r in store.iter_rows()] == [TS_MIN, TS_MAX]
+
+    def test_manifest_is_replaced_through_a_tmp_file(self, tmp_path, monkeypatch):
+        store = Store(tmp_path / "store")
+        w = store.writer("s")
+        w.append(CanonicalRow(make_record("s", self.T)))
+        w.seal()
+        before = store.manifest_path.read_bytes()
+        replaced = []
+        real_replace = store_mod.os.replace
+
+        def replace(src, dst):
+            replaced.append((Path(src).name, Path(dst).name))
+            if Path(dst).name == "manifest.json":
+                raise OSError("disk gone")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(store_mod.os, "replace", replace)
+        w = store.writer("t")
+        w.append(CanonicalRow(make_record("t", self.T)))
+        with pytest.raises(OSError, match="disk gone"):
+            w.seal()
+        assert replaced == [("2024-03-01.jsonl.tmp", "2024-03-01.jsonl"), ("manifest.json.tmp", "manifest.json")]
+        assert store.manifest_path.read_bytes() == before  # never half written
+        monkeypatch.undo()
+        w = store.writer("t")
+        w.append(CanonicalRow(make_record("t", self.T)))
+        w.seal()
+        manifest = store.load_manifest()
+        assert store.manifest_path.read_text() == json.dumps(manifest, sort_keys=True, indent=1) + "\n"
+        assert not (store.root / "manifest.json.tmp").exists()
+
+    def _old_store(self, root) -> Store:
+        store = Store(root)
+        w = store.writer("old")
+        for row in self._rows("old", 5):
+            w.append(row)
+        w.append_crossing(CrossingEvent("old", self.T + 1, "exit", 0))
+        w.seal()
+        return store
+
+    @pytest.mark.parametrize("existing", [True, False], ids=["existing-store", "new-store"])
+    @pytest.mark.parametrize("entry", ["run_pipeline", "ingest_external"])
+    def test_failed_run_leaves_the_store_as_it_was(self, tmp_path, monkeypatch, entry, existing):
+        root = tmp_path / "store"
+        store = self._old_store(root) if existing else Store(root)
+        before = _tree(tmp_path)
+        n = CHUNK_LINES + 90  # rows per session: each fills one chunk before the error
+        a, b = self._rows("a", n), self._rows("b", n)
+        if entry == "run_pipeline":
+            call = partial(run_pipeline, rows_source(r for pair in zip(a, b) for r in pair), CFG, store)
+        else:
+            path = tmp_path / "in.jsonl"
+            write_rows_jsonl(b + a, path)
+            call = partial(ingest_external, path, "canonical", store)
+            before = _tree(tmp_path)
+        real_dumps, calls, tmp_seen = store_mod.dumps_row, [], []
+
+        def failing_dumps(row):
+            calls.append(row)
+            if len(calls) == 2 * n - 20:  # after a's and b's first flush
+                tmp_seen.extend(sorted(p.relative_to(root) for p in root.rglob("*.tmp")))
+                raise RuntimeError("encoder fault")
+            return real_dumps(row)
+
+        monkeypatch.setattr(store_mod, "dumps_row", failing_dumps)
+        with pytest.raises(RuntimeError, match="encoder fault"):
+            call()
+        assert [str(p) for p in tmp_seen] == ["sessions/a/2024-03-01.jsonl.tmp", "sessions/b/2024-03-01.jsonl.tmp"]
+        assert _tree(tmp_path) == before
+
+    def test_successful_run_leaves_no_tmp_file(self, tmp_path):
+        store = self._old_store(tmp_path / "store")
+        n = 2 * CHUNK_LINES + 5
+        run_pipeline(rows_source(self._rows("a", n)), CFG, store)
+        assert not list(store.root.rglob("*.tmp"))
+        assert store.verify() == 3
+        assert [r.record.ts for r in store.iter_rows("a")] == list(range(self.T, self.T + n))
 
 
 class TestIngest:

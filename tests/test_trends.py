@@ -481,9 +481,10 @@ def test_ts_outside_int64_is_rejected(bad):
     message = f"ts must be an integer within int64, got {bad!r}"
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         log_to_states(ObservationLog("s", ()), grid)
-    if type(bad) is not int:  # no LogicalState holds it
+    # No LogicalState holds it: an int past int64 is outside the calendar too.
+    if type(bad) is not int:
         with pytest.raises(TypeError, match=f"^ts must be an integer, got {re.escape(repr(bad))}$"):
             make_state(bad)
-        return
-    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-        aggregate_hourly([make_state(ts) for ts in grid])
+    else:
+        with pytest.raises(ValueError, match=f"^ts {bad} is outside the UTC dates 0001-01-01 to 9999-12-31$"):
+            make_state(bad)
