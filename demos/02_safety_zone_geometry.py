@@ -2,11 +2,12 @@
 """Safety-zone geometry: expansion, rasterization, boundary crossings.
 
 A monitor draws a polygon around the patient area; the pipeline expands its
-perimeter by 10%, rasterizes it to a pixel mask, and watches person anchors
-(bottom-center of each person box) cross the boundary.
+perimeter by 10%, rasterizes it to a pixel mask for motion, and watches person
+anchors (bottom-center of each person box) cross the boundary, testing only
+the pixel under each anchor.
 """
 
-from ward_sentinel import Polygon, anchor_point, detect_crossings, expand_polygon, rasterize
+from ward_sentinel import Polygon, Zone, anchor_point, detect_crossings, expand_polygon, rasterize
 from ward_sentinel.model import BoundingBox, DetectionRecord, RoleDistribution
 
 zone = Polygon(((40, 40), (160, 40), (160, 160), (40, 160)))
@@ -19,6 +20,7 @@ print(f"vertices: {grown.vertices}")
 mask = rasterize(grown, 200, 200)
 print(f"rasterized at 200x200: {mask.count()} pixels set "
       f"({100 * mask.count() / (200 * 200):.1f}% of frame)")
+zone_200 = Zone(grown, 200, 200)  # the same membership, one point at a time
 
 
 def person_at(ts, x, y):
@@ -31,10 +33,10 @@ def person_at(ts, x, y):
 inside = person_at(100, 100, 150)
 outside = person_at(101, 100, 183)
 print(f"\nanchor {anchor_point(inside.boxes[0])} -> {anchor_point(outside.boxes[0])}")
-for event in detect_crossings(inside, outside, mask):
+for event in detect_crossings(inside, outside, zone_200):
     print(f"crossing: {event.direction} at ts={event.ts} (person {event.person_index})")
 
 # a far teleport exceeds the matching gate (15% of the frame diagonal): the
 # anchors stay unmatched and no spurious event fires
 teleport = person_at(101, 30, 30)
-print(f"teleport case emits {len(detect_crossings(inside, teleport, mask))} events")
+print(f"teleport case emits {len(detect_crossings(inside, teleport, zone_200))} events")

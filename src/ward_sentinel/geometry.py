@@ -1,17 +1,18 @@
 """Polygonal regions of interest: safety-zone expansion, rasterization,
 containment, and boundary-crossing detection.
 
-The safety zone arrives as a polygon drawn by the virtual monitor. Its pixel
-mask is produced by uniformly scaling the polygon about its area centroid
-(scaling by 1+f multiplies the perimeter by exactly 1+f) and rasterizing with
-the even-odd rule at pixel centers.
+The safety zone arrives as a polygon drawn by the virtual monitor and is
+scaled uniformly about its area centroid (scaling by 1+f multiplies the
+perimeter by exactly 1+f). Membership is the even-odd rule at pixel centers:
+`rasterize` builds the whole pixel mask, which flow reads, and a `Zone`
+answers for the one pixel under a point, which is all that crossing
+detection reads, bit for bit as the mask would.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -124,13 +125,6 @@ class RoiMask:
     def count(self) -> int:
         return int(self.bits.sum())
 
-    def contains(self, x: float, y: float) -> bool:
-        """Membership of the pixel under a continuous point, clamped to frame."""
-        px, py = math.floor(x), math.floor(y)
-        px = 0 if px < 0 else self.width - 1 if px >= self.width else px
-        py = 0 if py < 0 else self.height - 1 if py >= self.height else py
-        return self.bits.item(py, px)
-
 
 @dataclass(frozen=True)
 class CrossingEvent:
@@ -183,6 +177,68 @@ def rasterize(p: Polygon, width: int, height: int, kind: str = "safety_zone") ->
     return RoiMask(kind, width, height, crossings % 2 == 1)
 
 
+class Zone:
+    """A safety-zone polygon in a width x height frame, without its mask.
+
+    `contains(x, y)` is the bit that `rasterize(polygon, width, height)` sets
+    for the pixel under the point clamped to the frame: the even-odd rule of
+    `rasterize`, in the same float arithmetic, at that pixel's center. A zone
+    also keeps the crossing facts of the last record it judged, so a record
+    that `detect_crossings` sees as `cur` and then as `prev` is judged once.
+    """
+
+    __slots__ = ("polygon", "width", "height", "gate", "_edges", "_last")
+
+    def __init__(self, polygon: Polygon, width: int, height: int):
+        if width < 1 or height < 1:
+            raise ValueError("zone dimensions must be >= 1")
+        self.polygon, self.width, self.height = polygon, width, height
+        self.gate = MATCH_GATE_DIAG_FRACTION * float(np.hypot(width, height))
+        verts = polygon.vertices
+        # (x1, y1, y2, x2 - x1, y2 - y1) per edge; a horizontal edge never
+        # crosses a pixel-center row, as in rasterize.
+        self._edges = tuple(
+            (x1, y1, y2, x2 - x1, y2 - y1)
+            for (x1, y1), (x2, y2) in zip(verts, verts[1:] + verts[:1])
+            if y1 != y2
+        )
+        self._last: tuple = (None, None)
+
+    def contains(self, x: float, y: float) -> bool:
+        """Membership of the pixel under a continuous point, clamped to frame."""
+        px, py = math.floor(x), math.floor(y)
+        xc = (0 if px < 0 else self.width - 1 if px >= self.width else px) + 0.5
+        yc = (0 if py < 0 else self.height - 1 if py >= self.height else py) + 0.5
+        inside = False
+        for x1, y1, y2, run, rise in self._edges:
+            # rasterize's crossing test for one row and column: an edge
+            # strictly to the right of the pixel center.
+            if (y1 > yc) != (y2 > yc) and x1 + (yc - y1) * run / rise > xc:
+                inside = not inside
+        return inside
+
+    def crossing_facts(
+        self, rec: DetectionRecord
+    ) -> tuple[list[int], list[tuple[float, float]], list[bool]]:
+        """The record's person indices, their anchors and whether each anchor
+        is inside, after checking that every box fits the zone's frame."""
+        last, facts = self._last
+        if last is rec:  # records are immutable, so one object has one answer
+            return facts
+        for b in rec.boxes:
+            if b.x + b.w > self.width or b.y + b.h > self.height:
+                raise ZoneDimensionMismatch(
+                    f"box ({b.x},{b.y},{b.w},{b.h}) exceeds zone dims "
+                    f"{self.width}x{self.height}; detections and zone must "
+                    "share a coordinate space"
+                )
+        idx = rec.person_indices()
+        anchors = [anchor_point(rec.boxes[i]) for i in idx]
+        facts = idx, anchors, [self.contains(x, y) for x, y in anchors]
+        self._last = rec, facts
+        return facts
+
+
 def bed_roi_from_detection(
     rec: DetectionRecord, width: int, height: int
 ) -> Optional[RoiMask]:
@@ -205,11 +261,6 @@ def anchor_point(b: BoundingBox) -> tuple[float, float]:
     if b.cls != "person":
         raise WrongClass(f"anchor_point expects a person box, got {b.cls!r}")
     return (b.x + b.w / 2.0, b.y + b.h)
-
-
-@cache
-def _match_gate(width: int, height: int) -> float:
-    return MATCH_GATE_DIAG_FRACTION * float(np.hypot(width, height))
 
 
 def _match_anchors(
@@ -239,7 +290,7 @@ def _match_anchors(
 
 
 def detect_crossings(
-    prev: DetectionRecord, cur: DetectionRecord, zone: RoiMask
+    prev: DetectionRecord, cur: DetectionRecord, zone: Zone
 ) -> list[CrossingEvent]:
     """Zone boundary crossings between two consecutive seconds.
 
@@ -249,24 +300,11 @@ def detect_crossings(
     """
     if cur.ts != prev.ts + 1 or cur.session_id != prev.session_id:
         raise ValueError("detect_crossings expects consecutive seconds of one session")
-    for rec in (prev, cur):
-        for b in rec.boxes:
-            if b.x + b.w > zone.width or b.y + b.h > zone.height:
-                raise ZoneDimensionMismatch(
-                    f"box ({b.x},{b.y},{b.w},{b.h}) exceeds zone dims "
-                    f"{zone.width}x{zone.height}; detections and zone mask must "
-                    "share a coordinate space"
-                )
-    prev_idx = prev.person_indices()
-    cur_idx = cur.person_indices()
-    prev_anchors = [anchor_point(prev.boxes[i]) for i in prev_idx]
-    cur_anchors = [anchor_point(cur.boxes[i]) for i in cur_idx]
+    _, prev_anchors, was_inside = zone.crossing_facts(prev)
+    cur_idx, cur_anchors, is_inside = zone.crossing_facts(cur)
     events = []
-    for pi, ci in _match_anchors(prev_anchors, cur_anchors, _match_gate(zone.width, zone.height)):
-        was_inside = zone.contains(*prev_anchors[pi])
-        is_inside = zone.contains(*cur_anchors[ci])
-        if was_inside and not is_inside:
-            events.append(CrossingEvent(cur.session_id, cur.ts, "exit", cur_idx[ci]))
-        elif not was_inside and is_inside:
-            events.append(CrossingEvent(cur.session_id, cur.ts, "entry", cur_idx[ci]))
+    for pi, ci in _match_anchors(prev_anchors, cur_anchors, zone.gate):
+        was, now = was_inside[pi], is_inside[ci]
+        if was != now:
+            events.append(CrossingEvent(cur.session_id, cur.ts, "exit" if was else "entry", cur_idx[ci]))
     return events

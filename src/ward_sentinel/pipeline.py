@@ -5,17 +5,19 @@ ingest adapters feed one parse-validate loop that rejects a bad row by its line.
 
 Inference never touches the store: a session's `_SessionState.step` turns one
 second into its row and zone crossings, which `run_pipeline` hands to that
-session's store writer. The state is the smoothing window, the zone masks and
-the previous flow frame, whose pyramid expansions are kept so each frame is
-expanded once; a gap of more than one second drops it. Preprocessing builds
-the flow image straight from the captured pixels; the analysis and
-detector-resolution images are resized only when a detector port reads them,
-and after detection only the flow image is kept. The writer streams rows into
-`.tmp` segments in fixed chunks, so memory does not grow with run length; a
-run that raises discards every writer's `.tmp` files, so the store is left
-as it was. Resuming a session on the same UTC date still rewrites that date's
-segment (ROADMAP.md, item 1). Within a session the stages are strictly
-sequential (flow needs the previous frame, the window needs order).
+session's store writer. The state is the smoothing window, the safety zone
+(an exact point test at analysis resolution for crossings, a pixel mask at
+flow resolution for motion) and the previous flow frame, whose pyramid
+expansions are kept so each frame is expanded once; a gap of more than one
+second drops it. Preprocessing builds the flow image straight from the
+captured pixels; the analysis and detector-resolution images are resized only
+when a detector port reads them, and after detection only the flow image is
+kept. The writer streams rows into `.tmp` segments in fixed chunks, so memory
+does not grow with run length; a run that raises discards every writer's
+`.tmp` files, so the store is left as it was. Resuming a session on the same
+UTC date still rewrites that date's segment (ROADMAP.md, item 1). Within a
+session the stages are strictly sequential (flow needs the previous frame, the
+window needs order).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 
 from .errors import AdapterError, MalformedRecord, SchemaMismatch, TooSmallInput, UnknownAdapter, ValidationError
 from .flow import FlowFrame, MotionRecord, farneback_flow, roi_motion
-from .geometry import CrossingEvent, Polygon, RoiMask, bed_roi_from_detection, detect_crossings, expand_polygon, rasterize
+from .geometry import CrossingEvent, Polygon, RoiMask, Zone, bed_roi_from_detection, detect_crossings, expand_polygon, rasterize
 from .imageops import resize_bilinear, resize_bicubic, resize_luma_via, to_uint8
 from .imageops import to_grayscale  # noqa: F401  (a lookup site perfbench/spans.py wraps)
 from .logic import SmoothingWindow, attribute_roles, derive_state
@@ -202,17 +204,20 @@ def _detected(
 
 
 class _SessionState:
-    """One session's inference state: window, previous flow frame, zone masks; no store."""
+    """One session's inference state: window, previous flow frame, and the
+    safety zone as an analysis-resolution Zone (crossings) and a flow-resolution
+    RoiMask (motion); no store."""
 
     def __init__(self, cfg: PipelineConfig, session_id: str):
         self.cfg = cfg
         self.window = SmoothingWindow(cfg.smoothing_window_s)
         self.prev_frame: Optional[FlowFrame] = None
-        self.zone_analysis = self.zone_flow = None  # RoiMasks when the session has a zone
+        self.zone: Optional[Zone] = None
+        self.zone_flow: Optional[RoiMask] = None
         verts = cfg.zone_for(session_id)
         if verts:
             zone = expand_polygon(Polygon(verts), cfg.safety_zone_expansion)
-            self.zone_analysis = rasterize(zone, *ANALYSIS_DIMS, kind="safety_zone")
+            self.zone = Zone(zone, *ANALYSIS_DIMS)
             flow_zone = Polygon(tuple((x * _FX, y * _FY) for x, y in zone.vertices))
             self.zone_flow = rasterize(flow_zone, *FLOW_DIMS, kind="safety_zone")
 
@@ -256,10 +261,9 @@ class _SessionState:
                 motion = MotionRecord(item.session_id, ts, mags)
             self.prev_frame = cur_frame
 
-        zone = self.zone_analysis
         crossings = _NO_CROSSINGS
-        if zone is not None and contiguous:
-            crossings = detect_crossings(window.newest, rec, zone)
+        if self.zone is not None and contiguous:
+            crossings = detect_crossings(window.newest, rec, self.zone)
         window.push(rec, motion)
         return CanonicalRow(rec, motion, derive_state(window, self.cfg)), crossings
 

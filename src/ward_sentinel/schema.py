@@ -61,8 +61,10 @@ class CanonicalRow:
 
 ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
-_BOX = '{"cls":%s,"conf":%s,"h":%s,"w":%s,"x":%s,"y":%s}'
-_ROLE = '{"other":%s,"patient":%s,"staff":%s}'
+# Box numbers and role scores are plain ints or floats (module docstring), so
+# %r writes them as ENCODER does.
+_BOX = '{"cls":%s,"conf":%r,"h":%r,"w":%r,"x":%r,"y":%r}'
+_ROLE = '{"other":%r,"patient":%r,"staff":%r}'
 _LOGICAL = (
     '"logical":{"moving":%s,"patient_alone":%s,"person_alone":%s,'
     '"smoothed_person_count":%s,"supervised_by_staff":%s},'
@@ -83,10 +85,9 @@ def _value(v) -> str:
 def dumps_row(row: CanonicalRow) -> str:
     """ENCODER.encode of the row's canonical object (module docstring)."""
     rec, lg, v = row.record, row.logical, _value
-    boxes = [_BOX % (v(b.cls), v(b.confidence), v(b.h), v(b.w), v(b.x), v(b.y)) for b in rec.boxes]
+    boxes = [_BOX % (v(b.cls), b.confidence, b.h, b.w, b.x, b.y) for b in rec.boxes]
     roles = [
-        "null" if r is None
-        else _ROLE % (v(r.scores["other"]), v(r.scores["patient"]), v(r.scores["staff"]))
+        "null" if r is None else _ROLE % (r.scores["other"], r.scores["patient"], r.scores["staff"])
         for r in rec.roles
     ]
     text = '{"boxes":[' + ",".join(boxes) + "],"

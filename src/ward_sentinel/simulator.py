@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import InvalidSchedule
 from .flow import MotionRecord
-from .geometry import CrossingEvent, Polygon, RoiMask, expand_polygon, rasterize
+from .geometry import CrossingEvent, Polygon, Zone, expand_polygon
+from .geometry import rasterize  # noqa: F401  (a lookup site perfbench/spans.py wraps)
 from .logic import LogicalState, occupancy
 from .model import (
     ANALYSIS_DIMS,
@@ -128,8 +129,9 @@ class NoiseModel:
 @dataclass(frozen=True)
 class ScenarioSpec:
     """A seeded scenario. Boxes, track waypoints and the zone are in analysis
-    coordinates (ANALYSIS_DIMS), where the pipeline clamps boxes and rasterizes
-    zones; raw_frame_dims (two positive ints) only sizes the synthesized frames."""
+    coordinates (ANALYSIS_DIMS), where the pipeline clamps boxes and judges
+    zone crossings; raw_frame_dims (two positive ints) only sizes the
+    synthesized frames."""
 
     seed: int
     duration_s: int
@@ -233,12 +235,10 @@ def generate(spec: ScenarioSpec, cfg: PipelineConfig = PipelineConfig()) -> Simu
     fw, fh = ANALYSIS_DIMS
     sid, noise = spec.session_id, spec.noise
 
-    zone_mask: Optional[RoiMask] = None
-    zone = spec.zone_polygon()
-    if zone is not None:
-        zone_mask = rasterize(
-            expand_polygon(zone, cfg.safety_zone_expansion), fw, fh, kind="safety_zone"
-        )
+    # The pipeline's membership rule: crossings are judged by the same Zone test.
+    zone: Optional[Zone] = None
+    if spec.zone is not None:
+        zone = Zone(expand_polygon(spec.zone_polygon(), cfg.safety_zone_expansion), fw, fh)
 
     bed = _bed_box()  # boxes are immutable, so seconds share them
     # score templates: RoleDistribution copies its scores, so no instance is shared
@@ -271,8 +271,8 @@ def generate(spec: ScenarioSpec, cfg: PipelineConfig = PipelineConfig()) -> Simu
                     continue
                 x, y = tr.position(t)
                 occupants.append((tr.role, _person_box(x, y)))
-                if zone_mask is not None:
-                    now = zone_mask.contains(x, y)
+                if zone is not None:
+                    now = zone.contains(x, y)
                     if t > tr.waypoints[0][0] and now != inside[i]:
                         direction = "exit" if inside[i] else "entry"
                         gt_crossings.append(CrossingEvent(sid, ts, direction, -1))

@@ -13,6 +13,7 @@ from ward_sentinel.evaluation import fit_logistic, match_boxes, prf1, trend_accu
 from ward_sentinel.flow import farneback_flow
 from ward_sentinel.geometry import (
     Polygon,
+    Zone,
     detect_crossings,
     expand_polygon,
     rasterize,
@@ -427,7 +428,7 @@ def test_criterion_8_geometry():
     area_ok = worst_area <= 0.02
 
     # crossing detector vs hand-enumerated events on 20 scripted traces
-    zone = rasterize(Polygon(((40, 40), (160, 40), (160, 160), (40, 160))), 200, 200)
+    zone = Zone(Polygon(((40, 40), (160, 40), (160, 160), (40, 160))), 200, 200)
     traces_ok = 0
     for i in range(20):
         records, expected = _scripted_trace(rng, 1000 * i, two_person=i % 2 == 1)

@@ -20,10 +20,14 @@ def test_cliprobe_measures_each_command_on_one_tree(tmp_path):
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report == json.loads(out.read_text())
     assert report["failed"] == []
-    assert set(report["summary"]) == {"run-detections", "ingest-canonical"}
-    assert len(report["runs"]) == 4 and {r["rows"] for r in report["runs"]} == {60, 600}
+    assert set(report["summary"]) == {"run-detections", "run-detections-zone", "ingest-canonical"}
+    assert len(report["runs"]) == 6 and {r["rows"] for r in report["runs"]} == {60, 600}
+    # the walker crosses the zone, so the zone run also writes a crossings file
+    digests = {(r["command"], r["rows"]): r["output"] for r in report["runs"]}
+    assert digests[("run-detections-zone", 600)] != digests[("run-detections", 600)]
     for entry in report["summary"].values():
         assert entry["outputs_identical"]
         change = entry["change"]
         assert set(change["maxrss_mb"]) == {"60", "600"} and all(v > 0 for v in change["maxrss_mb"].values())
         assert math.isfinite(change["growth_kb_per_row"]) and math.isfinite(change["wall_ms_per_row"])
+

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.spatial import ConvexHull
 
 from ward_sentinel.errors import DegeneratePolygon, WrongClass, ZoneDimensionMismatch
@@ -9,6 +10,7 @@ from ward_sentinel.geometry import (
     CrossingEvent,
     Polygon,
     RoiMask,
+    Zone,
     anchor_point,
     bed_roi_from_detection,
     detect_crossings,
@@ -129,15 +131,69 @@ class TestRasterize:
     def test_scene_mask_is_all_ones(self):
         assert RoiMask.scene(8, 4).count() == 32
 
-    def test_contains_reads_the_pixel_under_the_point_clamped_to_the_frame(self):
-        bits = np.arange(12).reshape(3, 4) % 3 == 0
-        mask = RoiMask("safety_zone", 4, 3, bits)
-        coords = (-1e9, -1.0, -0.5, -1e-300, -0.0, 0.0, 0.999, 1.0, 2.5, 2.9999999999999996, 3.0, 4.0, 1e9, np.float64(1.5))
-        for x in coords:
-            for y in coords:
-                px = min(max(int(np.floor(x)), 0), 3)
-                py = min(max(int(np.floor(y)), 0), 2)
-                assert mask.contains(x, y) is bool(bits[py, px])
+
+# Polygons for the point test: star-shaped ones are simple, with vertices
+# anywhere (off the frame too), or snapped to the integer or half-integer grid
+# so that edges run along pixel edges and through pixel centers.
+_SNAP = {"float": None, "integer": 1.0, "half": 0.5}
+
+
+@st.composite
+def _zone_case(draw):
+    w, h = draw(st.sampled_from([(1, 1), (4, 3), (9, 16), (40, 23), (64, 64)]))
+    n = draw(st.integers(3, 9))
+    cx = draw(st.floats(-0.5 * w, 1.5 * w))
+    cy = draw(st.floats(-0.5 * h, 1.5 * h))
+    angles = sorted(draw(st.lists(st.floats(0.0, 2 * math.pi, exclude_max=True), min_size=n, max_size=n, unique=True)))
+    radii = draw(st.lists(st.floats(0.5, 1.5 * max(w, h)), min_size=n, max_size=n))
+    step = _SNAP[draw(st.sampled_from(sorted(_SNAP)))]
+    verts = []
+    for a, r in zip(angles, radii):
+        x, y = cx + r * math.cos(a), cy + r * math.sin(a)
+        verts.append((x, y) if step is None else (round(x / step) * step, round(y / step) * step))
+    try:
+        polygon = Polygon(tuple(verts))
+    except DegeneratePolygon:  # snapping merged vertices or crossed edges
+        assume(False)
+    # points on pixel edges and corners, at centers, anywhere, and off the frame
+    grid = st.integers(-3, max(w, h) + 3).map(float)
+    halves = grid.map(lambda v: v + 0.5)
+    coord = st.one_of(grid, halves, st.floats(-2.0 * max(w, h), 3.0 * max(w, h)),
+                      st.sampled_from([-1e9, -1e-300, -0.0, 1e9, 2.9999999999999996]))
+    points = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=30))
+    return polygon, w, h, points
+
+
+class TestZone:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_zone_case())
+    def test_contains_is_the_rasterized_bit_under_the_clamped_point(self, case):
+        polygon, w, h, points = case
+        bits = rasterize(polygon, w, h).bits
+        zone = Zone(polygon, w, h)
+        for x, y in points:
+            px = min(max(math.floor(x), 0), w - 1)
+            py = min(max(math.floor(y), 0), h - 1)
+            assert zone.contains(x, y) is bool(bits[py, px]), (x, y)
+        centers = [[zone.contains(j + 0.5, i + 0.5) for j in range(w)] for i in range(h)]
+        assert (np.array(centers) == bits).all()
+
+    def test_contains_at_analysis_resolution(self, rng):
+        # the pipeline's frame, with the polygons of the acceptance oracle
+        w, h = 1088, 612
+        for _ in range(3):
+            p = random_star(rng, rng.uniform(200, 900), rng.uniform(150, 500), 40, 400)
+            bits = rasterize(p, w, h).bits
+            zone = Zone(p, w, h)
+            # both pixels of every place where a row changes membership
+            ys, xs = np.nonzero(bits[:, 1:] != bits[:, :-1])
+            for i, j in zip(ys.tolist(), xs.tolist()):
+                for jj in (j, j + 1):
+                    assert zone.contains(jj + 0.5, i + 0.5) is bool(bits[i, jj])
+
+    def test_rejects_an_empty_frame(self):
+        with pytest.raises(ValueError):
+            Zone(SQUARE, 0, 10)
 
 
 class TestBedRoi:
@@ -211,7 +267,7 @@ def _match_by_hypot_of_every_pair(prev_anchors, cur_anchors, gate):
 
 
 class TestDetectCrossings:
-    zone = rasterize(Polygon(((40, 40), (160, 40), (160, 160), (40, 160))), 200, 200)
+    zone = Zone(Polygon(((40, 40), (160, 40), (160, 160), (40, 160))), 200, 200)
 
     def test_exit_event(self):
         prev = _person_record("s", 10, [(100, 140)])
@@ -257,14 +313,14 @@ class TestDetectCrossings:
             detect_crossings(prev, cur, self.zone)
 
     def test_zone_dimension_mismatch(self):
-        small = rasterize(Polygon(((1, 1), (5, 1), (5, 5))), 8, 8)
+        small = Zone(Polygon(((1, 1), (5, 1), (5, 5))), 8, 8)
         prev = _person_record("s", 10, [(100, 100)])
         cur = _person_record("s", 11, [(100, 100)])
         with pytest.raises(ZoneDimensionMismatch):
             detect_crossings(prev, cur, small)
 
     def test_zone_dimension_mismatch_in_prev_only(self):
-        small = rasterize(Polygon(((1, 1), (50, 1), (50, 50))), 120, 120)
+        small = Zone(Polygon(((1, 1), (50, 1), (50, 50))), 120, 120)
         prev = _person_record("s", 10, [(100, 130)])  # box bottom at y=130
         cur = _person_record("s", 11, [(100, 100)])
         assert detect_crossings(cur, _person_record("s", 12, [(100, 100)]), small) == []

@@ -549,6 +549,101 @@ class TestRunPipeline:
         assert digests[0] == digests[1]
 
 
+def _walker_streams(rng, session_ids, seconds):
+    """Interleaved random streams of 0-4 persons each: walkers that step, jump
+    past the matching gate, leave and return, a bed box in some seconds, gaps,
+    anchors on the grid of pixel edges and centers, and anchors on the frame's
+    bottom edge (boxes that reach y = 612, or past it and are clamped there)."""
+    fw, fh = ANALYSIS_DIMS
+    bed = BoundingBox("bed", 300.0, 250.0, 380.0, 240.0, 0.9)
+    walkers = {sid: [[rng.uniform(0, fw), rng.uniform(0, fh), False] for _ in range(4)] for sid in session_ids}
+    ts = {sid: 1_700_000_000 for sid in session_ids}
+    rows = []
+    for _ in range(seconds):
+        for sid in session_ids:
+            ts[sid] += 1 + (int(rng.integers(1, 4)) if rng.uniform() < 0.04 else 0)
+            boxes, roles = ([bed], [None]) if rng.uniform() < 0.5 else ([], [])
+            for walker in walkers[sid]:
+                if rng.uniform() < 0.1:
+                    walker[2] = not walker[2]  # leaves or comes back
+                if not walker[2]:
+                    continue
+                x, y, _ = walker
+                kind = rng.uniform()
+                if kind < 0.05:
+                    x, y = rng.uniform(0, fw), rng.uniform(0, fh)  # beyond the gate
+                else:
+                    x = min(max(x + rng.normal(0, 30), 5.0), fw)
+                    y = min(max(y + rng.normal(0, 30), 25.0), fh + 15.0)
+                if kind > 0.8:
+                    y = float(fh)  # exactly on the bottom edge
+                elif kind > 0.6:
+                    x, y = round(2 * x) / 2, round(2 * y) / 2  # pixel edges and centers
+                walker[:2] = x, y
+                w, h = 10.0, 20.0
+                boxes.append(BoundingBox("person", x - w / 2, y - h, w, h, 0.8))
+                roles.append(RoleDistribution({"patient": 0.8, "staff": 0.1, "other": 0.1}))
+            rows.append(CanonicalRow(DetectionRecord(sid, ts[sid], tuple(boxes), tuple(roles))))
+    return rows
+
+
+def _raster_crossings(rows, cfg):
+    """Oracle: every consecutive pair of a session's validated records, anchors
+    matched by np.hypot of every pair, membership read from the rasterized
+    1088x612 mask at the pixel under each anchor clamped to the frame."""
+    from test_geometry import _match_by_hypot_of_every_pair
+
+    from ward_sentinel.geometry import Polygon, anchor_point, expand_polygon, rasterize
+    from ward_sentinel.model import validate_record
+
+    fw, fh = ANALYSIS_DIMS
+    gate = 0.15 * float(np.hypot(fw, fh))
+
+    def inside(mask, x, y):
+        return bool(mask[min(max(int(np.floor(y)), 0), fh - 1), min(max(int(np.floor(x)), 0), fw - 1)])
+
+    events, prev, masks = {}, {}, {}
+    for row in rows:
+        cur = validate_record(row.record, ANALYSIS_DIMS)
+        sid = cur.session_id
+        if sid not in masks:
+            masks[sid] = rasterize(expand_polygon(Polygon(cfg.zone_for(sid)), cfg.safety_zone_expansion), fw, fh).bits
+        last, prev[sid] = prev.get(sid), cur
+        if last is None or cur.ts != last.ts + 1:
+            continue
+        ci = cur.person_indices()
+        pa = [anchor_point(last.boxes[i]) for i in last.person_indices()]
+        ca = [anchor_point(cur.boxes[i]) for i in ci]
+        for i, j in _match_by_hypot_of_every_pair(pa, ca, gate):
+            was, now = inside(masks[sid], *pa[i]), inside(masks[sid], *ca[j])
+            if was != now:
+                event = {"direction": "exit" if was else "entry", "person_index": ci[j], "session_id": sid, "ts": cur.ts}
+                events.setdefault(sid, []).append(event)
+    return events
+
+
+class TestCrossingParity:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_crossings_equal_the_pairwise_raster_oracle(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        sids = ("a", "b")
+        # float vertices, some past the frame's edges; "b" reaches below the bottom edge
+        zones = {
+            sid: tuple((cx + r * np.cos(t), cy + r * np.sin(t)) for t, r in zip(
+                np.sort(rng.uniform(0, 2 * np.pi, 7)), rng.uniform(80, 300, 7)))
+            for sid, (cx, cy) in zip(sids, ((rng.uniform(300, 800), rng.uniform(200, 400)), (544.0, 600.0)))
+        }
+        cfg = PipelineConfig(zones=zones)
+        rows = _walker_streams(rng, sids, 400)
+        stats = run_pipeline(rows_source(rows), cfg, Store(tmp_path / "store"))
+        want = _raster_crossings(rows, cfg)
+        assert stats.crossings == sum(map(len, want.values())) > 0
+        for sid in sids:
+            path = tmp_path / "store" / "sessions" / sid / "crossings.jsonl"
+            got = [json.loads(line) for line in path.read_text().splitlines()] if path.exists() else []
+            assert got == want.get(sid, [])
+
+
 class TestStore:
     def test_verify_detects_tampering(self, tmp_path):
         sim = generate(_scenario(duration=50), CFG)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ward_sentinel.errors import InvalidSchedule
-from ward_sentinel.geometry import detect_crossings, expand_polygon, rasterize
+from ward_sentinel.geometry import Zone, detect_crossings, expand_polygon
 from ward_sentinel.logic import SmoothingWindow, derive_state
 from ward_sentinel.model import ANALYSIS_DIMS, PipelineConfig
 from ward_sentinel.schema import CanonicalRow, dumps_row
@@ -225,13 +225,10 @@ class TestZoneCrossings:
     def test_detector_stream_reproduces_crossing(self):
         spec = self._crossing_spec()
         sim = generate(spec, CFG)
-        zone_mask = rasterize(
-            expand_polygon(spec.zone_polygon(), CFG.safety_zone_expansion),
-            *ANALYSIS_DIMS,
-        )
+        zone = Zone(expand_polygon(spec.zone_polygon(), CFG.safety_zone_expansion), *ANALYSIS_DIMS)
         events = []
         for prev, cur in zip(sim.records, sim.records[1:]):
-            events.extend(detect_crossings(prev, cur, zone_mask))
+            events.extend(detect_crossings(prev, cur, zone))
         entries = [e for e in events if e.direction == "entry"]
         assert [e.ts for e in entries] == [e.ts for e in sim.gt_crossings]
 

@@ -7,9 +7,10 @@
 
 A tree is a source checkout; its package is imported from TREE/src. The
 inputs are made once, with `simulate` from the first tree given: one noisy
-room with a safety zone and a walker per length (seconds, so rows). Each
-command then runs once per tree, length and pair as its own child process,
-the trees in alternating order from pair to pair. A child's peak RSS and
+room with a safety zone and a walker per length (seconds, so rows), and a
+`--config` file that gives the room that zone. Each command then runs once
+per tree, length and pair as its own child process, the trees in alternating
+order from pair to pair. A child's peak RSS and
 CPU times come from `os.wait4`, which gives that child alone (a maximum over
 all children is what `RUSAGE_CHILDREN` would give); its wall time is taken
 around the spawn and the wait. Linux carries a parent's peak RSS into its
@@ -44,9 +45,12 @@ START_TS = 1_709_251_200  # 2024-03-01T00:00:00Z
 SPAWN = "import sys; sys.path.insert(0, sys.argv[1]); from ward_sentinel.cli import main; sys.exit(main(sys.argv[2:]))"
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 # Each command's arguments; {inp} is the length's input directory, {out} the
-# output, which is compared across trees byte for byte.
+# output, which is compared across trees byte for byte. run-detections has no
+# zone, so it crosses no crossing code; run-detections-zone does.
 COMMANDS = {
     "run-detections": ["run", "--detections", "{inp}/detections.jsonl", "--out", "{out}"],
+    "run-detections-zone": ["--config", "{inp}/config.json",
+                            "run", "--detections", "{inp}/detections.jsonl", "--out", "{out}"],
     "ingest-canonical": ["ingest", "--adapter", "canonical", "--input", "{inp}/detections.jsonl", "--store", "{out}"],
 }
 
@@ -107,7 +111,9 @@ def make_inputs(tree: Path, lengths: list[int], work: Path) -> dict[int, Path]:
     for n in lengths:
         inp = work / f"input-{n}"
         inp.mkdir()
-        (inp / "spec.json").write_text(json.dumps(spec(n)))
+        scenario = spec(n)
+        (inp / "spec.json").write_text(json.dumps(scenario))
+        (inp / "config.json").write_text(json.dumps({"zones": {scenario["session_id"]: scenario["zone"]}}))
         done = child(tree, ["simulate", "--spec", str(inp / "spec.json"), "--out", str(inp)], inp)
         if done["code"] != 0:
             raise SystemExit(f"simulate {n} s failed: {done['stderr']}")
