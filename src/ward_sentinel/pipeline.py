@@ -4,8 +4,8 @@ validation; frames go through the detector port and role attribution. Both
 ingest adapters feed one parse-validate loop that rejects a bad row by its line.
 
 Inference never touches the store: a session's `_SessionState.step` turns one
-second into its row and zone crossings, which `run_pipeline` hands to that
-session's store writer. The state is the smoothing window, the safety zone
+second into its row and zone crossings, which `run_pipeline` hands to the
+run's one store writer. The state is the smoothing window, the safety zone
 (an exact point test at analysis resolution for crossings, a pixel mask at
 flow resolution for motion) and the previous flow frame, whose pyramid
 expansions are kept so each frame is expanded once; a gap of more than one
@@ -13,11 +13,11 @@ second drops it. Preprocessing builds the flow image straight from the
 captured pixels; the analysis and detector-resolution images are resized only
 when a detector port reads them, and after detection only the flow image is
 kept. The writer streams rows into `.tmp` segments in fixed chunks, so memory
-does not grow with run length; a run that raises discards every writer's
-`.tmp` files, so the store is left as it was. Resuming a session on the same
-UTC date still rewrites that date's segment (ROADMAP.md, item 1). Within a
-session the stages are strictly sequential (flow needs the previous frame, the
-window needs order).
+does not grow with run length, and seals every session under one manifest
+save; a run that raises, while writing or sealing, leaves the manifest as it
+was. Resuming a session on the same UTC date still rewrites that date's
+segment (ROADMAP.md, item 1). Within a session the stages are strictly
+sequential (flow needs the previous frame, the window needs order).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import csv
 import time
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
-from itertools import groupby, zip_longest
+from itertools import zip_longest
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -52,7 +52,7 @@ from .model import (
 )
 from .schema import CanonicalRow, jsonl_lines, loads_row
 from .simulator import SimulationResult
-from .store import SessionWriter, Store, discard
+from .store import Store
 
 MIN_INPUT_DIM = 64
 
@@ -285,21 +285,19 @@ def run_pipeline(
 ) -> PipelineStats:
     """Step each item through its session's state and persist what it returns.
 
-    A session's writer is made when its first item arrives, before any
-    inference; each second's crossings, then its row, go to it, and every
-    writer seals once the source is exhausted. On any exception, from the
-    source included, every writer is discarded before it propagates.
+    A session's state is made when its first item arrives. Each second's
+    crossings, then its row, go to the run's one store writer, which seals
+    every session once the source is exhausted, or discards the run on any
+    exception, from the source or from sealing included.
     """
     t0 = time.perf_counter()
-    table: dict[str, tuple[_SessionState, SessionWriter]] = {}
+    states: dict[str, _SessionState] = {}
     rows = crossings = 0
-    try:
+    with store.writer() as writer:
         for item in source:
-            entry = table.get(item.session_id)
-            if entry is None:
-                writer = store.writer(item.session_id)
-                entry = table[item.session_id] = (_SessionState(cfg, item.session_id), writer)
-            st, writer = entry
+            st = states.get(item.session_id)
+            if st is None:
+                st = states[item.session_id] = _SessionState(cfg, item.session_id)
             row, events = st.step(item, detector)
             if events:
                 for event in events:
@@ -307,11 +305,7 @@ def run_pipeline(
                 crossings += len(events)
             writer.append(row)
             rows += 1
-        sealed = [rel for _, writer in table.values() for rel in writer.seal()]
-    except BaseException:
-        discard(writer for _, writer in table.values())
-        raise
-    return PipelineStats(len(table), rows, crossings, time.perf_counter() - t0, sealed)
+    return PipelineStats(len(states), rows, crossings, time.perf_counter() - t0, writer.sealed)
 
 
 @dataclass(frozen=True)
@@ -393,9 +387,9 @@ def ingest_external(path, adapter: str, store: Store) -> IngestReport:
     The adapter yields (line number, parse) pairs. Each row is parsed and
     validated; one that fails either step, or repeats an earlier row's
     session and ts, is rejected with its line number and the rest are
-    ingested. Every session is written before any is sealed, and on any
-    exception every writer is discarded. Re-ingesting the same file leaves the
-    store byte-identical.
+    ingested. The kept rows go to one store writer in session then ts order,
+    which seals every session together and, on any exception, discards them
+    together. Re-ingesting the same file leaves the store byte-identical.
     """
     if adapter not in ADAPTERS:
         raise UnknownAdapter(f"unknown adapter {adapter!r}; available: {tuple(ADAPTERS)}")
@@ -415,19 +409,12 @@ def ingest_external(path, adapter: str, store: Store) -> IngestReport:
             continue
         rows[key] = CanonicalRow(rec, row.motion, row.logical)
 
-    writers: list[SessionWriter] = []
-    try:
-        for sid, group in groupby(sorted(rows.items()), key=lambda pair: pair[0][0]):
-            writers.append(store.writer(sid))
-            for _, row in group:
-                writers[-1].append(row)
-        sealed = [rel for writer in writers for rel in writer.seal()]
-    except BaseException:
-        discard(writers)
-        raise
+    with store.writer() as writer:
+        for _, row in sorted(rows.items()):
+            writer.append(row)
     return IngestReport(
         rows_ok=len(rows),
         rows_rejected=len(errors),
         errors=tuple(sorted(errors)),
-        sealed_segments=tuple(sealed),
+        sealed_segments=tuple(writer.sealed),
     )

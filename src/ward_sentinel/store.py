@@ -6,16 +6,18 @@ Layout:
     <root>/sessions/<session_id>/<YYYY-MM-DD>.jsonl
     <root>/sessions/<session_id>/crossings.jsonl      # only when produced
 
-A writer streams each segment into `<name>.tmp` next to it, CHUNK_LINES
-encoded lines at a time, keeping the segment's sha256 and row count as it
-goes, so its memory is constant however long the run. Sealing moves each
-`.tmp` into place with `os.replace` and records the sha256 and row count in
-the manifest, so integrity is checkable offline; the manifest itself is
-replaced through `manifest.json.tmp`. Sealing a session again on the same
-date overwrites that date's segment. A failed run discards its writers,
-which deletes their `.tmp` files and the directories they made, so the store
-is left as it was. Writing the same content twice yields byte-identical
-files, which makes re-ingest idempotent.
+One writer takes every session of a run (`with store.writer() as writer:`)
+and checks the manifest at the first row. It streams each segment into
+`<name>.tmp` next to it, CHUNK_LINES encoded lines at a time, keeping the
+segment's sha256 and row count as it goes, so its memory is constant however
+long the run. Sealing reads the manifest again, moves every `.tmp` into place
+with `os.replace`, then records each sha256 and row count in one manifest
+save, through `manifest.json.tmp`, so integrity is checkable offline. Sealing
+a session again on the same date overwrites that date's segment. A run that
+raises, while writing or sealing, deletes its `.tmp` files and the empty
+directories it made and leaves the manifest as it was; a segment already
+moved into place stays on disk. Writing the same content twice yields
+byte-identical files, which makes re-ingest idempotent.
 
 Readers follow the manifest, not the directory: `iter_rows` and `verify`
 share one walk of its keys, which must read sessions/<session id>/<name>.jsonl
@@ -28,10 +30,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from contextlib import contextmanager
+from dataclasses import asdict
 from datetime import datetime, timezone
 from functools import cache
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .errors import MalformedRecord, NonMonotonicTimestamp, SchemaMismatch, ValidationError
 from .geometry import CrossingEvent
@@ -105,11 +109,17 @@ class Store:
         tmp.write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
         os.replace(tmp, self.manifest_path)
 
-    def writer(self, session_id: str) -> "SessionWriter":
-        """A session's writer; a bad manifest fails here, before any row is written."""
-        check_session_id(session_id)
-        self.load_manifest()
-        return SessionWriter(self, session_id)
+    @contextmanager
+    def writer(self) -> Iterator["SessionWriter"]:
+        """One run's writer. The block's clean exit seals it; any exception,
+        raised in the block or while sealing, discards it and propagates."""
+        writer = SessionWriter(self)
+        try:
+            yield writer
+            writer.seal()
+        except BaseException:
+            writer.discard()
+            raise
 
     def _segments(self) -> list[tuple[str, Path, dict]]:
         """(key, path, entry) of each manifest segment, by session then file name."""
@@ -137,143 +147,142 @@ class Store:
 
 
 class _Segment:
-    """One segment being written: its file name, the lines not yet flushed to
-    its .tmp file, and the running sha256 and row count of those that were."""
+    """One segment being written: its final path and the .tmp path beside it,
+    the lines not yet flushed to the .tmp file, and the running sha256 and row
+    count of those that were."""
 
-    __slots__ = ("name", "lines", "digest", "rows")
+    __slots__ = ("path", "tmp", "lines", "digest", "rows")
 
-    def __init__(self, name: str):
-        self.name = name
+    def __init__(self, path: Path):
+        self.path = path
+        self.tmp = path.with_name(f"{path.name}.tmp")
         self.lines: list[str] = []
         self.digest = hashlib.sha256()
         self.rows = 0
 
 
-class SessionWriter:
-    """Streams one session's rows into dated .tmp segments and seals them into place.
+class _Session:
+    """One session of a run: its directory, its date segments in date order
+    (rows arrive in ts order), the day number of the last one, its crossings
+    segment, and the ts of its last row."""
 
-    A row goes to its UTC date's segment and a crossing to crossings.jsonl.
-    Each segment buffers CHUNK_LINES lines, then appends them to its .tmp file,
-    opened and closed per flush so that no descriptor stays open between rows,
-    and a date's buffer is flushed when the next date begins. The session
-    directory is made at the first flush. After `seal` the writer starts
-    afresh: rows appended then go to new segments, as with a new writer.
+    __slots__ = ("dir", "dates", "day", "crossings", "last_ts")
+
+    def __init__(self, dir: Path):
+        self.dir = dir
+        self.dates: list[_Segment] = []
+        self.day: Optional[int] = None
+        self.crossings: Optional[_Segment] = None
+        self.last_ts: Optional[int] = None
+
+    def segments(self) -> list[_Segment]:
+        """Every segment of the session, in seal order: dates, then crossings."""
+        return self.dates + ([self.crossings] if self.crossings else [])
+
+
+class SessionWriter:
+    """Streams one run's rows into per-session dated .tmp segments and seals
+    them all under one manifest save.
+
+    A row goes to its session's UTC date segment and a crossing to that
+    session's crossings.jsonl. A session's id is checked when it is first
+    seen, and the manifest when the first session is. Each segment buffers
+    CHUNK_LINES lines, then appends them to its .tmp file, opened and closed
+    per flush so that no descriptor stays open between rows, and a date's
+    buffer is flushed when the session's next date begins.
     """
 
-    def __init__(self, store: Store, session_id: str):
+    def __init__(self, store: Store):
         self.store = store
-        self.session_id = session_id
-        self.dir = store.root / "sessions" / session_id
-        self._dates: list[_Segment] = []  # in date order; rows arrive in ts order
-        self._day: Optional[int] = None  # the day number of self._dates[-1]
-        self._crossings: Optional[_Segment] = None
-        self._made: list[Path] = []  # directories this writer made, innermost first
-        self._last_ts: Optional[int] = None
+        self.sealed: list[str] = []
+        self._sessions: dict[str, _Session] = {}
+        self._made: list[Path] = []  # directories this writer made, newest first
+
+    def _open(self, session_id: str) -> _Session:
+        """A session seen for the first time; a bad id, or at the run's first
+        row a bad manifest, fails here, before any of its rows is written."""
+        check_session_id(session_id)
+        if not self._sessions:
+            self.store.load_manifest()
+        return self._sessions.setdefault(session_id, _Session(self.store.root / "sessions" / session_id))
 
     def append(self, row: CanonicalRow) -> None:
         rec = row.record
         ts = rec.ts
-        if rec.session_id != self.session_id:
-            raise ValidationError(
-                f"row for session {rec.session_id} in writer for {self.session_id}"
-            )
-        if self._last_ts is not None and ts <= self._last_ts:
-            raise NonMonotonicTimestamp(
-                f"session {self.session_id}: ts {ts} after {self._last_ts}"
-            )
-        self._last_ts = ts
-        if ts // 86400 != self._day:
-            self._start_day(ts // 86400)
-        seg = self._dates[-1]
+        s = self._sessions.get(rec.session_id) or self._open(rec.session_id)
+        if s.last_ts is not None and ts <= s.last_ts:
+            raise NonMonotonicTimestamp(f"session {rec.session_id}: ts {ts} after {s.last_ts}")
+        s.last_ts = ts
+        if ts // 86400 != s.day:
+            self._start_day(s, ts // 86400)
+        seg = s.dates[-1]
         seg.lines.append(dumps_row(row))
         if len(seg.lines) == CHUNK_LINES:
             self._flush(seg)
 
-    def _start_day(self, day: int) -> None:
-        if self._dates and self._dates[-1].lines:
-            self._flush(self._dates[-1])
-        self._dates.append(_Segment(f"{_date_str(day)}.jsonl"))
-        self._day = day
+    def _start_day(self, s: _Session, day: int) -> None:
+        if s.dates and s.dates[-1].lines:
+            self._flush(s.dates[-1])
+        s.dates.append(_Segment(s.dir / f"{_date_str(day)}.jsonl"))
+        s.day = day
 
     def append_crossing(self, event: CrossingEvent) -> None:
-        if event.session_id != self.session_id:
-            raise ValidationError(
-                f"crossing for session {event.session_id} in writer for {self.session_id}"
-            )
-        if self._crossings is None:
-            self._crossings = _Segment("crossings.jsonl")
-        seg = self._crossings
-        seg.lines.append(
-            ENCODER.encode(
-                {
-                    "session_id": event.session_id,
-                    "ts": event.ts,
-                    "direction": event.direction,
-                    "person_index": event.person_index,
-                }
-            )
-        )
+        s = self._sessions.get(event.session_id) or self._open(event.session_id)
+        if s.crossings is None:
+            s.crossings = _Segment(s.dir / "crossings.jsonl")
+        seg = s.crossings
+        seg.lines.append(ENCODER.encode(asdict(event)))
         if len(seg.lines) == CHUNK_LINES:
             self._flush(seg)
 
-    def _segments(self) -> list[_Segment]:
-        """Every segment of this writer, in seal order: dates, then crossings."""
-        return self._dates + ([self._crossings] if self._crossings else [])
-
-    def _make_dir(self) -> None:
-        """Make the session directory, noting each directory made, if it is missing."""
-        missing = []
-        d = self.dir
-        while not d.exists():
-            missing.append(d)
-            d = d.parent
-        self.dir.mkdir(parents=True, exist_ok=True)
-        self._made += missing
-
     def _flush(self, seg: _Segment) -> None:
-        """Append a segment's buffered lines to its .tmp file; its first flush
-        truncates a .tmp file that an earlier, killed run left behind."""
+        """Append a segment's buffered lines to its .tmp file. Its first flush
+        makes the session directory, noting each directory made, and truncates
+        a .tmp file that an earlier, killed run left behind."""
         data = ("\n".join(seg.lines) + "\n").encode()
         first = not seg.rows
         seg.rows += len(seg.lines)
         seg.lines.clear()
         seg.digest.update(data)
         if first:
-            self._make_dir()
-        with open(self.dir / f"{seg.name}.tmp", "wb" if first else "ab") as fh:
+            missing = []
+            d = seg.path.parent
+            while not d.exists():
+                missing.append(d)
+                d = d.parent
+            seg.path.parent.mkdir(parents=True, exist_ok=True)
+            self._made[:0] = missing  # innermost first, so the list stays newest first
+        with open(seg.tmp, "wb" if first else "ab") as fh:
             fh.write(data)
 
     def seal(self) -> list[str]:
-        """Move the segments into place and register them in the manifest; returns rel paths."""
-        manifest = self.store.load_manifest()
-        self._make_dir()
-        sealed = []
-        for seg in self._segments():
+        """Flush every segment, move each .tmp file into place, then save the
+        manifest once; returns the rel paths sealed, also kept as `sealed`.
+        The manifest is read again first, so that entries another run sealed
+        meanwhile are kept. A run without rows writes nothing."""
+        segments = [seg for s in self._sessions.values() for seg in s.segments()]
+        for seg in segments:
             if seg.lines:
                 self._flush(seg)
-            os.replace(self.dir / f"{seg.name}.tmp", self.dir / seg.name)
-            rel = f"sessions/{self.session_id}/{seg.name}"
-            manifest["segments"][rel] = {"sha256": seg.digest.hexdigest(), "rows": seg.rows}
-            sealed.append(rel)
-        self.store._save_manifest(manifest)
-        self._dates, self._day, self._crossings, self._made = [], None, None, []
+        sealed = [seg.path.relative_to(self.store.root).as_posix() for seg in segments]
+        if segments:
+            manifest = self.store.load_manifest()
+            for seg in segments:
+                os.replace(seg.tmp, seg.path)
+            for rel, seg in zip(sealed, segments):
+                manifest["segments"][rel] = {"sha256": seg.digest.hexdigest(), "rows": seg.rows}
+            self.store._save_manifest(manifest)
+        self.sealed = sealed
         return sealed
 
     def discard(self) -> None:
-        """Delete this writer's .tmp files and the directories it made, if empty;
-        what it sealed stays."""
-        for seg in self._segments():
-            (self.dir / f"{seg.name}.tmp").unlink(missing_ok=True)
+        """Delete the run's .tmp files, then each directory it made that is
+        left empty; the manifest is not touched."""
+        for s in self._sessions.values():
+            for seg in s.segments():
+                seg.tmp.unlink(missing_ok=True)
         for d in self._made:
             try:
                 d.rmdir()
-            except OSError:  # it holds another writer's directory or a sealed file
-                break
-
-
-def discard(writers: Iterable[SessionWriter]) -> None:
-    """Discard each writer of a failed run. At most one of them made the shared
-    parent directories (the first to flush); it goes last, once the others'
-    session directories inside them are gone."""
-    for writer in sorted(writers, key=lambda w: len(w._made)):
-        writer.discard()
+            except OSError:  # it holds a segment moved into place before sealing failed
+                pass

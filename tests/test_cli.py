@@ -701,12 +701,11 @@ def test_run_with_no_rows_creates_no_store(tmp_path, capsys):
 def _two_session_store(tmp_path):
     """A store of sessions roomA and roomB with logical states, and an observation log."""
     store = Store(tmp_path / "store")
-    for sid in ("roomA", "roomB"):
-        w = store.writer(sid)
-        for ts in range(T0, T0 + 120):
-            alone = LogicalState(sid, ts, True, True, False, False, 1.0)
-            w.append(CanonicalRow(make_record(sid, ts, ["patient"]), logical=alone))
-        w.seal()
+    with store.writer() as w:
+        for sid in ("roomA", "roomB"):
+            for ts in range(T0, T0 + 120):
+                alone = LogicalState(sid, ts, True, True, False, False, 1.0)
+                w.append(CanonicalRow(make_record(sid, ts, ["patient"]), logical=alone))
     log = tmp_path / "log.csv"
     log.write_text(f"session_id,start_ts,end_ts\nroomA,{T0},{T0 + 60}\nroomB,{T0},{T0 + 60}\n")
     return store, log

@@ -6,10 +6,12 @@ import pytest
 from ward_sentinel.errors import (
     EmptyPeriod,
     MisalignedFrames,
+    NonConvergence,
     NoOverlap,
     SingleClassTarget,
     UnsortedInput,
 )
+from ward_sentinel import evaluation
 from ward_sentinel.evaluation import (
     FrameLabel,
     eval_patient_alone,
@@ -197,6 +199,13 @@ class TestFitLogistic:
         w, acc = fit_logistic(y, y)
         assert acc == 1.0
         assert np.all(np.isfinite(w))
+
+    def test_exhausted_newton_iterations_raise_non_convergence(self, monkeypatch):
+        y = np.array([0.0] * 500 + [1.0] * 500)
+        monkeypatch.setattr(evaluation, "MAX_NEWTON_ITER", 2)
+        message = f"gradient norm above {evaluation.GRAD_TOL} after 2 iterations"
+        with pytest.raises(NonConvergence, match=f"^{re.escape(message)}$"):
+            fit_logistic(y, y)
 
 
 class TestManualAccuracy:

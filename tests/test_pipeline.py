@@ -659,65 +659,62 @@ class TestStore:
 
     def test_writer_enforces_order(self, tmp_path):
         store = Store(tmp_path / "store")
-        w = store.writer("s")
-        w.append(CanonicalRow(make_record("s", 100)))
-        with pytest.raises(NonMonotonicTimestamp):
+        with pytest.raises(NonMonotonicTimestamp), store.writer() as w:
             w.append(CanonicalRow(make_record("s", 100)))
+            w.append(CanonicalRow(make_record("s", 101)))
+            w.append(CanonicalRow(make_record("t", 100)))  # each session has its own order
+            w.append(CanonicalRow(make_record("s", 101)))
+        assert not store.root.exists()
 
-    def test_writer_rejects_a_row_or_crossing_of_another_session(self, tmp_path):
+    def test_writer_stores_a_crossing_as_one_sorted_line(self, tmp_path):
         store = Store(tmp_path / "store")
-        w = store.writer("a")
-        w.append(CanonicalRow(make_record("a", 7)))
-        with pytest.raises(ValidationError, match="^row for session b in writer for a$"):
-            w.append(CanonicalRow(make_record("b", 8)))
-        w.append_crossing(CrossingEvent("a", 7, "exit", 0))
-        with pytest.raises(ValidationError, match="^crossing for session b in writer for a$"):
-            w.append_crossing(CrossingEvent("b", 7, "entry", 0))
-        w.seal()
+        with store.writer() as w:
+            w.append(CanonicalRow(make_record("a", 7)))
+            w.append_crossing(CrossingEvent("a", 7, "exit", 0))
         crossings = (tmp_path / "store" / "sessions" / "a" / "crossings.jsonl").read_text()
         assert crossings == '{"direction":"exit","person_index":0,"session_id":"a","ts":7}\n'
-        assert not (tmp_path / "store" / "sessions" / "b").exists()
 
     @pytest.mark.parametrize("part", ["motion", "logical"])
     @pytest.mark.parametrize("key", [("b", 7), ("a", 99), ("c", 5)], ids=["session", "ts", "both"])
     def test_row_whose_motion_or_state_has_another_key_never_reaches_the_writer(self, tmp_path, part, key):
         store = Store(tmp_path / "store")
-        w = store.writer("a")
-        w.append(CanonicalRow(make_record("a", 6)))
-        other = {
-            "motion": MotionRecord(*key, {"scene": 0.5}),
-            "logical": LogicalState(*key, True, True, False, False, 1.0),
-        }[part]
-        with pytest.raises(MalformedRecord) as info:
-            w.append(CanonicalRow(make_record("a", 7), **{part: other}))
-        assert str(info.value) == f"{part} {key[0]}@{key[1]} on record a@7"
-        w.seal()
+        with store.writer() as w:
+            w.append(CanonicalRow(make_record("a", 6)))
+            other = {
+                "motion": MotionRecord(*key, {"scene": 0.5}),
+                "logical": LogicalState(*key, True, True, False, False, 1.0),
+            }[part]
+            with pytest.raises(MalformedRecord) as info:
+                w.append(CanonicalRow(make_record("a", 7), **{part: other}))
+            assert str(info.value) == f"{part} {key[0]}@{key[1]} on record a@7"
         assert [r.record.ts for r in store.iter_rows()] == [6]
 
     def test_rows_partitioned_by_date(self, tmp_path):
         store = Store(tmp_path / "store")
-        w = store.writer("s")
         day = 86400
-        w.append(CanonicalRow(make_record("s", day - 1)))
-        w.append(CanonicalRow(make_record("s", day)))
-        w.seal()
+        with store.writer() as w:
+            w.append(CanonicalRow(make_record("s", day - 1)))
+            w.append(CanonicalRow(make_record("s", day)))
         files = sorted(
             p.name for p in (tmp_path / "store" / "sessions" / "s").glob("*.jsonl")
         )
         assert files == ["1970-01-01.jsonl", "1970-01-02.jsonl"]
 
     @pytest.mark.parametrize("session_id", ["", ".", "..", "../out", "a/b", "a\\b", "a\0b"])
-    def test_writer_refuses_session_id_that_is_not_one_path_component(self, tmp_path, session_id):
-        with pytest.raises(MalformedRecord, match="not a single path component"):
-            Store(tmp_path / "store").writer(session_id)
-        assert not any(p.is_file() for p in tmp_path.rglob("*"))
+    @pytest.mark.parametrize("crossing", [False, True], ids=["row", "crossing"])
+    def test_writer_refuses_session_id_that_is_not_one_path_component(self, tmp_path, session_id, crossing):
+        with pytest.raises(MalformedRecord, match="not a single path component"), Store(tmp_path / "store").writer() as w:
+            w.append(CanonicalRow(make_record("ok", 7)))
+            if crossing:
+                w.append_crossing(CrossingEvent(session_id, 7, "exit", 0))
+            w.append(CanonicalRow(make_record(session_id, 7)))
+        assert not any(tmp_path.iterdir())
 
     def test_iter_rows_names_segment_and_line_of_bad_row(self, tmp_path):
         store = Store(tmp_path / "store")
-        w = store.writer("s")
-        for ts in (100, 101, 102):
-            w.append(CanonicalRow(make_record("s", ts)))
-        w.seal()
+        with store.writer() as w:
+            for ts in (100, 101, 102):
+                w.append(CanonicalRow(make_record("s", ts)))
         segment = tmp_path / "store" / "sessions" / "s" / "1970-01-01.jsonl"
         lines = segment.read_text().splitlines()
         lines[1] = lines[1].replace('"ts":101', '"ts":"x"')
@@ -729,13 +726,12 @@ class TestStore:
     def _sealed(root, days_by_session, crossing=None):
         """A store with one row per listed day per session, plus one crossing if given."""
         store = Store(root)
-        for sid, days in days_by_session.items():
-            w = store.writer(sid)
-            for day in days:
-                w.append(CanonicalRow(make_record(sid, day * 86400 + 7)))
-            if crossing == sid:
-                w.append_crossing(CrossingEvent(sid, days[0] * 86400 + 7, "exit", 0))
-            w.seal()
+        with store.writer() as w:
+            for sid, days in days_by_session.items():
+                for day in days:
+                    w.append(CanonicalRow(make_record(sid, day * 86400 + 7)))
+                if crossing == sid:
+                    w.append_crossing(CrossingEvent(sid, days[0] * 86400 + 7, "exit", 0))
         return store
 
     def test_iter_rows_follows_manifest_order_and_session_filter(self, tmp_path):
@@ -831,17 +827,17 @@ class TestStreamingWriter:
 
     def test_a_full_chunk_goes_to_the_tmp_file_and_seal_moves_it_into_place(self, tmp_path):
         store = Store(tmp_path / "store")
-        w = store.writer("s")
         rows = self._rows("s", CHUNK_LINES + 3)
-        for row in rows[:CHUNK_LINES - 1]:
-            w.append(row)
-        assert not store.root.exists()  # nothing is written before the first chunk fills
-        for row in rows[CHUNK_LINES - 1:]:
-            w.append(row)
-        tmp = store.root / "sessions" / "s" / "2024-03-01.jsonl.tmp"
-        assert tmp.read_text() == "".join(dumps_row(r) + "\n" for r in rows[:CHUNK_LINES])
-        assert [p.name for p in store.root.rglob("*") if p.is_file()] == [tmp.name]
-        assert w.seal() == ["sessions/s/2024-03-01.jsonl"]
+        with store.writer() as w:
+            for row in rows[:CHUNK_LINES - 1]:
+                w.append(row)
+            assert not store.root.exists()  # nothing is written before the first chunk fills
+            for row in rows[CHUNK_LINES - 1:]:
+                w.append(row)
+            tmp = store.root / "sessions" / "s" / "2024-03-01.jsonl.tmp"
+            assert tmp.read_text() == "".join(dumps_row(r) + "\n" for r in rows[:CHUNK_LINES])
+            assert [p.name for p in store.root.rglob("*") if p.is_file()] == [tmp.name]
+        assert w.sealed == ["sessions/s/2024-03-01.jsonl"]
         data = "".join(dumps_row(r) + "\n" for r in rows).encode()
         assert (store.root / "sessions" / "s" / "2024-03-01.jsonl").read_bytes() == data
         assert store.load_manifest()["segments"] == {
@@ -851,40 +847,38 @@ class TestStreamingWriter:
 
     def test_a_date_change_flushes_the_previous_date(self, tmp_path):
         store = Store(tmp_path / "store")
-        w = store.writer("s")
-        for row in self._rows("s", 3, self.T - 2):
-            w.append(row)
         session = store.root / "sessions" / "s"
-        assert sorted(p.name for p in session.iterdir()) == ["2024-02-29.jsonl.tmp"]
-        assert len((session / "2024-02-29.jsonl.tmp").read_text().splitlines()) == 2
-        assert w.seal() == ["sessions/s/2024-02-29.jsonl", "sessions/s/2024-03-01.jsonl"]
+        with store.writer() as w:
+            for row in self._rows("s", 3, self.T - 2):
+                w.append(row)
+            assert sorted(p.name for p in session.iterdir()) == ["2024-02-29.jsonl.tmp"]
+            assert len((session / "2024-02-29.jsonl.tmp").read_text().splitlines()) == 2
+        assert w.sealed == ["sessions/s/2024-02-29.jsonl", "sessions/s/2024-03-01.jsonl"]
 
     def test_first_flush_truncates_a_tmp_file_left_by_a_killed_run(self, tmp_path):
         store = Store(tmp_path / "store")
         session = store.root / "sessions" / "s"
         session.mkdir(parents=True)
         (session / "2024-03-01.jsonl.tmp").write_text("left over\n")
-        w = store.writer("s")
         rows = self._rows("s", 2)
-        for row in rows:
-            w.append(row)
-        w.seal()
+        with store.writer() as w:
+            for row in rows:
+                w.append(row)
         assert (session / "2024-03-01.jsonl").read_text() == "".join(dumps_row(r) + "\n" for r in rows)
         assert [r.record.ts for r in store.iter_rows()] == [self.T, self.T + 1]
 
     def test_rows_at_the_ends_of_the_calendar_are_stored(self, tmp_path):
         store = Store(tmp_path / "store")
-        w = store.writer("s")
-        for ts in (TS_MIN, TS_MAX):
-            w.append(CanonicalRow(make_record("s", ts)))
-        assert w.seal() == ["sessions/s/0001-01-01.jsonl", "sessions/s/9999-12-31.jsonl"]
+        with store.writer() as w:
+            for ts in (TS_MIN, TS_MAX):
+                w.append(CanonicalRow(make_record("s", ts)))
+        assert w.sealed == ["sessions/s/0001-01-01.jsonl", "sessions/s/9999-12-31.jsonl"]
         assert [r.record.ts for r in store.iter_rows()] == [TS_MIN, TS_MAX]
 
     def test_manifest_is_replaced_through_a_tmp_file(self, tmp_path, monkeypatch):
         store = Store(tmp_path / "store")
-        w = store.writer("s")
-        w.append(CanonicalRow(make_record("s", self.T)))
-        w.seal()
+        with store.writer() as w:
+            w.append(CanonicalRow(make_record("s", self.T)))
         before = store.manifest_path.read_bytes()
         replaced = []
         real_replace = store_mod.os.replace
@@ -896,27 +890,23 @@ class TestStreamingWriter:
             real_replace(src, dst)
 
         monkeypatch.setattr(store_mod.os, "replace", replace)
-        w = store.writer("t")
-        w.append(CanonicalRow(make_record("t", self.T)))
-        with pytest.raises(OSError, match="disk gone"):
-            w.seal()
+        with pytest.raises(OSError, match="disk gone"), store.writer() as w:
+            w.append(CanonicalRow(make_record("t", self.T)))
         assert replaced == [("2024-03-01.jsonl.tmp", "2024-03-01.jsonl"), ("manifest.json.tmp", "manifest.json")]
         assert store.manifest_path.read_bytes() == before  # never half written
         monkeypatch.undo()
-        w = store.writer("t")
-        w.append(CanonicalRow(make_record("t", self.T)))
-        w.seal()
+        with store.writer() as w:
+            w.append(CanonicalRow(make_record("t", self.T)))
         manifest = store.load_manifest()
         assert store.manifest_path.read_text() == json.dumps(manifest, sort_keys=True, indent=1) + "\n"
         assert not (store.root / "manifest.json.tmp").exists()
 
     def _old_store(self, root) -> Store:
         store = Store(root)
-        w = store.writer("old")
-        for row in self._rows("old", 5):
-            w.append(row)
-        w.append_crossing(CrossingEvent("old", self.T + 1, "exit", 0))
-        w.seal()
+        with store.writer() as w:
+            for row in self._rows("old", 5):
+                w.append(row)
+            w.append_crossing(CrossingEvent("old", self.T + 1, "exit", 0))
         return store
 
     @pytest.mark.parametrize("existing", [True, False], ids=["existing-store", "new-store"])
@@ -956,6 +946,80 @@ class TestStreamingWriter:
         assert not list(store.root.rglob("*.tmp"))
         assert store.verify() == 3
         assert [r.record.ts for r in store.iter_rows("a")] == list(range(self.T, self.T + n))
+
+    @pytest.mark.parametrize("entry", ["run_pipeline", "ingest_external"])
+    def test_a_failing_seal_step_leaves_the_manifest_as_it_was(self, tmp_path, monkeypatch, entry):
+        store = self._old_store(tmp_path / "store")
+        before, old_rows = store.manifest_path.read_bytes(), [dumps_row(r) for r in store.iter_rows()]
+        a, b = self._rows("a", CHUNK_LINES + 5), self._rows("b", CHUNK_LINES + 5)
+        if entry == "run_pipeline":
+            # a is seen first, so sealed first, but b fills a chunk and makes its directory first
+            call = partial(run_pipeline, rows_source([a[0], *b, *a[1:]]), CFG, store)
+        else:
+            path = tmp_path / "in.jsonl"
+            write_rows_jsonl(b + a, path)
+            call = partial(ingest_external, path, "canonical", store)
+        real_replace, replaced = store_mod.os.replace, []
+
+        def replace(src, dst):
+            if Path(src).parent.name == "b":  # the second session's segment
+                raise OSError("disk gone")
+            replaced.append(Path(dst).relative_to(store.root).as_posix())
+            real_replace(src, dst)
+
+        monkeypatch.setattr(store_mod.os, "replace", replace)
+        with pytest.raises(OSError, match="disk gone"):
+            call()
+        monkeypatch.undo()
+        assert replaced == ["sessions/a/2024-03-01.jsonl"]
+        assert store.manifest_path.read_bytes() == before
+        assert store.verify() == 2
+        assert [dumps_row(r) for r in store.iter_rows()] == old_rows
+        assert not list(store.root.rglob("*.tmp"))
+        # The segment moved into place before the failure stays on disk, unlisted.
+        files = sorted(p.relative_to(store.root).as_posix() for p in store.root.rglob("*") if p.is_file())
+        assert files == [
+            "manifest.json", *replaced, "sessions/old/2024-03-01.jsonl", "sessions/old/crossings.jsonl"
+        ]
+        assert not (store.root / "sessions" / "b").exists()
+
+    def test_runs_that_overlap_keep_each_others_manifest_entries(self, tmp_path):
+        store = Store(tmp_path / "store")
+        with store.writer() as first:
+            first.append(CanonicalRow(make_record("x", self.T)))
+            with store.writer() as second:
+                second.append(CanonicalRow(make_record("y", self.T)))
+        assert sorted(store.load_manifest()["segments"]) == sorted(first.sealed + second.sealed)
+        assert store.verify() == 2
+
+    def test_one_writer_of_interleaved_sessions_stores_what_one_run_per_session_stores(self, tmp_path):
+        n = CHUNK_LINES + 40  # a full chunk, and a date change 20 rows in
+        rows = {sid: self._rows(sid, n, self.T - 20) for sid in ("a", "b")}
+        crossed = {"a": {self.T - 3, self.T + 5}, "b": {self.T + 5, self.T + 400}}
+
+        def write(w, sid, row):
+            ts = row.record.ts
+            if ts in crossed[sid]:
+                w.append_crossing(CrossingEvent(sid, ts, "entry" if ts % 2 else "exit", 0))
+            w.append(row)
+
+        together = Store(tmp_path / "together")
+        with together.writer() as w:
+            for pair in zip(rows["a"], rows["b"]):
+                for sid, row in zip(("a", "b"), pair):
+                    write(w, sid, row)
+        apart = Store(tmp_path / "apart")
+        for sid in ("a", "b"):
+            with apart.writer() as w:
+                for row in rows[sid]:
+                    write(w, sid, row)
+        assert len(w.sealed) == 3
+
+        def tree(root):
+            return {p.relative_to(root): p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+        assert tree(together.root) == tree(apart.root)
+        assert sum(p.name == "crossings.jsonl" for p in tree(together.root)) == 2
 
 
 class TestIngest:

@@ -46,12 +46,18 @@ SPAWN = "import sys; sys.path.insert(0, sys.argv[1]); from ward_sentinel.cli imp
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 # Each command's arguments; {inp} is the length's input directory, {out} the
 # output, which is compared across trees byte for byte. run-detections has no
-# zone, so it crosses no crossing code; run-detections-zone does.
+# zone, so it crosses no crossing code; run-detections-zone does. The two
+# report commands read the simulated ground-truth states and observation log.
+# `evaluate frames` is left out: `simulate` writes no frame labels.
 COMMANDS = {
     "run-detections": ["run", "--detections", "{inp}/detections.jsonl", "--out", "{out}"],
     "run-detections-zone": ["--config", "{inp}/config.json",
                             "run", "--detections", "{inp}/detections.jsonl", "--out", "{out}"],
     "ingest-canonical": ["ingest", "--adapter", "canonical", "--input", "{inp}/detections.jsonl", "--store", "{out}"],
+    "trends-cohort-log": ["trends", "--states", "{inp}/ground_truth.jsonl", "--log", "{inp}/observations.csv",
+                          "--cohort", "--out", "{out}"],
+    "evaluate-trends": ["evaluate", "trends", "--log", "{inp}/observations.csv",
+                        "--states", "{inp}/ground_truth.jsonl", "--out", "{out}"],
 }
 
 
