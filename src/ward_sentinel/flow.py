@@ -41,6 +41,8 @@ SOLVE_REGULARIZATION = 1e-3
 STRIP_ROWS = 32
 
 _ROI_KIND_SET = frozenset(ROI_KINDS)
+# Each ROI kind to the ROI_KINDS entry itself, so that every record shares it.
+_SHARED_KIND = {k: k for k in ROI_KINDS}
 
 
 @dataclass(frozen=True)
@@ -75,7 +77,8 @@ class MotionRecord:
 
     Checked on construction: session_id and ts as in DetectionRecord, every
     key an ROI kind and every magnitude a real number, not a bool, finite and
-    >= 0, kept as a float.
+    >= 0, kept as a float. magnitudes is then a new dict, in the input's
+    order, keyed by the ROI_KINDS entries themselves.
     """
 
     session_id: str
@@ -93,7 +96,7 @@ class MotionRecord:
                 v = float(real_number(f"motion {k}", v))
             if not 0.0 <= v < inf:
                 raise ValueError(f"motion magnitude for {k} must be finite and >= 0: {v}")
-            mags[k] = v
+            mags[_SHARED_KIND[k]] = v
         object.__setattr__(self, "magnitudes", mags)
 
 

@@ -39,6 +39,8 @@ FLOW_DIMS = (480, 270)
 
 ROLE_SUM_TOL = 1e-9
 _ROLE_SET = frozenset(ROLES)
+# Each class name to the CLASSES entry itself, so that every box shares it.
+_SHARED_CLASS = {c: c for c in CLASSES}
 
 
 def slot_init(cls):
@@ -121,10 +123,12 @@ class BoundingBox:
     """Axis-aligned detection box, top-left origin, pixel units.
 
     x/y may be negative before validation; validate_record clamps boxes to
-    frame bounds. Checked once on construction or decode: each coordinate and
-    the confidence is a real number, not a bool (an Integral kept as an int,
-    any other real as a float), geometry finite, width and height positive,
-    confidence in [0, 1].
+    frame bounds. Checked once on construction or decode: cls is a CLASSES
+    entry, and each coordinate and the confidence is a real number, not a bool
+    (an Integral kept as an int, any other real as a float), geometry finite,
+    width and height positive, confidence in [0, 1]. A cls that is exactly a
+    str is replaced by the CLASSES entry itself, so every box shares it; a str
+    subclass is kept as it is.
     """
 
     cls: str
@@ -135,8 +139,15 @@ class BoundingBox:
     confidence: float
 
     def __post_init__(self):
-        if self.cls not in CLASSES:
-            raise ValueError(f"unknown box class {self.cls!r}")
+        cls = self.cls
+        if type(cls) is str:
+            shared = _SHARED_CLASS.get(cls)
+            if shared is None:
+                raise ValueError(f"unknown box class {cls!r}")
+            if shared is not cls:
+                _set_box_cls(self, shared)
+        elif cls not in CLASSES:  # a str subclass that passes is kept as it is
+            raise ValueError(f"unknown box class {cls!r}")
         x, y, w, h, conf = self.x, self.y, self.w, self.h, self.confidence
         if not (
             (type(x) is float or type(x) is int) and (type(y) is float or type(y) is int)
@@ -185,6 +196,11 @@ class BoundingBox:
         return BoundingBox(self.cls, left, top, new_w, new_h, self.confidence)
 
 
+# Stores through the slot, as slot_init's __init__ does: half the cost of
+# object.__setattr__, once per decoded box.
+_set_box_cls = BoundingBox.__dict__["cls"].__set__
+
+
 @slot_init
 @dataclass(frozen=True, slots=True)
 class RoleDistribution:
@@ -192,8 +208,10 @@ class RoleDistribution:
 
     Checked once on construction or decode (each score a real number, not a
     bool, kept as in BoundingBox, in [0, 1]), which fixes the primary role.
-    Ties in argmax break in the fixed order patient > staff > other: the
-    downstream safety logic prefers assuming a patient is present.
+    scores is then a new dict keyed by the ROLES entries themselves, in ROLES
+    order whatever the input's order. Ties in argmax break in the fixed order
+    patient > staff > other: the downstream safety logic prefers assuming a
+    patient is present.
     """
 
     scores: Mapping[str, float]
@@ -201,26 +219,24 @@ class RoleDistribution:
     _primary: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if set(self.scores) != _ROLE_SET:
+        scores = self.scores
+        if not (type(scores) is dict and scores.keys() == _ROLE_SET) and set(scores) != _ROLE_SET:
             raise ValueError(f"role scores must cover exactly {ROLES}")
-        scores = dict(self.scores)
         p, s, o = scores["patient"], scores["staff"], scores["other"]
         if not (
             (type(p) is float or type(p) is int) and (type(s) is float or type(s) is int)
             and (type(o) is float or type(o) is int)
         ):
-            for r in ROLES:
-                scores[r] = real_number(f"score for {r}", scores[r])
-            p, s, o = scores["patient"], scores["staff"], scores["other"]
+            p, s, o = (real_number(f"score for {r}", v) for r, v in zip(ROLES, (p, s, o)))
+        scores = {"patient": p, "staff": s, "other": o}  # keys: the ROLES entries, in order
         if not (0.0 <= p <= 1.0 and 0.0 <= s <= 1.0 and 0.0 <= o <= 1.0):
             role = next(r for r in ROLES if not 0.0 <= scores[r] <= 1.0)
             raise ValueError(f"score for {role} out of [0, 1]: {scores[role]}")
         total = p + s + o
         if abs(total - 1.0) > ROLE_SUM_TOL:
             raise ValueError(f"role scores sum to {total}, expected 1")
-        object.__setattr__(self, "scores", scores)
-        primary = "patient" if p >= s and p >= o else "staff" if s >= o else "other"
-        object.__setattr__(self, "_primary", primary)
+        _set_role_scores(self, scores)
+        _set_role_primary(self, "patient" if p >= s and p >= o else "staff" if s >= o else "other")
 
     def primary(self) -> str:
         return self._primary
@@ -228,6 +244,11 @@ class RoleDistribution:
     @staticmethod
     def uniform(fallback: bool = False) -> "RoleDistribution":
         return RoleDistribution({r: 1.0 / 3.0 for r in ROLES}, fallback_uniform=fallback)
+
+
+# As _set_box_cls, for the two fields every RoleDistribution sets after __init__.
+_set_role_scores = RoleDistribution.__dict__["scores"].__set__
+_set_role_primary = RoleDistribution.__dict__["_primary"].__set__
 
 
 @slot_init

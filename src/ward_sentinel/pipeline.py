@@ -50,7 +50,7 @@ from .model import (
     slot_init,
     validate_record,
 )
-from .schema import CanonicalRow, jsonl_lines, loads_row
+from .schema import CanonicalRow, jsonl_lines, loads_row, shared_id
 from .simulator import SimulationResult
 from .store import Store
 
@@ -341,7 +341,7 @@ def _flat_csv_row(lines: list[dict]) -> CanonicalRow:
             for raw in lines
         )
         first = lines[0]
-        record = DetectionRecord(first["session_id"], int(first["ts"]), boxes, roles)
+        record = DetectionRecord(shared_id(first["session_id"]), int(first["ts"]), boxes, roles)
     except (KeyError, TypeError, ValueError) as e:
         raise SchemaMismatch(f"bad flat-csv line: {e}") from None
     return CanonicalRow(record)

@@ -18,16 +18,25 @@ in sorted() order. As in ENCODER, a plain float is float.__repr__ (stored floats
 are finite by construction), a plain int int.__repr__, a bool true/false and a
 str encode_basestring_ascii. The record types keep every stored number a plain
 int or float (a numpy scalar from a detector port is converted on
-construction), so only a str subclass (a box class) goes through ENCODER.
-Floats survive the round trip exactly; NaN and Infinity are rejected on read.
+construction), so only a str subclass (a box class, which BoundingBox keeps as
+it is) goes through ENCODER. Floats survive the round trip exactly; NaN and
+Infinity are rejected on read.
 Each value is checked once, by the record type that holds it: obj_to_row only
 maps JSON onto the constructors, so a row built through the API meets the
 rules a read row does.
+
+Decoded rows share their strings rather than each keeping the copies the JSON
+scanner made for it: a box's cls is the CLASSES entry, role scores are keyed
+by the ROLES entries and kept in ROLES order, motion magnitudes are keyed by
+the ROI_KINDS entries, and the session id goes through sys.intern
+(shared_id). Unlike a module-level cache, the interned table does not keep a
+string alive: CPython 3.11 frees it with its last holder.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterator, Optional
@@ -101,10 +110,17 @@ def dumps_row(row: CanonicalRow) -> str:
     return text + ',"ts":' + v(rec.ts) + "}"
 
 
+def shared_id(session_id):
+    """session_id through sys.intern when it is exactly a str, so that every
+    row read with it holds one object; any other value is returned for the
+    record type to reject."""
+    return sys.intern(session_id) if type(session_id) is str else session_id
+
+
 def obj_to_row(obj: dict) -> CanonicalRow:
     """The row of a parsed canonical object; the record types check each value."""
     try:
-        session_id, ts = obj["session_id"], obj["ts"]
+        session_id, ts = shared_id(obj["session_id"]), obj["ts"]
         boxes = [BoundingBox(b["cls"], b["x"], b["y"], b["w"], b["h"], b["conf"]) for b in obj["boxes"]]
         roles = [None if r is None else RoleDistribution(r) for r in obj["roles"]]
         record = DetectionRecord(session_id, ts, tuple(boxes), tuple(roles))
@@ -157,7 +173,7 @@ def loads_row(line: str) -> CanonicalRow:
 def obj_to_label(obj: dict) -> FrameLabel:
     try:
         return FrameLabel(
-            session_id=obj["session_id"],
+            session_id=shared_id(obj["session_id"]),
             ts=obj["ts"],
             boxes=tuple(
                 BoundingBox(b["cls"], b["x"], b["y"], b["w"], b["h"], b.get("conf", 1.0))

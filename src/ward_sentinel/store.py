@@ -104,10 +104,15 @@ class Store:
         return manifest
 
     def _save_manifest(self, manifest: dict) -> None:
-        """Write the manifest whole to a .tmp file, then replace the old one with it."""
+        """Write the manifest whole to a .tmp file, then replace the old one with
+        it. If either step fails, the .tmp file is removed and the error raised."""
         tmp = self.root / f"{MANIFEST_NAME}.tmp"
-        tmp.write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
-        os.replace(tmp, self.manifest_path)
+        try:
+            tmp.write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
+            os.replace(tmp, self.manifest_path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     @contextmanager
     def writer(self) -> Iterator["SessionWriter"]:

@@ -8,23 +8,34 @@ than the child. The writer
 streams each session's rows to disk in fixed chunks and `run --detections`
 reads its file lazily, so the growth per row is near zero; a run that held
 its rows until the end would grow by more than 1 KB per row.
+
+What one decoded row holds is measured in process, with tracemalloc: a row
+shares its strings (schema.py), so it keeps no copy of its box classes, role
+and motion keys or session id.
 """
 
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from ward_sentinel import cli
-from ward_sentinel.schema import CanonicalRow, write_rows_jsonl
+from ward_sentinel.flow import MotionRecord
+from ward_sentinel.logic import LogicalState
+from ward_sentinel.schema import CanonicalRow, dumps_row, loads_row, write_rows_jsonl
 
 from conftest import make_record
 
 SHORT, LONG = 2_000, 20_000
 MAX_GROWTH_KB_PER_ROW = 0.1
+# The row of test_a_decoded_row_holds_no_string_copies held about 2.48 KB
+# when each row kept its own strings and holds about 1.94 KB sharing them.
+MAX_DECODED_ROW_BYTES = 2_150
+DECODES = 2_000
 T0 = 1_709_251_200
 SRC = str(Path(cli.__file__).resolve().parents[1])
 
@@ -93,3 +104,19 @@ def test_peak_memory_does_not_grow_with_run_length(tmp_path, case):
         assert sum(e["rows"] for e in manifest["segments"].values()) == n
     growth = (peaks[LONG] - peaks[SHORT]) / (LONG - SHORT)
     assert growth < MAX_GROWTH_KB_PER_ROW, f"{growth:.3f} KB per row (peaks {peaks} KB)"
+
+
+def test_a_decoded_row_holds_no_string_copies():
+    sid = "ward-3 bed-12"
+    motion = MotionRecord(sid, T0, {"scene": 0.42, "bed": 0.13, "safety_zone": 0.0})
+    state = LogicalState(sid, T0, False, False, True, True, 2.0)
+    line = dumps_row(CanonicalRow(make_record(sid, T0, ["patient", "staff"]), motion, state))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rows = [loads_row(line) for _ in range(DECODES)]
+        per_row = (tracemalloc.get_traced_memory()[0] - before) / DECODES
+    finally:
+        tracemalloc.stop()
+    assert dumps_row(rows[-1]) == line
+    assert per_row < MAX_DECODED_ROW_BYTES, f"{per_row:.0f} B per decoded row"

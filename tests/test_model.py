@@ -5,6 +5,7 @@ import pickle
 import re
 from dataclasses import MISSING, FrozenInstanceError, InitVar, dataclass, field, fields, replace
 from functools import partial
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from ward_sentinel.errors import MalformedRecord, SchemaMismatch
 from ward_sentinel.model import (
     ANALYSIS_DIMS,
+    CLASSES,
     ROLES,
     BoundingBox,
     DetectionRecord,
@@ -25,8 +27,9 @@ from ward_sentinel.model import (
 )
 from ward_sentinel.evaluation import FrameLabel
 from ward_sentinel.flow import MotionRecord
+from ward_sentinel.geometry import ROI_KINDS
 from ward_sentinel.logic import LogicalState
-from ward_sentinel.pipeline import SourceItem
+from ward_sentinel.pipeline import ADAPTERS, SourceItem
 from ward_sentinel.schema import (
     DECODER,
     CanonicalRow,
@@ -740,6 +743,79 @@ def test_numbers_are_stored_as_floats_in_motion_and_state():
     assert type(state.smoothed_person_count) is float
     row = CanonicalRow(make_record("s", 7), motion, state)
     assert '"smoothed_person_count":2.0' in dumps_row(row) and '"scene":2.0' in dumps_row(row)
+
+
+# ---- decoded rows share their strings ----------------------------------------
+
+
+def _is_one_of(value, entries) -> bool:
+    return any(value is e for e in entries)
+
+
+def test_decoded_rows_share_their_strings(tmp_path):
+    """Rows read from separate lines, a flat-csv export and frame labels hold
+    the CLASSES, ROLES and ROI_KINDS entries themselves, and one session id
+    object; role scores are in ROLES order."""
+    sid = "ward-3 bed-12"  # not an identifier, so no literal of it is interned
+    motion = MotionRecord(sid, 7, {"safety_zone": 0.0, "scene": 0.42, "bed": 0.13})
+    row = CanonicalRow(make_record(sid, 7, ["patient", "staff"]), motion)
+    line = dumps_row(row)
+    decoded = [loads_row(line), loads_row(line)]
+    csv_path = tmp_path / "in.csv"
+    csv_path.write_text(
+        "session_id,ts,cls,x,y,w,h,conf,patient,staff,other\n"
+        f"{sid},7,person,10,10,40,90,0.8,0.9,0.05,0.05\n"
+        f"{sid},7,bed,300,250,380,240,0.92,,,\n"
+        f"{sid},8,chair,12,10,40,90,0.8,,,\n"
+    )
+    flat = [parse() for _, parse in ADAPTERS["flat-csv"](csv_path)]
+    label_line = json.dumps({"session_id": sid, "ts": 7, "boxes": [
+        {"cls": "person", "x": 1, "y": 2, "w": 30, "h": 40, "role": "staff"},
+        {"cls": "bed", "x": 5, "y": 6, "w": 70, "h": 80},
+    ]})
+    labels = [obj_to_label(json.loads(label_line)) for _ in range(2)]
+
+    records = [r.record for r in decoded + flat]
+    assert len(flat) == 2 and {b.cls for rec in records for b in rec.boxes} == set(CLASSES)
+    for box in [b for rec in records for b in rec.boxes] + [b for lab in labels for b in lab.boxes]:
+        assert _is_one_of(box.cls, CLASSES)
+    scores = [role.scores for rec in records for role in rec.roles if role is not None]
+    assert len(scores) == 5 and all(k is r for s in scores for k, r in zip(s, ROLES, strict=True))
+    for r in decoded:
+        assert r.motion.magnitudes == motion.magnitudes
+        assert all(_is_one_of(k, ROI_KINDS) for k in r.motion.magnitudes)
+    ids = [rec.session_id for rec in records] + [r.motion.session_id for r in decoded] + [lab.session_id for lab in labels]
+    assert ids == [sid] * len(ids) and all(i is ids[0] for i in ids)
+    assert [dumps_row(r) for r in decoded] == [line, line]
+
+
+class _Label(str):
+    pass
+
+
+def test_a_str_subclass_box_class_is_kept_and_stored_as_its_value():
+    plain = make_record("s", 7, ["patient"], bed=False)
+    box = replace(plain.boxes[0], cls=_Label("person"))
+    assert type(box.cls) is _Label
+    subclassed = DetectionRecord("s", 7, (box,), plain.roles)
+    assert type(subclassed.boxes[0].cls) is _Label
+    assert dumps_row(CanonicalRow(subclassed)) == dumps_row(CanonicalRow(plain))
+
+
+@pytest.mark.parametrize("cls", ["Person", _Label("sofa"), ["person"], {"person": 1}, None, 1])
+def test_an_unknown_or_unhashable_box_class_keeps_its_message(cls):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'unknown box class {cls!r}')}$"):
+        BoundingBox(cls, 1.0, 2.0, 30.0, 40.0, 0.9)
+
+
+def test_role_scores_are_kept_in_roles_order_and_compare_as_before():
+    values = {"patient": 0.25, "staff": 0.5, "other": 0.25}
+    dists = [RoleDistribution({r: values[r] for r in order}) for order in itertools.permutations(ROLES)]
+    dists.append(RoleDistribution(MappingProxyType(values)))
+    for d in dists:
+        assert d == dists[0] and d.primary() == "staff"
+        assert list(d.scores.items()) == [(r, values[r]) for r in ROLES]
+    assert RoleDistribution({"other": 0.25, "staff": 0.25, "patient": 0.5}) != dists[0]
 
 
 # ---- the record types' slot_init constructors -------------------------------

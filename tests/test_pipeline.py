@@ -894,6 +894,7 @@ class TestStreamingWriter:
             w.append(CanonicalRow(make_record("t", self.T)))
         assert replaced == [("2024-03-01.jsonl.tmp", "2024-03-01.jsonl"), ("manifest.json.tmp", "manifest.json")]
         assert store.manifest_path.read_bytes() == before  # never half written
+        assert not (store.root / "manifest.json.tmp").exists()  # the failed save removes its .tmp
         monkeypatch.undo()
         with store.writer() as w:
             w.append(CanonicalRow(make_record("t", self.T)))
