@@ -297,12 +297,12 @@ def fit_logistic(
     w = np.zeros(2)
 
     def penalized_loglik(wv):
+        """The objective at wv, and X @ wv, which the next iteration reuses."""
         eta = X @ wv
-        return float(np.sum(y * eta - np.logaddexp(0.0, eta)) - 0.5 * RIDGE * wv @ wv)
+        return float(np.sum(y * eta - np.logaddexp(0.0, eta)) - 0.5 * RIDGE * wv @ wv), eta
 
-    ll = penalized_loglik(w)
+    ll, eta = penalized_loglik(w)
     for _ in range(MAX_NEWTON_ITER):
-        eta = X @ w
         p = expit(eta)
         grad = X.T @ (y - p) - RIDGE * w
         if np.linalg.norm(grad) <= GRAD_TOL:
@@ -314,9 +314,9 @@ def fit_logistic(
         t = 1.0
         for _ in range(40):
             cand = w + t * step
-            cand_ll = penalized_loglik(cand)
+            cand_ll, cand_eta = penalized_loglik(cand)
             if cand_ll >= ll - 1e-12:
-                w, ll = cand, cand_ll
+                w, ll, eta = cand, cand_ll, cand_eta
                 break
             t *= 0.5
         else:
@@ -325,7 +325,7 @@ def fit_logistic(
         raise NonConvergence(
             f"gradient norm above {GRAD_TOL} after {MAX_NEWTON_ITER} iterations"
         )
-    accuracy = float(np.mean((expit(X @ w) >= 0.5) == (y > 0.5)))
+    accuracy = float(np.mean((p >= 0.5) == (y > 0.5)))  # p is expit(X @ w) for the final w
     return w, accuracy
 
 

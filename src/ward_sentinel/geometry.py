@@ -221,20 +221,27 @@ class Zone:
         self, rec: DetectionRecord
     ) -> tuple[list[int], list[tuple[float, float]], list[bool]]:
         """The record's person indices, their anchors and whether each anchor
-        is inside, after checking that every box fits the zone's frame."""
+        is inside, in one pass over the boxes, each checked to fit the zone's
+        frame."""
         last, facts = self._last
         if last is rec:  # records are immutable, so one object has one answer
             return facts
-        for b in rec.boxes:
-            if b.x + b.w > self.width or b.y + b.h > self.height:
+        width, height, contains = self.width, self.height, self.contains
+        idx, anchors, inside = [], [], []
+        for i, b in enumerate(rec.boxes):
+            x, y, w, h = b.x, b.y, b.w, b.h
+            if x + w > width or y + h > height:
                 raise ZoneDimensionMismatch(
-                    f"box ({b.x},{b.y},{b.w},{b.h}) exceeds zone dims "
-                    f"{self.width}x{self.height}; detections and zone must "
+                    f"box ({x},{y},{w},{h}) exceeds zone dims "
+                    f"{width}x{height}; detections and zone must "
                     "share a coordinate space"
                 )
-        idx = rec.person_indices()
-        anchors = [anchor_point(rec.boxes[i]) for i in idx]
-        facts = idx, anchors, [self.contains(x, y) for x, y in anchors]
+            if b.cls == "person":
+                ax, ay = x + w / 2.0, y + h  # anchor_point, for a box known to be a person
+                idx.append(i)
+                anchors.append((ax, ay))
+                inside.append(contains(ax, ay))
+        facts = idx, anchors, inside
         self._last = rec, facts
         return facts
 
@@ -274,7 +281,11 @@ def _match_anchors(
         for j, (cx, cy) in enumerate(cur_anchors):
             dx, dy = px - cx, py - cy
             # hypot is at least max(|dx|, |dy|): no call for a pair that fails on either.
-            if abs(dx) <= gate and abs(dy) <= gate and (d := float(np.hypot(dx, dy))) <= gate:
+            # abs(complex) is the C library's hypot, which numpy's float64 np.hypot
+            # also calls, so d is np.hypot's bit for bit (math.hypot rounds
+            # otherwise). Both parts are within the gate here, so they are finite
+            # and complex abs never meets its OverflowError, where np.hypot gives inf.
+            if abs(dx) <= gate and abs(dy) <= gate and (d := abs(complex(dx, dy))) <= gate:
                 pairs.append((d, i, j))
     pairs.sort()
     used_prev: set[int] = set()

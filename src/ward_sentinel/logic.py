@@ -72,8 +72,20 @@ def occupancy(persons: float, patient: bool, staff: bool) -> tuple[bool, bool, b
 def record_facts(rec: DetectionRecord) -> tuple[int, bool, bool]:
     """rec's person count (every person box, with a role or not), and whether
     a person box's primary role is patient, and whether one is staff."""
-    primaries = {r.primary() for b, r in zip(rec.boxes, rec.roles) if r is not None and b.cls == "person"}
-    return rec.person_count(), "patient" in primaries, "staff" in primaries
+    roles = rec.roles
+    n_roles = len(roles)
+    count, patient, staff = 0, False, False
+    for i, b in enumerate(rec.boxes):
+        if b.cls == "person":
+            count += 1
+            # Roles pair with boxes as zip does: a box past the end has none.
+            if i < n_roles and (r := roles[i]) is not None:
+                primary = r.primary()
+                if primary == "patient":
+                    patient = True
+                elif primary == "staff":
+                    staff = True
+    return count, patient, staff
 
 
 def attribute_roles(
@@ -149,11 +161,16 @@ def derive_state(w: SmoothingWindow, cfg: PipelineConfig) -> LogicalState:
     """
     if len(w) == 0:
         raise EmptyWindow("cannot derive a state from an empty window")
-    _, counts, patients, staffs, scenes = zip(*w._seconds)
-    avg = sum(counts) / len(counts)
-    scene = [m for m in scenes if m is not None]
+    count, patient, staff, scene = 0, False, False, []
+    for _, n, p, s, m in w._seconds:
+        count += n  # ints, so the sum is exact in any order
+        patient |= p
+        staff |= s
+        if m is not None:
+            scene.append(m)  # floats, summed below in ts order
+    avg = count / len(w._seconds)
     moving = bool(scene) and sum(scene) / len(scene) > cfg.moving_threshold
     newest = w.newest
     # Positional, in field order: keyword arguments cost about 1 us more per state.
-    flags = occupancy(avg, any(patients), any(staffs))
+    flags = occupancy(avg, patient, staff)
     return LogicalState(newest.session_id, newest.ts, *flags, moving, avg)

@@ -21,7 +21,6 @@ import inspect
 from dataclasses import MISSING, dataclass, field, fields
 from math import inf, isfinite
 from numbers import Integral, Real
-from operator import is_
 from typing import Mapping, Optional
 
 import numpy as np
@@ -191,7 +190,10 @@ class BoundingBox:
                 f"box {self.cls} ({x},{y},{w},{h}) lies outside a {frame_w}x{frame_h} frame"
             )
         # Equal values and types store equal bytes, so the box itself can stay.
-        if (left, top, new_w, new_h, type(new_w), type(new_h)) == (x, y, w, h, type(w), type(h)):
+        if (
+            left == x and top == y and new_w == w and new_h == h
+            and type(new_w) is type(w) and type(new_h) is type(h)
+        ):
             return self
         return BoundingBox(self.cls, left, top, new_w, new_h, self.confidence)
 
@@ -436,16 +438,22 @@ def validate_record(rec: DetectionRecord, frame_dims: tuple[float, float]) -> De
         )
     boxes = []
     roles = []
+    same = True  # every box and role so far is the record's own object
     for i, (box, role) in enumerate(zip(rec.boxes, rec.roles)):
-        if box.cls == "person" and role is None:
+        person = box.cls == "person"
+        if person and role is None:
             raise MalformedRecord(
                 f"record {rec.session_id}@{rec.ts}: person box {i} has no role distribution"
             )
         try:
-            boxes.append(box.clamped(frame_w, frame_h))
+            new_box = box.clamped(frame_w, frame_h)
         except MalformedRecord as e:
             raise MalformedRecord(f"record {rec.session_id}@{rec.ts}: {e}") from None
-        roles.append(role if box.cls == "person" else None)
-    if all(map(is_, boxes, rec.boxes)) and all(map(is_, roles, rec.roles)):
+        new_role = role if person else None
+        if new_box is not box or new_role is not role:
+            same = False
+        boxes.append(new_box)
+        roles.append(new_role)
+    if same:
         return rec
     return DetectionRecord(rec.session_id, rec.ts, tuple(boxes), tuple(roles))

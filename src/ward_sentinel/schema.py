@@ -45,7 +45,7 @@ from .errors import MalformedRecord, SchemaMismatch
 from .evaluation import FrameLabel
 from .flow import MotionRecord
 from .logic import LogicalState
-from .model import BoundingBox, DetectionRecord, RoleDistribution, slot_init
+from .model import CLASSES, BoundingBox, DetectionRecord, RoleDistribution, slot_init
 
 SCHEMA_VERSION = 1
 
@@ -78,6 +78,10 @@ _LOGICAL = (
     '"logical":{"moving":%s,"patient_alone":%s,"person_alone":%s,'
     '"smoothed_person_count":%s,"supervised_by_staff":%s},'
 )
+# What ENCODER writes for an exact-str box class (each a CLASSES entry) and
+# for a bool: the per-row values that have a fixed text.
+_CLASS_TEXT = {c: encode_basestring_ascii(c) for c in CLASSES}
+_FLAG_TEXT = {True: "true", False: "false"}
 
 
 def _value(v) -> str:
@@ -94,15 +98,19 @@ def _value(v) -> str:
 def dumps_row(row: CanonicalRow) -> str:
     """ENCODER.encode of the row's canonical object (module docstring)."""
     rec, lg, v = row.record, row.logical, _value
-    boxes = [_BOX % (v(b.cls), b.confidence, b.h, b.w, b.x, b.y) for b in rec.boxes]
+    boxes = [
+        _BOX % (_CLASS_TEXT[b.cls] if type(b.cls) is str else v(b.cls), b.confidence, b.h, b.w, b.x, b.y)
+        for b in rec.boxes
+    ]
     roles = [
         "null" if r is None else _ROLE % (r.scores["other"], r.scores["patient"], r.scores["staff"])
         for r in rec.roles
     ]
     text = '{"boxes":[' + ",".join(boxes) + "],"
     if lg is not None:
-        text += _LOGICAL % (v(lg.moving), v(lg.patient_alone), v(lg.person_alone),
-                            v(lg.smoothed_person_count), v(lg.supervised_by_staff))
+        flag = _FLAG_TEXT  # LogicalState keeps each flag a bool
+        text += _LOGICAL % (flag[lg.moving], flag[lg.patient_alone], flag[lg.person_alone],
+                            v(lg.smoothed_person_count), flag[lg.supervised_by_staff])
     if row.motion is not None:
         mags = row.motion.magnitudes  # ROI kinds to floats (MotionRecord)
         text += '"motion":{' + ",".join(['"%s":%r' % (k, mags[k]) for k in sorted(mags)]) + "},"

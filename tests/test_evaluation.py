@@ -156,7 +156,71 @@ class TestEvalPatientAlone:
             eval_patient_alone([True], [True, False])
 
 
+def fit_logistic_reference(x, y):
+    """Oracle: fit_logistic's Newton loop as it was when every iteration
+    computed X @ w afresh and the accuracy re-read expit(X @ w)."""
+    from scipy.special import expit
+
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    X = np.column_stack([np.ones_like(x), x])
+    w = np.zeros(2)
+
+    def penalized_loglik(wv):
+        eta = X @ wv
+        return float(np.sum(y * eta - np.logaddexp(0.0, eta)) - 0.5 * evaluation.RIDGE * wv @ wv)
+
+    ll = penalized_loglik(w)
+    for _ in range(evaluation.MAX_NEWTON_ITER):
+        eta = X @ w
+        p = expit(eta)
+        grad = X.T @ (y - p) - evaluation.RIDGE * w
+        if np.linalg.norm(grad) <= evaluation.GRAD_TOL:
+            break
+        weights = p * (1.0 - p)
+        hess = X.T @ (weights[:, None] * X) + evaluation.RIDGE * np.eye(2)
+        step = np.linalg.solve(hess, grad)
+        t = 1.0
+        for _ in range(40):
+            cand = w + t * step
+            cand_ll = penalized_loglik(cand)
+            if cand_ll >= ll - 1e-12:
+                w, ll = cand, cand_ll
+                break
+            t *= 0.5
+        else:
+            raise NonConvergence("step halving failed to improve the objective")
+    else:
+        raise NonConvergence("no convergence")
+    return w, float(np.mean((expit(X @ w) >= 0.5) == (y > 0.5)))
+
+
 class TestFitLogistic:
+    def test_weights_and_accuracy_bits_equal_the_reference_loop(self, rng):
+        cases = []
+        for _ in range(30):  # random, of any balance and agreement
+            n = int(rng.integers(2, 600))
+            x = (rng.uniform(size=n) < rng.uniform(0.05, 0.95)).astype(float)
+            y = (rng.uniform(size=n) < rng.uniform(0.05, 0.95)).astype(float)
+            y[:2] = (0.0, 1.0)
+            cases.append((x, y))
+        for n in (2, 10, 1000):  # separable
+            y = np.array([0.0, 1.0] * (n // 2))
+            cases.append((y, y))
+            cases.append((1.0 - y, y))
+        for n in (3, 50, 801):  # one class but a single flipped second
+            for cls in (0.0, 1.0):
+                y = np.full(n, cls)
+                y[int(rng.integers(n))] = 1.0 - cls
+                cases.append((y.copy(), y))
+                cases.append((np.full(n, cls), y))
+                cases.append((rng.uniform(size=n), y))
+        for x, y in cases:
+            w, acc = fit_logistic(x, y)
+            want_w, want_acc = fit_logistic_reference(x, y)
+            assert w.dtype == want_w.dtype and w.tobytes() == want_w.tobytes()
+            assert np.float64(acc).tobytes() == np.float64(want_acc).tobytes()
+
     def test_identity_is_perfect(self):
         y = np.array([0.0, 1.0] * 50)
         _, acc = fit_logistic(y, y)

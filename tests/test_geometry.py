@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -250,6 +251,29 @@ def _person_record(session, ts, anchors):
     return DetectionRecord(session, ts, tuple(boxes), tuple(roles))
 
 
+def _crossing_facts_reference(zone, rec):
+    """Oracle: Zone.crossing_facts as the dims check over every box, then
+    person_indices, anchor_point and contains."""
+    for b in rec.boxes:
+        if b.x + b.w > zone.width or b.y + b.h > zone.height:
+            raise ZoneDimensionMismatch(
+                f"box ({b.x},{b.y},{b.w},{b.h}) exceeds zone dims {zone.width}x{zone.height}; "
+                "detections and zone must share a coordinate space"
+            )
+    idx = rec.person_indices()
+    anchors = [anchor_point(rec.boxes[i]) for i in idx]
+    return idx, anchors, [zone.contains(x, y) for x, y in anchors]
+
+
+# Anchor offsets within two diagonals of the analysis frame, signed zeros and
+# the smallest subnormals included.
+_DIAG = float(np.hypot(1088, 612))
+_OFFSET = st.one_of(
+    st.floats(-2.0 * _DIAG, 2.0 * _DIAG),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0 * _DIAG, -2.0 * _DIAG]),
+)
+
+
 def _match_by_hypot_of_every_pair(prev_anchors, cur_anchors, gate):
     """Oracle: greedy nearest matching with np.hypot computed for every pair."""
     pairs = sorted(
@@ -346,6 +370,43 @@ class TestDetectCrossings:
         for prev_anchors, cur_anchors, g in cases:
             want = _match_by_hypot_of_every_pair(prev_anchors, cur_anchors, g)
             assert geometry._match_anchors(prev_anchors, cur_anchors, g) == want
+
+    @settings(max_examples=3000, deadline=None, derandomize=True, database=None)
+    @given(_OFFSET, _OFFSET)
+    def test_complex_abs_is_np_hypot_bit_for_bit(self, dx, dy):
+        # _match_anchors's distance; test_matching_equals_hypot_of_every_pair
+        # and the pipeline's crossing oracle keep np.hypot itself.
+        got, want = abs(complex(dx, dy)), float(np.hypot(dx, dy))
+        assert struct.pack("<d", got) == struct.pack("<d", want), (dx, dy)
+
+    def test_crossing_facts_equal_the_reference(self, rng):
+        w, h = 120, 90
+        polygon = Polygon(((10.5, 5.0), (100.0, 20.0), (80.0, 85.0), (15.0, 60.0)))
+        checked = mismatched = 0
+        for _ in range(3000):
+            boxes = []
+            for _ in range(int(rng.integers(0, 6))):
+                cls = str(rng.choice(("person", "person", "bed", "chair")))
+                x, y = rng.uniform(-30, 125, 2)
+                bw, bh = rng.uniform(0.5, 40, 2)
+                if rng.uniform() < 0.3:  # ints, as a detector port may give
+                    x, y, bw, bh = int(x), int(y), int(bw) + 1, int(bh) + 1
+                boxes.append(BoundingBox(cls, x, y, bw, bh, 0.5))
+            # roles as an unvalidated record may carry them
+            roles = tuple(role_dist("patient") for _ in range(int(rng.integers(0, 7))))
+            rec = DetectionRecord("s", 0, tuple(boxes), roles)
+            try:
+                want = _crossing_facts_reference(Zone(polygon, w, h), rec)
+            except ZoneDimensionMismatch as e:
+                with pytest.raises(ZoneDimensionMismatch) as got:
+                    Zone(polygon, w, h).crossing_facts(rec)
+                assert str(got.value) == str(e)
+                mismatched += 1
+                continue
+            got = Zone(polygon, w, h).crossing_facts(rec)
+            assert repr(got) == repr(want)  # values and int/float types alike
+            checked += 1
+        assert checked > 500 and mismatched > 500
 
     def test_directions_alternate_along_a_walk(self):
         # one anchor strolling in and out repeatedly, steps under the gate

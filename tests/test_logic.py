@@ -228,6 +228,32 @@ class TestOracleEquivalence:
             w.push(rec)
             assert derive_state(w, cfg) == brute_force_state(by_ts, {}, ts, cfg)
 
+    def test_record_facts_equal_the_reference(self):
+        # Unvalidated records: roles tuples shorter and longer than the boxes,
+        # persons without a role and non-person boxes with one.
+        def reference(rec):
+            primaries = {
+                r.primary() for b, r in zip(rec.boxes, rec.roles) if r is not None and b.cls == "person"
+            }
+            return rec.person_count(), "patient" in primaries, "staff" in primaries
+
+        rng = np.random.default_rng(8)
+        shorter = longer = 0
+        for ts in range(3000):
+            n = int(rng.integers(0, 6))
+            classes = [str(rng.choice(("person", "person", "bed", "chair"))) for _ in range(n)]
+            boxes = tuple(BoundingBox(c, 10.0, 10.0, 5.0, 5.0, 0.5) for c in classes)
+            m = max(n + int(rng.integers(-3, 4)), 0)
+            shorter += m < n
+            longer += m > n
+            roles = tuple(
+                None if rng.uniform() < 0.3 else role_dist(str(rng.choice(ROLES))) for _ in range(m)
+            )
+            rec = DetectionRecord("s", ts, boxes, roles)
+            got, want = record_facts(rec), reference(rec)
+            assert got == want and list(map(type, got)) == [int, bool, bool]
+        assert shorter > 500 and longer > 500
+
     def test_every_person_box_counts_without_a_role(self):
         w = SmoothingWindow(5)
         w.push(DetectionRecord("s", 0, (BoundingBox("person", 10.0, 10.0, 5.0, 5.0, 0.5),), ()))

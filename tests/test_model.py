@@ -277,6 +277,8 @@ def test_clamped_equals_the_replace_oracle_and_reuses_unchanged_boxes(rng):
     boxes = [
         BoundingBox("bed", 5, 5, 10, 10, 0.9),  # ints: rebuilt fields equal, box kept
         BoundingBox("bed", 5.0, 5.0, 10, 10, 0.9),  # (x + w) - x is 10.0, not 10: rebuilt
+        BoundingBox("bed", 5.0, 5, 10, 10, 0.9),  # only the width's type changes: rebuilt
+        BoundingBox("bed", 5, 5.0, 10, 10, 0.9),  # only the height's type changes: rebuilt
         BoundingBox("person", 0.0, -0.0, 1088.0, 612.0, 0.5),
         BoundingBox("chair", -0.0, 3.5, 4.0, 2.0, 0.5),
         # Far edges exactly on the frame: the edge keeps the box's own type.
