@@ -11,7 +11,7 @@ import time
 import numpy as np
 from scipy import ndimage
 
-from ward_sentinel import FlowParams, farneback_flow, roi_motion, RoiMask
+from ward_sentinel import FlowParams, farneback_flow, roi_motion
 
 rng = np.random.default_rng(42)
 
@@ -41,4 +41,5 @@ print(f"\nidentical frames -> mean |flow| = {field.magnitude().mean():.2e}")
 from ward_sentinel.flow import FlowField
 
 uniform = FlowField(width=w, height=h, dx=np.full((h, w), 3.0), dy=np.full((h, w), 4.0))
-print(f"uniform (3,4) field over the scene ROI -> {roi_motion(uniform, RoiMask.scene(w, h)):.1f}")
+scene = np.ones((h, w), dtype=bool)  # an ROI is a plain bool mask; the scene sets every pixel
+print(f"uniform (3,4) field over the scene ROI -> {roi_motion(uniform, scene):.1f}")

@@ -2,9 +2,9 @@
 """Safety-zone geometry: expansion, rasterization, boundary crossings.
 
 A monitor draws a polygon around the patient area; the pipeline expands its
-perimeter by 10%, rasterizes it to a pixel mask for motion, and watches person
-anchors (bottom-center of each person box) cross the boundary, testing only
-the pixel under each anchor.
+perimeter by 10%, rasterizes it to a plain bool pixel mask for motion, and
+watches person anchors (bottom-center of each person box) cross the boundary,
+testing only the pixel under each anchor.
 """
 
 from ward_sentinel import Polygon, Zone, anchor_point, detect_crossings, expand_polygon, rasterize
@@ -17,9 +17,9 @@ grown = expand_polygon(zone, 0.10)
 print(f"after 10% expansion: perimeter={grown.perimeter():.0f} (exactly 1.10x)")
 print(f"vertices: {grown.vertices}")
 
-mask = rasterize(grown, 200, 200)
-print(f"rasterized at 200x200: {mask.count()} pixels set "
-      f"({100 * mask.count() / (200 * 200):.1f}% of frame)")
+mask = rasterize(grown, 200, 200)  # a read-only (200, 200) bool array
+print(f"rasterized at 200x200: {mask.sum()} pixels set "
+      f"({100 * mask.mean():.1f}% of frame)")
 zone_200 = Zone(grown, 200, 200)  # the same membership, one point at a time
 
 

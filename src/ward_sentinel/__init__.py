@@ -4,7 +4,8 @@ Post-detection inference for 1 fps hospital-room video: dense optical flow
 motion estimation, safety-zone geometry, role attribution, smoothed logical
 states (patient alone, supervised by staff), hourly trends, and the
 evaluation protocol that scores all of it against frame labels and
-observation logs.
+observation logs. A motion ROI is a plain bool mask: `rasterize` makes one
+from a polygon and `roi_motion` averages flow magnitude over it.
 """
 
 from .model import (
@@ -20,7 +21,7 @@ from .model import (
     validate_record,
 )
 from .flow import FlowField, MotionRecord, farneback_flow, roi_motion
-from .geometry import CrossingEvent, Polygon, RoiMask, Zone, anchor_point, detect_crossings, expand_polygon, rasterize
+from .geometry import CrossingEvent, Polygon, Zone, anchor_point, detect_crossings, expand_polygon, rasterize
 from .logic import LogicalState, SmoothingWindow, attribute_roles, derive_state
 from .trends import HourlyTrend, ObservationLog, aggregate_hourly, assisted_trends, cohort_average, log_to_states
 from .evaluation import (

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import MalformedRecord
 from .evaluation import FrameLabel
+from .model import best_bed
 
 ANGLE_DEFINITION = "atan2(centroid_x_px - width/2, height - centroid_y_px), degrees"
 DEFAULT_BINS = 20
@@ -56,15 +57,15 @@ class PlacementDistribution:
 def bed_stats(
     label: FrameLabel, frame_dims: tuple[float, float]
 ) -> Optional[BedPlacementStat]:
-    """Placement stat from the highest-confidence bed box clamped to the
+    """Placement stat from the label's bed (`model.best_bed`) clamped to the
     frame, None without a bed. A bed wholly outside the frame raises
     MalformedRecord."""
     width, height = frame_dims
-    beds = [b for b in label.boxes if b.cls == "bed"]
-    if not beds:
+    best = best_bed(label.boxes)
+    if best is None:
         return None
     try:
-        best = max(beds, key=lambda b: b.confidence).clamped(width, height)
+        best = best.clamped(width, height)
     except MalformedRecord as e:
         raise MalformedRecord(f"label {label.frame_id}: {e}") from None
     cx_px = best.x + best.w / 2.0

@@ -11,6 +11,8 @@ Displacements are in pixels per frame; positive dx points right, positive
 dy points down, and the field maps the previous frame onto the current one
 (cur(x + d(x)) ~ prev(x)).
 
+An ROI is a plain (height, width) bool mask at the flow's resolution.
+
 scipy is imported inside the functions that call it, so the read and replay
 commands start without loading it; tests/test_cli.py enforces this.
 """
@@ -29,8 +31,6 @@ from .errors import DimensionMismatch, EmptyMask
 from .imageops import resize_bilinear
 from .model import FlowParams, check_session_and_ts, real_number, slot_init
 
-from .geometry import ROI_KINDS, RoiMask
-
 MIN_PYRAMID_DIM = 16
 # Keeps the 2x2 normal equations solvable on textureless patches; negligible
 # against gradient energy at 0..255 intensity scale.
@@ -40,6 +40,7 @@ SOLVE_REGULARIZATION = 1e-3
 # alike and 96 rows slower.
 STRIP_ROWS = 32
 
+ROI_KINDS = ("scene", "bed", "safety_zone")
 _ROI_KIND_SET = frozenset(ROI_KINDS)
 # Each ROI kind to the ROI_KINDS entry itself, so that every record shares it.
 _SHARED_KIND = {k: k for k in ROI_KINDS}
@@ -435,18 +436,17 @@ def farneback_flow(
     return FlowField(width=width, height=height, dx=dx, dy=dy)
 
 
-def roi_motion(flow: FlowField, mask: RoiMask) -> float:
-    """Mean per-pixel flow magnitude |d| inside a mask.
+def roi_motion(flow: FlowField, mask: np.ndarray) -> float:
+    """Mean per-pixel flow magnitude |d| inside a (height, width) bool mask.
 
     Averaging magnitudes rather than vectors keeps opposing motions from
     canceling. The magnitude plane is computed once per field and shared by
     every ROI of it.
     """
-    if (mask.width, mask.height) != (flow.width, flow.height):
-        raise DimensionMismatch(
-            f"mask {mask.width}x{mask.height} vs flow {flow.width}x{flow.height}"
-        )
-    bits = mask.bits
-    if not bits.any():
-        raise EmptyMask(f"ROI mask {mask.kind!r} selects no pixels")
-    return float(flow.magnitude()[bits].mean())
+    if mask.shape != (flow.height, flow.width):
+        raise DimensionMismatch(f"mask shape {mask.shape} vs flow {flow.width}x{flow.height}")
+    if mask.dtype != bool:
+        raise TypeError(f"ROI mask must be a bool array, got {mask.dtype}")
+    if not mask.any():
+        raise EmptyMask("ROI mask selects no pixels")
+    return float(flow.magnitude()[mask].mean())

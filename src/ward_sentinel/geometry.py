@@ -6,7 +6,9 @@ scaled uniformly about its area centroid (scaling by 1+f multiplies the
 perimeter by exactly 1+f). Membership is the even-odd rule at pixel centers:
 `rasterize` builds the whole pixel mask, which flow reads, and a `Zone`
 answers for the one pixel under a point, which is all that crossing
-detection reads, bit for bit as the mask would.
+detection reads, bit for bit as the mask would. A motion ROI is a plain
+read-only (height, width) bool array: `rasterize` makes the zone's, and
+`bed_roi_from_detection` the bed rectangle's.
 """
 
 from __future__ import annotations
@@ -18,14 +20,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DegeneratePolygon, WrongClass, ZoneDimensionMismatch
-from .model import BoundingBox, DetectionRecord, real_number
+from .model import ANALYSIS_DIMS, BoundingBox, DetectionRecord, best_bed, real_number
 
 AREA_EPS = 1e-12
 # Cross-frame anchor matching gate, as a fraction of the frame diagonal.
 MATCH_GATE_DIAG_FRACTION = 0.15
-
-ROI_KINDS = ("scene", "bed", "safety_zone")
-
 
 @dataclass(frozen=True)
 class Polygon:
@@ -101,32 +100,6 @@ def _segments_cross(p1, p2, p3, p4) -> bool:
 
 
 @dataclass(frozen=True)
-class RoiMask:
-    """Per-pixel membership bits for one region of interest."""
-
-    kind: str
-    width: int
-    height: int
-    bits: np.ndarray
-
-    def __post_init__(self):
-        if self.kind not in ROI_KINDS:
-            raise ValueError(f"unknown ROI kind {self.kind!r}")
-        if self.bits.shape != (self.height, self.width):
-            raise ValueError("mask bits shape must be (height, width)")
-        bits = self.bits.astype(bool)
-        bits.setflags(write=False)
-        object.__setattr__(self, "bits", bits)
-
-    @staticmethod
-    def scene(width: int, height: int) -> "RoiMask":
-        return RoiMask("scene", width, height, np.ones((height, width), dtype=bool))
-
-    def count(self) -> int:
-        return int(self.bits.sum())
-
-
-@dataclass(frozen=True)
 class CrossingEvent:
     session_id: str
     ts: int
@@ -150,8 +123,9 @@ def expand_polygon(p: Polygon, factor: float) -> Polygon:
     return Polygon(verts)
 
 
-def rasterize(p: Polygon, width: int, height: int, kind: str = "safety_zone") -> RoiMask:
-    """Even-odd rasterization: pixel (i, j) is set iff its center lies inside p.
+def rasterize(p: Polygon, width: int, height: int) -> np.ndarray:
+    """Even-odd rasterization: pixel (i, j) of the read-only (height, width)
+    bool mask is set iff its center lies inside p.
 
     Pixels outside the frame simply do not exist, which clips the polygon to
     the frame for free.
@@ -174,7 +148,9 @@ def rasterize(p: Polygon, width: int, height: int, kind: str = "safety_zone") ->
         xi = x1 + (yc[rows] - y1) * (x2 - x1) / (y2 - y1)
         # count edges strictly to the right of each pixel center
         crossings[rows] += xi[:, None] > xc[None, :]
-    return RoiMask(kind, width, height, crossings % 2 == 1)
+    mask = crossings % 2 == 1
+    mask.flags.writeable = False
+    return mask
 
 
 class Zone:
@@ -248,19 +224,29 @@ class Zone:
 
 def bed_roi_from_detection(
     rec: DetectionRecord, width: int, height: int
-) -> Optional[RoiMask]:
-    """Rectangle mask of the highest-confidence bed box, or None if no bed."""
-    beds = [b for b in rec.boxes if b.cls == "bed"]
-    if not beds:
+) -> Optional[np.ndarray]:
+    """Read-only (height, width) bool mask of the record's bed (`best_bed`),
+    or None without a bed or when its rectangle covers no pixel.
+
+    The record is in analysis coordinates, as validated records are: the
+    bed's own numbers are scaled by width / ANALYSIS_DIMS[0] and height /
+    ANALYSIS_DIMS[1], floored at the near edges and ceiled at the far ones.
+    """
+    best = best_bed(rec.boxes)
+    if best is None:
         return None
-    best = max(beds, key=lambda b: b.confidence)
+    sx, sy = width / ANALYSIS_DIMS[0], height / ANALYSIS_DIMS[1]
+    x, y = best.x * sx, best.y * sy
+    x1 = min(max(math.floor(x), 0), width)
+    y1 = min(max(math.floor(y), 0), height)
+    x2 = min(max(math.ceil(x + best.w * sx), 0), width)
+    y2 = min(max(math.ceil(y + best.h * sy), 0), height)
+    if x1 >= x2 or y1 >= y2:
+        return None
     bits = np.zeros((height, width), dtype=bool)
-    x1 = min(max(int(np.floor(best.x)), 0), width)
-    y1 = min(max(int(np.floor(best.y)), 0), height)
-    x2 = min(max(int(np.ceil(best.x2)), 0), width)
-    y2 = min(max(int(np.ceil(best.y2)), 0), height)
     bits[y1:y2, x1:x2] = True
-    return RoiMask("bed", width, height, bits)
+    bits.flags.writeable = False
+    return bits
 
 
 def anchor_point(b: BoundingBox) -> tuple[float, float]:

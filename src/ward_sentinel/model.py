@@ -21,7 +21,8 @@ import inspect
 from dataclasses import MISSING, dataclass, field, fields
 from math import inf, isfinite
 from numbers import Integral, Real
-from typing import Mapping, Optional
+from operator import attrgetter
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -201,6 +202,12 @@ class BoundingBox:
 # Stores through the slot, as slot_init's __init__ does: half the cost of
 # object.__setattr__, once per decoded box.
 _set_box_cls = BoundingBox.__dict__["cls"].__set__
+
+
+def best_bed(boxes: Iterable[BoundingBox]) -> Optional[BoundingBox]:
+    """Which bed a frame shows: the bed box of highest confidence, the first
+    of equals, or None without a bed."""
+    return max((b for b in boxes if b.cls == "bed"), key=attrgetter("confidence"), default=None)
 
 
 @slot_init

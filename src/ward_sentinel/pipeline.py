@@ -6,7 +6,7 @@ ingest adapters feed one parse-validate loop that rejects a bad row by its line.
 Inference never touches the store: a session's `_SessionState.step` turns one
 second into its row and zone crossings, which `run_pipeline` hands to the
 run's one store writer. The state is the smoothing window, the safety zone
-(an exact point test at analysis resolution for crossings, a pixel mask at
+(an exact point test at analysis resolution for crossings, a bool mask at
 flow resolution for motion) and the previous flow frame, whose pyramid
 expansions are kept so each frame is expanded once; a gap of more than one
 second drops it. Preprocessing builds the flow image straight from the
@@ -17,14 +17,15 @@ does not grow with run length, and seals every session under one manifest
 save; a run that raises, while writing or sealing, leaves the manifest as it
 was. Resuming a session on the same UTC date still rewrites that date's
 segment (ROADMAP.md, item 1). Within a session the stages are strictly
-sequential (flow needs the previous frame, the window needs order).
+sequential (flow needs the previous frame, the window needs order). The zone's
+mask is rasterized on a session's first frame pair, so replay never builds it.
 """
 
 from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import zip_longest
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
@@ -33,7 +34,7 @@ import numpy as np
 
 from .errors import AdapterError, MalformedRecord, SchemaMismatch, TooSmallInput, UnknownAdapter, ValidationError
 from .flow import FlowFrame, MotionRecord, farneback_flow, roi_motion
-from .geometry import CrossingEvent, Polygon, RoiMask, Zone, bed_roi_from_detection, detect_crossings, expand_polygon, rasterize
+from .geometry import CrossingEvent, Polygon, Zone, bed_roi_from_detection, detect_crossings, expand_polygon, rasterize
 from .imageops import resize_bilinear, resize_bicubic, resize_luma_via, to_uint8
 from .imageops import to_grayscale  # noqa: F401  (a lookup site perfbench/spans.py wraps)
 from .logic import SmoothingWindow, attribute_roles, derive_state
@@ -171,14 +172,9 @@ def rows_source(rows: Iterable[CanonicalRow]) -> Iterator[SourceItem]:
         yield SourceItem(rec.session_id, rec.ts, None, rec, row.motion)
 
 
-def _scale_record(rec: DetectionRecord, sx: float, sy: float) -> DetectionRecord:
-    boxes = tuple(replace(b, x=b.x * sx, y=b.y * sy, w=b.w * sx, h=b.h * sy) for b in rec.boxes)
-    return replace(rec, boxes=boxes)
-
-
-# Analysis to flow coordinates, and the whole flow image as an ROI.
-_FX, _FY = FLOW_DIMS[0] / ANALYSIS_DIMS[0], FLOW_DIMS[1] / ANALYSIS_DIMS[1]
-_SCENE = RoiMask.scene(*FLOW_DIMS)
+# The whole flow image as an ROI.
+_SCENE = np.ones(FLOW_DIMS[::-1], dtype=bool)
+_SCENE.flags.writeable = False
 _NO_CROSSINGS: tuple[CrossingEvent, ...] = ()
 
 
@@ -205,21 +201,28 @@ def _detected(
 
 class _SessionState:
     """One session's inference state: window, previous flow frame, and the
-    safety zone as an analysis-resolution Zone (crossings) and a flow-resolution
-    RoiMask (motion); no store."""
+    safety zone as an analysis-resolution Zone (crossings) whose flow-resolution
+    mask (motion) is rasterized on the first frame pair; no store."""
 
     def __init__(self, cfg: PipelineConfig, session_id: str):
         self.cfg = cfg
         self.window = SmoothingWindow(cfg.smoothing_window_s)
         self.prev_frame: Optional[FlowFrame] = None
         self.zone: Optional[Zone] = None
-        self.zone_flow: Optional[RoiMask] = None
         verts = cfg.zone_for(session_id)
         if verts:
-            zone = expand_polygon(Polygon(verts), cfg.safety_zone_expansion)
-            self.zone = Zone(zone, *ANALYSIS_DIMS)
-            flow_zone = Polygon(tuple((x * _FX, y * _FY) for x, y in zone.vertices))
-            self.zone_flow = rasterize(flow_zone, *FLOW_DIMS, kind="safety_zone")
+            self.zone = Zone(expand_polygon(Polygon(verts), cfg.safety_zone_expansion), *ANALYSIS_DIMS)
+
+    @cached_property
+    def zone_flow(self) -> Optional[np.ndarray]:
+        """The zone's motion mask at flow resolution, or None without a zone
+        or when the mask is empty; only frame mode reads it."""
+        if self.zone is None:
+            return None
+        sx, sy = FLOW_DIMS[0] / ANALYSIS_DIMS[0], FLOW_DIMS[1] / ANALYSIS_DIMS[1]
+        flow_zone = Polygon(tuple((x * sx, y * sy) for x, y in self.zone.polygon.vertices))
+        mask = rasterize(flow_zone, *FLOW_DIMS)
+        return mask if mask.any() else None
 
     def step(
         self, item: SourceItem, detector: Optional[DetectorPort]
@@ -253,10 +256,10 @@ class _SessionState:
             if motion is None and self.prev_frame is not None:
                 flow = farneback_flow(self.prev_frame, cur_frame, self.cfg.flow)
                 mags = {"scene": roi_motion(flow, _SCENE)}
-                bed_mask = bed_roi_from_detection(_scale_record(rec, _FX, _FY), *FLOW_DIMS)
-                if bed_mask is not None and bed_mask.count():
+                bed_mask = bed_roi_from_detection(rec, *FLOW_DIMS)
+                if bed_mask is not None:
                     mags["bed"] = roi_motion(flow, bed_mask)
-                if self.zone_flow is not None and self.zone_flow.count():
+                if self.zone_flow is not None:
                     mags["safety_zone"] = roi_motion(flow, self.zone_flow)
                 motion = MotionRecord(item.session_id, ts, mags)
             self.prev_frame = cur_frame

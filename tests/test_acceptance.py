@@ -423,7 +423,7 @@ def test_criterion_8_geometry():
     for _ in range(30):
         p = random_star(rng, rng.uniform(120, 360), rng.uniform(80, 190), 25, 75)
         mask = rasterize(p, 480, 270)
-        gap = abs(mask.count() - shoelace_area(p.vertices)) / (480 * 270)
+        gap = abs(int(mask.sum()) - shoelace_area(p.vertices)) / (480 * 270)
         worst_area = max(worst_area, gap)
     area_ok = worst_area <= 0.02
 

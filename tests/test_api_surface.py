@@ -15,9 +15,12 @@ import importlib
 import importlib.util
 import json
 import logging
+import os
 import pkgutil
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -77,13 +80,14 @@ def test_tracer_patches_and_restores_every_lookup_site():
 # are left out: frame mode builds the flow image with resize_luma_via, which the
 # tracer does not wrap, and the synthetic detector reads no analysis image, so
 # resize_bilinear, resize_bicubic, to_grayscale and to_uint8 read 0 calls there.
+# The zone's motion mask is rasterized on a session's first frame pair, so
+# rasterize is a frames layer only, and replay must not reach it at all.
 PER_SECOND_LAYERS = (
     "pipeline.run_pipeline",
     "model.validate_record",
     "logic.SmoothingWindow.push",
     "logic.derive_state",
     "geometry.expand_polygon",
-    "geometry.rasterize",
     "geometry.detect_crossings",
     "schema.dumps_row",
     "store.append",
@@ -98,6 +102,7 @@ CROSSED_LAYERS = {
         "logic.attribute_roles",
         "flow.farneback_flow",
         "flow.roi_motion",
+        "geometry.rasterize",
         "geometry.bed_roi_from_detection",
     ),
     "replay": PER_SECOND_LAYERS + ("pipeline.rows_source", "schema.read_rows_jsonl", "schema.loads_row"),
@@ -135,6 +140,8 @@ def test_tracer_sees_every_layer_a_workload_crosses(tmp_path, mode):
     assert stats.rows == 5 and stats.crossings == tr.counters["geometry.crossings"] > 0
     calls = {name: tr.names.count(name) for name in CROSSED_LAYERS[mode]}
     assert all(calls.values()), calls
+    if mode == "replay":
+        assert tr.names.count("geometry.rasterize") == 0
 
 
 def _package_chains(tree: ast.AST) -> set[tuple[str, ...]]:
@@ -205,6 +212,22 @@ def test_demo_imports_resolve(demo):
                     importlib.import_module(alias.name)
                     resolved += 1
     assert resolved > 0, f"{demo.name} imports nothing from ward_sentinel"
+
+
+# Demo 07 runs the whole pipeline on a simulated room for about 10 s; the
+# modules it calls are the ones demos 01-06 and the workload tests above run.
+RUNNABLE_DEMOS = [p for p in DEMOS if not p.name.startswith("07_")]
+
+
+@pytest.mark.parametrize("demo", RUNNABLE_DEMOS, ids=[p.name for p in RUNNABLE_DEMOS])
+def test_demo_runs(tmp_path, demo):
+    """Imports resolving is not enough: a demo that calls a removed method
+    fails only when run."""
+    src = str(ROOT / "src")
+    env = dict(os.environ, TMPDIR=str(tmp_path),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _readme_block(after: str, lang: str) -> str:

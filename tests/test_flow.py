@@ -18,7 +18,7 @@ from ward_sentinel.flow import (
     polynomial_expansion,
     roi_motion,
 )
-from ward_sentinel.geometry import Polygon, RoiMask, bed_roi_from_detection, expand_polygon, rasterize
+from ward_sentinel.geometry import Polygon, bed_roi_from_detection, expand_polygon, rasterize
 from ward_sentinel.imageops import resize_bilinear, to_grayscale
 from ward_sentinel.model import FlowParams
 
@@ -459,19 +459,18 @@ class TestRoiMotion:
 
     def test_three_four_five(self):
         f = self._field(np.full((20, 30), 3.0), np.full((20, 30), 4.0))
-        mask = RoiMask.scene(30, 20)
+        mask = np.ones((20, 30), dtype=bool)
         assert roi_motion(f, mask) == pytest.approx(5.0)
 
     def test_zero_flow(self):
         f = self._field(np.zeros((20, 30)), np.zeros((20, 30)))
-        assert roi_motion(f, RoiMask.scene(30, 20)) == 0.0
+        assert roi_motion(f, np.ones((20, 30), dtype=bool)) == 0.0
 
     def test_matches_per_pixel_sum_oracle(self, rng):
         dx = rng.normal(size=(27, 48))
         dy = rng.normal(size=(27, 48))
         bits = rng.uniform(size=(27, 48)) < 0.3
         bits[3, 7] = True  # keep non-empty
-        mask = RoiMask("bed", 48, 27, bits)
         # brute force: accumulate pixel by pixel
         total, count = 0.0, 0
         for y in range(27):
@@ -479,14 +478,14 @@ class TestRoiMotion:
                 if bits[y, x]:
                     total += (dx[y, x] ** 2 + dy[y, x] ** 2) ** 0.5
                     count += 1
-        assert roi_motion(self._field(dx, dy), mask) == pytest.approx(
+        assert roi_motion(self._field(dx, dy), bits) == pytest.approx(
             total / count, abs=1e-9
         )
 
     def test_scaling_is_exactly_linear(self, rng):
         dx = rng.normal(size=(27, 48))
         dy = rng.normal(size=(27, 48))
-        mask = RoiMask.scene(48, 27)
+        mask = np.ones((27, 48), dtype=bool)
         base = roi_motion(self._field(dx, dy), mask)
         for k in (0.0, 0.5, 2.0, 7.25):
             scaled = roi_motion(self._field(k * dx, k * dy), mask)
@@ -495,7 +494,7 @@ class TestRoiMotion:
     def test_opposing_motions_do_not_cancel(self):
         dx = np.array([[1.0, -1.0]])
         dy = np.zeros((1, 2))
-        assert roi_motion(self._field(dx, dy), RoiMask.scene(2, 1)) == pytest.approx(1.0)
+        assert roi_motion(self._field(dx, dy), np.ones((1, 2), dtype=bool)) == pytest.approx(1.0)
 
     def test_bit_equal_to_hypot_of_the_masked_pixels(self, rng):
         h, w = 270, 480
@@ -503,14 +502,13 @@ class TestRoiMotion:
         field = self._field(dx, dy)
         zone = expand_polygon(Polygon(((180, 110), (330, 110), (330, 250), (180, 250))), 0.1)
         masks = [
-            RoiMask.scene(w, h),
+            np.ones((h, w), dtype=bool),
             bed_roi_from_detection(make_record("s", 0), w, h),
             rasterize(zone, w, h),
-            RoiMask("bed", w, h, rng.uniform(size=(h, w)) < 0.3),
+            rng.uniform(size=(h, w)) < 0.3,
         ]
         for mask in masks:
-            bits = mask.bits
-            assert roi_motion(field, mask) == float(np.hypot(dx[bits], dy[bits]).mean())
+            assert roi_motion(field, mask) == float(np.hypot(dx[mask], dy[mask]).mean())
 
     def test_magnitude_is_computed_once_and_read_only(self, rng):
         field = self._field(*rng.normal(size=(2, 27, 48)))
@@ -520,14 +518,21 @@ class TestRoiMotion:
 
     def test_empty_mask_raises(self):
         f = self._field(np.zeros((4, 4)), np.zeros((4, 4)))
-        empty = RoiMask("bed", 4, 4, np.zeros((4, 4), dtype=bool))
+        empty = np.zeros((4, 4), dtype=bool)
         with pytest.raises(EmptyMask):
             roi_motion(f, empty)
 
     def test_dimension_mismatch(self):
         f = self._field(np.zeros((4, 4)), np.zeros((4, 4)))
         with pytest.raises(DimensionMismatch):
-            roi_motion(f, RoiMask.scene(5, 5))
+            roi_motion(f, np.ones((5, 5), dtype=bool))
+        with pytest.raises(DimensionMismatch):
+            roi_motion(f, np.ones((4, 5), dtype=bool))
+
+    def test_mask_that_is_not_bool_raises(self):
+        f = self._field(np.zeros((4, 4)), np.zeros((4, 4)))
+        with pytest.raises(TypeError):
+            roi_motion(f, np.ones((4, 4), dtype=np.uint8))
 
 
 class TestGrayscaleDownsample:

@@ -10,7 +10,6 @@ from ward_sentinel.errors import DegeneratePolygon, WrongClass, ZoneDimensionMis
 from ward_sentinel.geometry import (
     CrossingEvent,
     Polygon,
-    RoiMask,
     Zone,
     anchor_point,
     bed_roi_from_detection,
@@ -19,7 +18,7 @@ from ward_sentinel.geometry import (
     rasterize,
 )
 from ward_sentinel import geometry
-from ward_sentinel.model import BoundingBox, DetectionRecord
+from ward_sentinel.model import ANALYSIS_DIMS, FLOW_DIMS, BoundingBox, DetectionRecord
 
 from conftest import person_box, role_dist
 
@@ -106,19 +105,19 @@ class TestExpandPolygon:
 class TestRasterize:
     def test_left_half_rectangle(self):
         mask = rasterize(Polygon(((0, 0), (5, 0), (5, 10), (0, 10))), 10, 10)
-        assert mask.count() == 50
-        assert mask.bits[:, :5].all() and not mask.bits[:, 5:].any()
+        assert mask.sum() == 50
+        assert mask[:, :5].all() and not mask[:, 5:].any()
 
     def test_polygon_outside_frame_is_empty(self):
         mask = rasterize(Polygon(((20, 20), (30, 20), (25, 30))), 10, 10)
-        assert mask.count() == 0
+        assert mask.sum() == 0
 
     def test_area_against_shoelace_oracle(self, rng):
         w, h = 480, 270
         for _ in range(20):
             p = random_star(rng, rng.uniform(140, 340), rng.uniform(90, 180), 30, 85)
             mask = rasterize(p, w, h)
-            assert abs(mask.count() / (w * h) - shoelace_area(p.vertices) / (w * h)) <= 0.02
+            assert abs(mask.sum() / (w * h) - shoelace_area(p.vertices) / (w * h)) <= 0.02
 
     def test_growth_is_monotone_for_convex(self, rng):
         for _ in range(10):
@@ -127,10 +126,11 @@ class TestRasterize:
             p = Polygon(tuple(map(tuple, pts[hull.vertices])))
             base = rasterize(p, 480, 270)
             grown = rasterize(expand_polygon(p, 0.10), 480, 270)
-            assert not (base.bits & ~grown.bits).any()
+            assert not (base & ~grown).any()
 
-    def test_scene_mask_is_all_ones(self):
-        assert RoiMask.scene(8, 4).count() == 32
+    def test_mask_is_a_read_only_bool_array_of_the_frame(self):
+        mask = rasterize(SQUARE, 8, 4)
+        assert mask.shape == (4, 8) and mask.dtype == bool and not mask.flags.writeable
 
 
 # Polygons for the point test: star-shaped ones are simple, with vertices
@@ -170,7 +170,7 @@ class TestZone:
     @given(_zone_case())
     def test_contains_is_the_rasterized_bit_under_the_clamped_point(self, case):
         polygon, w, h, points = case
-        bits = rasterize(polygon, w, h).bits
+        bits = rasterize(polygon, w, h)
         zone = Zone(polygon, w, h)
         for x, y in points:
             px = min(max(math.floor(x), 0), w - 1)
@@ -184,7 +184,7 @@ class TestZone:
         w, h = 1088, 612
         for _ in range(3):
             p = random_star(rng, rng.uniform(200, 900), rng.uniform(150, 500), 40, 400)
-            bits = rasterize(p, w, h).bits
+            bits = rasterize(p, w, h)
             zone = Zone(p, w, h)
             # both pixels of every place where a row changes membership
             ys, xs = np.nonzero(bits[:, 1:] != bits[:, :-1])
@@ -208,18 +208,48 @@ class TestBedRoi:
             ),
             (None, None),
         )
-        mask = bed_roi_from_detection(rec, 100, 100)
-        assert mask.bits[25, 25] and not mask.bits[5, 5]
-        assert mask.count() == 100
+        mask = bed_roi_from_detection(rec, *ANALYSIS_DIMS)
+        assert mask[25, 25] and not mask[5, 5]
+        assert mask.sum() == 100
 
     def test_no_bed_returns_none(self):
         rec = DetectionRecord("s", 0, (person_box(),), (role_dist("patient"),))
-        assert bed_roi_from_detection(rec, 100, 100) is None
+        assert bed_roi_from_detection(rec, *ANALYSIS_DIMS) is None
 
     def test_half_out_of_frame_clamped(self):
-        rec = DetectionRecord("s", 0, (BoundingBox("bed", 90, 0, 20, 10, 0.9),), (None,))
-        mask = bed_roi_from_detection(rec, 100, 100)
-        assert mask.count() == 100  # 10x10 remains inside
+        rec = DetectionRecord("s", 0, (BoundingBox("bed", ANALYSIS_DIMS[0] - 10, 0, 20, 10, 0.9),), (None,))
+        mask = bed_roi_from_detection(rec, *ANALYSIS_DIMS)
+        assert mask.sum() == 100  # 10x10 remains inside
+
+    def test_ties_go_to_the_first_bed(self):
+        beds = (BoundingBox("bed", 0, 0, 10, 10, 0.9), BoundingBox("bed", 20, 20, 10, 10, 0.9))
+        mask = bed_roi_from_detection(DetectionRecord("s", 0, beds, (None, None)), *ANALYSIS_DIMS)
+        assert mask[5, 5] and not mask[25, 25]
+
+    def test_flow_rectangle_floors_and_ceils_the_scaled_bed(self, rng):
+        """The bed's own numbers scaled by FLOW_DIMS / ANALYSIS_DIMS: floor of
+        the near edges, ceiling of the far edges, clamped to the mask."""
+        fw, fh = FLOW_DIMS
+        sx, sy = FLOW_DIMS[0] / ANALYSIS_DIMS[0], FLOW_DIMS[1] / ANALYSIS_DIMS[1]
+        for _ in range(200):
+            x, y = rng.uniform(-50, 1100), rng.uniform(-50, 620)
+            w, h = rng.uniform(0.01, 400), rng.uniform(0.01, 300)
+            rec = DetectionRecord("s", 0, (BoundingBox("bed", x, y, w, h, 0.9),), (None,))
+            x1, x2 = (min(max(int(v), 0), fw) for v in (np.floor(x * sx), np.ceil(x * sx + w * sx)))
+            y1, y2 = (min(max(int(v), 0), fh) for v in (np.floor(y * sy), np.ceil(y * sy + h * sy)))
+            mask = bed_roi_from_detection(rec, fw, fh)
+            if x1 >= x2 or y1 >= y2:
+                assert mask is None
+                continue
+            expected = np.zeros((fh, fw), dtype=bool)
+            expected[y1:y2, x1:x2] = True
+            assert mask.shape == (fh, fw) and not mask.flags.writeable
+            assert np.array_equal(mask, expected)
+
+    def test_a_bed_that_scales_to_no_pixel_has_no_mask(self):
+        # w scales below the smallest float: the rectangle is empty
+        rec = DetectionRecord("s", 0, (BoundingBox("bed", 0.0, 10.0, 5e-324, 50.0, 0.9),), (None,))
+        assert bed_roi_from_detection(rec, *FLOW_DIMS) is None
 
 
 class TestAnchorPoint:

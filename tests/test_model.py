@@ -26,8 +26,7 @@ from ward_sentinel.model import (
     validate_record,
 )
 from ward_sentinel.evaluation import FrameLabel
-from ward_sentinel.flow import MotionRecord
-from ward_sentinel.geometry import ROI_KINDS
+from ward_sentinel.flow import ROI_KINDS, MotionRecord
 from ward_sentinel.logic import LogicalState
 from ward_sentinel.pipeline import ADAPTERS, SourceItem
 from ward_sentinel.schema import (

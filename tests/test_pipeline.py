@@ -514,6 +514,31 @@ class TestRunPipeline:
             trees.append({p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()})
         assert trees[0] == trees[1] and len(trees[0]) > 1
 
+    def test_a_validated_bed_too_thin_for_the_flow_frame_stores_no_bed_motion(self, tmp_path):
+        # w passes validation but scales to 0.0 at flow resolution: the bed
+        # covers no flow pixel, so the row carries no bed motion and no error.
+        sim = generate(_scenario(duration=3), CFG)
+
+        class ThinBedDetector(DetectorPort):
+            def detect(self, session_id, ts, frame=None):
+                return DetectorOutput((BoundingBox("bed", 0.0, 10.0, 5e-324, 50.0, 0.9),), (None,))
+
+        store = Store(tmp_path / "store")
+        stats = run_pipeline(frame_source(sim.frames()), CFG, store, detector=ThinBedDetector())
+        rows = list(store.iter_rows())
+        assert stats.rows == 3 and rows[0].record.boxes[0].w == 5e-324
+        assert [sorted(r.motion.magnitudes) for r in rows[1:]] == [["scene"], ["scene"]]
+
+    def test_zone_that_covers_no_flow_pixel_stores_no_zone_motion(self, tmp_path):
+        # Grown by 10%, x and y span 10.975..11.525, which scale to 4.84..5.08
+        # at flow resolution: no pixel center falls inside.
+        zone = ((11.0, 11.0), (11.5, 11.0), (11.5, 11.5), (11.0, 11.5))
+        sim = generate(_scenario(duration=3), CFG)
+        store = Store(tmp_path / "store")
+        run_pipeline(frame_source(sim.frames()), PipelineConfig(zones={"sim": zone}), store,
+                     detector=SyntheticDetector(sim))
+        assert [sorted(r.motion.magnitudes) for r in list(store.iter_rows())[1:]] == [["bed", "scene"]] * 2
+
     def test_other_detector_failure_wrapped_once(self, tmp_path):
         class BrokenDetector(DetectorPort):
             def detect(self, session_id, ts, frame=None):
@@ -607,7 +632,7 @@ def _raster_crossings(rows, cfg):
         cur = validate_record(row.record, ANALYSIS_DIMS)
         sid = cur.session_id
         if sid not in masks:
-            masks[sid] = rasterize(expand_polygon(Polygon(cfg.zone_for(sid)), cfg.safety_zone_expansion), fw, fh).bits
+            masks[sid] = rasterize(expand_polygon(Polygon(cfg.zone_for(sid)), cfg.safety_zone_expansion), fw, fh)
         last, prev[sid] = prev.get(sid), cur
         if last is None or cur.ts != last.ts + 1:
             continue
@@ -1267,3 +1292,39 @@ def test_pipeline_store_bytes_are_pinned(tmp_path):
     assert '"h":10.0,"w":10.0,"x":5.0' in stored and '"h":50,"w":40,"x":20,"y":30' in stored
     assert digests == GOLDEN_STORE
     assert hashlib.sha256((tmp_path / "store" / "manifest.json").read_bytes()).hexdigest() == GOLDEN_MANIFEST
+
+
+# A frame-mode store pinned byte for byte: 8 s of 960x540 video with a walker
+# that crosses the safety zone and detector noise, so every row past the first
+# stores the scene, bed and safety_zone magnitudes that flow computes over its
+# masks, which the replayed golden rows above never exercise.
+FRAME_ZONE = ((400.0, 300.0), (700.0, 300.0), (700.0, 560.0), (400.0, 560.0))
+FRAME_STORE = {  # manifest key: sha256 of the file
+    "sessions/sim/2024-03-01.jsonl": "7d71bb0df47e223d6719fd2642b7f700451b03fa06e6cef4119c743bfa0e2dd9",
+    "sessions/sim/crossings.jsonl": "878493752ccbbb58eb24d0cd6e256699c64fed6cf2a4b24832ed11c36f6004b6",
+}
+FRAME_MANIFEST = "1ae676a885f1730ec44f5f0e275815f8986532343c14260e80c0d90633c9ac48"  # manifest.json
+
+
+def test_frame_mode_store_bytes_are_pinned(tmp_path):
+    from ward_sentinel.simulator import OccupantTrack
+
+    spec = _scenario(
+        duration=8,
+        schedule=(ScheduleInterval(0, 8, patients=1, motion=1.5),),
+        tracks=(OccupantTrack("staff", ((1, 150.0, 430.0), (7, 600.0, 430.0))),),
+        zone=FRAME_ZONE,
+        noise=NoiseModel(p_miss=0.1, p_spur=0.1, p_role=0.1),
+    )
+    sim = generate(spec, CFG)
+    store = Store(tmp_path / "store")
+    stats = run_pipeline(frame_source(sim.frames()), PipelineConfig(zones={"sim": FRAME_ZONE}), store,
+                         detector=SyntheticDetector(sim))
+    assert stats.rows == 8 and stats.crossings >= 1
+    rows = list(store.iter_rows())
+    assert rows[0].motion is None
+    assert all(set(r.motion.magnitudes) == {"scene", "bed", "safety_zone"} for r in rows[1:])
+    segments = store.load_manifest()["segments"]
+    digests = {rel: hashlib.sha256((tmp_path / "store" / rel).read_bytes()).hexdigest() for rel in segments}
+    assert digests == FRAME_STORE
+    assert hashlib.sha256((tmp_path / "store" / "manifest.json").read_bytes()).hexdigest() == FRAME_MANIFEST
