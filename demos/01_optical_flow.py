@@ -40,6 +40,6 @@ print(f"\nidentical frames -> mean |flow| = {field.magnitude().mean():.2e}")
 
 from ward_sentinel.flow import FlowField
 
-uniform = FlowField(width=w, height=h, dx=np.full((h, w), 3.0), dy=np.full((h, w), 4.0))
+uniform = FlowField(np.full((h, w), 3.0), np.full((h, w), 4.0))
 scene = np.ones((h, w), dtype=bool)  # an ROI is a plain bool mask; the scene sets every pixel
 print(f"uniform (3,4) field over the scene ROI -> {roi_motion(uniform, scene):.1f}")

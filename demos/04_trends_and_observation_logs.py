@@ -32,9 +32,10 @@ spec = ScenarioSpec(
 )
 sim = generate(spec, cfg)
 
-store = Store(Path(tempfile.mkdtemp()) / "store")
-run_pipeline(rows_source(CanonicalRow(r, sim.motions.get(r.ts)) for r in sim.records), cfg, store)
-states = [row.logical for row in store.iter_rows()]
+with tempfile.TemporaryDirectory() as tmp:
+    store = Store(Path(tmp) / "store")
+    run_pipeline(rows_source(CanonicalRow(r, sim.motions.get(r.ts)) for r in sim.records), cfg, store)
+    states = [row.logical for row in store.iter_rows()]
 
 print("hour  monitored  alone  moving  alone+moving  supervised")
 trends = aggregate_hourly(states)

@@ -31,16 +31,16 @@ spec = ScenarioSpec(
 cfg = PipelineConfig(zones={"demo-e2e": zone})
 sim = generate(spec, cfg)
 
-out = Path(tempfile.mkdtemp())
-store = Store(out / "store")
-stats = run_pipeline(
-    frame_source(sim.frames()), cfg, store, detector=SyntheticDetector(sim)
-)
-print(f"processed {stats.rows} frames at {stats.rows / stats.elapsed_s:.1f} fps "
-      f"(budget is 1 fps), {stats.crossings} zone crossing(s)")
-print(f"store integrity: {store.verify()} sealed segment(s) verified")
+with tempfile.TemporaryDirectory() as tmp:
+    store = Store(Path(tmp) / "store")
+    stats = run_pipeline(
+        frame_source(sim.frames()), cfg, store, detector=SyntheticDetector(sim)
+    )
+    print(f"processed {stats.rows} frames at {stats.rows / stats.elapsed_s:.1f} fps "
+          f"(budget is 1 fps), {stats.crossings} zone crossing(s)")
+    print(f"store integrity: {store.verify()} sealed segment(s) verified")
+    rows = list(store.iter_rows())
 
-rows = list(store.iter_rows())
 moving = [r.record.ts - spec.start_ts for r in rows if r.logical.moving]
 print(f"seconds flagged moving: {moving[0]}..{moving[-1]} "
       f"(motion starts at t=45; the 5s window trails)")

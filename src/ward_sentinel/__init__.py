@@ -23,7 +23,7 @@ from .model import (
 from .flow import FlowField, MotionRecord, farneback_flow, roi_motion
 from .geometry import CrossingEvent, Polygon, Zone, anchor_point, detect_crossings, expand_polygon, rasterize
 from .logic import LogicalState, SmoothingWindow, attribute_roles, derive_state
-from .trends import HourlyTrend, ObservationLog, aggregate_hourly, assisted_trends, cohort_average, log_to_states
+from .trends import HourlyTrend, ObservationLog, aggregate_hourly, assisted_trends, cohort_average
 from .evaluation import (
     EvalReport,
     FrameLabel,

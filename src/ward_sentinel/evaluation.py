@@ -13,6 +13,7 @@ commands start without loading it; tests/test_cli.py enforces this.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass
 from datetime import date
 from typing import Mapping, Optional, Sequence
@@ -212,6 +213,9 @@ def evaluate_frames(
 ) -> EvalReport:
     """Full frame-level report over aligned label/prediction frame sets.
 
+    Each (session_id, ts) must appear once among the labels and once among
+    the predictions; a repeated or unmatched key raises MisalignedFrames.
+
     pred_alone optionally maps frame ids to the pipeline's smoothed
     patient_alone; without it the flag is derived instantaneously from the
     prediction record. Exception-tagged frames are dropped from all metrics
@@ -219,6 +223,11 @@ def evaluate_frames(
     """
     by_key = {(p.session_id, p.ts): p for p in preds}
     label_keys = {(l.session_id, l.ts) for l in labels}
+    for what, frames, keys in (("label", labels, label_keys), ("prediction", preds, by_key)):
+        if len(keys) != len(frames):
+            listed = Counter((f.session_id, f.ts) for f in frames)
+            repeated = next(k for k, n in listed.items() if n > 1)
+            raise MisalignedFrames(f"{what} frame {repeated} is listed more than once")
     if label_keys != set(by_key):
         missing = sorted(label_keys ^ set(by_key))[:3]
         raise MisalignedFrames(f"label/prediction frame sets differ, e.g. {missing}")

@@ -48,15 +48,16 @@ _SHARED_KIND = {k: k for k in ROI_KINDS}
 
 @dataclass(frozen=True)
 class FlowField:
-    width: int
-    height: int
+    """Per-pixel displacements dx and dy: two finite planes of one
+    (height, width) shape, which is the field's size."""
+
     dx: np.ndarray
     dy: np.ndarray
 
     def __post_init__(self):
+        if self.dx.ndim != 2 or self.dy.shape != self.dx.shape:
+            raise ValueError("flow plane shape must be (height, width)")
         for plane in (self.dx, self.dy):
-            if plane.shape != (self.height, self.width):
-                raise ValueError("flow plane shape must be (height, width)")
             if not np.all(np.isfinite(plane)):
                 raise ValueError("flow planes must be finite")
 
@@ -433,7 +434,7 @@ def farneback_flow(
             dx, dy = _displacement_update(polys1[k], polys2[k], dx, dy, params.winsize)
         clock("update", t0)
 
-    return FlowField(width=width, height=height, dx=dx, dy=dy)
+    return FlowField(dx, dy)
 
 
 def roi_motion(flow: FlowField, mask: np.ndarray) -> float:
@@ -443,8 +444,9 @@ def roi_motion(flow: FlowField, mask: np.ndarray) -> float:
     canceling. The magnitude plane is computed once per field and shared by
     every ROI of it.
     """
-    if mask.shape != (flow.height, flow.width):
-        raise DimensionMismatch(f"mask shape {mask.shape} vs flow {flow.width}x{flow.height}")
+    height, width = flow.dx.shape
+    if mask.shape != (height, width):
+        raise DimensionMismatch(f"mask shape {mask.shape} vs flow {width}x{height}")
     if mask.dtype != bool:
         raise TypeError(f"ROI mask must be a bool array, got {mask.dtype}")
     if not mask.any():

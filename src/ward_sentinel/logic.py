@@ -95,8 +95,10 @@ def attribute_roles(
 
     The highest-confidence role becomes the primary class and keeps its
     score c; the residual 1 - c is split equally across the two remaining
-    roles. Ties break patient > staff > other. A person with no role signal
-    gets a uniform distribution and is flagged.
+    roles. Ties break patient > staff > other. A person with no role signal,
+    or whose top confidence c in [0, 1] is not above its residual share
+    (1 - c) / 2 (so that splitting would make another role primary), gets a
+    uniform distribution and is flagged.
     """
     out = []
     for i, confs in enumerate(role_confidences):
@@ -108,6 +110,10 @@ def attribute_roles(
         primary = max(ROLES, key=lambda r: (known.get(r, -1.0), -ROLES.index(r)))
         c = known[primary]
         rest = (1.0 - c) / 2.0
+        if 0.0 <= c <= rest:
+            log.warning("person %d's top role confidence %r is not above the residual share; using uniform", i, c)
+            out.append(RoleDistribution.uniform(fallback=True))
+            continue
         out.append(
             RoleDistribution({r: (c if r == primary else rest) for r in ROLES})
         )

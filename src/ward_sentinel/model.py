@@ -30,7 +30,6 @@ from .errors import MalformedRecord
 
 CLASSES = ("person", "bed", "chair")
 ROLES = ("patient", "staff", "other")
-MODES = ("RGB", "NIR")
 
 # Fixed working resolutions of the processing chain (width, height).
 ANALYSIS_DIMS = (1088, 612)
@@ -88,33 +87,24 @@ def slot_init(cls):
 class Frame:
     """One captured image at a whole-second timestamp.
 
-    pixels is (height, width, channels) uint8, 3 channels for RGB and 1 for
-    NIR. The buffer is marked read-only on construction.
+    pixels is a (height, width, channels) uint8 buffer with 3 channels (RGB)
+    or 1 (NIR), each dimension at least 1; the frame's size is its shape. The
+    buffer is marked read-only on construction.
     """
 
     session_id: str
     ts: int
-    width: int
-    height: int
-    mode: str
     pixels: np.ndarray = field(repr=False, compare=False)
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown frame mode {self.mode!r}")
-        if self.width < 1 or self.height < 1:
+        shape = self.pixels.shape
+        if len(shape) != 3 or shape[2] not in (1, 3):
+            raise ValueError(f"pixel buffer shape {shape} is not (height, width, 1 or 3)")
+        if shape[0] < 1 or shape[1] < 1:
             raise ValueError("frame dimensions must be >= 1")
-        channels = 3 if self.mode == "RGB" else 1
-        expected = (self.height, self.width, channels)
-        if self.pixels.shape != expected:
-            raise ValueError(f"pixel buffer shape {self.pixels.shape} != {expected}")
         if self.pixels.dtype != np.uint8:
             raise ValueError("pixel buffer must be uint8")
         self.pixels.setflags(write=False)
-
-    @property
-    def channels(self) -> int:
-        return 3 if self.mode == "RGB" else 1
 
 
 @slot_init
@@ -280,12 +270,6 @@ class DetectionRecord:
             object.__setattr__(self, "boxes", tuple(self.boxes))
         if type(self.roles) is not tuple:
             object.__setattr__(self, "roles", tuple(self.roles))
-
-    def person_indices(self) -> list[int]:
-        return [i for i, b in enumerate(self.boxes) if b.cls == "person"]
-
-    def person_count(self) -> int:
-        return sum(1 for b in self.boxes if b.cls == "person")
 
 
 @dataclass(frozen=True)

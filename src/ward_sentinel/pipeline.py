@@ -96,10 +96,9 @@ def preprocess(frame: Frame) -> PreprocessedFrame:
     detector image bicubic from it, both made on first read. Aspect ratios
     are not letterboxed (fixed output resolutions).
     """
-    if min(frame.width, frame.height) < MIN_INPUT_DIM:
-        raise TooSmallInput(
-            f"frame {frame.width}x{frame.height} below minimum {MIN_INPUT_DIM}px"
-        )
+    height, width = frame.pixels.shape[:2]
+    if min(width, height) < MIN_INPUT_DIM:
+        raise TooSmallInput(f"frame {width}x{height} below minimum {MIN_INPUT_DIM}px")
     flow_gray = resize_luma_via(frame.pixels, *ANALYSIS_DIMS, *FLOW_DIMS)
     return PreprocessedFrame(flow_gray=flow_gray, pixels=frame.pixels)
 

@@ -345,21 +345,13 @@ def _frame_stream(spec: ScenarioSpec) -> Iterator[Frame]:
     from .model import FLOW_DIMS
 
     base = _base_texture(spec)
-    rw, rh = spec.raw_frame_dims
-    scale = rw / FLOW_DIMS[0]
+    scale = spec.raw_frame_dims[0] / FLOW_DIMS[0]
     offset = 0
     for t in range(spec.duration_s):
         if t > 0:
             offset += int(round(spec.interval_at(t).motion * scale))
         pixels = np.roll(base, offset, axis=1)[:, :, None]
-        yield Frame(
-            session_id=spec.session_id,
-            ts=spec.start_ts + t,
-            width=rw,
-            height=rh,
-            mode="NIR",
-            pixels=pixels,
-        )
+        yield Frame(spec.session_id, spec.start_ts + t, pixels)
 
 
 def spec_from_dict(raw: dict) -> ScenarioSpec:

@@ -199,7 +199,12 @@ def cohort_average(trends: Sequence[HourlyTrend]) -> list[CohortHourlyTrend]:
 
 def _logged_alone(log: ObservationLog, ts: np.ndarray) -> np.ndarray:
     """The log's alone flag (bool) at each second of ts, a non-empty strictly
-    increasing int64 column; the intervals are checked as log_to_states says."""
+    increasing int64 column.
+
+    The intervals are half-open [start, end), must be sorted and
+    non-overlapping (else OverlappingIntervals), and must stay within the span
+    [ts[0], ts[-1] + 1) (else IntervalOutOfBounds).
+    """
     lo, hi = int(ts[0]), int(ts[-1]) + 1
     prev_end = None
     for a, b in log.intervals:
@@ -220,22 +225,6 @@ def _logged_alone(log: ObservationLog, ts: np.ndarray) -> np.ndarray:
     idx = np.searchsorted(lasts, ts)  # the first interval that ends after each second
     inside = idx < len(starts)
     return inside & (starts[np.minimum(idx, len(starts) - 1)] <= ts)
-
-
-def log_to_states(log: ObservationLog, grid: Sequence[int]) -> list[bool]:
-    """Per-second alone flags aligned with grid (a strictly increasing second grid).
-
-    Intervals are half-open [start, end), must be sorted and non-overlapping,
-    and must stay within the grid's span. A grid value that is not an integer
-    within int64 raises ValidationError.
-    """
-    if not grid:
-        return []
-    ts = _int64_stamps(grid)
-    i = _first_unsorted(ts)
-    if i < len(ts):
-        raise UnsortedInput(f"states not strictly increasing at ts {grid[i + 1]}")
-    return _logged_alone(log, ts).tolist()
 
 
 def assisted_trends(

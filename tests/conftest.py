@@ -29,6 +29,11 @@ def make_record(session_id, ts, primaries=(), bed=True, origin=(50.0, 50.0)):
     return DetectionRecord(session_id, ts, tuple(boxes), tuple(roles))
 
 
+def person_indices(rec):
+    """Indices of rec's person boxes."""
+    return [i for i, b in enumerate(rec.boxes) if b.cls == "person"]
+
+
 # make_record's bed, its person boxes by index and role_dist by primary; all
 # immutable, so random_stream shares them between records.
 _BED, *_PERSONS = make_record("s", 0, ["patient"] * 4).boxes

@@ -222,12 +222,71 @@ RUNNABLE_DEMOS = [p for p in DEMOS if not p.name.startswith("07_")]
 @pytest.mark.parametrize("demo", RUNNABLE_DEMOS, ids=[p.name for p in RUNNABLE_DEMOS])
 def test_demo_runs(tmp_path, demo):
     """Imports resolving is not enough: a demo that calls a removed method
-    fails only when run."""
+    fails only when run. A demo cleans up the temporary files it makes."""
     src = str(ROOT / "src")
-    env = dict(os.environ, TMPDIR=str(tmp_path),
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    env = dict(os.environ, TMPDIR=str(tmp),
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in tmp.iterdir()) == []
+
+
+# The detector port's documented image, for detectors outside the package.
+UNREAD_ALLOWED = {"pipeline.PreprocessedFrame.analysis"}
+PACKAGE = ROOT / "src" / "ward_sentinel"
+
+
+def _definitions() -> dict[str, str]:
+    """Qualified name -> name of each function, method and class defined in
+    the package, leaving out protocol methods such as __len__, which the
+    language calls."""
+    out = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                qualname = prefix + child.name
+                if not (child.name.startswith("__") and child.name.endswith("__")):
+                    out[qualname] = child.name
+                visit(child, qualname + ".")
+            else:
+                visit(child, prefix)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text()), f"{path.stem}.")
+    return out
+
+
+def _names_read_outside_tests() -> set[str]:
+    """Every name, attribute, import alias and identifier string that the
+    package (less the re-exports of its __init__.py), the demos, the benchmark
+    and the tools read."""
+    files = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    for folder in ("demos", "perfbench", "tools"):
+        files += sorted((ROOT / folder).rglob("*.py"))
+    names = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.rpartition(".")[2])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+                names.add(node.value)
+    return names
+
+
+def test_every_definition_is_read_outside_the_tests():
+    """A function, method or class that only tests call is API no program
+    uses: it should go, with its tests."""
+    read = _names_read_outside_tests()
+    unread = {q for q, name in _definitions().items() if name not in read}
+    assert sorted(unread - UNREAD_ALLOWED) == []
+    assert UNREAD_ALLOWED <= unread, "an allowed name is read now: take it off the list"
 
 
 def _readme_block(after: str, lang: str) -> str:

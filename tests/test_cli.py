@@ -215,6 +215,16 @@ def test_evaluate_frames_with_unmatched_frames_exits_two(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_evaluate_frames_with_a_repeated_label_exits_two(tmp_path, capsys):
+    label = {"session_id": "s", "ts": 0, "boxes": [{"cls": "bed", "x": 300, "y": 250, "w": 380, "h": 240}]}
+    (tmp_path / "labels.jsonl").write_text("".join(json.dumps(dict(label, ts=ts)) + "\n" for ts in (0, 1, 0)))
+    write_rows_jsonl([CanonicalRow(make_record("s", i)) for i in range(2)], tmp_path / "preds.jsonl")
+    argv = ["evaluate", "frames", "--labels", str(tmp_path / "labels.jsonl"), "--preds", str(tmp_path / "preds.jsonl")]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "validation error: label frame ('s', 0) is listed more than once\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_camera_meta_cli(tmp_path):
     labels = [
         {

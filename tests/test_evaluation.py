@@ -496,3 +496,18 @@ class TestEvaluateFrames:
         labels = [_label(0, [(box(0, 0, 10, 10), "patient")])]
         with pytest.raises(MisalignedFrames):
             evaluate_frames(labels, [])
+
+    @pytest.mark.parametrize("side", ["label", "prediction"])
+    def test_a_repeated_frame_key_is_rejected(self, side):
+        # A repeated label would be counted twice; a repeated prediction would
+        # shadow the earlier one. Both sides still cover the same keys.
+        person = [(box(0, 0, 10, 10), "patient")]
+        labels = [_label(ts, person) for ts in (0, 1)]
+        preds = [_pred(ts, person) for ts in (0, 1)]
+        if side == "label":
+            labels.append(_label(1, person))
+        else:
+            preds.insert(1, _pred(0, []))
+        message = f"{side} frame ('s', {1 if side == 'label' else 0}) is listed more than once"
+        with pytest.raises(MisalignedFrames, match=f"^{re.escape(message)}$"):
+            evaluate_frames(labels, preds)

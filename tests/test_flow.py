@@ -454,16 +454,13 @@ class TestFlowFrame:
 
 
 class TestRoiMotion:
-    def _field(self, dx, dy):
-        return FlowField(width=dx.shape[1], height=dx.shape[0], dx=dx, dy=dy)
-
     def test_three_four_five(self):
-        f = self._field(np.full((20, 30), 3.0), np.full((20, 30), 4.0))
+        f = FlowField(np.full((20, 30), 3.0), np.full((20, 30), 4.0))
         mask = np.ones((20, 30), dtype=bool)
         assert roi_motion(f, mask) == pytest.approx(5.0)
 
     def test_zero_flow(self):
-        f = self._field(np.zeros((20, 30)), np.zeros((20, 30)))
+        f = FlowField(np.zeros((20, 30)), np.zeros((20, 30)))
         assert roi_motion(f, np.ones((20, 30), dtype=bool)) == 0.0
 
     def test_matches_per_pixel_sum_oracle(self, rng):
@@ -478,7 +475,7 @@ class TestRoiMotion:
                 if bits[y, x]:
                     total += (dx[y, x] ** 2 + dy[y, x] ** 2) ** 0.5
                     count += 1
-        assert roi_motion(self._field(dx, dy), bits) == pytest.approx(
+        assert roi_motion(FlowField(dx, dy), bits) == pytest.approx(
             total / count, abs=1e-9
         )
 
@@ -486,20 +483,20 @@ class TestRoiMotion:
         dx = rng.normal(size=(27, 48))
         dy = rng.normal(size=(27, 48))
         mask = np.ones((27, 48), dtype=bool)
-        base = roi_motion(self._field(dx, dy), mask)
+        base = roi_motion(FlowField(dx, dy), mask)
         for k in (0.0, 0.5, 2.0, 7.25):
-            scaled = roi_motion(self._field(k * dx, k * dy), mask)
+            scaled = roi_motion(FlowField(k * dx, k * dy), mask)
             assert scaled == pytest.approx(k * base, rel=1e-12, abs=1e-12)
 
     def test_opposing_motions_do_not_cancel(self):
         dx = np.array([[1.0, -1.0]])
         dy = np.zeros((1, 2))
-        assert roi_motion(self._field(dx, dy), np.ones((1, 2), dtype=bool)) == pytest.approx(1.0)
+        assert roi_motion(FlowField(dx, dy), np.ones((1, 2), dtype=bool)) == pytest.approx(1.0)
 
     def test_bit_equal_to_hypot_of_the_masked_pixels(self, rng):
         h, w = 270, 480
         dx, dy = rng.normal(0.0, 2.0, (2, h, w))
-        field = self._field(dx, dy)
+        field = FlowField(dx, dy)
         zone = expand_polygon(Polygon(((180, 110), (330, 110), (330, 250), (180, 250))), 0.1)
         masks = [
             np.ones((h, w), dtype=bool),
@@ -511,26 +508,36 @@ class TestRoiMotion:
             assert roi_motion(field, mask) == float(np.hypot(dx[mask], dy[mask]).mean())
 
     def test_magnitude_is_computed_once_and_read_only(self, rng):
-        field = self._field(*rng.normal(size=(2, 27, 48)))
+        field = FlowField(*rng.normal(size=(2, 27, 48)))
         mag = field.magnitude()
         assert field.magnitude() is mag and not mag.flags.writeable
         assert np.array_equal(mag, np.hypot(field.dx, field.dy))
 
     def test_empty_mask_raises(self):
-        f = self._field(np.zeros((4, 4)), np.zeros((4, 4)))
+        f = FlowField(np.zeros((4, 4)), np.zeros((4, 4)))
         empty = np.zeros((4, 4), dtype=bool)
         with pytest.raises(EmptyMask):
             roi_motion(f, empty)
 
+    def test_field_size_comes_from_its_planes(self):
+        for dx, dy in ((np.zeros((4, 5)), np.zeros((5, 4))), (np.zeros(4), np.zeros(4))):
+            with pytest.raises(ValueError, match=r"^flow plane shape must be \(height, width\)$"):
+                FlowField(dx, dy)
+        with pytest.raises(ValueError, match="^flow planes must be finite$"):
+            FlowField(np.zeros((4, 5)), np.full((4, 5), np.inf))
+        f = FlowField(np.zeros((4, 5)), np.zeros((4, 5)))
+        with pytest.raises(DimensionMismatch, match=r"^mask shape \(5, 4\) vs flow 5x4$"):
+            roi_motion(f, np.ones((5, 4), dtype=bool))
+
     def test_dimension_mismatch(self):
-        f = self._field(np.zeros((4, 4)), np.zeros((4, 4)))
+        f = FlowField(np.zeros((4, 4)), np.zeros((4, 4)))
         with pytest.raises(DimensionMismatch):
             roi_motion(f, np.ones((5, 5), dtype=bool))
         with pytest.raises(DimensionMismatch):
             roi_motion(f, np.ones((4, 5), dtype=bool))
 
     def test_mask_that_is_not_bool_raises(self):
-        f = self._field(np.zeros((4, 4)), np.zeros((4, 4)))
+        f = FlowField(np.zeros((4, 4)), np.zeros((4, 4)))
         with pytest.raises(TypeError):
             roi_motion(f, np.ones((4, 4), dtype=np.uint8))
 

@@ -20,7 +20,7 @@ from ward_sentinel.geometry import (
 from ward_sentinel import geometry
 from ward_sentinel.model import ANALYSIS_DIMS, FLOW_DIMS, BoundingBox, DetectionRecord
 
-from conftest import person_box, role_dist
+from conftest import person_box, person_indices, role_dist
 
 SQUARE = Polygon(((0, 0), (10, 0), (10, 10), (0, 10)))
 
@@ -290,7 +290,7 @@ def _crossing_facts_reference(zone, rec):
                 f"box ({b.x},{b.y},{b.w},{b.h}) exceeds zone dims {zone.width}x{zone.height}; "
                 "detections and zone must share a coordinate space"
             )
-    idx = rec.person_indices()
+    idx = person_indices(rec)
     anchors = [anchor_point(rec.boxes[i]) for i in idx]
     return idx, anchors, [zone.contains(x, y) for x, y in anchors]
 

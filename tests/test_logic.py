@@ -1,5 +1,8 @@
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ward_sentinel.errors import EmptyWindow, OutOfOrderRecord
 from ward_sentinel.evaluation import FrameLabel, evaluate_frames
@@ -12,9 +15,9 @@ from ward_sentinel.logic import (
     occupancy,
     record_facts,
 )
-from ward_sentinel.model import ROLES, BoundingBox, DetectionRecord, PipelineConfig
+from ward_sentinel.model import ROLES, BoundingBox, DetectionRecord, PipelineConfig, RoleDistribution
 
-from conftest import ROLE_ORDER, make_record, random_stream, role_dist
+from conftest import ROLE_ORDER, make_record, person_indices, random_stream, role_dist
 
 
 def brute_force_state(records_by_ts, motions_by_ts, ts, cfg):
@@ -28,7 +31,7 @@ def brute_force_state(records_by_ts, motions_by_ts, ts, cfg):
         for t in range(ts - cfg.smoothing_window_s + 1, ts + 1)
         if t in records_by_ts
     ]
-    counts = [r.person_count() for r in window]
+    counts = [len(person_indices(r)) for r in window]
     avg = sum(counts) / len(counts)
     # Roles past the end of boxes, or boxes past the end of roles, are unread.
     primaries = [
@@ -79,6 +82,38 @@ class TestAttributeRoles:
         (dist,) = attribute_roles([{}])
         assert dist.fallback_uniform
         assert dist.scores == pytest.approx({r: 1 / 3 for r in ("patient", "staff", "other")})
+
+    @pytest.mark.parametrize("confs", [{"patient": 0.2}, {"staff": 1 / 3}, {"other": 0.0, "staff": 0.1}])
+    def test_top_confidence_not_above_the_residual_yields_flagged_uniform(self, confs, caplog):
+        # Splitting 1 - c would put the other roles at or above c.
+        with caplog.at_level(logging.WARNING, logger="ward_sentinel.logic"):
+            (dist,) = attribute_roles([confs])
+        assert dist.fallback_uniform and dist.scores == RoleDistribution.uniform().scores
+        assert ["uniform" in r.getMessage() for r in caplog.records] == [True]
+
+    def test_out_of_range_confidence_still_raises(self):
+        with pytest.raises(ValueError, match=r"^score for patient out of \[0, 1\]: -0.5$"):
+            attribute_roles([{"patient": -0.5}])
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(st.dictionaries(
+        st.sampled_from(ROLES + ("bed",)),
+        st.floats(0.0, 1.0) | st.sampled_from([0.0, 1 / 3, 0.3333333333333333, 0.33333333333333337, 0.5, 1.0]),
+    ))
+    def test_primary_is_the_top_role_or_the_flagged_fallback(self, confs):
+        (dist,) = attribute_roles([confs])
+        known = {r: c for r, c in confs.items() if r in ROLES}
+        if not known:
+            assert dist.fallback_uniform
+            return
+        c = max(known.values())
+        top = next(r for r in ROLES if known.get(r) == c)  # ties: patient > staff > other
+        fallback = c <= (1.0 - c) / 2.0
+        assert dist.fallback_uniform == fallback
+        if fallback:
+            assert dist.scores == RoleDistribution.uniform().scores
+        else:
+            assert dist.primary() == top and dist.scores[top] == c
 
 
 class TestSmoothingWindow:
@@ -235,7 +270,7 @@ class TestOracleEquivalence:
             primaries = {
                 r.primary() for b, r in zip(rec.boxes, rec.roles) if r is not None and b.cls == "person"
             }
-            return rec.person_count(), "patient" in primaries, "staff" in primaries
+            return len(person_indices(rec)), "patient" in primaries, "staff" in primaries
 
         rng = np.random.default_rng(8)
         shorter = longer = 0

@@ -109,11 +109,24 @@ def test_role_distribution_tie_breaks_patient_first():
     assert d.primary() == "staff"
 
 
-def test_frame_buffer_validation():
-    with pytest.raises(ValueError):
-        Frame("s", 0, 10, 10, "RGB", np.zeros((10, 10, 1), dtype=np.uint8))
-    f = Frame("s", 0, 10, 8, "NIR", np.zeros((8, 10, 1), dtype=np.uint8))
-    assert f.channels == 1
+BAD_FRAME_BUFFERS = {
+    "two-channels": (np.zeros((8, 10, 2), np.uint8), r"pixel buffer shape (8, 10, 2) is not (height, width, 1 or 3)"),
+    "no-channel-axis": (np.zeros((8, 10), np.uint8), r"pixel buffer shape (8, 10) is not (height, width, 1 or 3)"),
+    "no-rows": (np.zeros((0, 10, 3), np.uint8), "frame dimensions must be >= 1"),
+    "no-columns": (np.zeros((8, 0, 1), np.uint8), "frame dimensions must be >= 1"),
+    "float": (np.zeros((8, 10, 1)), "pixel buffer must be uint8"),
+}
+
+
+@pytest.mark.parametrize("pixels,message", BAD_FRAME_BUFFERS.values(), ids=BAD_FRAME_BUFFERS.keys())
+def test_frame_buffer_validation(pixels, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Frame("s", 0, pixels)
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+def test_frame_buffer_is_read_only(channels):
+    f = Frame("s", 0, np.zeros((8, 10, channels), dtype=np.uint8))
     with pytest.raises(ValueError):
         f.pixels[0, 0, 0] = 1  # read-only after construction
 

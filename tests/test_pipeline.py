@@ -56,7 +56,7 @@ from ward_sentinel import store as store_mod
 from ward_sentinel.model import TS_MAX, TS_MIN
 from ward_sentinel.store import CHUNK_LINES, Store
 
-from conftest import make_record
+from conftest import make_record, person_indices
 
 CFG = PipelineConfig()
 FLAT_CSV_HEADER = "session_id,ts,cls,x,y,w,h,conf,patient,staff,other\n"
@@ -64,7 +64,7 @@ FLAT_CSV_HEADER = "session_id,ts,cls,x,y,w,h,conf,patient,staff,other\n"
 
 def nir_frame(ts=0, width=960, height=540, value=128, session="s"):
     pixels = np.full((height, width, 1), value, dtype=np.uint8)
-    return Frame(session, ts, width, height, "NIR", pixels)
+    return Frame(session, ts, pixels)
 
 
 class TestResize:
@@ -144,14 +144,14 @@ class TestResize:
 class TestPreprocess:
     def test_output_resolutions(self, rng):
         pixels = rng.integers(0, 256, size=(1080, 1920, 3), dtype=np.uint8)
-        pre = preprocess(Frame("s", 0, 1920, 1080, "RGB", pixels))
+        pre = preprocess(Frame("s", 0, pixels))
         assert pre.analysis.shape == (612, 1088, 3)
         assert pre.detector.shape == (608, 608, 3)
         assert pre.flow_gray.shape == (270, 480)
 
     def test_analysis_identity_when_already_sized(self, rng):
         pixels = rng.integers(0, 256, size=(612, 1088, 3), dtype=np.uint8)
-        pre = preprocess(Frame("s", 0, 1088, 612, "RGB", pixels))
+        pre = preprocess(Frame("s", 0, pixels))
         assert np.array_equal(pre.analysis, pixels)
 
     def test_constant_frame_constant_outputs(self):
@@ -166,7 +166,7 @@ class TestPreprocess:
 
     def test_lazy_detector_equals_the_eager_resize(self, rng):
         pixels = rng.integers(0, 256, size=(540, 960, 3), dtype=np.uint8)
-        pre = preprocess(Frame("s", 0, 960, 540, "RGB", pixels))
+        pre = preprocess(Frame("s", 0, pixels))
         analysis = resize_bilinear(pixels.astype(np.float64), *ANALYSIS_DIMS)
         eager = to_uint8(resize_bicubic(analysis, *DETECTOR_DIMS))
         assert pre.detector.dtype == np.uint8 and pre.detector.shape == (608, 608, 3)
@@ -175,16 +175,16 @@ class TestPreprocess:
 
     def test_lazy_analysis_equals_the_eager_conversion(self, rng):
         pixels = rng.integers(0, 256, size=(540, 960, 3), dtype=np.uint8)
-        pre = preprocess(Frame("s", 0, 960, 540, "RGB", pixels))
+        pre = preprocess(Frame("s", 0, pixels))
         eager = to_uint8(resize_bilinear(pixels.astype(np.float64), *ANALYSIS_DIMS))
         assert pre.analysis.dtype == np.uint8 and pre.analysis.shape == (612, 1088, 3)
         assert np.array_equal(pre.analysis, eager)
         assert pre.analysis is pre.analysis  # converted on the first read only
 
-    @pytest.mark.parametrize("mode,channels", [("NIR", 1), ("RGB", 3)])
-    def test_analysis_image_is_built_on_first_read_only(self, rng, mode, channels):
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_analysis_image_is_built_on_first_read_only(self, rng, channels):
         pixels = rng.integers(0, 256, size=(540, 960, channels), dtype=np.uint8)
-        pre = preprocess(Frame("s", 0, 960, 540, mode, pixels))
+        pre = preprocess(Frame("s", 0, pixels))
         ref = resize_bilinear(to_grayscale(resize_bilinear(pixels, *ANALYSIS_DIMS)), *FLOW_DIMS)
         assert pre.flow_gray.tobytes() == ref.tobytes()
         assert "analysis_float" not in pre.__dict__
@@ -636,8 +636,8 @@ def _raster_crossings(rows, cfg):
         last, prev[sid] = prev.get(sid), cur
         if last is None or cur.ts != last.ts + 1:
             continue
-        ci = cur.person_indices()
-        pa = [anchor_point(last.boxes[i]) for i in last.person_indices()]
+        ci = person_indices(cur)
+        pa = [anchor_point(last.boxes[i]) for i in person_indices(last)]
         ca = [anchor_point(cur.boxes[i]) for i in ci]
         for i, j in _match_by_hypot_of_every_pair(pa, ca, gate):
             was, now = inside(masks[sid], *pa[i]), inside(masks[sid], *ca[j])
@@ -1127,7 +1127,7 @@ class TestIngest:
         report = ingest_external(path, "flat-csv", store)
         assert report.rows_ok == 2
         rows = list(store.iter_rows())
-        assert rows[0].record.person_count() == 1
+        assert len(person_indices(rows[0].record)) == 1
         assert rows[0].record.boxes[1].cls == "bed" or rows[0].record.boxes[0].cls == "bed"
         assert rows[1].record.roles[0].primary() == "staff"
 

@@ -22,6 +22,8 @@ from ward_sentinel.simulator import (
     spec_from_dict,
 )
 
+from conftest import person_indices
+
 CFG = PipelineConfig()
 
 
@@ -113,8 +115,8 @@ class TestDeterminism:
         spec_b = simple_spec(seed=2, noise=NoiseModel(p_miss=0.3))
         a = generate(spec_a, CFG)
         b = generate(spec_b, CFG)
-        counts_a = [r.person_count() for r in a.records]
-        counts_b = [r.person_count() for r in b.records]
+        counts_a = [len(person_indices(r)) for r in a.records]
+        counts_b = [len(person_indices(r)) for r in b.records]
         assert counts_a != counts_b
 
     def test_frames_deterministic(self):
@@ -156,7 +158,7 @@ class TestGroundTruth:
         spec = simple_spec(duration=200, schedule=(ScheduleInterval(0, 200, patients=1, staff=1),))
         sim = generate(spec, CFG)
         for rec in sim.records:
-            assert rec.person_count() == 2
+            assert len(person_indices(rec)) == 2
             primaries = sorted(
                 r.primary() for r in rec.roles if r is not None
             )
@@ -177,13 +179,13 @@ class TestNoise:
     def test_miss_rate_statistics(self):
         spec = simple_spec(duration=5000, noise=NoiseModel(p_miss=0.2))
         sim = generate(spec, CFG)
-        detected = sum(r.person_count() for r in sim.records)
+        detected = sum(len(person_indices(r)) for r in sim.records)
         assert detected / 5000 == pytest.approx(0.8, abs=0.03)
 
     def test_spurious_rate_statistics(self):
         spec = simple_spec(duration=5000, noise=NoiseModel(p_spur=0.1))
         sim = generate(spec, CFG)
-        extras = sum(max(0, r.person_count() - 1) for r in sim.records)
+        extras = sum(max(0, len(person_indices(r)) - 1) for r in sim.records)
         assert extras / 5000 == pytest.approx(0.1, abs=0.02)
 
     def test_noise_does_not_touch_ground_truth(self):

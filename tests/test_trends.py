@@ -29,10 +29,11 @@ from ward_sentinel.trends import (
     aggregate_hourly,
     assisted_trends,
     cohort_average,
-    log_to_states,
     read_observation_csv,
     write_observation_csv,
     write_trend_csv,
+    _int64_stamps,
+    _logged_alone,
     _utc_hour,
 )
 
@@ -163,32 +164,32 @@ class TestCohortAverage:
         assert rows[8].monitored_minutes == pytest.approx(60.0)
 
 
-class TestLogToStates:
-    grid = list(range(0, 3600))
+class TestLoggedAlone:
+    """The log's per-second alone flags, read through assisted_trends: its
+    alone minutes count them, and its alone_and_moving minutes count them at
+    the seconds marked moving."""
+
+    hour = range(MIDNIGHT, MIDNIGHT + 3600)
+
+    def _minutes(self, log, stamps, moving=()):
+        (trend,) = assisted_trends([make_state(ts, moving=ts in moving) for ts in stamps], log)
+        return trend.minutes
 
     def test_interval_marks_sixty_seconds(self):
-        log = ObservationLog("s", ((100, 160),))
-        flags = log_to_states(log, self.grid)
-        assert sum(flags) == 60
-        assert flags[100] and flags[159] and not flags[160] and not flags[99]
+        log = ObservationLog("s", ((MIDNIGHT + 100, MIDNIGHT + 160),))
+        probes = {MIDNIGHT + t for t in (99, 100, 159, 160)}
+        minutes = self._minutes(log, self.hour, moving=probes)
+        assert minutes["alone"] == 60 / 60.0
+        assert minutes["alone_and_moving"] == 2 / 60.0  # seconds 100 and 159, not 99 or 160
 
     def test_empty_log_all_not_alone(self):
-        assert sum(log_to_states(ObservationLog("s", ()), self.grid)) == 0
-
-    def test_overlapping_rejected(self):
-        log = ObservationLog("s", ((100, 200), (150, 260)))
-        with pytest.raises(OverlappingIntervals):
-            log_to_states(log, self.grid)
-
-    def test_out_of_bounds_rejected(self):
-        log = ObservationLog("s", ((3500, 3700),))
-        with pytest.raises(IntervalOutOfBounds):
-            log_to_states(log, self.grid)
+        assert self._minutes(ObservationLog("s", ()), self.hour)["alone"] == 0.0
 
     def test_gappy_grid(self):
-        grid = [0, 1, 2, 10, 11, 12]
-        log = ObservationLog("s", ((2, 11),))
-        assert log_to_states(log, grid) == [False, False, True, True, False, False]
+        grid = [MIDNIGHT + t for t in (0, 1, 2, 10, 11, 12)]
+        log = ObservationLog("s", ((MIDNIGHT + 2, MIDNIGHT + 11),))
+        flags = [self._minutes(log, grid, moving={ts})["alone_and_moving"] == 1 / 60.0 for ts in grid]
+        assert flags == [False, False, True, True, False, False]
 
 
 class TestAssistedTrends:
@@ -284,7 +285,7 @@ def _oracle_hourly(states):
     return _oracle_aggregate(states[0].session_id, ((s.ts, _oracle_flags(s, s.patient_alone)) for s in states))
 
 
-def _oracle_log_to_states(log, grid):
+def _oracle_logged_alone(log, grid):
     flags = []
     idx = 0
     intervals = log.intervals
@@ -296,7 +297,7 @@ def _oracle_log_to_states(log, grid):
 
 
 def _oracle_assisted(states, log):
-    alone = _oracle_log_to_states(log, [s.ts for s in states])
+    alone = _oracle_logged_alone(log, [s.ts for s in states])
     return _oracle_aggregate(
         states[0].session_id, ((s.ts, _oracle_flags(s, flag)) for s, flag in zip(states, alone))
     )
@@ -307,7 +308,7 @@ def _oracle_trend_accuracy(states, log, cfg):
         hour = _oracle_utc_hour(ts // 3600)[1]
         return "day" if cfg.day_start_hour <= hour < cfg.night_start_hour else "night"
 
-    truth = _oracle_log_to_states(log, [s.ts for s in states])
+    truth = _oracle_logged_alone(log, [s.ts for s in states])
     by_day = {}
     for s, y in zip(states, truth):
         by_day.setdefault(_oracle_utc_hour(s.ts // 3600)[0], []).append((s.ts, s.patient_alone, y))
@@ -388,7 +389,6 @@ def test_columns_give_the_per_second_loops_results_with_their_types(rng):
         for got, want in (
             (aggregate_hourly(states), _oracle_hourly(states)),
             (assisted_trends(states, log), _oracle_assisted(states, log)),
-            (log_to_states(log, grid), _oracle_log_to_states(log, grid)),
             (trend_accuracy(states, log, cfg), _oracle_trend_accuracy(states, log, cfg)),
         ):
             assert _typed(got) == _typed(want), k
@@ -407,7 +407,6 @@ def test_columns_give_the_per_second_loops_results_with_their_types(rng):
 
 def test_empty_inputs():
     assert aggregate_hourly([]) == [] and assisted_trends([], ObservationLog("s", ((0, 1),))) == []
-    assert log_to_states(ObservationLog("s", ((0, 1),)), []) == []
 
 
 def _states(stamps, sessions=None):
@@ -446,11 +445,6 @@ def test_two_sessions_in_one_call_are_rejected(call):
         call(states, ObservationLog("a", ((MIDNIGHT, MIDNIGHT + 30),)))
 
 
-def test_unsorted_grid_is_named_by_log_to_states():
-    with pytest.raises(UnsortedInput, match=r"^states not strictly increasing at ts 3$"):
-        log_to_states(ObservationLog("s", ()), [1, 5, 3])
-
-
 BAD_LOGS = {
     "overlap": (((10, 20), (15, 25)), OverlappingIntervals, "interval [15, 25) overlaps or precedes an earlier interval"),
     "unsorted": (((20, 25), (10, 15)), OverlappingIntervals, "interval [10, 15) overlaps or precedes an earlier interval"),
@@ -463,16 +457,18 @@ BAD_LOGS = {
 def test_bad_logs_raise_the_same_error_in_every_call(intervals, error, message):
     states = _states(range(10, 40))
     log = ObservationLog("a", intervals)
-    for call in (assisted_trends, trend_accuracy, lambda s, lg: log_to_states(lg, [x.ts for x in s])):
+    for call in (assisted_trends, trend_accuracy):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             call(states, log)
 
 
 def test_interval_may_end_one_past_the_int64_range():
+    # Stamps past the calendar, which no LogicalState holds, so the column is built here.
     top = 2**63 - 1
-    grid = [top - 2, top - 1, top]
-    assert log_to_states(ObservationLog("s", ((top - 1, top + 1),)), grid) == [False, True, True]
-    assert log_to_states(ObservationLog("s", ((-(2**63), 1 - 2**63),)), [-(2**63), 5]) == [True, False]
+    grid = np.array([top - 2, top - 1, top], dtype=np.int64)
+    assert _logged_alone(ObservationLog("s", ((top - 1, top + 1),)), grid).tolist() == [False, True, True]
+    grid = np.array([-(2**63), 5], dtype=np.int64)
+    assert _logged_alone(ObservationLog("s", ((-(2**63), 1 - 2**63),)), grid).tolist() == [True, False]
 
 
 @pytest.mark.parametrize("bad", [2**63, -(2**63) - 1, 1.5])
@@ -480,7 +476,7 @@ def test_ts_outside_int64_is_rejected(bad):
     grid = [0, bad] if bad > 0 else [bad, 0]
     message = f"ts must be an integer within int64, got {bad!r}"
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-        log_to_states(ObservationLog("s", ()), grid)
+        _int64_stamps(grid)
     # No LogicalState holds it: an int past int64 is outside the calendar too.
     if type(bad) is not int:
         with pytest.raises(TypeError, match=f"^ts must be an integer, got {re.escape(repr(bad))}$"):
