@@ -7,7 +7,7 @@ watches person anchors (bottom-center of each person box) cross the boundary,
 testing only the pixel under each anchor.
 """
 
-from ward_sentinel import Polygon, Zone, anchor_point, detect_crossings, expand_polygon, rasterize
+from ward_sentinel import Polygon, Zone, detect_crossings, expand_polygon, rasterize
 from ward_sentinel.model import BoundingBox, DetectionRecord, RoleDistribution
 
 zone = Polygon(((40, 40), (160, 40), (160, 160), (40, 160)))
@@ -32,7 +32,7 @@ def person_at(ts, x, y):
 # someone walks out of the zone between two consecutive seconds
 inside = person_at(100, 100, 150)
 outside = person_at(101, 100, 183)
-print(f"\nanchor {anchor_point(inside.boxes[0])} -> {anchor_point(outside.boxes[0])}")
+print(f"\nanchor {zone_200.crossing_facts(inside)[1][0]} -> {zone_200.crossing_facts(outside)[1][0]}")
 for event in detect_crossings(inside, outside, zone_200):
     print(f"crossing: {event.direction} at ts={event.ts} (person {event.person_index})")
 

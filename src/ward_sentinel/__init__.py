@@ -21,7 +21,7 @@ from .model import (
     validate_record,
 )
 from .flow import FlowField, MotionRecord, farneback_flow, roi_motion
-from .geometry import CrossingEvent, Polygon, Zone, anchor_point, detect_crossings, expand_polygon, rasterize
+from .geometry import CrossingEvent, Polygon, Zone, detect_crossings, expand_polygon, rasterize
 from .logic import LogicalState, SmoothingWindow, attribute_roles, derive_state
 from .trends import HourlyTrend, ObservationLog, aggregate_hourly, assisted_trends, cohort_average
 from .evaluation import (

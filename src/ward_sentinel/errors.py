@@ -29,10 +29,6 @@ class DegeneratePolygon(ValidationError):
     pass
 
 
-class WrongClass(WardSentinelError):
-    pass
-
-
 class ZoneDimensionMismatch(WardSentinelError):
     pass
 
@@ -47,10 +43,6 @@ class EmptyMask(WardSentinelError):
 
 
 # inference logic
-class OutOfOrderRecord(ValidationError):
-    pass
-
-
 class EmptyWindow(WardSentinelError):
     pass
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, EmptyMask
 from .imageops import resize_bilinear
-from .model import FlowParams, check_session_and_ts, real_number, slot_init
+from .model import FlowParams, real_number, slot_init
 
 MIN_PYRAMID_DIM = 16
 # Keeps the 2x2 normal equations solvable on textureless patches; negligible
@@ -75,20 +75,18 @@ class FlowField:
 @slot_init
 @dataclass(frozen=True, slots=True)
 class MotionRecord:
-    """Per-second average motion magnitude for each available ROI.
+    """Per-second average motion magnitude for each available ROI: what a
+    stored row's "motion" object holds. The second it belongs to is its row's,
+    held by the row's DetectionRecord.
 
-    Checked on construction: session_id and ts as in DetectionRecord, every
-    key an ROI kind and every magnitude a real number, not a bool, finite and
-    >= 0, kept as a float. magnitudes is then a new dict, in the input's
-    order, keyed by the ROI_KINDS entries themselves.
+    Checked on construction: every key an ROI kind and every magnitude a real
+    number, not a bool, finite and >= 0, kept as a float. magnitudes is then a
+    new dict, in the input's order, keyed by the ROI_KINDS entries themselves.
     """
 
-    session_id: str
-    ts: int
     magnitudes: Mapping[str, float]
 
     def __post_init__(self):
-        check_session_and_ts(self.session_id, self.ts)
         if not self.magnitudes.keys() <= _ROI_KIND_SET:
             unknown = sorted(self.magnitudes.keys() - _ROI_KIND_SET, key=str)
             raise ValueError(f"unknown motion keys {unknown}")

@@ -19,8 +19,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DegeneratePolygon, WrongClass, ZoneDimensionMismatch
-from .model import ANALYSIS_DIMS, BoundingBox, DetectionRecord, best_bed, real_number
+from .errors import DegeneratePolygon, ZoneDimensionMismatch
+from .model import ANALYSIS_DIMS, DetectionRecord, best_bed, real_number
 
 AREA_EPS = 1e-12
 # Cross-frame anchor matching gate, as a fraction of the frame diagonal.
@@ -198,7 +198,8 @@ class Zone:
     ) -> tuple[list[int], list[tuple[float, float]], list[bool]]:
         """The record's person indices, their anchors and whether each anchor
         is inside, in one pass over the boxes, each checked to fit the zone's
-        frame."""
+        frame. A person's anchor is the bottom-center of its box, the
+        foot-position proxy; other boxes have none."""
         last, facts = self._last
         if last is rec:  # records are immutable, so one object has one answer
             return facts
@@ -213,7 +214,7 @@ class Zone:
                     "share a coordinate space"
                 )
             if b.cls == "person":
-                ax, ay = x + w / 2.0, y + h  # anchor_point, for a box known to be a person
+                ax, ay = x + w / 2.0, y + h
                 idx.append(i)
                 anchors.append((ax, ay))
                 inside.append(contains(ax, ay))
@@ -247,13 +248,6 @@ def bed_roi_from_detection(
     bits[y1:y2, x1:x2] = True
     bits.flags.writeable = False
     return bits
-
-
-def anchor_point(b: BoundingBox) -> tuple[float, float]:
-    """Bottom-center of a person box: the foot-position proxy."""
-    if b.cls != "person":
-        raise WrongClass(f"anchor_point expects a person box, got {b.cls!r}")
-    return (b.x + b.w / 2.0, b.y + b.h)
 
 
 def _match_anchors(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import inf
 from typing import Mapping, Optional, Sequence
 
-from .errors import EmptyWindow, OutOfOrderRecord
+from .errors import EmptyWindow, NonMonotonicTimestamp
 from .flow import MotionRecord
 from .model import DetectionRecord, PipelineConfig, ROLES, RoleDistribution, check_session_and_ts, real_number, slot_init
 
@@ -148,7 +148,7 @@ class SmoothingWindow:
     def push(self, rec: DetectionRecord, motion: Optional[MotionRecord] = None) -> None:
         newest = self.newest
         if newest is not None and rec.ts <= newest.ts:
-            raise OutOfOrderRecord(
+            raise NonMonotonicTimestamp(
                 f"session {rec.session_id}: ts {rec.ts} not after {newest.ts}"
             )
         scene = motion.magnitudes.get("scene") if motion is not None else None

@@ -13,6 +13,11 @@ through its slot's member descriptor instead, which is cheaper per field, and
 then runs __post_init__, where every value is checked. Parameters, defaults,
 assignment (FrozenInstanceError), replace, fields, eq, hash, repr and pickling
 are the dataclass's own.
+
+What a record type holds: what its stored object holds (schema), each value
+in the one type it is stored as. A box class is the CLASSES entry itself, a
+session id exactly a str and a ts exactly an int; a MotionRecord holds no
+session id or ts, since a stored row writes them once, from its record.
 """
 
 from __future__ import annotations
@@ -116,9 +121,9 @@ class BoundingBox:
     frame bounds. Checked once on construction or decode: cls is a CLASSES
     entry, and each coordinate and the confidence is a real number, not a bool
     (an Integral kept as an int, any other real as a float), geometry finite,
-    width and height positive, confidence in [0, 1]. A cls that is exactly a
-    str is replaced by the CLASSES entry itself, so every box shares it; a str
-    subclass is kept as it is.
+    width and height positive, confidence in [0, 1]. cls is then the CLASSES
+    entry itself, so every box shares it: a str of any type (numpy.str_ or
+    another subclass) maps to the entry equal to its text, str.__str__(cls).
     """
 
     cls: str
@@ -130,14 +135,14 @@ class BoundingBox:
 
     def __post_init__(self):
         cls = self.cls
-        if type(cls) is str:
-            shared = _SHARED_CLASS.get(cls)
-            if shared is None:
-                raise ValueError(f"unknown box class {cls!r}")
-            if shared is not cls:
-                _set_box_cls(self, shared)
-        elif cls not in CLASSES:  # a str subclass that passes is kept as it is
+        # A str subclass (numpy.str_ included) is its text, whatever its
+        # __eq__ and __hash__ say; anything else is no class.
+        text = cls if type(cls) is str else str.__str__(cls) if issubclass(type(cls), str) else None
+        shared = _SHARED_CLASS.get(text)
+        if shared is None:
             raise ValueError(f"unknown box class {cls!r}")
+        if shared is not cls:
+            _set_box_cls(self, shared)
         x, y, w, h, conf = self.x, self.y, self.w, self.h, self.confidence
         if not (
             (type(x) is float or type(x) is int) and (type(y) is float or type(y) is int)

@@ -147,8 +147,10 @@ class SyntheticDetector(DetectorPort):
 @dataclass(frozen=True, slots=True)
 class SourceItem:
     """One second of input: a frame, a recorded DetectionRecord with the item's
-    session_id and ts, or both, plus any recorded motion for that same second.
-    Without a record, the detector port supplies the detections.
+    session_id and ts, or both, plus any recorded motion for that same second
+    (a MotionRecord holds only magnitudes; the item's second is its own).
+    Without a record, the detector port supplies the detections, which is why
+    the item keeps its own session_id and ts.
     """
 
     session_id: str
@@ -260,7 +262,7 @@ class _SessionState:
                     mags["bed"] = roi_motion(flow, bed_mask)
                 if self.zone_flow is not None:
                     mags["safety_zone"] = roi_motion(flow, self.zone_flow)
-                motion = MotionRecord(item.session_id, ts, mags)
+                motion = MotionRecord(mags)
             self.prev_frame = cur_frame
 
         crossings = _NO_CROSSINGS

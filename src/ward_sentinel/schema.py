@@ -14,13 +14,15 @@ is byte-identical. dumps_row writes those bytes from fixed templates, keys in
 sorted order: {"boxes":[...],"logical":{...},"motion":{...},"roles":[...],
 "session_id":...,"ts":...} without logical or motion when None, a box
 {"cls","conf","h","w","x","y"}, a role {"other","patient","staff"}, motion keys
-in sorted() order. As in ENCODER, a plain float is float.__repr__ (stored floats
-are finite by construction), a plain int int.__repr__, a bool true/false and a
-str encode_basestring_ascii. The record types keep every stored number a plain
-int or float (a numpy scalar from a detector port is converted on
-construction), so only a str subclass (a box class, which BoundingBox keeps as
-it is) goes through ENCODER. Floats survive the round trip exactly; NaN and
-Infinity are rejected on read.
+in sorted() order. The record types hold each value in the one type it is
+stored as, so each has one text, the one ENCODER writes: a box class is a
+CLASSES entry, the session id exactly a str (encode_basestring_ascii), ts
+exactly an int (%d), a flag a bool (true/false) and every other number a
+plain int or float (%r; a numpy scalar from a detector port is converted on
+construction, and stored floats are finite by construction). A motion holds
+only its magnitudes: the row's session id and ts are its record's, written
+once. Floats survive the round trip exactly; NaN and Infinity are rejected
+on read.
 Each value is checked once, by the record type that holds it: obj_to_row only
 maps JSON onto the constructors, so a row built through the API meets the
 rules a read row does.
@@ -53,17 +55,15 @@ SCHEMA_VERSION = 1
 @slot_init
 @dataclass(frozen=True, slots=True)
 class CanonicalRow:
-    """One stored second. A motion or logical must carry the record's
-    session_id and ts, which are the only ones stored."""
+    """One stored second. A logical must carry the record's session_id and
+    ts, which are the only ones stored."""
 
     record: DetectionRecord
     motion: Optional[MotionRecord] = None
     logical: Optional[LogicalState] = None
 
     def __post_init__(self):
-        rec, m, lg = self.record, self.motion, self.logical
-        if m is not None and (m.ts != rec.ts or m.session_id != rec.session_id):
-            raise MalformedRecord(f"motion {m.session_id}@{m.ts} on record {rec.session_id}@{rec.ts}")
+        rec, lg = self.record, self.logical
         if lg is not None and (lg.ts != rec.ts or lg.session_id != rec.session_id):
             raise MalformedRecord(f"logical {lg.session_id}@{lg.ts} on record {rec.session_id}@{rec.ts}")
 
@@ -76,32 +76,18 @@ _BOX = '{"cls":%s,"conf":%r,"h":%r,"w":%r,"x":%r,"y":%r}'
 _ROLE = '{"other":%r,"patient":%r,"staff":%r}'
 _LOGICAL = (
     '"logical":{"moving":%s,"patient_alone":%s,"person_alone":%s,'
-    '"smoothed_person_count":%s,"supervised_by_staff":%s},'
+    '"smoothed_person_count":%r,"supervised_by_staff":%s},'
 )
-# What ENCODER writes for an exact-str box class (each a CLASSES entry) and
-# for a bool: the per-row values that have a fixed text.
+# What ENCODER writes for a box class (each a CLASSES entry) and for a bool:
+# the per-row values that have a fixed text.
 _CLASS_TEXT = {c: encode_basestring_ascii(c) for c in CLASSES}
 _FLAG_TEXT = {True: "true", False: "false"}
 
 
-def _value(v) -> str:
-    """v as ENCODER writes it, without ENCODER's call for the types a record
-    stores; ENCODER only writes a value of another type (a str subclass)."""
-    t = type(v)
-    if t is float or t is int:
-        return repr(v)
-    if t is bool:
-        return "true" if v else "false"
-    return encode_basestring_ascii(v) if t is str else ENCODER.encode(v)
-
-
 def dumps_row(row: CanonicalRow) -> str:
     """ENCODER.encode of the row's canonical object (module docstring)."""
-    rec, lg, v = row.record, row.logical, _value
-    boxes = [
-        _BOX % (_CLASS_TEXT[b.cls] if type(b.cls) is str else v(b.cls), b.confidence, b.h, b.w, b.x, b.y)
-        for b in rec.boxes
-    ]
+    rec, lg = row.record, row.logical
+    boxes = [_BOX % (_CLASS_TEXT[b.cls], b.confidence, b.h, b.w, b.x, b.y) for b in rec.boxes]
     roles = [
         "null" if r is None else _ROLE % (r.scores["other"], r.scores["patient"], r.scores["staff"])
         for r in rec.roles
@@ -110,12 +96,12 @@ def dumps_row(row: CanonicalRow) -> str:
     if lg is not None:
         flag = _FLAG_TEXT  # LogicalState keeps each flag a bool
         text += _LOGICAL % (flag[lg.moving], flag[lg.patient_alone], flag[lg.person_alone],
-                            v(lg.smoothed_person_count), flag[lg.supervised_by_staff])
+                            lg.smoothed_person_count, flag[lg.supervised_by_staff])
     if row.motion is not None:
         mags = row.motion.magnitudes  # ROI kinds to floats (MotionRecord)
         text += '"motion":{' + ",".join(['"%s":%r' % (k, mags[k]) for k in sorted(mags)]) + "},"
-    text += '"roles":[' + ",".join(roles) + '],"session_id":' + v(rec.session_id)
-    return text + ',"ts":' + v(rec.ts) + "}"
+    text += '"roles":[' + ",".join(roles) + '],"session_id":' + encode_basestring_ascii(rec.session_id)
+    return text + ',"ts":%d}' % rec.ts
 
 
 def shared_id(session_id):
@@ -137,7 +123,7 @@ def obj_to_row(obj: dict) -> CanonicalRow:
             raise TypeError(f"motion must be an object, got {mags!r}")
         return CanonicalRow(
             record,
-            None if mags is None else MotionRecord(session_id, ts, mags),
+            None if mags is None else MotionRecord(mags),
             None if lg is None else LogicalState(
                 session_id, ts, lg["person_alone"], lg["patient_alone"],
                 lg["supervised_by_staff"], lg["moving"], lg["smoothed_person_count"],

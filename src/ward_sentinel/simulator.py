@@ -309,7 +309,7 @@ def generate(spec: ScenarioSpec, cfg: PipelineConfig = PipelineConfig()) -> Simu
             records.append(DetectionRecord(sid, ts, tuple(boxes), tuple(roles)))
 
             if t >= 1:
-                motions[ts] = MotionRecord(sid, ts, {"scene": iv.motion})
+                motions[ts] = MotionRecord({"scene": iv.motion})
 
     if run_start is not None:
         alone_runs.append((run_start, spec.start_ts + spec.duration_s))

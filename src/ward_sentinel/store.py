@@ -216,7 +216,7 @@ class SessionWriter:
         ts = rec.ts
         s = self._sessions.get(rec.session_id) or self._open(rec.session_id)
         if s.last_ts is not None and ts <= s.last_ts:
-            raise NonMonotonicTimestamp(f"session {rec.session_id}: ts {ts} after {s.last_ts}")
+            raise NonMonotonicTimestamp(f"session {rec.session_id}: ts {ts} not after {s.last_ts}")
         s.last_ts = ts
         if ts // 86400 != s.day:
             self._start_day(s, ts // 86400)

@@ -36,7 +36,6 @@ MINUTE_COLUMNS = {
 }
 OBSLOG_CSV_HEADER = "session_id,start_ts,end_ts"
 _FLAG_COLUMNS = ("patient_alone", "supervised_by_staff", "moving")
-_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 @cache
@@ -93,16 +92,6 @@ class ObservationLog:
                 raise ValueError(f"empty or inverted interval [{a}, {b})")
 
 
-def _int64_stamps(stamps: Sequence[int]) -> np.ndarray:
-    """stamps as an int64 column; a ts that is not an integer within int64 raises."""
-    ts = np.array(stamps)
-    if ts.dtype != np.int64:
-        outside = (t for t in stamps if not isinstance(t, int) or not _INT64_MIN <= t <= _INT64_MAX)
-        bad = next(outside, stamps[0])
-        raise ValidationError(f"ts must be an integer within int64, got {bad!r}")
-    return ts
-
-
 def _first_unsorted(ts: np.ndarray) -> int:
     """Index i of the first pair ts[i], ts[i + 1] that does not increase, or len(ts)."""
     bad = np.flatnonzero(ts[1:] <= ts[:-1])
@@ -121,7 +110,7 @@ def _columns(states: Sequence[LogicalState]) -> tuple[np.ndarray, np.ndarray, np
     # cyclic GC tracks, and its collections also walk every row the caller holds.
     stamps = list(map(attrgetter("ts"), states))
     sids = list(map(attrgetter("session_id"), states))
-    ts = _int64_stamps(stamps)
+    ts = np.array(stamps, dtype=np.int64)  # LogicalState bounds ts to TS_MIN..TS_MAX
     i = _first_unsorted(ts)
     if sids.count(sids[0]) != len(sids):
         j = next(j for j, (a, b) in enumerate(zip(sids, sids[1:])) if a != b)
@@ -220,7 +209,6 @@ def _logged_alone(log: ObservationLog, ts: np.ndarray) -> np.ndarray:
     if not log.intervals:
         return np.zeros(len(ts), dtype=bool)
     starts = np.array([a for a, _ in log.intervals], dtype=np.int64)
-    # Each interval's last second: b itself may be one past the int64 range.
     lasts = np.array([b - 1 for _, b in log.intervals], dtype=np.int64)
     idx = np.searchsorted(lasts, ts)  # the first interval that ends after each second
     inside = idx < len(starts)

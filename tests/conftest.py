@@ -54,7 +54,7 @@ def random_stream(rng, session_id, n_seconds, start_ts=1_700_000_000, gap_p=0.02
         roles = [_ROLE_DISTS[ROLE_ORDER[int(rng.integers(0, 3))]] for _ in range(count)]
         records.append(DetectionRecord(session_id, ts, (_BED, *_PERSONS[:count]), (None, *roles)))
         if rng.uniform() < 0.9:
-            motions[ts] = MotionRecord(session_id, ts, {"scene": float(rng.uniform(0, 1.5))})
+            motions[ts] = MotionRecord({"scene": float(rng.uniform(0, 1.5))})
     return records, motions
 
 

@@ -699,6 +699,26 @@ def test_run_detections_bad_line_after_a_flushed_chunk_leaves_no_store(tmp_path,
     assert not store.exists()
 
 
+def test_run_detections_with_a_repeated_ts_exits_two_and_leaves_no_store(tmp_path, capsys):
+    path = tmp_path / "rows.jsonl"
+    rows = [CanonicalRow(make_record("s", ts, ["patient"])) for ts in (100, 101, 101)]
+    path.write_text("".join(dumps_row(r) + "\n" for r in rows))
+    store = tmp_path / "store"
+    assert main(["run", "--detections", str(path), "--out", str(store)]) == 2
+    assert capsys.readouterr().err == "validation error: session s: ts 101 not after 101\n"
+    assert not store.exists()
+
+
+def test_run_detections_with_an_earlier_ts_exits_two_and_leaves_no_store(tmp_path, capsys):
+    path = tmp_path / "rows.jsonl"
+    rows = [CanonicalRow(make_record("s", ts, ["patient"])) for ts in (100, 102, 101)]
+    path.write_text("".join(dumps_row(r) + "\n" for r in rows))
+    store = tmp_path / "store"
+    assert main(["run", "--detections", str(path), "--out", str(store)]) == 2
+    assert capsys.readouterr().err == "validation error: session s: ts 101 not after 102\n"
+    assert not store.exists()
+
+
 def test_run_with_no_rows_creates_no_store(tmp_path, capsys):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("\n")

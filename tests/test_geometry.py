@@ -6,12 +6,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.spatial import ConvexHull
 
-from ward_sentinel.errors import DegeneratePolygon, WrongClass, ZoneDimensionMismatch
+from ward_sentinel.errors import DegeneratePolygon, ZoneDimensionMismatch
 from ward_sentinel.geometry import (
     CrossingEvent,
     Polygon,
     Zone,
-    anchor_point,
     bed_roi_from_detection,
     detect_crossings,
     expand_polygon,
@@ -252,14 +251,19 @@ class TestBedRoi:
         assert bed_roi_from_detection(rec, *FLOW_DIMS) is None
 
 
-class TestAnchorPoint:
-    def test_arithmetic(self):
-        assert anchor_point(person_box(x=10, y=20, w=30, h=40)) == (25, 60)
-        assert anchor_point(BoundingBox("person", 0, 0, 2, 2, 0.5)) == (1, 2)
+class TestCrossingFactsAnchors:
+    zone = Zone(SQUARE, 100, 100)
 
-    def test_wrong_class(self):
-        with pytest.raises(WrongClass):
-            anchor_point(BoundingBox("bed", 0, 0, 2, 2, 0.5))
+    def test_a_person_box_is_anchored_at_its_bottom_center(self):
+        for box, anchor in ((person_box(x=10, y=20, w=30, h=40), (25, 60)), (person_box(0, 0, 2, 2), (1, 2))):
+            rec = DetectionRecord("s", 0, (box,), (role_dist("patient"),))
+            assert self.zone.crossing_facts(rec)[:2] == ([0], [anchor])
+
+    def test_a_bed_box_has_no_anchor(self):
+        bed = BoundingBox("bed", 0, 0, 2, 2, 0.5)
+        assert self.zone.crossing_facts(DetectionRecord("s", 0, (bed,), (None,))) == ([], [], [])
+        rec = DetectionRecord("s", 0, (bed, person_box(4, 4, 2, 2)), (None, role_dist("staff")))
+        assert self.zone.crossing_facts(rec) == ([1], [(5, 6)], [True])
 
     def test_clamped_box_anchor_in_frame(self):
         rec = DetectionRecord(
@@ -267,8 +271,7 @@ class TestAnchorPoint:
         )
         from ward_sentinel.model import validate_record
 
-        box = validate_record(rec, (100, 100)).boxes[0]
-        ax, ay = anchor_point(box)
+        (ax, ay), = self.zone.crossing_facts(validate_record(rec, (100, 100)))[1]
         assert 0 <= ax <= 100 and 0 <= ay <= 100
 
 
@@ -283,7 +286,7 @@ def _person_record(session, ts, anchors):
 
 def _crossing_facts_reference(zone, rec):
     """Oracle: Zone.crossing_facts as the dims check over every box, then
-    person_indices, anchor_point and contains."""
+    person_indices, each person box's bottom-center and contains."""
     for b in rec.boxes:
         if b.x + b.w > zone.width or b.y + b.h > zone.height:
             raise ZoneDimensionMismatch(
@@ -291,7 +294,7 @@ def _crossing_facts_reference(zone, rec):
                 "detections and zone must share a coordinate space"
             )
     idx = person_indices(rec)
-    anchors = [anchor_point(rec.boxes[i]) for i in idx]
+    anchors = [(rec.boxes[i].x + rec.boxes[i].w / 2.0, rec.boxes[i].y + rec.boxes[i].h) for i in idx]
     return idx, anchors, [zone.contains(x, y) for x, y in anchors]
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ward_sentinel.errors import EmptyWindow, OutOfOrderRecord
+from ward_sentinel.errors import EmptyWindow, NonMonotonicTimestamp
 from ward_sentinel.evaluation import FrameLabel, evaluate_frames
 from ward_sentinel.flow import MotionRecord
 from ward_sentinel.logic import (
@@ -144,9 +144,9 @@ class TestSmoothingWindow:
     def test_duplicate_ts_rejected(self):
         w = SmoothingWindow(5)
         w.push(make_record("s", 100))
-        with pytest.raises(OutOfOrderRecord):
+        with pytest.raises(NonMonotonicTimestamp, match="^session s: ts 100 not after 100$"):
             w.push(make_record("s", 100))
-        with pytest.raises(OutOfOrderRecord):
+        with pytest.raises(NonMonotonicTimestamp, match="^session s: ts 99 not after 100$"):
             w.push(make_record("s", 99))
 
 
@@ -159,7 +159,7 @@ class TestDeriveState:
             ts = 1000 + i
             motion = None
             if motions is not None and motions[i] is not None:
-                motion = MotionRecord("s", ts, {"scene": motions[i]})
+                motion = MotionRecord({"scene": motions[i]})
             w.push(make_record("s", ts, primaries), motion)
         return derive_state(w, self.cfg)
 
@@ -191,8 +191,8 @@ class TestDeriveState:
 
     def test_bed_only_motion_left_out_of_moving_mean(self):
         w = SmoothingWindow(self.cfg.smoothing_window_s)
-        w.push(make_record("s", 1000, ["patient"]), MotionRecord("s", 1000, {"scene": 0.6}))
-        w.push(make_record("s", 1001, ["patient"]), MotionRecord("s", 1001, {"bed": 0.0}))
+        w.push(make_record("s", 1000, ["patient"]), MotionRecord({"scene": 0.6}))
+        w.push(make_record("s", 1001, ["patient"]), MotionRecord({"bed": 0.0}))
         # the bed-only second is not a scene reading of 0: the mean stays 0.6
         assert derive_state(w, self.cfg).moving
 
@@ -215,7 +215,7 @@ def reference_random_stream(rng, session_id, n_seconds, start_ts=1_700_000_000, 
         primaries = [str(rng.choice(ROLE_ORDER)) for _ in range(count)]
         records.append(make_record(session_id, ts, primaries))
         if rng.uniform() < 0.9:
-            motions[ts] = MotionRecord(session_id, ts, {"scene": float(rng.uniform(0, 1.5))})
+            motions[ts] = MotionRecord({"scene": float(rng.uniform(0, 1.5))})
     return records, motions
 
 

@@ -108,7 +108,7 @@ def test_peak_memory_does_not_grow_with_run_length(tmp_path, case):
 
 def test_a_decoded_row_holds_no_string_copies():
     sid = "ward-3 bed-12"
-    motion = MotionRecord(sid, T0, {"scene": 0.42, "bed": 0.13, "safety_zone": 0.0})
+    motion = MotionRecord({"scene": 0.42, "bed": 0.13, "safety_zone": 0.0})
     state = LogicalState(sid, T0, False, False, True, True, 2.0)
     line = dumps_row(CanonicalRow(make_record(sid, T0, ["patient", "staff"]), motion, state))
     tracemalloc.start()

@@ -27,7 +27,7 @@ from ward_sentinel.imageops import (
     to_grayscale,
     to_uint8,
 )
-from ward_sentinel.logic import LogicalState
+from ward_sentinel.logic import LogicalState, SmoothingWindow
 from ward_sentinel.model import (
     ANALYSIS_DIMS,
     DETECTOR_DIMS,
@@ -396,23 +396,10 @@ class TestRunPipeline:
         with pytest.raises(MalformedRecord):
             run_pipeline(iter([item]), CFG, Store(tmp_path / "store"))
 
-    @pytest.mark.parametrize("key", [("other", 7), ("s", 6)], ids=["session", "ts"])
-    def test_motion_must_match_item_key(self, tmp_path, key):
-        item = SourceItem(
-            session_id="s",
-            ts=7,
-            record=make_record("s", 7, ["patient"]),
-            motion=MotionRecord(*key, {"scene": 2.0}),
-        )
-        with pytest.raises(MalformedRecord) as info:
-            run_pipeline(iter([item]), CFG, Store(tmp_path / "store"))
-        assert str(info.value) == f"motion {key[0]}@{key[1]} on record s@7"
-        assert not (tmp_path / "store").exists()
-
     def test_motion_key_that_is_no_roi_kind_raises_and_leaves_no_store(self, tmp_path):
         def source():
             for ts, kind in ((7, "scene"), (8, "foo")):
-                yield SourceItem("s", ts, None, make_record("s", ts, ["patient"]), MotionRecord("s", ts, {kind: 0.5}))
+                yield SourceItem("s", ts, None, make_record("s", ts, ["patient"]), MotionRecord({kind: 0.5}))
 
         with pytest.raises(ValueError, match=re.escape("unknown motion keys ['foo']")):
             run_pipeline(source(), CFG, Store(tmp_path / "store"))
@@ -618,7 +605,7 @@ def _raster_crossings(rows, cfg):
     1088x612 mask at the pixel under each anchor clamped to the frame."""
     from test_geometry import _match_by_hypot_of_every_pair
 
-    from ward_sentinel.geometry import Polygon, anchor_point, expand_polygon, rasterize
+    from ward_sentinel.geometry import Polygon, expand_polygon, rasterize
     from ward_sentinel.model import validate_record
 
     fw, fh = ANALYSIS_DIMS
@@ -626,6 +613,9 @@ def _raster_crossings(rows, cfg):
 
     def inside(mask, x, y):
         return bool(mask[min(max(int(np.floor(y)), 0), fh - 1), min(max(int(np.floor(x)), 0), fw - 1)])
+
+    def anchor(b):  # bottom-center of a person box
+        return (b.x + b.w / 2.0, b.y + b.h)
 
     events, prev, masks = {}, {}, {}
     for row in rows:
@@ -637,8 +627,8 @@ def _raster_crossings(rows, cfg):
         if last is None or cur.ts != last.ts + 1:
             continue
         ci = person_indices(cur)
-        pa = [anchor_point(last.boxes[i]) for i in person_indices(last)]
-        ca = [anchor_point(cur.boxes[i]) for i in ci]
+        pa = [anchor(last.boxes[i]) for i in person_indices(last)]
+        ca = [anchor(cur.boxes[i]) for i in ci]
         for i, j in _match_by_hypot_of_every_pair(pa, ca, gate):
             was, now = inside(masks[sid], *pa[i]), inside(masks[sid], *ca[j])
             if was != now:
@@ -684,12 +674,25 @@ class TestStore:
 
     def test_writer_enforces_order(self, tmp_path):
         store = Store(tmp_path / "store")
-        with pytest.raises(NonMonotonicTimestamp), store.writer() as w:
+        with pytest.raises(NonMonotonicTimestamp, match="^session s: ts 101 not after 101$"), store.writer() as w:
             w.append(CanonicalRow(make_record("s", 100)))
             w.append(CanonicalRow(make_record("s", 101)))
             w.append(CanonicalRow(make_record("t", 100)))  # each session has its own order
             w.append(CanonicalRow(make_record("s", 101)))
         assert not store.root.exists()
+
+    @pytest.mark.parametrize("late", [101, 100], ids=["repeated", "earlier"])
+    def test_window_and_writer_refuse_a_late_ts_with_one_class_and_message(self, tmp_path, late):
+        message = f"^session s: ts {late} not after 101$"
+        store = Store(tmp_path / "store")
+        with pytest.raises(NonMonotonicTimestamp, match=message), store.writer() as w:
+            for ts in (100, 101, late):
+                w.append(CanonicalRow(make_record("s", ts)))
+        window = SmoothingWindow(CFG.smoothing_window_s)
+        window.push(make_record("s", 100))
+        window.push(make_record("s", 101))
+        with pytest.raises(NonMonotonicTimestamp, match=message):
+            window.push(make_record("s", late))
 
     def test_writer_stores_a_crossing_as_one_sorted_line(self, tmp_path):
         store = Store(tmp_path / "store")
@@ -699,19 +702,15 @@ class TestStore:
         crossings = (tmp_path / "store" / "sessions" / "a" / "crossings.jsonl").read_text()
         assert crossings == '{"direction":"exit","person_index":0,"session_id":"a","ts":7}\n'
 
-    @pytest.mark.parametrize("part", ["motion", "logical"])
     @pytest.mark.parametrize("key", [("b", 7), ("a", 99), ("c", 5)], ids=["session", "ts", "both"])
-    def test_row_whose_motion_or_state_has_another_key_never_reaches_the_writer(self, tmp_path, part, key):
+    def test_row_whose_state_has_another_key_never_reaches_the_writer(self, tmp_path, key):
         store = Store(tmp_path / "store")
         with store.writer() as w:
             w.append(CanonicalRow(make_record("a", 6)))
-            other = {
-                "motion": MotionRecord(*key, {"scene": 0.5}),
-                "logical": LogicalState(*key, True, True, False, False, 1.0),
-            }[part]
+            other = LogicalState(*key, True, True, False, False, 1.0)
             with pytest.raises(MalformedRecord) as info:
-                w.append(CanonicalRow(make_record("a", 7), **{part: other}))
-            assert str(info.value) == f"{part} {key[0]}@{key[1]} on record a@7"
+                w.append(CanonicalRow(make_record("a", 7), logical=other))
+            assert str(info.value) == f"logical {key[0]}@{key[1]} on record a@7"
         assert [r.record.ts for r in store.iter_rows()] == [6]
 
     def test_rows_partitioned_by_date(self, tmp_path):
@@ -1082,19 +1081,18 @@ class TestIngest:
         assert [r.record.ts for r in store.iter_rows()] == [1000, 1002, 1003]
         assert "NaN" not in (tmp_path / "store" / "sessions" / "ing" / "1970-01-01.jsonl").read_text()
 
-    def test_adapter_row_whose_motion_or_state_has_another_key_is_rejected_by_its_line(self, tmp_path, monkeypatch):
+    def test_adapter_row_whose_state_has_another_key_is_rejected_by_its_line(self, tmp_path, monkeypatch):
         def keyed_rows(path):
             yield 1, lambda: CanonicalRow(make_record("a", 1, ["patient"]))
-            yield 2, lambda: CanonicalRow(make_record("a", 2, ["patient"]), MotionRecord("b", 99, {"scene": 0.5}))
-            yield 3, lambda: CanonicalRow(
-                make_record("a", 3, ["patient"]), logical=LogicalState("c", 5, True, True, False, False, 1.0)
+            yield 2, lambda: CanonicalRow(
+                make_record("a", 2, ["patient"]), logical=LogicalState("c", 5, True, True, False, False, 1.0)
             )
 
         monkeypatch.setitem(pipeline.ADAPTERS, "keyed", keyed_rows)
         store = Store(tmp_path / "store")
         report = ingest_external(tmp_path / "unused", "keyed", store)
-        assert (report.rows_ok, report.rows_rejected) == (1, 2)
-        assert report.errors == ((2, "motion b@99 on record a@2"), (3, "logical c@5 on record a@3"))
+        assert (report.rows_ok, report.rows_rejected) == (1, 1)
+        assert report.errors == ((2, "logical c@5 on record a@2"),)
         assert [(r.record.session_id, r.record.ts) for r in store.iter_rows()] == [("a", 1)]
 
     def test_double_ingest_idempotent(self, tmp_path):
@@ -1261,7 +1259,7 @@ def _golden_record(session_id: str, ts: int, t: int, walker_x: float, walker_rol
     if t % 10 != 9:
         keys = ("scene", "bed", "safety_zone")  # every subset, by the bits of t
         mags = {k: (t % 9) * 0.125 + i for i, k in enumerate(keys) if (t >> i) & 1}
-        motion = MotionRecord(session_id, ts, mags)
+        motion = MotionRecord(mags)
     return CanonicalRow(DetectionRecord(session_id, ts, boxes, roles), motion)
 
 

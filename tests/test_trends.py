@@ -10,7 +10,6 @@ from ward_sentinel.errors import (
     OverlappingIntervals,
     SingleClassTarget,
     UnsortedInput,
-    ValidationError,
 )
 from ward_sentinel.evaluation import (
     PERIODS,
@@ -21,7 +20,7 @@ from ward_sentinel.evaluation import (
     trend_accuracy,
 )
 from ward_sentinel.logic import LogicalState
-from ward_sentinel.model import PipelineConfig
+from ward_sentinel.model import TS_MAX, TS_MIN, PipelineConfig
 from ward_sentinel.trends import (
     TREND_KEYS,
     HourlyTrend,
@@ -32,8 +31,6 @@ from ward_sentinel.trends import (
     read_observation_csv,
     write_observation_csv,
     write_trend_csv,
-    _int64_stamps,
-    _logged_alone,
     _utc_hour,
 )
 
@@ -462,22 +459,20 @@ def test_bad_logs_raise_the_same_error_in_every_call(intervals, error, message):
             call(states, log)
 
 
-def test_interval_may_end_one_past_the_int64_range():
-    # Stamps past the calendar, which no LogicalState holds, so the column is built here.
-    top = 2**63 - 1
-    grid = np.array([top - 2, top - 1, top], dtype=np.int64)
-    assert _logged_alone(ObservationLog("s", ((top - 1, top + 1),)), grid).tolist() == [False, True, True]
-    grid = np.array([-(2**63), 5], dtype=np.int64)
-    assert _logged_alone(ObservationLog("s", ((-(2**63), 1 - 2**63),)), grid).tolist() == [True, False]
+def test_interval_may_end_one_past_the_last_calendar_second():
+    # The last second a LogicalState holds, and the first.
+    states = [make_state(ts) for ts in (TS_MAX - 2, TS_MAX - 1, TS_MAX)]
+    (trend,) = assisted_trends(states, ObservationLog("s", ((TS_MAX - 1, TS_MAX + 1),)))
+    assert (trend.date.isoformat(), trend.hour, trend.minutes["alone"]) == ("9999-12-31", 23, 2 / 60.0)
+    states = [make_state(ts) for ts in (TS_MIN, TS_MIN + 1)]
+    (trend,) = assisted_trends(states, ObservationLog("s", ((TS_MIN, TS_MIN + 1),)))
+    assert (trend.date.isoformat(), trend.hour, trend.minutes["alone"]) == ("0001-01-01", 0, 1 / 60.0)
 
 
 @pytest.mark.parametrize("bad", [2**63, -(2**63) - 1, 1.5])
 def test_ts_outside_int64_is_rejected(bad):
-    grid = [0, bad] if bad > 0 else [bad, 0]
-    message = f"ts must be an integer within int64, got {bad!r}"
-    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-        _int64_stamps(grid)
-    # No LogicalState holds it: an int past int64 is outside the calendar too.
+    # No LogicalState holds it, so no trend column meets it: an int past
+    # int64 is outside the calendar too.
     if type(bad) is not int:
         with pytest.raises(TypeError, match=f"^ts must be an integer, got {re.escape(repr(bad))}$"):
             make_state(bad)
