@@ -28,7 +28,6 @@ from .evaluation import (
     EvalReport,
     FrameLabel,
     evaluate_frames,
-    eval_patient_alone,
     fit_logistic,
     manual_accuracy,
     match_boxes,

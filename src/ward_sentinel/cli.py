@@ -17,7 +17,7 @@ from pathlib import Path
 from . import camera_meta as cm
 from . import trends as tr
 from .errors import ValidationError, WardSentinelError
-from .evaluation import TrendAccuracyReport, TrendAccuracyRow, evaluate_frames, trend_accuracy
+from .evaluation import TrendAccuracyReport, TrendAccuracyRow, evaluate_frames, frame_id, trend_accuracy
 from .model import ANALYSIS_DIMS, PipelineConfig
 from .pipeline import (
     ADAPTERS,
@@ -28,7 +28,7 @@ from .pipeline import (
     run_pipeline,
 )
 from .schema import DECODER, SCHEMA_VERSION, CanonicalRow, loads_row, parse_jsonl
-from .schema import read_labels_jsonl, read_rows_jsonl, write_rows_jsonl
+from .schema import read_labels_jsonl, write_rows_jsonl
 from .simulator import generate, spec_from_dict
 from .store import Store
 
@@ -164,19 +164,22 @@ def _cmd_trends(args, cfg) -> int:
 
 def _cmd_evaluate_frames(args, cfg) -> int:
     labels = read_labels_jsonl(args.labels)
-    rows = read_rows_jsonl(args.preds)
-    preds = [r.record for r in rows]
-    logical = {
-        f"{r.record.session_id}:{r.record.ts}": r.logical.patient_alone
-        for r in rows
-        if r.logical is not None
-    }
-    pred_alone = logical if len(logical) == len(rows) else None
+    # Only what evaluate_frames scores: each record and smoothed patient_alone.
+    preds, pred_alone, smoothed = [], {}, 0
+    for row in parse_jsonl(args.preds, loads_row):
+        preds.append(rec := row.record)
+        if row.logical is not None:
+            smoothed += 1
+            pred_alone[frame_id(rec.session_id, rec.ts)] = row.logical.patient_alone
+    if smoothed not in (0, len(preds)):
+        raise ValidationError(
+            f"{args.preds}: {smoothed} of {len(preds)} prediction rows carry a logical state; all or none must"
+        )
     report = evaluate_frames(
         labels,
         preds,
         iou_threshold=cfg.iou_threshold,
-        pred_alone=pred_alone,
+        pred_alone=pred_alone if smoothed else None,
         exclude_exceptions=not args.keep_exceptions,
     )
     out = _out_dir(args.out)

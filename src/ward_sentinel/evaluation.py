@@ -37,6 +37,11 @@ MAX_NEWTON_ITER = 50
 PERIODS = ("day", "night", "full")
 
 
+def frame_id(session_id: str, ts: int) -> str:
+    """A frame's key in pred_alone maps and reports: "session:ts"."""
+    return f"{session_id}:{ts}"
+
+
 @dataclass(frozen=True)
 class FrameLabel:
     """Manual annotation of one frame: gt boxes, person roles, scene tags."""
@@ -69,7 +74,7 @@ class FrameLabel:
 
     @property
     def frame_id(self) -> str:
-        return f"{self.session_id}:{self.ts}"
+        return frame_id(self.session_id, self.ts)
 
     def alone_flag(self) -> bool:
         persons = [r for b, r in zip(self.boxes, self.roles) if b.cls == "person"]
@@ -96,7 +101,7 @@ class EvalReport:
     per_class: dict[str, ClassMetrics]
     macro_f1: float
     patient_role: ClassMetrics
-    patient_alone: Optional[ClassMetrics]
+    patient_alone: ClassMetrics
     frames_evaluated: int
     frames_excluded: int
 
@@ -192,18 +197,6 @@ def prf1(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
     return p, r, f1
 
 
-def eval_patient_alone(
-    preds: Sequence[bool], labels: Sequence[bool]
-) -> ClassMetrics:
-    """Binary classification metrics with alone as the positive class."""
-    if len(preds) != len(labels):
-        raise MisalignedFrames(f"{len(preds)} predictions vs {len(labels)} labels")
-    tp = sum(1 for p, y in zip(preds, labels) if p and y)
-    fp = sum(1 for p, y in zip(preds, labels) if p and not y)
-    fn = sum(1 for p, y in zip(preds, labels) if not p and y)
-    return ClassMetrics.from_counts(tp, fp, fn)
-
-
 def evaluate_frames(
     labels: Sequence[FrameLabel],
     preds: Sequence[DetectionRecord],
@@ -216,10 +209,10 @@ def evaluate_frames(
     Each (session_id, ts) must appear once among the labels and once among
     the predictions; a repeated or unmatched key raises MisalignedFrames.
 
-    pred_alone optionally maps frame ids to the pipeline's smoothed
-    patient_alone; without it the flag is derived instantaneously from the
-    prediction record. Exception-tagged frames are dropped from all metrics
-    when exclude_exceptions is set.
+    One pass counts each kept frame once. pred_alone optionally maps each
+    frame_id to the pipeline's smoothed patient_alone; without it the flag
+    is derived instantaneously from the prediction record. Exception-tagged
+    frames are dropped from all metrics when exclude_exceptions is set.
     """
     by_key = {(p.session_id, p.ts): p for p in preds}
     label_keys = {(l.session_id, l.ts) for l in labels}
@@ -234,8 +227,7 @@ def evaluate_frames(
 
     counts = {c: [0, 0, 0] for c in CLASSES}  # tp, fp, fn
     role_counts = [0, 0, 0]
-    alone_preds: list[bool] = []
-    alone_labels: list[bool] = []
+    alone_counts = [0, 0, 0]
     excluded = 0
     for label in labels:
         if exclude_exceptions and label.exceptions:
@@ -263,11 +255,11 @@ def evaluate_frames(
                 role_counts[0] += both
                 role_counts[1] += sum(pred_patient) - both
                 role_counts[2] += sum(gt_patient) - both
-        if pred_alone is not None:
-            alone_preds.append(bool(pred_alone[f"{label.session_id}:{label.ts}"]))
-        else:
-            alone_preds.append(occupancy(*record_facts(rec))[1])
-        alone_labels.append(label.alone_flag())
+        alone = bool(pred_alone[label.frame_id]) if pred_alone is not None else occupancy(*record_facts(rec))[1]
+        truth = label.alone_flag()
+        alone_counts[0] += alone and truth
+        alone_counts[1] += alone and not truth
+        alone_counts[2] += truth and not alone
 
     per_class = {c: ClassMetrics.from_counts(*counts[c]) for c in CLASSES}
     macro_f1 = sum(m.f1 for m in per_class.values()) / len(CLASSES)
@@ -275,7 +267,7 @@ def evaluate_frames(
         per_class=per_class,
         macro_f1=macro_f1,
         patient_role=ClassMetrics.from_counts(*role_counts),
-        patient_alone=eval_patient_alone(alone_preds, alone_labels),
+        patient_alone=ClassMetrics.from_counts(*alone_counts),
         frames_evaluated=len(labels) - excluded,
         frames_excluded=excluded,
     )

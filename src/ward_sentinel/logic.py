@@ -97,22 +97,23 @@ def attribute_roles(
     score c; the residual 1 - c is split equally across the two remaining
     roles. Ties break patient > staff > other. A person with no role signal,
     or whose top confidence c in [0, 1] is not above its residual share
-    (1 - c) / 2 (so that splitting would make another role primary), gets a
-    uniform distribution and is flagged.
+    (1 - c) / 2 (so that splitting would make another role primary), gets
+    RoleDistribution.uniform() and a warning; a kept c is above 1/3, so
+    only the fallback is uniform, and a stored row's scores show it.
     """
     out = []
     for i, confs in enumerate(role_confidences):
         known = {r: float(c) for r, c in confs.items() if r in ROLES}
         if not known:
             log.warning("person %d carries no role confidences; using uniform", i)
-            out.append(RoleDistribution.uniform(fallback=True))
+            out.append(RoleDistribution.uniform())
             continue
         primary = max(ROLES, key=lambda r: (known.get(r, -1.0), -ROLES.index(r)))
         c = known[primary]
         rest = (1.0 - c) / 2.0
         if 0.0 <= c <= rest:
             log.warning("person %d's top role confidence %r is not above the residual share; using uniform", i, c)
-            out.append(RoleDistribution.uniform(fallback=True))
+            out.append(RoleDistribution.uniform())
             continue
         out.append(
             RoleDistribution({r: (c if r == primary else rest) for r in ROLES})

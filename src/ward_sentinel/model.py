@@ -215,11 +215,11 @@ class RoleDistribution:
     scores is then a new dict keyed by the ROLES entries themselves, in ROLES
     order whatever the input's order. Ties in argmax break in the fixed order
     patient > staff > other: the downstream safety logic prefers assuming a
-    patient is present.
+    patient is present. A distribution is its scores, as a stored row is:
+    uniform() marks attribute_roles' fallback, which no split can equal.
     """
 
     scores: Mapping[str, float]
-    fallback_uniform: bool = field(default=False, compare=False)
     _primary: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -246,8 +246,8 @@ class RoleDistribution:
         return self._primary
 
     @staticmethod
-    def uniform(fallback: bool = False) -> "RoleDistribution":
-        return RoleDistribution({r: 1.0 / 3.0 for r in ROLES}, fallback_uniform=fallback)
+    def uniform() -> "RoleDistribution":
+        return RoleDistribution({r: 1.0 / 3.0 for r in ROLES})
 
 
 # As _set_box_cls, for the two fields every RoleDistribution sets after __init__.

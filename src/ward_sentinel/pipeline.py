@@ -109,7 +109,7 @@ class DetectorOutput:
 
     role_confidences runs parallel to boxes: per-role detector scores that
     attribute_roles turns into distributions. Non-person entries are ignored;
-    a person whose entry is None or empty gets the flagged uniform fallback.
+    a person whose entry is None or empty gets the uniform fallback.
     """
 
     boxes: tuple[BoundingBox, ...]

@@ -225,6 +225,41 @@ def test_evaluate_frames_with_a_repeated_label_exits_two(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def _alone_frames_and_predictions(tmp_path, states):
+    """Labels for three frames of a lone patient, and predictions that see
+    that patient with one of states (None or a LogicalState) per row."""
+    label = {"session_id": "s", "ts": 0, "boxes": [{"cls": "person", "x": 50, "y": 50, "w": 40, "h": 90, "role": "patient"}]}
+    (tmp_path / "labels.jsonl").write_text("".join(json.dumps(dict(label, ts=ts)) + "\n" for ts in range(3)))
+    rows = [CanonicalRow(make_record("s", ts, ["patient"], bed=False), None, state) for ts, state in enumerate(states)]
+    write_rows_jsonl(rows, tmp_path / "preds.jsonl")
+    return ["evaluate", "frames", "--labels", str(tmp_path / "labels.jsonl"), "--preds", str(tmp_path / "preds.jsonl"),
+            "--out", str(tmp_path / "out")]
+
+
+def _not_alone(ts):
+    return LogicalState("s", ts, False, False, False, False, 2.0)
+
+
+def test_evaluate_frames_with_predictions_mixing_smoothed_and_bare_rows_exits_two(tmp_path, capsys):
+    argv = _alone_frames_and_predictions(tmp_path, [_not_alone(0), _not_alone(1), None])
+    assert main(argv) == 2
+    preds = tmp_path / "preds.jsonl"
+    assert capsys.readouterr().err == (
+        f"validation error: {preds}: 2 of 3 prediction rows carry a logical state; all or none must\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("smoothed,f1", [(True, 0.0), (False, 1.0)], ids=["every-row", "no-row"])
+def test_evaluate_frames_scores_the_smoothed_flag_only_when_every_row_has_one(tmp_path, smoothed, f1):
+    # Each record alone shows a lone patient; each stored state says not alone.
+    argv = _alone_frames_and_predictions(tmp_path, [_not_alone(ts) if smoothed else None for ts in range(3)])
+    assert main(argv) == 0
+    report = json.loads((tmp_path / "out" / "frame_report.json").read_text())
+    assert report["patient_alone"]["f1"] == f1
+    assert report["per_class"]["person"]["f1"] == 1.0
+
+
 def test_camera_meta_cli(tmp_path):
     labels = [
         {

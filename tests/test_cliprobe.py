@@ -21,9 +21,10 @@ def test_cliprobe_measures_each_command_on_one_tree(tmp_path):
     assert report == json.loads(out.read_text())
     assert report["failed"] == []
     assert set(report["summary"]) == {
-        "run-detections", "run-detections-zone", "ingest-canonical", "trends-cohort-log", "evaluate-trends"
+        "run-detections", "run-detections-zone", "ingest-canonical", "trends-cohort-log", "evaluate-trends",
+        "evaluate-frames",
     }
-    assert len(report["runs"]) == 10 and {r["rows"] for r in report["runs"]} == {60, 600}
+    assert len(report["runs"]) == 12 and {r["rows"] for r in report["runs"]} == {60, 600}
     # the walker crosses the zone, so the zone run also writes a crossings file
     digests = {(r["command"], r["rows"]): r["output"] for r in report["runs"]}
     assert digests[("run-detections-zone", 600)] != digests[("run-detections", 600)]

@@ -14,8 +14,8 @@ from ward_sentinel.errors import (
 from ward_sentinel import evaluation
 from ward_sentinel.evaluation import (
     FrameLabel,
-    eval_patient_alone,
     evaluate_frames,
+    frame_id,
     fit_logistic,
     iou,
     manual_accuracy,
@@ -133,27 +133,6 @@ class TestPrf1:
             p2, r2, f1b = prf1(tp, fn, fp)
             assert (p1, r1) == (r2, p2)
             assert f1a == pytest.approx(f1b)
-
-
-class TestEvalPatientAlone:
-    def test_perfect_agreement(self):
-        m = eval_patient_alone([True, False, True], [True, False, True])
-        assert m.f1 == pytest.approx(1.0)
-
-    def test_inverted_predictions(self):
-        m = eval_patient_alone([True, False], [False, True])
-        assert m.f1 == 0.0
-
-    def test_constructed_confusion(self):
-        preds = [True] * 100 + [False] * 8
-        labels = [True] * 92 + [False] * 8 + [True] * 8
-        m = eval_patient_alone(preds, labels)
-        assert (m.tp, m.fp, m.fn) == (92, 8, 8)
-        assert m.f1 == pytest.approx(0.92, abs=1e-9)
-
-    def test_misaligned(self):
-        with pytest.raises(MisalignedFrames):
-            eval_patient_alone([True], [True, False])
 
 
 def fit_logistic_reference(x, y):
@@ -401,6 +380,57 @@ def _pred(ts, boxes_roles, session="s"):
     boxes = tuple(b for b, _ in boxes_roles)
     roles = tuple(None if r is None else role_dist(r) for _, r in boxes_roles)
     return DetectionRecord(session, ts, boxes, roles)
+
+
+def _patient_alone(preds, truths):
+    """evaluate_frames' patient-alone counts over one frame per flag: a label
+    alone exactly where truths says so, and a pred_alone map holding preds
+    for records whose own instantaneous flag is False."""
+    lone_patient = [(box(0, 0, 10, 10), "patient")]
+    labels = [_label(ts, lone_patient if y else []) for ts, y in enumerate(truths)]
+    records = [_pred(ts, []) for ts in range(len(truths))]
+    pred_alone = {frame_id("s", ts): p for ts, p in enumerate(preds)}
+    return evaluate_frames(labels, records, pred_alone=pred_alone).patient_alone
+
+
+class TestPatientAlone:
+    def test_perfect_agreement(self):
+        m = _patient_alone([True, False, True], [True, False, True])
+        assert (m.tp, m.fp, m.fn) == (2, 0, 0)
+        assert m.f1 == pytest.approx(1.0)
+
+    def test_inverted_predictions(self):
+        m = _patient_alone([True, False], [False, True])
+        assert (m.tp, m.fp, m.fn) == (0, 1, 1)
+        assert m.f1 == 0.0
+
+    def test_constructed_confusion(self):
+        preds = [True] * 100 + [False] * 8
+        labels = [True] * 92 + [False] * 8 + [True] * 8
+        m = _patient_alone(preds, labels)
+        assert (m.tp, m.fp, m.fn) == (92, 8, 8)
+        assert m.f1 == pytest.approx(0.92, abs=1e-9)
+
+    def test_without_a_map_each_record_gives_its_instantaneous_flag(self):
+        lone_patient = [(box(0, 0, 10, 10), "patient")]
+        pair = lone_patient + [(box(50, 0, 10, 10), "staff")]
+        labels = [_label(0, lone_patient), _label(1, lone_patient), _label(2, [])]
+        preds = [_pred(0, lone_patient), _pred(1, pair), _pred(2, lone_patient)]
+        m = evaluate_frames(labels, preds).patient_alone
+        assert (m.tp, m.fp, m.fn) == (1, 1, 1)
+
+    def test_excluded_frames_are_not_counted(self):
+        lone_patient = [(box(0, 0, 10, 10), "patient")]
+        labels = [_label(0, lone_patient), _label(1, lone_patient, exceptions=("blurred",))]
+        preds = [_pred(0, lone_patient), _pred(1, [])]
+        m = evaluate_frames(labels, preds).patient_alone
+        assert (m.tp, m.fp, m.fn) == (1, 0, 0)
+        m = evaluate_frames(labels, preds, exclude_exceptions=False).patient_alone
+        assert (m.tp, m.fp, m.fn) == (1, 0, 1)
+
+    def test_frame_id_is_the_labels_key(self):
+        assert frame_id("room-1", 1709251200) == "room-1:1709251200"
+        assert _label(7, [], session="room-1").frame_id == "room-1:7"
 
 
 class TestEvaluateFrames:

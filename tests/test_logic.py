@@ -78,17 +78,20 @@ class TestAttributeRoles:
         (dist,) = attribute_roles([{"patient": 0.2, "staff": 0.7, "other": 0.1}])
         assert dist.scores == pytest.approx({"staff": 0.7, "patient": 0.15, "other": 0.15})
 
-    def test_no_signal_yields_flagged_uniform(self):
-        (dist,) = attribute_roles([{}])
-        assert dist.fallback_uniform
+    @pytest.mark.parametrize("confs", [{}, {"bed": 0.9}])
+    def test_no_signal_yields_uniform(self, confs, caplog):
+        with caplog.at_level(logging.WARNING, logger="ward_sentinel.logic"):
+            (dist,) = attribute_roles([confs])
+        assert dist.scores == RoleDistribution.uniform().scores
         assert dist.scores == pytest.approx({r: 1 / 3 for r in ("patient", "staff", "other")})
+        assert ["uniform" in r.getMessage() for r in caplog.records] == [True]
 
     @pytest.mark.parametrize("confs", [{"patient": 0.2}, {"staff": 1 / 3}, {"other": 0.0, "staff": 0.1}])
-    def test_top_confidence_not_above_the_residual_yields_flagged_uniform(self, confs, caplog):
+    def test_top_confidence_not_above_the_residual_yields_uniform(self, confs, caplog):
         # Splitting 1 - c would put the other roles at or above c.
         with caplog.at_level(logging.WARNING, logger="ward_sentinel.logic"):
             (dist,) = attribute_roles([confs])
-        assert dist.fallback_uniform and dist.scores == RoleDistribution.uniform().scores
+        assert dist.scores == RoleDistribution.uniform().scores
         assert ["uniform" in r.getMessage() for r in caplog.records] == [True]
 
     def test_out_of_range_confidence_still_raises(self):
@@ -100,19 +103,19 @@ class TestAttributeRoles:
         st.sampled_from(ROLES + ("bed",)),
         st.floats(0.0, 1.0) | st.sampled_from([0.0, 1 / 3, 0.3333333333333333, 0.33333333333333337, 0.5, 1.0]),
     ))
-    def test_primary_is_the_top_role_or_the_flagged_fallback(self, confs):
+    def test_primary_is_the_top_role_or_the_uniform_fallback(self, confs):
+        # The fallback holds exactly when the scores are uniform, so a stored
+        # row's scores say whether it was taken.
         (dist,) = attribute_roles([confs])
         known = {r: c for r, c in confs.items() if r in ROLES}
+        uniform = dist.scores == RoleDistribution.uniform().scores
         if not known:
-            assert dist.fallback_uniform
+            assert uniform
             return
         c = max(known.values())
         top = next(r for r in ROLES if known.get(r) == c)  # ties: patient > staff > other
-        fallback = c <= (1.0 - c) / 2.0
-        assert dist.fallback_uniform == fallback
-        if fallback:
-            assert dist.scores == RoleDistribution.uniform().scores
-        else:
+        assert uniform == (c <= (1.0 - c) / 2.0)
+        if not uniform:
             assert dist.primary() == top and dist.scores[top] == c
 
 

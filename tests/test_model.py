@@ -863,7 +863,7 @@ def _record_cases():
     state = LogicalState("s", 7, True, True, False, False, 1.0)
     return {
         BoundingBox: (("bed", 1.0, 2.0, 3.0, 4.0, 0.5), {"w": 0.0}, ValueError, "box width/height must be positive"),
-        RoleDistribution: (({"patient": 0.2, "staff": 0.7, "other": 0.1}, True), {"scores": {"patient": 1.0}}, ValueError, "role scores must cover exactly ('patient', 'staff', 'other')"),
+        RoleDistribution: (({"patient": 0.2, "staff": 0.7, "other": 0.1},), {"scores": {"patient": 1.0}}, ValueError, "role scores must cover exactly ('patient', 'staff', 'other')"),
         DetectionRecord: (("s", 7, (box,), (role,)), {"ts": 7.0}, TypeError, "ts must be an integer, got 7.0"),
         MotionRecord: (({"bed": 0.25},), {"magnitudes": {"bed": -1.0}}, ValueError, "motion magnitude for bed must be finite and >= 0: -1.0"),
         LogicalState: (("s", 7, True, False, False, True, 1.0), {"moving": 1}, TypeError, "logical moving must be true or false, got 1"),
@@ -915,6 +915,13 @@ def test_record_constructors_keep_the_dataclass_contract(record_type):
         with pytest.raises(error, match=f"^{re.escape(message)}$") as raised:
             replace(obj, **bad)
         assert "__post_init__" in [entry.name for entry in raised.traceback]
+
+
+@pytest.mark.parametrize("record_type", RECORD_TYPES, ids=lambda t: t.__name__)
+def test_record_types_compare_every_value_they_are_given(record_type):
+    # A value that == ignores could differ between a record and its stored
+    # row without any check seeing it.
+    assert [f.name for f in fields(record_type) if f.init and not f.compare] == []
 
 
 @pytest.mark.parametrize("record_type", RECORD_TYPES, ids=lambda t: t.__name__)

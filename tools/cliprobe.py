@@ -7,8 +7,9 @@
 
 A tree is a source checkout; its package is imported from TREE/src. The
 inputs are made once, with `simulate` from the first tree given: one noisy
-room with a safety zone and a walker per length (seconds, so rows), and a
-`--config` file that gives the room that zone. Each command then runs once
+room with a safety zone and a walker per length (seconds, so rows), a
+`--config` file that gives the room that zone, and frame labels written from
+the simulated ground truth, for `evaluate frames`. Each command then runs once
 per tree, length and pair as its own child process, the trees in alternating
 order from pair to pair. A child's peak RSS and
 CPU times come from `os.wait4`, which gives that child alone (a maximum over
@@ -48,7 +49,8 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 # output, which is compared across trees byte for byte. run-detections has no
 # zone, so it crosses no crossing code; run-detections-zone does. The two
 # report commands read the simulated ground-truth states and observation log.
-# `evaluate frames` is left out: `simulate` writes no frame labels.
+# evaluate-frames scores the ground truth as predictions against labels that
+# make_inputs writes from it (labels_from_ground_truth).
 COMMANDS = {
     "run-detections": ["run", "--detections", "{inp}/detections.jsonl", "--out", "{out}"],
     "run-detections-zone": ["--config", "{inp}/config.json",
@@ -58,7 +60,10 @@ COMMANDS = {
                           "--cohort", "--out", "{out}"],
     "evaluate-trends": ["evaluate", "trends", "--log", "{inp}/observations.csv",
                         "--states", "{inp}/ground_truth.jsonl", "--out", "{out}"],
+    "evaluate-frames": ["evaluate", "frames", "--labels", "{inp}/labels.jsonl",
+                        "--preds", "{inp}/ground_truth.jsonl", "--out", "{out}"],
 }
+ROLES = ("patient", "staff", "other")  # the package's tie order for a primary role
 
 
 def spec(seconds: int) -> dict:
@@ -112,6 +117,19 @@ def tree_digest(root: Path) -> str:
     return digest.hexdigest()
 
 
+def labels_from_ground_truth(rows: Path, labels: Path) -> None:
+    """One frame label per canonical row, a line at a time and with json only,
+    so that this process stays small: the row's session_id, ts and boxes, and
+    on each person box the role its scores rank first."""
+    with open(rows) as src, open(labels, "w") as dst:
+        for line in src:
+            row = json.loads(line)
+            for box, scores in zip(row["boxes"], row["roles"]):
+                if box["cls"] == "person":
+                    box["role"] = max(ROLES, key=lambda r: scores[r])
+            dst.write(json.dumps({"session_id": row["session_id"], "ts": row["ts"], "boxes": row["boxes"]}) + "\n")
+
+
 def make_inputs(tree: Path, lengths: list[int], work: Path) -> dict[int, Path]:
     inputs = {}
     for n in lengths:
@@ -123,6 +141,7 @@ def make_inputs(tree: Path, lengths: list[int], work: Path) -> dict[int, Path]:
         done = child(tree, ["simulate", "--spec", str(inp / "spec.json"), "--out", str(inp)], inp)
         if done["code"] != 0:
             raise SystemExit(f"simulate {n} s failed: {done['stderr']}")
+        labels_from_ground_truth(inp / "ground_truth.jsonl", inp / "labels.jsonl")
         inputs[n] = inp
     return inputs
 
