@@ -105,7 +105,7 @@ def placement_distribution(
 
 
 def write_stats_csv(stats: Sequence[BedPlacementStat], path) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["session_id", "frame_id", "area_fraction", "centroid_x", "centroid_y", "angle_deg"]
@@ -129,7 +129,7 @@ def write_histogram_csv(dist: PlacementDistribution, path) -> None:
         ("centroid_xy", dist.centroid_hist, *dist.centroid_edges),
         ("area_angle", dist.area_angle_hist, dist.area_edges, dist.angle_edges),
     )
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# angle_definition: {dist.metadata['angle_definition']}\n")
         fh.write(f"# n_stats: {dist.n_stats}\n")
         writer = csv.writer(fh)

@@ -37,7 +37,7 @@ REPORT_VERSION = {"schema_version": SCHEMA_VERSION}
 
 def _load_json(path, build):
     """build(parsed JSON file); bad content is a ValidationError naming the file."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             return build(DECODER.decode(fh.read()))
         except KeyError as e:
@@ -59,7 +59,7 @@ def _out_dir(path) -> Path:
 
 
 def _write_json(obj: dict, path: Path) -> None:
-    path.write_text(json.dumps({**REPORT_VERSION, **obj}, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps({**REPORT_VERSION, **obj}, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _read_states(source: str):
@@ -204,7 +204,7 @@ def _cmd_evaluate_trends(args, cfg) -> int:
     out = _out_dir(args.out)
     report_obj = report.to_dict()
     _write_json(report_obj, out / "trend_report.json")
-    with open(out / "per_patient_day.csv", "w", newline="") as fh:
+    with open(out / "per_patient_day.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, [f.name for f in fields(TrendAccuracyRow)])
         writer.writeheader()
         for row in report_obj["rows"]:

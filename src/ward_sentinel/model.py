@@ -27,11 +27,11 @@ from dataclasses import MISSING, dataclass, field, fields
 from math import inf, isfinite
 from numbers import Integral, Real
 from operator import attrgetter
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 import numpy as np
 
-from .errors import MalformedRecord
+from .errors import MalformedRecord, SchemaMismatch
 
 CLASSES = ("person", "bed", "chair")
 ROLES = ("patient", "staff", "other")
@@ -364,6 +364,23 @@ def from_json(cls, raw, what: str, **nested):
     if unknown:
         raise TypeError(f"unknown {what} keys {sorted(unknown)}")
     return cls(**{**raw, **{k: build(raw[k]) for k, build in nested.items() if k in raw}})
+
+
+def text_lines(path, newline=None) -> Iterator[str]:
+    """The lines of a text input (JSONL or CSV), split as open(path,
+    newline=newline) splits them and read as UTF-8 whatever the locale. A
+    line that is not UTF-8 raises SchemaMismatch naming path:line. Bytes
+    that are not UTF-8 are read as lone surrogates (surrogateescape), which
+    valid UTF-8 never decodes to, so only a line that is not ASCII is
+    checked, by decoding its bytes again."""
+    with open(path, encoding="utf-8", errors="surrogateescape", newline=newline) as fh:
+        for i, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as e:
+                    raise SchemaMismatch(f"{path}:{i}: not UTF-8: {e}") from None
+            yield line
 
 
 def check_int(name: str, v, lo: Optional[int] = None) -> int:

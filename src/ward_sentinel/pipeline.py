@@ -49,6 +49,7 @@ from .model import (
     PipelineConfig,
     RoleDistribution,
     slot_init,
+    text_lines,
     validate_record,
 )
 from .schema import CanonicalRow, jsonl_lines, loads_row, shared_id
@@ -361,23 +362,22 @@ def _flat_csv_rows(path) -> Iterator[tuple[int, Callable[[], CanonicalRow]]]:
     file line it starts on, past quoted line breaks and blank lines.
     """
     groups: dict[tuple[str, int], list[tuple[int, dict]]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        required = {"session_id", "ts", "cls", "x", "y", "w", "h", "conf"}
-        if header is None or not required <= set(header):
-            raise SchemaMismatch(f"flat-csv needs columns {sorted(required)}, got {header}")
+    reader = csv.reader(text_lines(path, newline=""))
+    header = next(reader, None)
+    required = {"session_id", "ts", "cls", "x", "y", "w", "h", "conf"}
+    if header is None or not required <= set(header):
+        raise SchemaMismatch(f"flat-csv needs columns {sorted(required)}, got {header}")
+    lineno = reader.line_num + 1
+    for fields in reader:
+        if fields:  # a blank line holds no record
+            raw = dict(zip_longest(header, fields))
+            try:
+                key = (raw["session_id"], int(raw["ts"]))
+            except (TypeError, ValueError):
+                yield lineno, partial(_flat_csv_row, [raw])
+            else:
+                groups.setdefault(key, []).append((lineno, raw))
         lineno = reader.line_num + 1
-        for fields in reader:
-            if fields:  # a blank line holds no record
-                raw = dict(zip_longest(header, fields))
-                try:
-                    key = (raw["session_id"], int(raw["ts"]))
-                except (TypeError, ValueError):
-                    yield lineno, partial(_flat_csv_row, [raw])
-                else:
-                    groups.setdefault(key, []).append((lineno, raw))
-            lineno = reader.line_num + 1
     for members in groups.values():
         yield members[0][0], partial(_flat_csv_row, [raw for _, raw in members])
 

@@ -43,11 +43,11 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterator, Optional
 
-from .errors import MalformedRecord, SchemaMismatch
+from .errors import MalformedRecord, SchemaMismatch, ValidationError
 from .evaluation import FrameLabel
 from .flow import MotionRecord
 from .logic import LogicalState
-from .model import CLASSES, BoundingBox, DetectionRecord, RoleDistribution, slot_init
+from .model import CLASSES, BoundingBox, DetectionRecord, RoleDistribution, slot_init, text_lines
 
 SCHEMA_VERSION = 1
 
@@ -138,18 +138,27 @@ def _reject_constant(name: str):
 
 
 # NaN/Infinity are not JSON; Python's decoder accepts them unless told not to.
-# Every JSON input (rows, frame labels, config, scenario specs, the store
-# manifest) is decoded with this one decoder.
+# Rows are parsed by orjson first (loads_row); every other JSON input (frame
+# labels, config, scenario specs, the store manifest), and any row orjson
+# cannot be trusted with, is decoded with this one decoder.
 DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
+# orjson 3.8 reads an integer literal outside [-2**63, 2**64) as a float where
+# json keeps the int (-9223372036854775809 becomes -9.223372036854776e+18).
+# A box coordinate is the one stored value that takes such a float without a
+# ValidationError, which would change its type, its stored text and the text
+# of a clamp error; loads_row reads a row with a coordinate this large by
+# DECODER instead.
+_ORJSON_EXACT = 2.0**63
 
-def loads_row(line: str) -> CanonicalRow:
-    """The row of one line. A line that is exactly one JSON value is read by
-    the decoder's scanner alone. Any other line (whitespace around the value,
-    trailing data, invalid JSON, not a str) is read by DECODER.decode, so its
-    result or error is decode's. The scanner raises StopIteration for an error
-    at the first character, JSONDecodeError for one inside an object and
-    TypeError for a line that is not a str."""
+
+def _loads_row_json(line: str) -> CanonicalRow:
+    """The row of one line, by DECODER alone. A line that is exactly one JSON
+    value is read by the decoder's scanner alone. Any other line (whitespace
+    around the value, trailing data, invalid JSON, not a str) is read by
+    DECODER.decode, so its result or error is decode's. The scanner raises
+    StopIteration for an error at the first character, JSONDecodeError for
+    one inside an object and TypeError for a line that is not a str."""
     try:
         obj, end = DECODER.scan_once(line, 0)
     except (StopIteration, json.JSONDecodeError, TypeError):
@@ -162,6 +171,32 @@ def loads_row(line: str) -> CanonicalRow:
     if not isinstance(obj, dict):
         raise SchemaMismatch("canonical row must be a JSON object")
     return obj_to_row(obj)
+
+
+def loads_row(line: str) -> CanonicalRow:
+    """The row of one line: orjson parses it and obj_to_row builds the row.
+    _loads_row_json, the DECODER path, reads the line instead, and gives its
+    row or its error, when the line is not exactly a str, when orjson refuses
+    it, when obj_to_row raises a ValidationError (so every error and message
+    is DECODER's), or when a box's x, y, w or h has a magnitude of 2**63 or
+    more (_ORJSON_EXACT). Both paths give equal rows for every other line.
+    orjson is imported here, not with the module, so that commands that
+    decode no row never load it."""
+    import orjson
+
+    if type(line) is str:
+        try:
+            row = obj_to_row(orjson.loads(line))
+        except (orjson.JSONDecodeError, ValidationError):
+            pass
+        else:
+            big = _ORJSON_EXACT
+            for b in row.record.boxes:
+                if not (-big < b.x < big and -big < b.y < big and -big < b.w < big and -big < b.h < big):
+                    break
+            else:
+                return row
+    return _loads_row_json(line)
 
 
 def obj_to_label(obj: dict) -> FrameLabel:
@@ -182,12 +217,12 @@ def obj_to_label(obj: dict) -> FrameLabel:
 
 
 def jsonl_lines(path) -> Iterator[tuple[int, str]]:
-    """(1-based line number, stripped line) for each non-blank line of a file."""
-    with open(path) as fh:
-        for i, line in enumerate(fh, start=1):
-            line = line.strip()
-            if line:
-                yield i, line
+    """(1-based line number, stripped line) for each non-blank line of a
+    file read as UTF-8 (text_lines)."""
+    for i, line in enumerate(text_lines(path), start=1):
+        line = line.strip()
+        if line:
+            yield i, line
 
 
 def parse_jsonl(path, parse: Callable[[str], object]) -> Iterator:
@@ -217,6 +252,6 @@ def read_rows_jsonl(path) -> list[CanonicalRow]:
 
 
 def write_rows_jsonl(rows, path) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for row in rows:
             fh.write(dumps_row(row) + "\n")

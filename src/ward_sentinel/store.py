@@ -19,6 +19,9 @@ directories it made and leaves the manifest as it was; a segment already
 moved into place stays on disk. Writing the same content twice yields
 byte-identical files, which makes re-ingest idempotent.
 
+A segment's file is named by the UTF-8 bytes of its manifest key whatever
+the locale's file-system encoding (_disk_path).
+
 Readers follow the manifest, not the directory: `iter_rows` and `verify`
 share one walk of its keys, which must read sessions/<session id>/<name>.jsonl
 and must exist on disk, and a file the manifest does not list (a `.tmp` file
@@ -67,6 +70,14 @@ def _key_parts(rel: str) -> list[str]:
     raise ValidationError(f"manifest segment key {rel!r} is not sessions/<session id>/<name>.jsonl")
 
 
+def _disk_path(root: Path, rel: str) -> Path:
+    """root / rel, where rel (a manifest key) is named on disk by its UTF-8
+    bytes whatever the file-system encoding, so a store that one locale
+    writes another reads. Under a UTF-8 file-system encoding (surrogateescape,
+    as Python's) it is root / rel."""
+    return root / os.fsdecode(rel.encode("utf-8", "surrogateescape"))
+
+
 def _file_sha256(path: Path) -> str:
     """The sha256 hex digest of a file's bytes, read in 1 MiB chunks so no segment is held whole."""
     digest = hashlib.sha256()
@@ -91,7 +102,7 @@ class Store:
         if not path.exists():
             return {"schema_version": SCHEMA_VERSION, "segments": {}}
         try:
-            manifest = DECODER.decode(path.read_text())
+            manifest = DECODER.decode(path.read_text(encoding="utf-8"))
         except (ValueError, SchemaMismatch) as e:
             raise ValidationError(f"{path}: invalid JSON: {e}") from None
         segments = manifest.get("segments") if isinstance(manifest, dict) else None
@@ -108,7 +119,7 @@ class Store:
         it. If either step fails, the .tmp file is removed and the error raised."""
         tmp = self.root / f"{MANIFEST_NAME}.tmp"
         try:
-            tmp.write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
+            tmp.write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n", encoding="utf-8")
             os.replace(tmp, self.manifest_path)
         except BaseException:
             tmp.unlink(missing_ok=True)
@@ -129,7 +140,7 @@ class Store:
     def _segments(self) -> list[tuple[str, Path, dict]]:
         """(key, path, entry) of each manifest segment, by session then file name."""
         segments = self.load_manifest()["segments"]
-        walk = [(rel, self.root / rel, segments[rel]) for rel in sorted(segments, key=_key_parts)]
+        walk = [(rel, _disk_path(self.root, rel), segments[rel]) for rel in sorted(segments, key=_key_parts)]
         for rel, path, _ in walk:
             if not path.exists():
                 raise ValidationError(f"manifest segment missing on disk: {rel}")
@@ -137,8 +148,9 @@ class Store:
 
     def iter_rows(self, session_id: Optional[str] = None) -> Iterator[CanonicalRow]:
         """Rows of the manifest's date segments by session, then date, then line."""
-        for _, path, _ in self._segments():
-            if path.name == "crossings.jsonl" or session_id not in (None, path.parent.name):
+        for rel, path, _ in self._segments():
+            _, sid, name = _key_parts(rel)
+            if name == "crossings.jsonl" or session_id not in (None, sid):
                 continue
             yield from parse_jsonl(path, loads_row)
 
@@ -152,14 +164,15 @@ class Store:
 
 
 class _Segment:
-    """One segment being written: its final path and the .tmp path beside it,
-    the lines not yet flushed to the .tmp file, and the running sha256 and row
-    count of those that were."""
+    """One segment being written: its manifest key, its final path and the
+    .tmp path beside it, the lines not yet flushed to the .tmp file, and the
+    running sha256 and row count of those that were."""
 
-    __slots__ = ("path", "tmp", "lines", "digest", "rows")
+    __slots__ = ("key", "path", "tmp", "lines", "digest", "rows")
 
-    def __init__(self, path: Path):
-        self.path = path
+    def __init__(self, root: Path, key: str):
+        self.key = key
+        self.path = path = _disk_path(root, key)
         self.tmp = path.with_name(f"{path.name}.tmp")
         self.lines: list[str] = []
         self.digest = hashlib.sha256()
@@ -167,14 +180,14 @@ class _Segment:
 
 
 class _Session:
-    """One session of a run: its directory, its date segments in date order
-    (rows arrive in ts order), the day number of the last one, its crossings
-    segment, and the ts of its last row."""
+    """One session of a run: the key of its directory (sessions/<session
+    id>), its date segments in date order (rows arrive in ts order), the day
+    number of the last one, its crossings segment, and the ts of its last row."""
 
-    __slots__ = ("dir", "dates", "day", "crossings", "last_ts")
+    __slots__ = ("key", "dates", "day", "crossings", "last_ts")
 
-    def __init__(self, dir: Path):
-        self.dir = dir
+    def __init__(self, key: str):
+        self.key = key
         self.dates: list[_Segment] = []
         self.day: Optional[int] = None
         self.crossings: Optional[_Segment] = None
@@ -209,7 +222,7 @@ class SessionWriter:
         check_session_id(session_id)
         if not self._sessions:
             self.store.load_manifest()
-        return self._sessions.setdefault(session_id, _Session(self.store.root / "sessions" / session_id))
+        return self._sessions.setdefault(session_id, _Session(f"sessions/{session_id}"))
 
     def append(self, row: CanonicalRow) -> None:
         rec = row.record
@@ -228,13 +241,13 @@ class SessionWriter:
     def _start_day(self, s: _Session, day: int) -> None:
         if s.dates and s.dates[-1].lines:
             self._flush(s.dates[-1])
-        s.dates.append(_Segment(s.dir / f"{_date_str(day)}.jsonl"))
+        s.dates.append(_Segment(self.store.root, f"{s.key}/{_date_str(day)}.jsonl"))
         s.day = day
 
     def append_crossing(self, event: CrossingEvent) -> None:
         s = self._sessions.get(event.session_id) or self._open(event.session_id)
         if s.crossings is None:
-            s.crossings = _Segment(s.dir / "crossings.jsonl")
+            s.crossings = _Segment(self.store.root, f"{s.key}/crossings.jsonl")
         seg = s.crossings
         seg.lines.append(ENCODER.encode(asdict(event)))
         if len(seg.lines) == CHUNK_LINES:
@@ -269,7 +282,7 @@ class SessionWriter:
         for seg in segments:
             if seg.lines:
                 self._flush(seg)
-        sealed = [seg.path.relative_to(self.store.root).as_posix() for seg in segments]
+        sealed = [seg.key for seg in segments]
         if segments:
             manifest = self.store.load_manifest()
             for seg in segments:

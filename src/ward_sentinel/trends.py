@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import IntervalOutOfBounds, OverlappingIntervals, UnsortedInput, ValidationError
 from .logic import LogicalState
+from .model import text_lines
 
 TREND_KEYS = ("alone", "alone_and_moving", "supervised_by_staff", "moving")
 # Trend key -> its minutes column in trends.csv and cohort.csv, in column order.
@@ -232,7 +233,7 @@ def assisted_trends(
 def _write_minutes_csv(path, lead_columns: Sequence[str], rows, lead) -> None:
     """A trend table: lead(row) under lead_columns, then monitored_min and
     MINUTE_COLUMNS to 6 decimals, with "" for an hour with no data (None)."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([*lead_columns, "monitored_min", *MINUTE_COLUMNS.values()])
         for r in rows:
@@ -256,23 +257,22 @@ def read_observation_csv(path) -> dict[str, ObservationLog]:
     ValidationError prefixed with path:line.
     """
     intervals: dict[str, list[tuple[int, int]]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            try:
-                log = ObservationLog(row["session_id"], ((row["start_ts"], row["end_ts"]),))
-            except KeyError as e:
-                raise ValidationError(f"{path}:{reader.line_num}: missing column {e}") from None
-            except (TypeError, ValueError) as e:
-                raise ValidationError(f"{path}:{reader.line_num}: {e}") from None
-            intervals.setdefault(log.session_id, []).extend(log.intervals)
+    reader = csv.DictReader(text_lines(path, newline=""))
+    for row in reader:
+        try:
+            log = ObservationLog(row["session_id"], ((row["start_ts"], row["end_ts"]),))
+        except KeyError as e:
+            raise ValidationError(f"{path}:{reader.line_num}: missing column {e}") from None
+        except (TypeError, ValueError) as e:
+            raise ValidationError(f"{path}:{reader.line_num}: {e}") from None
+        intervals.setdefault(log.session_id, []).extend(log.intervals)
     return {
         sid: ObservationLog(sid, tuple(sorted(iv))) for sid, iv in intervals.items()
     }
 
 
 def write_observation_csv(logs: Sequence[ObservationLog], path) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(OBSLOG_CSV_HEADER.split(","))
         for log in logs:

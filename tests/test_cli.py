@@ -840,33 +840,38 @@ def test_corrupt_manifest_exits_two(tmp_path, capsys, monkeypatch, command, cont
     assert len(pulled) <= 1
 
 
-# What each case runs in a fresh interpreter, and the scipy subpackages it may
-# load: the read and replay commands load none, a logistic fit loads
-# scipy.special and frame synthesis or flow loads scipy.ndimage (which brings
-# scipy.special along).
-SCIPY_LOADS = {
-    "import-package": ("import ward_sentinel", set()),
-    "import-cli": ("import ward_sentinel.cli", set()),
-    "run-detections": (["run", "--detections", "{d}/sim/detections.jsonl", "--out", "{out}"], set()),
-    "run-scenario": (["run", "--scenario", "{d}/spec.json", "--out", "{out}"], set()),
-    "ingest": (["ingest", "--adapter", "canonical", "--input", "{d}/preds.jsonl", "--store", "{out}"], set()),
+# What each case runs in a fresh interpreter, the scipy subpackages it may
+# load and whether it loads orjson: the read and replay commands load no
+# scipy, a logistic fit loads scipy.special and frame synthesis or flow loads
+# scipy.ndimage (which brings scipy.special along); exactly the commands that
+# decode stored rows (loads_row) load orjson.
+LAZY_LOADS = {
+    "import-package": ("import ward_sentinel", set(), False),
+    "import-cli": ("import ward_sentinel.cli", set(), False),
+    "run-detections": (["run", "--detections", "{d}/sim/detections.jsonl", "--out", "{out}"], set(), True),
+    "run-scenario": (["run", "--scenario", "{d}/spec.json", "--out", "{out}"], set(), False),
+    "ingest": (["ingest", "--adapter", "canonical", "--input", "{d}/preds.jsonl", "--store", "{out}"], set(), True),
     "trends": (
         ["trends", "--states", "{d}/store", "--log", "{d}/sim/observations.csv", "--cohort", "--out", "{out}"],
         set(),
+        True,
     ),
     "evaluate-frames": (
         ["evaluate", "frames", "--labels", "{d}/labels.jsonl", "--preds", "{d}/preds.jsonl", "--out", "{out}"],
         set(),
+        True,
     ),
-    "camera-meta": (["camera-meta", "--labels", "{d}/labels.jsonl", "--out", "{out}"], set()),
-    "simulate": (["simulate", "--spec", "{d}/spec.json", "--out", "{out}"], set()),
+    "camera-meta": (["camera-meta", "--labels", "{d}/labels.jsonl", "--out", "{out}"], set(), False),
+    "simulate": (["simulate", "--spec", "{d}/spec.json", "--out", "{out}"], set(), False),
     "evaluate-trends": (
         ["evaluate", "trends", "--log", "{d}/sim/observations.csv", "--states", "{d}/store", "--out", "{out}"],
         {"scipy.special"},
+        True,
     ),
     "run-with-frames": (
         ["run", "--scenario", "{d}/frames.json", "--with-frames", "--out", "{out}"],
         {"scipy.ndimage", "scipy.special"},
+        False,
     ),
 }
 
@@ -888,19 +893,105 @@ def scipy_inputs(tmp_path_factory):
     return d
 
 
-@pytest.mark.parametrize("command,allowed", SCIPY_LOADS.values(), ids=SCIPY_LOADS.keys())
-def test_scipy_loads_only_where_it_is_called(tmp_path, scipy_inputs, command, allowed):
+@pytest.mark.parametrize("command,allowed,orjson", LAZY_LOADS.values(), ids=LAZY_LOADS.keys())
+def test_scipy_and_orjson_load_only_where_they_are_called(tmp_path, scipy_inputs, command, allowed, orjson):
     if isinstance(command, str):
         body = command
     else:
         argv = [a.format(d=scipy_inputs, out=tmp_path / "out") for a in command]
         body = f"from ward_sentinel.cli import main\nassert main({argv!r}) == 0"
-    code = body + "\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+    lazy = "sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'orjson'))"
+    code = body + f"\nimport json, sys\nprint(json.dumps({lazy}))"
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     loaded = set(json.loads(proc.stdout.splitlines()[-1]))
-    assert {"scipy.ndimage", "scipy.special"} & loaded == allowed
+    assert ("orjson" in loaded) is orjson
+    scipy = {m for m in loaded if m.split(".")[0] == "scipy"}
+    assert {"scipy.ndimage", "scipy.special"} & scipy == allowed
     if not allowed:
-        assert loaded == set()
+        assert scipy == set()
+
+
+def _tree(root):
+    """Every file under root, by its path relative to root as bytes, with its bytes."""
+    return {os.fsencode(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+# Each input carries a 0xff byte inside its last line's session id.
+NOT_UTF8 = {
+    "run-detections": ("rows.jsonl", ["run", "--detections", "{bad}", "--out", "{store}"]),
+    "ingest-canonical": ("rows.jsonl", ["ingest", "--adapter", "canonical", "--input", "{bad}", "--store", "{store}"]),
+    "ingest-flat-csv": ("rows.csv", ["ingest", "--adapter", "flat-csv", "--input", "{bad}", "--store", "{store}"]),
+    "trends-log": ("log.csv", ["trends", "--states", "{store}", "--log", "{bad}", "--out", "{out}"]),
+}
+
+
+@pytest.mark.parametrize("name,argv", NOT_UTF8.values(), ids=NOT_UTF8.keys())
+def test_input_that_is_not_utf8_exits_two_naming_its_line_and_leaves_the_store(tmp_path, capsys, name, argv):
+    store = tmp_path / "store"
+    good = tmp_path / "good.jsonl"
+    write_rows_jsonl([CanonicalRow(make_record("roomA", T0 + i, ["patient"])) for i in range(3)], good)
+    assert main(["run", "--detections", str(good), "--out", str(store)]) == 0
+    before = _tree(store)
+    lines = {
+        "rows.jsonl": [dumps_row(CanonicalRow(make_record("roomB", T0 + i, ["patient"]))) for i in range(3)],
+        "rows.csv": ["session_id,ts,cls,x,y,w,h,conf,patient,staff,other"]
+        + [f"roomB,{T0 + i},person,10,10,40,90,0.8,0.9,0.05,0.05" for i in range(2)],
+        "log.csv": ["session_id,start_ts,end_ts", f"roomA,{T0},{T0 + 2}", f"roomB,{T0},{T0 + 2}"],
+    }[name]
+    data = [line.encode() for line in lines]
+    data[-1] = data[-1].replace(b"roomB", b"room\xffB")
+    bad = tmp_path / name
+    bad.write_bytes(b"\n".join(data) + b"\n")
+    capsys.readouterr()
+    assert main([a.format(bad=bad, store=store, out=tmp_path / "out") for a in argv]) == 2
+    out, err = capsys.readouterr()
+    position = data[-1].index(b"\xff")
+    assert err == (
+        f"validation error: {bad}:{len(data)}: not UTF-8: "
+        f"'utf-8' codec can't decode byte 0xff in position {position}: invalid start byte\n"
+    )
+    assert out == ""
+    assert _tree(store) == before
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the C locale reads file names as ASCII on Linux")
+def test_a_non_ascii_session_id_round_trips_under_the_c_locale(tmp_path):
+    """run then trends, under a locale whose text and file-name encoding is
+    ASCII, write the same bytes, file names included, as under a UTF-8 one."""
+    rows = [CanonicalRow(make_record("zimmer-é", T0 + i, ["patient"] if i % 5 else [])) for i in range(120)]
+    text = "".join(dumps_row(row).replace("\\u00e9", "é") + "\n" for row in rows)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    base = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for var in ("LANG", "LANGUAGE", "LC_CTYPE", "PYTHONIOENCODING"):
+        base.pop(var, None)
+    locales = {
+        "utf8": dict(base, LC_ALL="C.UTF-8", PYTHONUTF8="1"),
+        "c": dict(base, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0"),
+    }
+    probe = "import locale, sys; print(locale.getpreferredencoding(False), sys.getfilesystemencoding())"
+    assert subprocess.run(
+        [sys.executable, "-c", probe], env=locales["c"], capture_output=True, text=True, check=True
+    ).stdout.split() == ["ANSI_X3.4-1968", "ascii"]
+    outputs = {}
+    for name, env in locales.items():
+        d = tmp_path / name
+        d.mkdir()
+        (d / "in.jsonl").write_bytes(text.encode("utf-8"))
+        stdout = []
+        for argv in (
+            ["run", "--detections", "in.jsonl", "--out", "store"],
+            ["trends", "--states", "store", "--cohort", "--out", "trends"],
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-m", "ward_sentinel.cli", *argv], cwd=d, env=env, capture_output=True
+            )
+            assert (proc.returncode, proc.stderr) == (0, b"")
+            stdout.append(proc.stdout)
+        outputs[name] = _tree(d), stdout[1]
+    tree, trends_out = outputs["c"]
+    assert (tree, trends_out) == outputs["utf8"]
+    assert os.fsencode("store/sessions/zimmer-é") + b"/2024-03-01.jsonl" in tree
+    assert "zimmer-é".encode() in tree[b"trends/trends.csv"]
