@@ -97,7 +97,7 @@ def _cmd_simulate(args, cfg) -> int:
         out / "observations.csv",
     )
     print(
-        f"simulated {spec.duration_s}s session {spec.session_id!r}: "
+        f"simulated {spec.duration_s}s session {spec.session_id!a}: "
         f"{len(sim.records)} records, {len(sim.observation_log_intervals)} alone intervals"
     )
     return 0
@@ -138,6 +138,7 @@ def _cmd_trends(args, cfg) -> int:
     by_session = _read_states(args.states)
     if not by_session:
         raise ValidationError(f"no logical states found in {args.states}")
+    logs = tr.read_observation_csv(args.log) if args.log else None  # checked before --out is made
     out = _out_dir(args.out)
     all_trends = []
     for sid in sorted(by_session):
@@ -147,8 +148,7 @@ def _cmd_trends(args, cfg) -> int:
     if args.cohort:
         tr.write_cohort_csv(tr.cohort_average(all_trends), out / "cohort.csv")
         written.append("cohort.csv")
-    if args.log:
-        logs = tr.read_observation_csv(args.log)
+    if logs is not None:
         assisted = []
         for sid, log in sorted(logs.items()):
             if sid in by_session:

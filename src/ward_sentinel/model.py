@@ -426,12 +426,19 @@ def check_session_and_ts(session_id, ts) -> None:
 
 
 def check_session_id(session_id: str) -> None:
-    """A session id names a store directory, so it must be one path component."""
+    """A session id names a store directory, so it must be one path component,
+    and a file name and a UTF-8 file hold it, so it must encode to UTF-8 (a
+    lone surrogate does not)."""
     if (
         session_id in ("", ".", "..")
         or "/" in session_id or "\\" in session_id or "\0" in session_id
     ):
         raise MalformedRecord(f"session id {session_id!r} is not a single path component")
+    if not session_id.isascii():
+        try:
+            session_id.encode("utf-8")
+        except UnicodeEncodeError:
+            raise MalformedRecord(f"session id {session_id!r} does not encode to UTF-8") from None
 
 
 def validate_record(rec: DetectionRecord, frame_dims: tuple[float, float]) -> DetectionRecord:

@@ -10,11 +10,12 @@ One object per monitored second:
 
 motion/logical are absent on ingest and filled by the pipeline. A row is
 stored as ENCODER (sorted keys, no whitespace) writes it, so identical content
-is byte-identical. dumps_row writes those bytes from fixed templates, keys in
-sorted order: {"boxes":[...],"logical":{...},"motion":{...},"roles":[...],
-"session_id":...,"ts":...} without logical or motion when None, a box
-{"cls","conf","h","w","x","y"}, a role {"other","patient","staff"}, motion keys
-in sorted() order. The record types hold each value in the one type it is
+is byte-identical, keys in sorted order: {"boxes":[...],"logical":{...},
+"motion":{...},"roles":[...],"session_id":...,"ts":...} without logical or
+motion when None, a box {"cls","conf","h","w","x","y"}, a role
+{"other","patient","staff"}, motion keys in sorted() order. dumps_row writes
+those bytes with orjson, and _dumps_row_template, its reference path, from
+fixed templates. The record types hold each value in the one type it is
 stored as, so each has one text, the one ENCODER writes: a box class is a
 CLASSES entry, the session id exactly a str (encode_basestring_ascii), ts
 exactly an int (%d), a flag a bool (true/false) and every other number a
@@ -38,6 +39,7 @@ string alive: CPython 3.11 frees it with its last holder.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
@@ -84,8 +86,20 @@ _CLASS_TEXT = {c: encode_basestring_ascii(c) for c in CLASSES}
 _FLAG_TEXT = {True: "true", False: "false"}
 
 
-def dumps_row(row: CanonicalRow) -> str:
-    """ENCODER.encode of the row's canonical object (module docstring)."""
+# orjson 3.8 writes a float as repr does except in exponent form (1e16,
+# 1.5e-7 where repr writes 1e+16, 1.5e-07) and in [1e-5, 1e-4), which it
+# writes positionally (0.0000152 where repr writes 1.52e-05). No key, class
+# name or literal of a row body holds ".0000" or an "e" followed by "-" or a
+# digit, so a body that does holds a float orjson may have written
+# differently, and dumps_row writes that row by the template path instead.
+# One regex for both patterns measured about four times slower than the
+# "in" test plus this one.
+_EXPONENT = re.compile(r"e[-0-9]")
+
+
+def _dumps_row_template(row: CanonicalRow) -> str:
+    """ENCODER.encode of the row's canonical object (module docstring), from
+    fixed templates with %r for every number: the reference path of dumps_row."""
     rec, lg = row.record, row.logical
     boxes = [_BOX % (_CLASS_TEXT[b.cls], b.confidence, b.h, b.w, b.x, b.y) for b in rec.boxes]
     roles = [
@@ -102,6 +116,40 @@ def dumps_row(row: CanonicalRow) -> str:
         text += '"motion":{' + ",".join(['"%s":%r' % (k, mags[k]) for k in sorted(mags)]) + "},"
     text += '"roles":[' + ",".join(roles) + '],"session_id":' + encode_basestring_ascii(rec.session_id)
     return text + ',"ts":%d}' % rec.ts
+
+
+def dumps_row(row: CanonicalRow) -> str:
+    """ENCODER.encode of the row's canonical object (module docstring).
+    orjson writes the body, every key but session_id and ts, and those two
+    are appended as the template path writes them. _dumps_row_template, the
+    reference path, writes the row instead when orjson refuses the body (an
+    int outside [-2**63, 2**64)) or holds ".0000" or a match of _EXPONENT, so
+    that the bytes are the template path's for every row. orjson is
+    imported here, not with the module, so that commands that encode no row
+    never load it."""
+    import orjson
+
+    rec, lg = row.record, row.logical
+    body = {
+        "boxes": [
+            {"cls": b.cls, "conf": b.confidence, "h": b.h, "w": b.w, "x": b.x, "y": b.y} for b in rec.boxes
+        ],
+        "roles": [None if r is None else r.scores for r in rec.roles],
+    }
+    if lg is not None:
+        body["logical"] = {
+            "moving": lg.moving, "patient_alone": lg.patient_alone, "person_alone": lg.person_alone,
+            "smoothed_person_count": lg.smoothed_person_count, "supervised_by_staff": lg.supervised_by_staff,
+        }
+    if row.motion is not None:
+        body["motion"] = row.motion.magnitudes
+    try:
+        text = orjson.dumps(body, option=orjson.OPT_SORT_KEYS).decode()
+    except orjson.JSONEncodeError:
+        return _dumps_row_template(row)
+    if ".0000" in text or _EXPONENT.search(text):
+        return _dumps_row_template(row)
+    return text[:-1] + ',"session_id":' + encode_basestring_ascii(rec.session_id) + ',"ts":%d}' % rec.ts
 
 
 def shared_id(session_id):

@@ -844,12 +844,12 @@ def test_corrupt_manifest_exits_two(tmp_path, capsys, monkeypatch, command, cont
 # load and whether it loads orjson: the read and replay commands load no
 # scipy, a logistic fit loads scipy.special and frame synthesis or flow loads
 # scipy.ndimage (which brings scipy.special along); exactly the commands that
-# decode stored rows (loads_row) load orjson.
+# decode or encode stored rows (loads_row, dumps_row) load orjson.
 LAZY_LOADS = {
     "import-package": ("import ward_sentinel", set(), False),
     "import-cli": ("import ward_sentinel.cli", set(), False),
     "run-detections": (["run", "--detections", "{d}/sim/detections.jsonl", "--out", "{out}"], set(), True),
-    "run-scenario": (["run", "--scenario", "{d}/spec.json", "--out", "{out}"], set(), False),
+    "run-scenario": (["run", "--scenario", "{d}/spec.json", "--out", "{out}"], set(), True),
     "ingest": (["ingest", "--adapter", "canonical", "--input", "{d}/preds.jsonl", "--store", "{out}"], set(), True),
     "trends": (
         ["trends", "--states", "{d}/store", "--log", "{d}/sim/observations.csv", "--cohort", "--out", "{out}"],
@@ -862,7 +862,7 @@ LAZY_LOADS = {
         True,
     ),
     "camera-meta": (["camera-meta", "--labels", "{d}/labels.jsonl", "--out", "{out}"], set(), False),
-    "simulate": (["simulate", "--spec", "{d}/spec.json", "--out", "{out}"], set(), False),
+    "simulate": (["simulate", "--spec", "{d}/spec.json", "--out", "{out}"], set(), True),
     "evaluate-trends": (
         ["evaluate", "trends", "--log", "{d}/sim/observations.csv", "--states", "{d}/store", "--out", "{out}"],
         {"scipy.special"},
@@ -871,7 +871,7 @@ LAZY_LOADS = {
     "run-with-frames": (
         ["run", "--scenario", "{d}/frames.json", "--with-frames", "--out", "{out}"],
         {"scipy.ndimage", "scipy.special"},
-        False,
+        True,
     ),
 }
 
@@ -957,20 +957,72 @@ def test_input_that_is_not_utf8_exits_two_naming_its_line_and_leaves_the_store(t
     assert _tree(store) == before
 
 
+@pytest.mark.parametrize("session_id", ["a\ud800", "a\udcff"], ids=["high-surrogate", "low-surrogate"])
+def test_a_session_id_that_does_not_encode_to_utf8_is_refused(tmp_path, capsys, session_id):
+    rows = tmp_path / "rows.jsonl"
+    write_rows_jsonl([CanonicalRow(make_record(session_id, T0 + i, ["patient"])) for i in range(3)], rows)
+    store = tmp_path / "store"
+    assert main(["run", "--detections", str(rows), "--out", str(store)]) == 2
+    out, err = capsys.readouterr()
+    assert err == f"validation error: session id {session_id!r} does not encode to UTF-8\n"
+    assert out == ""
+    assert not store.exists()
+
+
+def _locale_env(ascii):
+    """os.environ with src on PYTHONPATH, under a C locale whose text and
+    file-name encoding is ASCII (ascii) or a UTF-8 one."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for var in ("LANG", "LANGUAGE", "LC_CTYPE", "PYTHONIOENCODING"):
+        env.pop(var, None)
+    if ascii:
+        return dict(env, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    return dict(env, LC_ALL="C.UTF-8", PYTHONUTF8="1")
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the C locale reads file names as ASCII on Linux")
+def test_simulate_prints_a_non_ascii_session_id_under_the_c_locale(tmp_path):
+    (tmp_path / "spec.json").write_text(json.dumps(
+        dict(SPEC, duration_s=30, session_id="zimmer-é", schedule=[{"start_s": 0, "end_s": 30, "patients": 1}])
+    ))
+    outputs = {}
+    for name in ("c", "utf8"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "ward_sentinel.cli", "simulate", "--spec", "spec.json", "--out", name],
+            cwd=tmp_path, env=_locale_env(name == "c"), capture_output=True,
+        )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout.startswith(b"simulated 30s session 'zimmer-\\xe9': 30 records")
+        outputs[name] = proc.stdout, _tree(tmp_path / name)
+    assert outputs["c"] == outputs["utf8"]
+    assert sorted(outputs["c"][1]) == [b"detections.jsonl", b"ground_truth.jsonl", b"observations.csv"]
+
+
+@pytest.mark.parametrize(
+    "log", [b"session_id,start_ts,end_ts\nroom\xffA,1,5\n", b"session_id,start_ts,end_ts\nroom,abc,5\n"],
+    ids=["not-utf8", "bad-ts"],
+)
+def test_trends_checks_its_log_before_it_makes_out(tmp_path, capsys, log):
+    rows = tmp_path / "rows.jsonl"
+    write_rows_jsonl([CanonicalRow(make_record("roomA", T0 + i, ["patient"])) for i in range(3)], rows)
+    assert main(["run", "--detections", str(rows), "--out", str(tmp_path / "store")]) == 0
+    (tmp_path / "log.csv").write_bytes(log)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    argv = ["trends", "--states", str(tmp_path / "store"), "--log", str(tmp_path / "log.csv"), "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"validation error: {tmp_path / 'log.csv'}:2: ")
+    assert not out.exists()
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="the C locale reads file names as ASCII on Linux")
 def test_a_non_ascii_session_id_round_trips_under_the_c_locale(tmp_path):
     """run then trends, under a locale whose text and file-name encoding is
     ASCII, write the same bytes, file names included, as under a UTF-8 one."""
     rows = [CanonicalRow(make_record("zimmer-é", T0 + i, ["patient"] if i % 5 else [])) for i in range(120)]
     text = "".join(dumps_row(row).replace("\\u00e9", "é") + "\n" for row in rows)
-    src = str(Path(cli.__file__).resolve().parents[1])
-    base = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    for var in ("LANG", "LANGUAGE", "LC_CTYPE", "PYTHONIOENCODING"):
-        base.pop(var, None)
-    locales = {
-        "utf8": dict(base, LC_ALL="C.UTF-8", PYTHONUTF8="1"),
-        "c": dict(base, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0"),
-    }
+    locales = {"utf8": _locale_env(False), "c": _locale_env(True)}
     probe = "import locale, sys; print(locale.getpreferredencoding(False), sys.getfilesystemencoding())"
     assert subprocess.run(
         [sys.executable, "-c", probe], env=locales["c"], capture_output=True, text=True, check=True
